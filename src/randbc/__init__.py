@@ -7,7 +7,9 @@ unit disk / unit ball impedance model (disk_model), random impedance and
 contraction samplers (impedance), Weyl-law compactness criteria (weyl), and a
 reproducible experiment CLI (cli).
 """
-from randbc._backend import BACKEND
+# Name of the kernel implementation (randbc._pykernels), for tools that
+# record which kernels produced a run.
+BACKEND = "python"
 
 __version__ = "0.1.0"
 __all__ = ["BACKEND", "__version__"]

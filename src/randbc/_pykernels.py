@@ -1,18 +1,15 @@
-"""Pure-python numerical kernels (fallback backend).
+"""Pure-python numerical kernels, the only kernel implementation in randbc.
 
-Computes the same values as randbc._kernels (the Cython extension): the two
-backends agree to rounding.  Hot paths: Bessel J_k / spherical j_l of complex
-argument, and the radial finite-difference shooting recurrence.  The FD
-recurrence runs off a cached table of its lam-independent coefficients, and
-has a numpy twin batched over lam (fd_radial_edge_batch) that equals the
-scalar kernel bit for bit.
+Hot paths: Bessel J_k / spherical j_l of complex argument, and the radial
+finite-difference shooting recurrence.  specfun and disk_model import them by
+name.  The FD recurrence runs off a cached table of its lam-independent
+coefficients, and has a numpy twin batched over lam (fd_radial_edge_batch)
+that equals the scalar kernel bit for bit.
 """
 import functools
 import math
 
 import numpy as np
-
-BACKEND_NAME = "python"
 
 _RESCALE = 1e250
 _TINY_SEED = 1e-30

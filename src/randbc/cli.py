@@ -60,6 +60,13 @@ def _prepare(args):
     return cfg, out_dir, manifest
 
 
+def _save(files, out_dir, name, write, *data):
+    """write(path, *data) to out_dir/name and list the file in files."""
+    path = os.path.join(out_dir, name)
+    write(path, *data)
+    files[name] = path
+
+
 def _finish(cfg, out_dir, manifest, files):
     echo = os.path.join(out_dir, "config_echo.ini")
     with open(echo, "w") as fh:
@@ -85,18 +92,13 @@ def run_lab(cfg: ExperimentConfig, out_dir: str, manifest: RunManifest) -> int:
             injectivity_pairs=int(cfg.get("lab", "injectivity_pairs",
                                           default=100)))
     files = {}
-    report_path = os.path.join(out_dir, "lab_report.json")
-    serialize.write_json(report_path, report)
-    files["lab_report.json"] = report_path
+    _save(files, out_dir, "lab_report.json", serialize.write_json, report)
     if not report["passed"]:
-        case_path = os.path.join(out_dir, "failing_case.json")
-        serialize.write_json(case_path, report["violations"][0])
-        files["failing_case.json"] = case_path
         bad = report["violations"][0]
+        _save(files, out_dir, "failing_case.json", serialize.write_json, bad)
         if "k" in bad:
-            mat_path = os.path.join(out_dir, "failing_contraction.txt")
-            serialize.save_matrix(mat_path, np.array(bad["k"], dtype=complex))
-            files["failing_contraction.txt"] = mat_path
+            _save(files, out_dir, "failing_contraction.txt",
+                  serialize.save_matrix, np.array(bad["k"], dtype=complex))
     _finish(cfg, out_dir, manifest, files)
     return EXIT_OK if report["passed"] else EXIT_INVARIANT
 
@@ -142,17 +144,14 @@ def run_disk_spectrum(cfg, out_dir, manifest) -> int:
                       for a, b in zip(low, oracle[:len(low)]))
             spot.append({"mode": mode, "rel_disagreement": rel})
     files = {}
-    csv_path = os.path.join(out_dir, "eigenvalues.csv")
-    serialize.write_csv(csv_path,
-                        ["mode", "mu", "re_zeta", "im_zeta", "re_lambda",
-                         "im_lambda", "method", "residual"], rows)
-    files["eigenvalues.csv"] = csv_path
-    zeta_path = os.path.join(out_dir, "impedance_sequence.csv")
-    serialize.write_csv(zeta_path, ["mode", "mu", "re_zeta", "im_zeta"],
-                        [[mode, disk_model.mode_mu(params, mode),
-                          zetas[mode].real, zetas[mode].imag]
-                         for mode in range(modes + 1)])
-    files["impedance_sequence.csv"] = zeta_path
+    _save(files, out_dir, "eigenvalues.csv", serialize.write_csv,
+          ["mode", "mu", "re_zeta", "im_zeta", "re_lambda", "im_lambda",
+           "method", "residual"], rows)
+    _save(files, out_dir, "impedance_sequence.csv", serialize.write_csv,
+          ["mode", "mu", "re_zeta", "im_zeta"],
+          [[mode, disk_model.mode_mu(params, mode),
+            zetas[mode].real, zetas[mode].imag]
+           for mode in range(modes + 1)])
     min_im = min((row[5] for row in rows), default=float("nan"))
     summary = {
         "seed": cfg.seed,
@@ -165,9 +164,7 @@ def run_disk_spectrum(cfg, out_dir, manifest) -> int:
         "oracle_spot_checks": spot,
         "warnings": warnings,
     }
-    summary_path = os.path.join(out_dir, "summary.json")
-    serialize.write_json(summary_path, summary)
-    files["summary.json"] = summary_path
+    _save(files, out_dir, "summary.json", serialize.write_json, summary)
     _finish(cfg, out_dir, manifest, files)
     return EXIT_OK
 
@@ -189,13 +186,10 @@ def run_weyl_fit(cfg, out_dir, manifest) -> int:
             summary[boundary] = {"exponent": fit.exponent,
                                  "stderr": fit.stderr, "target": target}
     files = {}
-    csv_path = os.path.join(out_dir, "weyl_fit.csv")
-    serialize.write_csv(csv_path, ["boundary", "lambda_lo", "lambda_hi",
-                                   "exponent", "stderr", "target"], rows)
-    files["weyl_fit.csv"] = csv_path
-    summary_path = os.path.join(out_dir, "summary.json")
-    serialize.write_json(summary_path, summary)
-    files["summary.json"] = summary_path
+    _save(files, out_dir, "weyl_fit.csv", serialize.write_csv,
+          ["boundary", "lambda_lo", "lambda_hi", "exponent", "stderr",
+           "target"], rows)
+    _save(files, out_dir, "summary.json", serialize.write_json, summary)
     _finish(cfg, out_dir, manifest, files)
     return EXIT_OK
 
@@ -226,21 +220,13 @@ def run_criteria(cfg, out_dir, manifest) -> int:
         for boundary in ("circle", "sphere"):
             spectrum = weyl.boundary_spectrum(boundary, mu_max)
             for label, dist in family:
-                verdicts = [
-                    weyl.series_criterion(dist, spectrum, deltas),
-                    weyl.expectation_criterion(dist, spectrum, deltas),
-                    weyl.moment_criterion(dist, spectrum.dim),
-                ]
+                verdicts = weyl.standard_verdicts(dist, spectrum, deltas)
                 ok = weyl.verdicts_consistent(verdicts)
                 consistent = consistent and ok
                 stable = True
                 for prefix in prefixes:
                     dropped = weyl.drop_prefix(spectrum, prefix)
-                    again = [
-                        weyl.series_criterion(dist, dropped, deltas),
-                        weyl.expectation_criterion(dist, dropped, deltas),
-                        weyl.moment_criterion(dist, dropped.dim),
-                    ]
+                    again = weyl.standard_verdicts(dist, dropped, deltas)
                     stable = stable and all(
                         a.verdict == b.verdict
                         for a, b in zip(verdicts, again))
@@ -254,21 +240,16 @@ def run_criteria(cfg, out_dir, manifest) -> int:
                 }
                 consistent = consistent and stable
     files = {}
-    csv_path = os.path.join(out_dir, "criteria.csv")
-    serialize.write_csv(csv_path, ["distribution", "boundary", "criterion",
-                                   "verdict", "consistent",
-                                   "prefix_invariant"], rows)
-    files["criteria.csv"] = csv_path
-    summary_path = os.path.join(out_dir, "summary.json")
-    serialize.write_json(summary_path,
-                         {"seed": cfg.seed, "deltas": list(deltas),
-                          "mu_max": mu_max,
-                          "prefixes": prefixes, "consistent": consistent,
-                          # reserved: criteria run verbatim on any externally
-                          # supplied (mu, multiplicity) table
-                          "spectrum_source": "builtin-exact",
-                          "results": summary})
-    files["summary.json"] = summary_path
+    _save(files, out_dir, "criteria.csv", serialize.write_csv,
+          ["distribution", "boundary", "criterion", "verdict", "consistent",
+           "prefix_invariant"], rows)
+    _save(files, out_dir, "summary.json", serialize.write_json,
+          {"seed": cfg.seed, "deltas": list(deltas), "mu_max": mu_max,
+           "prefixes": prefixes, "consistent": consistent,
+           # reserved: criteria run verbatim on any externally supplied
+           # (mu, multiplicity) table
+           "spectrum_source": "builtin-exact",
+           "results": summary})
     _finish(cfg, out_dir, manifest, files)
     return EXIT_OK if consistent else EXIT_INVARIANT
 
@@ -299,13 +280,9 @@ def run_transition(cfg, out_dir, manifest) -> int:
         truncations = [m_modes // 4, m_modes // 2, m_modes]
         with timer.stage(f"criteria_{boundary}"):
             for (label, dist), entry in zip(dists, entries):
-                verdicts = [
-                    weyl.series_criterion(dist, spectrum, deltas),
-                    weyl.expectation_criterion(dist, spectrum, deltas),
-                    weyl.moment_criterion(dist, spectrum.dim),
+                verdicts = weyl.standard_verdicts(dist, spectrum, deltas) + [
                     weyl.limit_criterion_from_transition(
-                        entry, eps_grid[0], truncations),
-                ]
+                        entry, eps_grid[0], truncations)]
                 for cell in entry.cells:
                     rows.append([boundary, label, cell.eps, cell.truncation,
                                  cell.fraction])
@@ -317,17 +294,12 @@ def run_transition(cfg, out_dir, manifest) -> int:
                     "critical_exponent": spectrum.dim - 1,
                 }
     files = {}
-    csv_path = os.path.join(out_dir, "transition.csv")
-    serialize.write_csv(csv_path, ["boundary", "parameter", "eps",
-                                   "truncation", "fraction"], rows)
-    files["transition.csv"] = csv_path
-    summary_path = os.path.join(out_dir, "transition_summary.json")
-    serialize.write_json(summary_path,
-                         {"a_grid": a_grid, "trials": trials,
-                          "m_modes": m_modes, "s_min": s_min,
-                          "eps_grid": list(eps_grid), "deltas": list(deltas),
-                          "seed": cfg.seed, "results": summary})
-    files["transition_summary.json"] = summary_path
+    _save(files, out_dir, "transition.csv", serialize.write_csv,
+          ["boundary", "parameter", "eps", "truncation", "fraction"], rows)
+    _save(files, out_dir, "transition_summary.json", serialize.write_json,
+          {"a_grid": a_grid, "trials": trials, "m_modes": m_modes,
+           "s_min": s_min, "eps_grid": list(eps_grid),
+           "deltas": list(deltas), "seed": cfg.seed, "results": summary})
     _finish(cfg, out_dir, manifest, files)
     return EXIT_OK
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from randbc._backend import fd_radial_edge, fd_radial_edge_batch
+from randbc._pykernels import fd_radial_edge, fd_radial_edge_batch
 from randbc.impedance import ACCRETIVE_TOL, cayley_zeta_to_xi
 from randbc.specfun import (BesselEval, bessel_j, complex_root_polish,
                             find_real_roots, spherical_j)

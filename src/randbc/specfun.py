@@ -1,13 +1,13 @@
 """Bessel functions of the first kind and robust scalar root finding.
 
-Self-contained: evaluation goes through the randbc kernel backend (power
-series, backward Miller recurrence, large-argument asymptotics), never through
-an external special-function library.
+Self-contained: evaluation goes through the kernels in randbc._pykernels
+(power series, backward Miller recurrence, large-argument asymptotics), never
+through an external special-function library.
 """
 import math
 from dataclasses import dataclass, field
 
-from randbc._backend import bessel_jk, spherical_jl
+from randbc._pykernels import bessel_jk, spherical_jl
 
 MAX_ORDER = 200
 MAX_ABS_ARGUMENT = 1.0e4

@@ -232,18 +232,17 @@ def _analytic_tail(dist: ImpedanceDistribution, dim: int, delta: float,
     return 0.0, math.inf, False
 
 
-def series_criterion(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
-                     deltas=DEFAULT_DELTAS) -> CriterionVerdict:
-    """Convergence of sum_k mult_k (1 - F(delta sqrt(mu_k))) over the delta grid."""
-    dim = spectrum.dim
+def _tail_criterion(name, dist: ImpedanceDistribution,
+                    spectrum: BoundarySpectrum, deltas,
+                    partial_at) -> CriterionVerdict:
+    """Verdict over the delta grid from the enumerated part partial_at(delta)
+    plus the analytic tail beyond the enumeration."""
     start = spectrum.tail_mode_index()
     evidence = {}
     finite_flags = []
     for delta in deltas:
-        partial = float(sum(
-            m * dist.survival_abs(delta * math.sqrt(mu))
-            for mu, m in zip(spectrum.mu, spectrum.mult)))
-        lo, hi, certified = _analytic_tail(dist, dim, delta, start)
+        partial = partial_at(delta)
+        lo, hi, certified = _analytic_tail(dist, spectrum.dim, delta, start)
         finite = certified and math.isfinite(hi)
         infinite = certified and math.isinf(lo)
         evidence[delta] = {"partial": partial, "tail_lo": lo, "tail_hi": hi,
@@ -256,7 +255,18 @@ def series_criterion(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
         verdict = NOT_COMPACT
     else:
         verdict = INCONCLUSIVE
-    return CriterionVerdict("series", verdict, tuple(deltas), evidence)
+    return CriterionVerdict(name, verdict, tuple(deltas), evidence)
+
+
+def series_criterion(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
+                     deltas=DEFAULT_DELTAS) -> CriterionVerdict:
+    """Convergence of sum_k mult_k (1 - F(delta sqrt(mu_k))) over the delta grid."""
+    def partial_at(delta):
+        return float(sum(
+            m * dist.survival_abs(delta * math.sqrt(mu))
+            for mu, m in zip(spectrum.mu, spectrum.mult)))
+
+    return _tail_criterion("series", dist, spectrum, deltas, partial_at)
 
 
 def expectation_criterion(dist: ImpedanceDistribution,
@@ -268,31 +278,16 @@ def expectation_criterion(dist: ImpedanceDistribution,
     (N_i [F(s_{i+1}) - F(s_i)] summed, plus the boundary term), the analytic
     per-kind tail bounds what lies beyond the enumeration.
     """
-    dim = spectrum.dim
-    start = spectrum.tail_mode_index()
     cum = np.cumsum(spectrum.mult).astype(float)
-    evidence = {}
-    finite_flags = []
-    for delta in deltas:
+
+    def partial_at(delta):
         s_vals = delta * np.sqrt(spectrum.mu)
         surv = np.array([dist.survival_abs(s) for s in s_vals])
         # sum_{i<M} N_i (S_i - S_{i+1}) + N_M S_M  (Stieltjes against F)
-        partial = float(np.sum(cum[:-1] * (surv[:-1] - surv[1:]))
-                        + cum[-1] * surv[-1])
-        lo, hi, certified = _analytic_tail(dist, dim, delta, start)
-        finite = certified and math.isfinite(hi)
-        infinite = certified and math.isinf(lo)
-        evidence[delta] = {"partial": partial, "tail_lo": lo, "tail_hi": hi,
-                           "certified": certified,
-                           "value": partial + hi if finite else math.inf}
-        finite_flags.append(None if not certified else (not infinite and finite))
-    if all(f is True for f in finite_flags):
-        verdict = COMPACT
-    elif any(f is False for f in finite_flags):
-        verdict = NOT_COMPACT
-    else:
-        verdict = INCONCLUSIVE
-    return CriterionVerdict("expectation", verdict, tuple(deltas), evidence)
+        return float(np.sum(cum[:-1] * (surv[:-1] - surv[1:]))
+                     + cum[-1] * surv[-1])
+
+    return _tail_criterion("expectation", dist, spectrum, deltas, partial_at)
 
 
 def moment_criterion(dist: ImpedanceDistribution, d: int) -> CriterionVerdict:
@@ -307,6 +302,14 @@ def moment_criterion(dist: ImpedanceDistribution, d: int) -> CriterionVerdict:
         verdict = COMPACT if math.isfinite(value) else NOT_COMPACT
     return CriterionVerdict("moment", verdict, (),
                             {"order": d - 1, "value": value})
+
+
+def standard_verdicts(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
+                      deltas=DEFAULT_DELTAS) -> list:
+    """The series, expectation and moment verdicts, in that order."""
+    return [series_criterion(dist, spectrum, deltas),
+            expectation_criterion(dist, spectrum, deltas),
+            moment_criterion(dist, spectrum.dim)]
 
 
 def verdicts_consistent(verdicts) -> bool:

@@ -202,8 +202,8 @@ def test_admissible_agrees_with_brute_bisection(rng):
         res = imp.admissible_direction_check(d)
         # brute: scan the norm over a fine c-grid
         cs = np.linspace(1e-6, 4.0 / max(np.linalg.norm(d, 2), 1e-9), 4000)
-        ok = np.array([np.linalg.norm(-np.eye(m) + c * d, 2) <= 1.0 + 1e-12
-                       for c in cs])
+        ok = np.linalg.norm(-np.eye(m) + cs[:, None, None] * d, 2,
+                            axis=(1, 2)) <= 1.0 + 1e-12
         brute_admissible = bool(ok[0])
         assert res.admissible == brute_admissible, (trial, d)
         if res.admissible and np.isfinite(res.c_max):
