@@ -2,9 +2,10 @@
 
 Hot paths: Bessel J_k / spherical j_l of complex argument, and the radial
 finite-difference shooting recurrence.  specfun and disk_model import them by
-name.  The FD recurrence runs off a cached table of its lam-independent
-coefficients, and has a numpy twin batched over lam (fd_radial_edge_batch)
-that equals the scalar kernel bit for bit.
+name.  Each has a numpy twin for the grid scans that equals the scalar kernel
+bit for bit: bessel_jk_batch and spherical_jl_batch over real arguments, and
+fd_radial_edge_batch over lam.  The FD recurrence runs off a cached table of
+its lam-independent coefficients.
 """
 import functools
 import math
@@ -64,14 +65,18 @@ def _bessel_series_pair(k, x):
 _IPOW = (1.0 + 0j, -1j, -1.0 + 0j, 1j)  # (-1j) ** n, exactly
 
 
+def _miller_start(order, ax):
+    # start index of the backward recurrence at |x| = ax
+    return (order + int(math.ceil(ax)) + 20
+            + int(math.ceil(7.0 * ax ** (1.0 / 3.0))))
+
+
 def _bessel_miller_pair(k, x):
     # Backward recurrence; x canonicalized to Re >= 0, Im >= 0 by the caller.
     # Real x: normalize with J0 + 2*sum J_{2m} = 1.  Off the real axis that sum
     # cancels catastrophically (terms ~ e^{Im x} adding up to 1), so use
     # J0 + 2*sum (-i)^n J_n = e^{-ix}, whose target matches the term scale.
-    ax = abs(x)
-    n_start = (k + int(math.ceil(ax)) + 20
-               + int(math.ceil(7.0 * ax ** (1.0 / 3.0))))
+    n_start = _miller_start(k, abs(x))
     if n_start % 2 == 1:
         n_start += 1
     real_axis = x.imag == 0.0
@@ -206,8 +211,7 @@ def spherical_jl(l, x):
         return 0.0 + 0j, (complex(1.0 / 3.0) if l == 1 else 0.0 + 0j)
     if ax <= 0.5:
         return _spherical_series_pair(l, x)
-    n_start = (l + int(math.ceil(ax)) + 20
-               + int(math.ceil(7.0 * ax ** (1.0 / 3.0))))
+    n_start = _miller_start(l, ax)
     jp = 0.0 + 0j
     jc = _TINY_SEED + 0j
     out_l = 0j
@@ -231,6 +235,169 @@ def spherical_jl(l, x):
     jl = out_l * scale
     jl1 = out_l1 * scale
     return jl, (l / x) * jl - jl1
+
+
+# Real-axis batches of bessel_jk / spherical_jl.  On the real axis every
+# complex operation of the scalar recurrences reduces exactly to its real
+# part (a product or quotient with a zero imaginary part rounds like the real
+# one), so float64 arrays reproduce them bit for bit.  Transcendentals stay on
+# math.*: numpy's SIMD sin/cos/pow need not round like libm.
+
+def _series_batch(head, x2, denom):
+    # head * sum_m prod_{i <= m} x2 / denom(i), each point stopped where the
+    # scalar series loop stops
+    out = head.copy()
+    idx = np.arange(head.size)
+    term = total = head
+    for m in range(1, 500):
+        term = term * (x2 / denom(m))
+        total = total + term
+        out[idx] = total
+        keep = ~(np.abs(term) <= 1e-18 * np.abs(total) + 1e-305)
+        if not keep.all():
+            idx, term, total, x2 = idx[keep], term[keep], total[keep], x2[keep]
+            if not idx.size:
+                break
+    return out
+
+
+def _bessel_series_batch(k, x):
+    half = x / 2.0
+    x2 = -(half * half)
+
+    def one(order):
+        head = np.ones(x.shape)
+        for i in range(1, order + 1):
+            head = head * (half / i)
+        return _series_batch(head, x2, lambda m: m * (m + order))
+
+    jk = one(k)
+    return jk, (k / x) * jk - one(k + 1)
+
+
+def _spherical_series_batch(l, x):
+    x2 = -(x * x / 2.0)
+
+    def one(order):
+        head = np.ones(x.shape)
+        for i in range(1, order + 1):
+            head = head * (x / (2 * i + 1))
+        return _series_batch(head, x2,
+                             lambda m: m * (2 * order + 2 * m + 1))
+
+    jl = one(l)
+    return jl, (l / x) * jl - one(l + 1)
+
+
+def _backward_batch(order, x, n_start, numer, even_norm):
+    """Backward recurrence c_{m-1} = (numer(m) / x) c_m - c_{m+1}, each point
+    from its own n_start with (c_{n+1}, c_n) = (0, _TINY_SEED) and rescaled on
+    its own.  The points are sorted by n_start, so step m updates only the
+    prefix that has started.  Returns c_1, c_0, c_order, c_{order+1} and,
+    if even_norm, 2 * sum_{m >= 1} c_{2m} (zeros otherwise)."""
+    perm = np.argsort(-n_start, kind="stable")
+    xs = x[perm]
+    starts = n_start[perm].tolist()
+    jp, jc = np.zeros(xs.shape), np.full(xs.shape, _TINY_SEED)
+    norm, out_k, out_k1 = (np.zeros(xs.shape) for _ in range(3))
+    active = 0
+    for m in range(starts[0], 0, -1):
+        while active < len(starts) and starts[active] >= m:
+            active += 1
+        jm = (numer(m) / xs[:active]) * jc[:active] - jp[:active]
+        jp[:active] = jc[:active]
+        jc[:active] = jm
+        if m - 1 == order:
+            out_k[:active] = jm
+        if m - 1 == order + 1:
+            out_k1[:active] = jm
+        if even_norm and m - 1 > 0 and (m - 1) % 2 == 0:
+            norm[:active] += 2.0 * jm
+        big = np.abs(jm) > _RESCALE
+        if big.any():
+            for arr in (jp, jc, norm, out_k, out_k1):
+                arr[:active][big] /= _RESCALE
+    out = []
+    for arr in (jp, jc, out_k, out_k1, norm):
+        unsorted = np.empty(arr.shape)
+        unsorted[perm] = arr
+        out.append(unsorted)
+    return out
+
+
+def _bessel_miller_batch(k, x):
+    n_start = np.array([_miller_start(k, ax) for ax in x.tolist()])
+    n_start += n_start % 2
+    _, jc, out_k, out_k1, norm = _backward_batch(k, x, n_start,
+                                                 lambda m: 2.0 * m, True)
+    norm = norm + jc
+    jk = out_k / norm
+    return jk, (k / x) * jk - out_k1 / norm
+
+
+def _spherical_miller_batch(l, x):
+    xl = x.tolist()
+    n_start = np.array([_miller_start(l, ax) for ax in xl])
+    jp, jc, out_l, out_l1, _ = _backward_batch(l, x, n_start,
+                                               lambda m: 2 * m + 1, False)
+    sin = np.array([math.sin(v) for v in xl])
+    cos = np.array([math.cos(v) for v in xl])
+    j0e = sin / x
+    j1e = sin / (x * x) - cos / x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # np.where evaluates both candidates; the scalar kernel divides by
+        # jc or by jp, never both
+        scale = np.where(np.abs(j0e) >= np.abs(j1e), j0e / jc, j1e / jp)
+    jl = out_l * scale
+    return jl, (l / x) * jl - out_l1 * scale
+
+
+def _real_batch(scalar, order, x, ax, pointwise, branches):
+    # Each (mask, kernel) branch evaluates its points at ax = |x| in one
+    # batch, the pointwise ones go through the scalar kernel; negative x by
+    # reflection, as in the scalar kernel.
+    value, deriv = np.empty(x.shape), np.empty(x.shape)
+    for mask, kernel in branches:
+        if mask.any():
+            value[mask], deriv[mask] = kernel(order, ax[mask])
+    for i in np.flatnonzero(pointwise).tolist():
+        v, d = scalar(order, ax[i].item())
+        value[i], deriv[i] = v.real, d.real
+    s = -1.0 if order % 2 else 1.0
+    neg = x < 0.0
+    return np.where(neg, s * value, value), np.where(neg, -s * deriv, deriv)
+
+
+def bessel_jk_batch(k, xs):
+    """bessel_jk over a sequence of real x, as two float64 arrays.
+
+    Value and derivative equal (==) the scalar kernel's at every point: the
+    series and Miller branches run batched, x = 0 and the asymptotic branch
+    call the scalar kernel.
+    """
+    x = np.asarray(xs, dtype=float)
+    ax = np.abs(x)
+    series = (ax <= 12.0) | (ax * ax <= 2.0 * (k + 1))
+    asym = ~series & (ax >= 50.0) & (ax >= 4.0 * k * k)
+    zero = ax == 0.0
+    return _real_batch(bessel_jk, k, x, ax, zero | asym,
+                       ((series & ~zero, _bessel_series_batch),
+                        (~series & ~asym, _bessel_miller_batch)))
+
+
+def spherical_jl_batch(l, xs):
+    """spherical_jl over a sequence of real x, as two float64 arrays.
+
+    Value and derivative equal (==) the scalar kernel's at every point: the
+    series and Miller branches run batched, x = 0 calls the scalar kernel.
+    """
+    x = np.asarray(xs, dtype=float)
+    ax = np.abs(x)
+    zero = ax == 0.0
+    series = ax <= 0.5
+    return _real_batch(spherical_jl, l, x, ax, zero,
+                       ((series & ~zero, _spherical_series_batch),
+                        (~series, _spherical_miller_batch)))
 
 
 _FD_RESCALE = 1e200

@@ -16,8 +16,9 @@ import numpy as np
 
 from randbc._pykernels import fd_radial_edge, fd_radial_edge_batch
 from randbc.impedance import ACCRETIVE_TOL, cayley_zeta_to_xi
-from randbc.specfun import (BesselEval, bessel_j, complex_root_polish,
-                            find_real_roots, spherical_j)
+from randbc.specfun import (BesselEval, bessel_j, bessel_j_grid,
+                            complex_root_polish, find_real_roots, spherical_j,
+                            spherical_j_grid)
 
 
 class DiskModelError(ValueError):
@@ -74,6 +75,38 @@ def _radial(mode, w, params) -> BesselEval:
     if params.dim == 2:
         return bessel_j(mode, w)
     return spherical_j(mode, w)
+
+
+def _radial_grid(mode, ws, params):
+    if params.dim == 2:
+        return bessel_j_grid(mode, ws)
+    return spherical_j_grid(mode, ws)
+
+
+def _radial_scan_functions(mode, params, char):
+    """The real part of char(lam, C(w), C'(w)), w = sqrt(ab) lam, on the
+    real lam axis, pointwise and over a grid (equal value by value: the grid
+    goes through the batched Bessel kernels)."""
+
+    def f(lam):
+        ev = _radial(mode, params.wave_factor * lam, params)
+        return char(lam, ev.value, ev.derivative).real
+
+    def f_grid(lams):
+        values, derivs = _radial_grid(
+            mode, [params.wave_factor * lam for lam in lams], params)
+        return [char(lam, v, d).real for lam, v, d
+                in zip(lams, values.tolist(), derivs.tolist())]
+
+    return f, f_grid
+
+
+def _real_axis_roots(mode, params, char, window):
+    """find_real_roots on the real part of char(lam, C(w), C'(w)), at the
+    interlacing-scale resolution, with the grid scanned in one batch."""
+    f, f_grid = _radial_scan_functions(mode, params, char)
+    return find_real_roots(f, window, min_spacing=math.pi / params.wave_factor,
+                           f_grid=f_grid)
 
 
 @dataclass(frozen=True)
@@ -150,27 +183,24 @@ def secular_value(mode: int, zeta, lam, params: MaterialParams) -> complex:
     lam = complex(lam)
     w = params.wave_factor * lam
     ev = _radial(mode, w, params)
-    return math.sqrt(params.b / params.a) * ev.derivative - 1j * complex(zeta) * ev.value
+    return _secular(params, zeta, ev.value, ev.derivative)
+
+
+def _secular(params, zeta, value, derivative):
+    return (math.sqrt(params.b / params.a) * derivative
+            - 1j * complex(zeta) * value)
 
 
 def neumann_eigenvalues(mode: int, params: MaterialParams, window):
     """Real zeros of C'(sqrt(ab) lam) in the window."""
-    spacing = math.pi / params.wave_factor
-    res = find_real_roots(
-        lambda lam: secular_value(mode, 0.0, lam, params).real,
-        window, min_spacing=spacing)
-    return res.roots
+    return _real_axis_roots(mode, params,
+                            lambda lam, v, d: _secular(params, 0.0, v, d),
+                            window).roots
 
 
 def dirichlet_eigenvalues(mode: int, params: MaterialParams, window):
     """Real zeros of C(sqrt(ab) lam) in the window."""
-    spacing = math.pi / params.wave_factor
-
-    def f(lam):
-        w = params.wave_factor * lam
-        return _radial(mode, w, params).value.real
-
-    return find_real_roots(f, window, min_spacing=spacing).roots
+    return _real_axis_roots(mode, params, lambda lam, v, d: v, window).roots
 
 
 @dataclass
@@ -185,12 +215,6 @@ class ModeEigenvalues:
 
     def max_imag(self):
         return max((ev.imag for ev in self.eigenvalues), default=-math.inf)
-
-
-def _real_axis_roots(char_fn, window, spacing):
-    res = find_real_roots(lambda lam: char_fn(lam).real, window,
-                          min_spacing=spacing)
-    return res
 
 
 def _re_zeta_schedule(re_part):
@@ -262,8 +286,9 @@ def solve_mode_eigenvalues(mode: int, zeta, params: MaterialParams, window,
 
     warnings = []
     if abs(zeta.real) <= ACCRETIVE_TOL:
-        res = _real_axis_roots(lambda lam: char_of_zeta(zeta, lam), (lo, hi),
-                               spacing)
+        res = _real_axis_roots(
+            mode, params, lambda lam, v, d: _secular(params, zeta, v, d),
+            (lo, hi))
         eigs = [complex(r) for r in res.roots]
         if res.suspected_double:
             warnings.append(f"suspected double roots at {res.suspected_double}")
@@ -272,9 +297,10 @@ def solve_mode_eigenvalues(mode: int, zeta, params: MaterialParams, window,
         # seeds: real roots of the imaginary-axis problem inside the window;
         # their continuations are the reported set (the window is a seed
         # window, not a completeness claim -- see module docs)
+        seed_zeta = complex(0.0, zeta.imag)
         seed_res = _real_axis_roots(
-            lambda lam: char_of_zeta(complex(0.0, zeta.imag), lam),
-            (lo, hi), spacing)
+            mode, params, lambda lam, v, d: _secular(params, seed_zeta, v, d),
+            (lo, hi))
         roots, failures = _continue_in_re_zeta(char_of_zeta, zeta,
                                                seed_res.roots,
                                                step_cap=0.5 * spacing)
@@ -409,19 +435,26 @@ def contraction_route_residual(mode: int, zeta, lam,
     lam = complex(lam)
     if lam == 0:
         raise DiskModelError("lam = 0 excluded")
-    mu = mode_mu(params, mode)
-    s = math.sqrt(1.0 + mu)
-    xi = cayley_zeta_to_xi(zeta, mu)
+    s = math.sqrt(1.0 + mode_mu(params, mode))
     w = params.wave_factor * lam
     ev = _radial(mode, w, params)
-    gamma0_p = -1j * lam * ev.value
-    gamma_n = math.sqrt(params.b / params.a) * lam * ev.derivative
-    contraction_form = ((xi + 1.0) * s ** 0.5 * gamma0_p
-                        - (xi - 1.0) * s ** -0.5 * gamma_n)
     factor = 2.0 * math.sqrt(s) * lam / (zeta + s)
-    normalized = contraction_form / factor
+    normalized = _contraction(params, mode, zeta, lam, ev.value,
+                              ev.derivative) / factor
     impedance_form = secular_value(mode, zeta, lam, params)
     return abs(normalized - impedance_form) / (1.0 + abs(impedance_form))
+
+
+def _contraction(params, mode, zz, lam, value, derivative):
+    """The raw contraction form (K+I) V^-1 gamma0(p) - (K-I) V* gamma_n of
+    the boundary condition, from C(w) and C'(w) at w = sqrt(ab) lam."""
+    mu = mode_mu(params, mode)
+    s = math.sqrt(1.0 + mu)
+    gamma0_p = -1j * lam * value
+    gamma_n = math.sqrt(params.b / params.a) * lam * derivative
+    xi_s = cayley_zeta_to_xi(zz, mu)
+    return ((xi_s + 1.0) * s ** 0.5 * gamma0_p
+            - (xi_s - 1.0) * s ** -0.5 * gamma_n)
 
 
 def route_equivalence_report(mode: int, zeta, params: MaterialParams,
@@ -436,23 +469,21 @@ def route_equivalence_report(mode: int, zeta, params: MaterialParams,
         # written as the raw contraction form, solved independently
         w = params.wave_factor * lam
         ev = _radial(mode, w, params)
-        gamma0_p = -1j * lam * ev.value
-        gamma_n = math.sqrt(params.b / params.a) * lam * ev.derivative
-        xi_s = cayley_zeta_to_xi(zz, mu)
-        return ((xi_s + 1.0) * s ** 0.5 * gamma0_p
-                - (xi_s - 1.0) * s ** -0.5 * gamma_n)
+        return _contraction(params, mode, zz, lam, ev.value, ev.derivative)
+
+    def contraction_scan(zz):
+        return _real_axis_roots(
+            mode, params,
+            lambda lam, v, d: _contraction(params, mode, zz, lam, v, d) / lam,
+            window)
 
     sec = solve_mode_eigenvalues(mode, zeta, params, window)
     spacing = math.pi / params.wave_factor
     if abs(zeta.real) <= ACCRETIVE_TOL:
-        con_res = find_real_roots(
-            lambda lam: (contraction_char(zeta, lam) / lam).real, window,
-            min_spacing=spacing)
+        con_res = contraction_scan(zeta)
         con_roots = [complex(r) for r in con_res.roots]
     else:
-        seed_res = find_real_roots(
-            lambda lam: (contraction_char(complex(0, zeta.imag), lam) / lam).real,
-            window, min_spacing=spacing)
+        seed_res = contraction_scan(complex(0, zeta.imag))
         con_roots, _ = _continue_in_re_zeta(
             lambda zz, lam: contraction_char(zz, lam) / lam, zeta,
             seed_res.roots, step_cap=0.5 * spacing)

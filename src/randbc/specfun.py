@@ -7,7 +7,8 @@ through an external special-function library.
 import math
 from dataclasses import dataclass, field
 
-from randbc._pykernels import bessel_jk, spherical_jl
+from randbc._pykernels import (bessel_jk, bessel_jk_batch, spherical_jl,
+                               spherical_jl_batch)
 
 MAX_ORDER = 200
 MAX_ABS_ARGUMENT = 1.0e4
@@ -26,6 +27,28 @@ class BesselEval:
     derivative: complex
 
 
+def _check_arguments(order, xs, name):
+    """Raise SpecFunError unless order is an integer in [0, MAX_ORDER] and
+    each x of xs is inside the validated range, checked in the order of xs.
+
+    The pointwise evaluations and the grid evaluations share this check, so
+    a grid scan fails where its first invalid point would.
+    """
+    if order < 0 or order != int(order):
+        raise SpecFunError(
+            f"order must be a nonnegative integer, got {order!r}")
+    if order > MAX_ORDER:
+        raise SpecFunError(
+            f"order {order} exceeds the validated maximum {MAX_ORDER}")
+    for x in xs:
+        x = complex(x)
+        if abs(x) > MAX_ABS_ARGUMENT:
+            raise SpecFunError(f"|x|={abs(x):.3g} outside validated range")
+        if abs(x.imag) > 600.0:
+            raise SpecFunError(
+                f"Im x too large: {name} would overflow double range")
+
+
 def bessel_j(k: int, x) -> BesselEval:
     """Evaluate J_k(x) and J_k'(x) for integer order k >= 0.
 
@@ -33,32 +56,36 @@ def bessel_j(k: int, x) -> BesselEval:
     recurrence scales overflow well before that, this keeps the contract
     honest).
     """
-    if k < 0 or k != int(k):
-        raise SpecFunError(f"order must be a nonnegative integer, got {k!r}")
-    if k > MAX_ORDER:
-        raise SpecFunError(f"order {k} exceeds the validated maximum {MAX_ORDER}")
+    _check_arguments(k, (x,), "J_k")
     x = complex(x)
-    if abs(x) > MAX_ABS_ARGUMENT:
-        raise SpecFunError(f"|x|={abs(x):.3g} outside validated range")
-    if abs(x.imag) > 600.0:
-        raise SpecFunError("Im x too large: J_k would overflow double range")
     v, d = bessel_jk(int(k), x)
     return BesselEval(int(k), x, v, d)
 
 
 def spherical_j(l: int, x) -> BesselEval:
     """Evaluate spherical j_l(x) and j_l'(x) for integer order l >= 0."""
-    if l < 0 or l != int(l):
-        raise SpecFunError(f"order must be a nonnegative integer, got {l!r}")
-    if l > MAX_ORDER:
-        raise SpecFunError(f"order {l} exceeds the validated maximum {MAX_ORDER}")
+    _check_arguments(l, (x,), "j_l")
     x = complex(x)
-    if abs(x) > MAX_ABS_ARGUMENT:
-        raise SpecFunError(f"|x|={abs(x):.3g} outside validated range")
-    if abs(x.imag) > 600.0:
-        raise SpecFunError("Im x too large: j_l would overflow double range")
     v, d = spherical_jl(int(l), x)
     return BesselEval(int(l), x, v, d)
+
+
+def bessel_j_grid(k: int, xs):
+    """J_k and J_k' at each real x of xs, as two float64 arrays.
+
+    Equal (==) to bessel_j's value and derivative point by point, in one
+    batched kernel call; raises the SpecFunError bessel_j raises at the
+    first invalid point.
+    """
+    _check_arguments(k, xs, "J_k")
+    return bessel_jk_batch(int(k), xs)
+
+
+def spherical_j_grid(l: int, xs):
+    """spherical_j's value and derivative at each real x of xs, batched
+    like bessel_j_grid."""
+    _check_arguments(l, xs, "j_l")
+    return spherical_jl_batch(int(l), xs)
 
 
 @dataclass(frozen=True)
@@ -123,9 +150,12 @@ def find_real_roots(f, window, max_roots=None, n_grid=1024,
 
     The uniform grid is evaluated by `f` point by point, or, when `f_grid`
     is given, by one batched call `f_grid(xs)` on the list of grid points,
-    which must return f's values at those points, in order.  Local
-    subdivision, bisection, polish and the double-root search always call
-    `f`; `n_evals` counts the grid points either way.
+    which must return f's values at those points, in order.  Every
+    real-axis scan in disk_model passes one (the FD oracle's and the
+    secular and contraction-form scans), built on kernels that equal the
+    scalar ones bit for bit.  Local subdivision, bisection, polish and the
+    double-root search always call `f`; `n_evals` counts the grid points
+    either way.
     """
     a, b = float(window[0]), float(window[1])
     if not a < b:

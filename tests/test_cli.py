@@ -246,6 +246,35 @@ def test_disk_spectrum_ball_boundary(tmp_path):
     assert mu1 == {2.0}
 
 
+@pytest.mark.parametrize("config", [
+    DISK_NEUMANN.replace("kind = point_mass\nz0 = 0",
+                         "kind = pareto_imaginary\na = 3.0\ns_min = 1.0")
+    .replace("window = 1.0, 10.0", "window = 1.0, 55.0")
+    .replace("oracle_spot_checks = 2", "oracle_spot_checks = 0"),
+    DISK_BALL.replace("z0 = 0", "z0 = 0.5+0.5j")
+    .replace("oracle_spot_checks = 2", "oracle_spot_checks = 0"),
+], ids=["circle", "sphere"])
+def test_disk_spectrum_batched_scans_match_pointwise(tmp_path, monkeypatch,
+                                                     config):
+    # The real-axis scans evaluate their grids through the batched Bessel
+    # kernels; the data files must be the ones per-point scans write.
+    from randbc import disk_model
+
+    cfg = write_config(tmp_path, config)
+    files = []
+    for name in ("batched", "pointwise"):
+        if name == "pointwise":
+            scan = disk_model._radial_scan_functions
+            monkeypatch.setattr(disk_model, "_radial_scan_functions",
+                                lambda *args: (scan(*args)[0], None))
+        out = str(tmp_path / name)
+        assert cli.main(["disk-spectrum", cfg, "--out", out]) == 0
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        files.append(manifest["files"])
+    assert "eigenvalues.csv" in files[0]
+    assert files[0] == files[1]
+
+
 def test_criteria_with_configured_distribution(tmp_path):
     cfg = write_config(tmp_path, CRITERIA + """
 [distribution]

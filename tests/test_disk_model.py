@@ -233,17 +233,32 @@ def test_strict_dissipation_for_positive_re_zeta(rng):
 
 
 def test_fd_grid_scan_batched_equals_pointwise():
-    # fd_oracle scans its uniform grid through the batched kernel; the
-    # bracketing result must be the one the per-point scan gives
+    # fd_oracle and the secular solves scan their uniform grids through the
+    # batched kernels; the bracketing result must be the one the per-point
+    # scan gives
     mode, zeta = 2, 1.5 + 0.5j
     window = (0.2 * math.pi, mode + 16.0)  # fd_oracle's default, a = b = 1
-    for m_nodes in (512, 1024):
-        f, f_grid = dm._fd_scan_functions(mode, complex(0.0, zeta.imag), UNIT,
-                                          m_nodes)
-        pointwise = find_real_roots(f, window, min_spacing=math.pi)
-        batched = find_real_roots(f, window, min_spacing=math.pi,
+    scans = [(dm._fd_scan_functions(mode, complex(0.0, zeta.imag), UNIT,
+                                    m_nodes), window, math.pi, 3)
+             for m_nodes in (512, 1024)]
+    # secular scans on the disk and the ball, a != b, over all J_k branches:
+    # zeta = 0, imaginary zeta and the contraction form
+    for dim in (2, 3):
+        params = MaterialParams(a=1.3, b=0.8, dim=dim)
+        for mode in (0, 3):
+            chars = (
+                lambda lam, v, d, p=params: dm._secular(p, 0.0, v, d),
+                lambda lam, v, d, p=params: dm._secular(p, 2.5j, v, d),
+                lambda lam, v, d, p=params, k=mode:
+                    dm._contraction(p, k, 0.7j, lam, v, d) / lam)
+            for char in chars:
+                scans.append((dm._radial_scan_functions(mode, params, char),
+                              (0.3, 60.0), math.pi / params.wave_factor, 10))
+    for (f, f_grid), window, spacing, n_roots in scans:
+        pointwise = find_real_roots(f, window, min_spacing=spacing)
+        batched = find_real_roots(f, window, min_spacing=spacing,
                                   f_grid=f_grid)
-        assert len(pointwise.roots) >= 3
+        assert len(pointwise.roots) >= n_roots
         assert batched.roots == pointwise.roots
         assert batched.brackets == pointwise.brackets
         assert batched.suspected_double == pointwise.suspected_double

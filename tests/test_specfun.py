@@ -105,6 +105,20 @@ def test_order_guard_and_range_guard():
         specfun.bessel_j(0, 2.0e4)
     with pytest.raises(specfun.SpecFunError):
         specfun.bessel_j(-1, 1.0)
+    # the batched grid scans share the guard: a scan of mode 201, or one
+    # reaching sqrt(ab) lam > 1e4, fails with the pointwise scan's error
+    from randbc import disk_model as dm
+
+    for dim in (2, 3):
+        params = dm.MaterialParams(a=2.0, b=2.0, dim=dim)
+        for mode, window in ((201, (1.0, 10.0)), (0, (4000.0, 6000.0))):
+            f, f_grid = dm._radial_scan_functions(mode, params,
+                                                  lambda lam, v, d: d)
+            with pytest.raises(specfun.SpecFunError) as pointwise:
+                specfun.find_real_roots(f, window, n_grid=8)
+            with pytest.raises(specfun.SpecFunError) as batched:
+                specfun.find_real_roots(f, window, n_grid=8, f_grid=f_grid)
+            assert str(batched.value) == str(pointwise.value)
 
 
 def test_spherical_closed_forms():
@@ -243,6 +257,49 @@ def test_fd_batch_kernel_equals_scalar():
         for j, lam in enumerate(drawn):
             edge = _pykernels.fd_radial_edge(dim, mode, lam, 1.0, 512)
             assert tuple(complex(b[j]) for b in batch) == edge, (dim, mode, lam)
+
+
+def test_bessel_batch_equals_scalar(monkeypatch):
+    # The real-axis grid scans evaluate J_k / j_l through the batch kernels
+    # and bisect with the scalar ones, so the two must agree exactly.
+    from randbc import _pykernels as pk
+
+    def check(k, xs):
+        for batch, scalar in ((pk.bessel_jk_batch, pk.bessel_jk),
+                              (pk.spherical_jl_batch, pk.spherical_jl)):
+            values, derivs = batch(k, xs)
+            for x, v, d in zip(xs, values.tolist(), derivs.tolist()):
+                assert (v, d) == scalar(k, x), (scalar.__name__, k, x)
+
+    rng = np.random.default_rng(5)
+    for k in list(range(12)) + [25, 50, 120, 199, 200]:
+        # branch edges, each with both neighbours: J_k's series (|x| <= 12
+        # or x^2 <= 2(k+1)) and asymptotic (|x| >= 50 and |x| >= 4k^2)
+        # branches, j_l's series (|x| <= 0.5)
+        xs = [0.0]
+        for edge in (12.0, math.sqrt(2.0 * (k + 1)), 50.0, 4.0 * k * k, 0.5):
+            if 0.0 < edge <= 1e4:
+                xs += [math.nextafter(edge, 0.0), edge,
+                       math.nextafter(edge, math.inf)]
+        xs += np.linspace(0.05, 60.0, 97).tolist()
+        if k in (0, 50, 200):
+            # far arguments make long recurrences; a few orders suffice
+            xs += [float(rng.uniform(60.0, 1e4)), 1e4]
+        xs += [-x for x in xs[1:7]]  # negative x, by reflection
+        check(k, xs)
+    # Cases that run the 1e250 rescale of the backward recurrence.  On the
+    # real axis J_k reaches it only above the validated order 200 (the
+    # kernels themselves take any order).
+    rescaled = {260: [23.0], 300: [25.0], 100: [0.6], 200: [3.0, 10.0]}
+    for k, xs in rescaled.items():
+        check(k, xs)
+    plain = {k: [pk.bessel_jk(k, x) if k > 200 else pk.spherical_jl(k, x)
+                 for x in xs] for k, xs in rescaled.items()}
+    monkeypatch.setattr(pk, "_RESCALE", math.inf)
+    for k, xs in rescaled.items():
+        for x, want in zip(xs, plain[k]):
+            got = pk.bessel_jk(k, x) if k > 200 else pk.spherical_jl(k, x)
+            assert got != want, (k, x)  # so the rescale did run
 
 
 def test_kernel_names_read_by_benchmark():
