@@ -101,7 +101,10 @@ def _bessel_miller_pair(k, x):
                     norm += 2.0 * jc
             else:
                 norm += 2.0 * phase * jc
-        if max(abs(jc.real), abs(jc.imag)) > _RESCALE:
+        # |jc| >= max(|Re jc|, |Im jc|), so the first test only screens out
+        # the steps that cannot need a rescale (as in fd_radial_edge)
+        if not abs(jc) <= _RESCALE and (
+                max(abs(jc.real), abs(jc.imag)) > _RESCALE):
             jp /= _RESCALE
             jc /= _RESCALE
             norm /= _RESCALE
@@ -224,7 +227,8 @@ def spherical_jl(l, x):
             out_l = jc
         if m - 1 == l + 1:
             out_l1 = jc
-        if max(abs(jc.real), abs(jc.imag)) > _RESCALE:
+        if not abs(jc) <= _RESCALE and (
+                max(abs(jc.real), abs(jc.imag)) > _RESCALE):
             jp /= _RESCALE
             jc /= _RESCALE
             out_l /= _RESCALE

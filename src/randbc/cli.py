@@ -42,7 +42,9 @@ def _build_parser():
                        help="override [run] seed")
         p.add_argument("--out", default=None, help="override output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (results are thread-count invariant)")
+                       help="Monte Carlo worker threads for `transition`; "
+                            "shows that results do not depend on the "
+                            "thread count, does not make runs faster")
     return parser
 
 

@@ -47,6 +47,11 @@ class ImpedanceDistribution:
     def sample(self, n, rng):
         raise NotImplementedError
 
+    # Laws whose |zeta| is a function of one uniform draw define
+    # abs_quantile(u), the inverse cdf of |zeta| at the uniforms u, and sample
+    # through it; weyl.monte_carlo_transition needs it.
+    abs_quantile = None
+
     def survival_abs(self, s) -> float:
         raise NotImplementedError
 
@@ -213,8 +218,10 @@ class ParetoImag(ImpedanceDistribution):
         self.s_min = float(s_min)
 
     def sample(self, n, rng):
-        u = rng.random(n)
-        return 1j * (self.s_min * (1.0 - u) ** (-1.0 / self.a))
+        return 1j * self.abs_quantile(rng.random(n))
+
+    def abs_quantile(self, u):
+        return self.s_min * (1.0 - u) ** (-1.0 / self.a)
 
     def survival_abs(self, s):
         if s <= self.s_min:
@@ -284,8 +291,10 @@ class BoundedCustom(ImpedanceDistribution):
         self.f_table = np.clip(f, 0.0, 1.0)
 
     def sample(self, n, rng):
-        u = rng.random(n) * self.f_table[-1]
-        return np.interp(u, self.f_table, self.s_table) + 0j
+        return self.abs_quantile(rng.random(n)) + 0j
+
+    def abs_quantile(self, u):
+        return np.interp(u * self.f_table[-1], self.f_table, self.s_table)
 
     def cdf_abs(self, s):
         if s < self.s_table[0]:

@@ -262,9 +262,12 @@ def series_criterion(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
                      deltas=DEFAULT_DELTAS) -> CriterionVerdict:
     """Convergence of sum_k mult_k (1 - F(delta sqrt(mu_k))) over the delta grid."""
     def partial_at(delta):
-        return float(sum(
-            m * dist.survival_abs(delta * math.sqrt(mu))
-            for mu, m in zip(spectrum.mu, spectrum.mult)))
+        # Python floats, summed left to right: builtin sum() compensates a
+        # sum of floats from Python 3.12 on, which would change the bits
+        total = 0.0
+        for mu, m in zip(spectrum.mu.tolist(), spectrum.mult.tolist()):
+            total += m * dist.survival_abs(delta * math.sqrt(mu))
+        return total
 
     return _tail_criterion("series", dist, spectrum, deltas, partial_at)
 
@@ -282,7 +285,7 @@ def expectation_criterion(dist: ImpedanceDistribution,
 
     def partial_at(delta):
         s_vals = delta * np.sqrt(spectrum.mu)
-        surv = np.array([dist.survival_abs(s) for s in s_vals])
+        surv = np.array([dist.survival_abs(s) for s in s_vals.tolist()])
         # sum_{i<M} N_i (S_i - S_{i+1}) + N_M S_M  (Stieltjes against F)
         return float(np.sum(cum[:-1] * (surv[:-1] - surv[1:]))
                      + cum[-1] * surv[-1])
@@ -349,41 +352,50 @@ def monte_carlo_transition(dists, model: str, trials: int, m_modes: int,
     trials below each eps.  The fraction tending to 1 (resp. 0) with M
     evidences the a.s.-compact (resp. non-compact) side.
 
-    Each trial draws from its own counter-based stream keyed by the trial
-    index, so the result is byte-identical for any thread count.
+    Each trial draws m_modes uniforms from its own counter-based stream keyed
+    by the trial index, and every distribution maps that same draw to |zeta|
+    through its abs_quantile, so the result is byte-identical for any thread
+    count and equals sampling each distribution from the trial's stream.
     """
     if trials < 1 or m_modes < 8:
         raise WeylError("need trials >= 1 and m_modes >= 8")
-    mu = spectrum_by_mode_count(model, m_modes)
-    sqrt_mu = np.sqrt(mu)
-    truncations = [m_modes // 4, m_modes // 2, m_modes]
-    windows = {mt: (mt // 2, mt) for mt in truncations}
-    entries = []
     for label, dist in dists:
-        stats = {mt: np.empty(trials) for mt in truncations}
+        if dist.abs_quantile is None:
+            raise WeylError(f"{label}: {dist.kind} has no abs_quantile; the "
+                            "Monte Carlo transition needs |zeta| as a "
+                            "function of one uniform draw")
+    truncations = [m_modes // 4, m_modes // 2, m_modes]
+    # the windows [M'//2, M') are contiguous: [M//4//2, M//4), [M//4, M//2),
+    # [M//2, M), so one reduceat over the ratio from `lo` on gives all three;
+    # lo >= 1, where mu > 0
+    lo = truncations[0] // 2
+    starts = [mt // 2 - lo for mt in truncations]
+    sqrt_mu = np.sqrt(spectrum_by_mode_count(model, m_modes)[lo:])
+    stats = np.empty((len(dists), len(truncations), trials))
 
-        def run_trial(t, dist=dist, stats=stats):
-            rng = stream.child(t).generator()
-            zeta_abs = np.abs(dist.sample(m_modes, rng))
-            ratio = zeta_abs / np.where(sqrt_mu > 0, sqrt_mu, np.inf)
-            for mt in truncations:
-                lo, hi = windows[mt]
-                stats[mt][t] = ratio[lo:hi].max()
+    def run_trial(t):
+        u = stream.child(t).generator().random(m_modes)
+        for i, (_, dist) in enumerate(dists):
+            ratio = dist.abs_quantile(u[lo:]) / sqrt_mu
+            stats[i, :, t] = np.maximum.reduceat(ratio, starts)
 
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(run_trial, range(trials)))
-        else:
-            for t in range(trials):
-                run_trial(t)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run_trial, range(trials)))
+    else:
+        for t in range(trials):
+            run_trial(t)
+    entries = []
+    for (label, _), law_stats in zip(dists, stats):
         cells = [TransitionCell(eps=eps, truncation=mt,
-                                fraction=float(np.mean(stats[mt] < eps)))
-                 for eps in eps_grid for mt in truncations]
+                                fraction=float(np.mean(row < eps)))
+                 for eps in eps_grid
+                 for mt, row in zip(truncations, law_stats)]
         entries.append(TransitionEntry(
             label=label, cells=cells,
-            tail_stat_mean=float(np.mean(stats[m_modes]))))
+            tail_stat_mean=float(np.mean(law_stats[-1]))))
     return entries
 
 

@@ -302,6 +302,63 @@ def test_bessel_batch_equals_scalar(monkeypatch):
             assert got != want, (k, x)  # so the rescale did run
 
 
+# float.hex of Re/Im of the value and the derivative, pinned from the plain
+# rescale test max(|Re jc|, |Im jc|) > 1e250.  Each argument rescales its
+# backward recurrence, and each meets a step where |jc| > 1e250 while both
+# parts stay below it, so only the exact test on the parts keeps that step
+# from rescaling.  The orders lie above the validated 200 (the kernels take
+# any order), where a large Im x drives the recurrence past 1e250.
+MILLER_RESCALE_GOLDEN = (
+    ("J", 300, (220+500j),
+     ("0x1.9747b670d13a6p+607", "0x1.7bd760f9b61a2p+604",
+      "0x1.753b37811a7cdp+605", "-0x1.bba8cd35f0b1cp+607")),
+    ("J", 350, (20+140j),
+     ("0x1.2694aa4e05aadp-289", "-0x1.decec8bd1952ep-293",
+      "0x1.0836dabba8e41p-293", "-0x1.8a10d6da96a1bp-288")),
+    ("J", 400, (280+180j),
+     ("0x1.487a7f5b19526p+29", "-0x1.3c487cf71c30cp+31",
+      "-0x1.e078c8168d092p+30", "-0x1.29f18e616671fp+31")),
+    ("J", 450, (80+140j),
+     ("-0x1.4cb84ab06475ep-463", "0x1.4e834dfb34995p-463",
+      "0x1.ad57159e20c9ap-463", "0x1.434481fb26df3p-461")),
+    ("J", 500, (40+420j),
+     ("0x1.80201aa72c3a0p+209", "0x1.86ccd78b528cdp+209",
+      "0x1.3e4075f9bec0fp+210", "-0x1.17d90c30c0549p+210")),
+    ("J", 550, (180+420j),
+     ("0x1.6eb7b1b7a215bp+178", "0x1.fed74274c28b9p+183",
+      "0x1.769285da55097p+184", "0x1.4df4df1250115p+182")),
+    ("j", 300, (260+500j),
+     ("0x1.d68274b090cd8p+608", "0x1.1f5912215d921p+608",
+      "0x1.693fd04845190p+608", "-0x1.de98b198111f2p+608")),
+    ("j", 350, (60+220j),
+     ("0x1.0b527d65e304fp-27", "-0x1.42b7e6e1c4184p-28",
+      "-0x1.876ed031088e4p-28", "-0x1.080f65a81973fp-26")),
+    ("j", 350, (300+380j),
+     ("0x1.c18a27d629b86p+391", "0x1.e098b0fdedb73p+391",
+      "0x1.38ea661f0c18ep+392", "-0x1.766bc13c57e11p+391")),
+    ("j", 400, (220+100j),
+     ("-0x1.2a03977f958cbp-158", "-0x1.86beff0346536p-161",
+      "-0x1.9741f4d1f5e50p-158", "0x1.7c5974c468938p-159")),
+    ("j", 400, (240+580j),
+     ("-0x1.dd7ca0e55615ep+657", "-0x1.3c553abb2078fp+658",
+      "-0x1.86c638666b0b0p+658", "0x1.d12d57e10a66bp+657")),
+    ("j", 450, (60+460j),
+     ("0x1.acc1744dd9778p+357", "0x1.2d9a6ff462495p+359",
+      "0x1.aaac64814a7c3p+359", "-0x1.e81c732820bd5p+357")),
+)
+
+
+def test_miller_rescale_bits_pinned():
+    from randbc import _pykernels as pk
+
+    kernels = {"J": pk.bessel_jk, "j": pk.spherical_jl}
+    for name, k, x, want in MILLER_RESCALE_GOLDEN:
+        value, deriv = kernels[name](k, x)
+        got = tuple(float.hex(c) for c in (value.real, value.imag,
+                                           deriv.real, deriv.imag))
+        assert got == want, (name, k, x)
+
+
 def test_kernel_names_read_by_benchmark():
     # perfbench reads randbc.BACKEND and wraps these module attributes by
     # name to count kernel calls; a rename would silently zero its counters.

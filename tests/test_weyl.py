@@ -182,6 +182,65 @@ def test_transition_thread_count_invariance():
     assert one[0].tail_stat_mean == four[0].tail_stat_mean
 
 
+
+def _reference_transition(dists, model, trials, m_modes, stream, eps_grid):
+    # the per-law loop: each law samples complex zeta from the trial's
+    # stream and takes abs
+    sqrt_mu = np.sqrt(weyl.spectrum_by_mode_count(model, m_modes))
+    truncations = [m_modes // 4, m_modes // 2, m_modes]
+    out = []
+    for _, dist in dists:
+        stats = {mt: np.empty(trials) for mt in truncations}
+        for t in range(trials):
+            rng = stream.child(t).generator()
+            zeta_abs = np.abs(dist.sample(m_modes, rng))
+            ratio = zeta_abs / np.where(sqrt_mu > 0, sqrt_mu, np.inf)
+            for mt in truncations:
+                stats[mt][t] = ratio[mt // 2:mt].max()
+        out.append(([float(np.mean(stats[mt] < eps))
+                     for eps in eps_grid for mt in truncations],
+                    float(np.mean(stats[m_modes]))))
+    return out
+
+
+def test_transition_equals_per_law_sampling():
+    # one uniform draw per trial shared by all laws through abs_quantile
+    # must give exactly what sampling each law from the trial's stream gave
+    dists = [(f"a={a:g}", imp.ParetoImag(a, 1.0)) for a in (0.5, 1, 2, 3)]
+    dists.append(("table", imp.BoundedCustom([0.0, 2.0, 50.0],
+                                             [0.0, 0.5, 1.0])))
+    eps_grid = (0.75, 0.1, 0.01)
+    for model in ("circle", "sphere"):
+        stream = imp.SeededStream(31, 4)
+        want = _reference_transition(dists, model, 40, 1030, stream,
+                                     eps_grid)
+        for threads in (1, 3):
+            got = weyl.monte_carlo_transition(
+                dists, model, trials=40, m_modes=1030, stream=stream,
+                eps_grid=eps_grid, threads=threads)
+            assert [([c.fraction for c in e.cells], e.tail_stat_mean)
+                    for e in got] == want, (model, threads)
+
+
+def test_sample_goes_through_abs_quantile():
+    laws = [(imp.ParetoImag(a, 1.5), 1j) for a in (0.5, 1.0, 2.0, 3.0)]
+    laws.append((imp.BoundedCustom([0.0, 1.0, 3.0], [0.0, 0.4, 0.9]),
+                 1.0 + 0j))
+    for dist, phase in laws:
+        stream = imp.SeededStream(8, 2)
+        got = dist.sample(777, stream.generator())
+        want = phase * dist.abs_quantile(stream.generator().random(777))
+        assert got.dtype == want.dtype == complex
+        assert got.tobytes() == want.tobytes(), dist.label()
+
+
+@pytest.mark.parametrize("dist", [imp.UniformDisc(1.0, 1.2),
+                                  imp.HalfNormalReal(1.0)])
+def test_transition_rejects_law_without_abs_quantile(dist):
+    with pytest.raises(weyl.WeylError, match="abs_quantile"):
+        weyl.monte_carlo_transition([("x", dist)], "circle", trials=4,
+                                    m_modes=64, stream=imp.SeededStream(1))
+
 def test_limit_criterion_labelling():
     entry = weyl.TransitionEntry(
         label="x",
