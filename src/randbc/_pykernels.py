@@ -4,8 +4,9 @@ Hot paths: Bessel J_k / spherical j_l of complex argument, and the radial
 finite-difference shooting recurrence.  specfun and disk_model import them by
 name.  Each has a numpy twin for the grid scans that equals the scalar kernel
 bit for bit: bessel_jk_batch and spherical_jl_batch over real arguments, and
-fd_radial_edge_batch over lam.  The FD recurrence runs off a cached table of
-its lam-independent coefficients.
+fd_radial_edge_batch over lam.  fd_radial_edge_dlam adds the lam-derivative
+of the FD edge values for Newton steps.  The FD recurrence runs off a cached
+table of its lam-independent coefficients.
 """
 import functools
 import math
@@ -479,6 +480,51 @@ def fd_radial_edge(dim, mode, lam, ab, n_grid):
                 uc /= 1e200
                 u_before /= 1e200
     return u_before, um, uc
+
+
+def fd_radial_edge_dlam(dim, mode, lam, ab, n_grid):
+    """fd_radial_edge and the lam-derivatives of its three edge values.
+
+    Forward mode through the shooting recurrence: with c_i = a_i - lam2 r^pw
+    and lam2 = ab lam^2 h^2,
+        u'_{i+1} = (c_i u'_i - lam2' r^pw u_i - rm u'_{i-1}) / rp,
+    lam2' = 2 ab lam h^2, and every rescale divides the derivatives with the
+    values.  The value part runs fd_radial_edge's operations, so it equals
+    that kernel (==), and fd_radial_edge_batch's values.  Returns
+    ((u_{M-1}, u_M, u_{M+1}), (u'_{M-1}, u'_M, u'_{M+1})), all up to the
+    same positive factor.
+    """
+    h = 1.0 / n_grid
+    lam = complex(lam)
+    lam2 = ab * lam * lam * h * h
+    dlam2 = 2.0 * ab * lam * h * h
+    if mode == 0:
+        um = 1.0 + 0j
+        lim2 = 2.0 * _fd_shape(dim, mode)[2]
+        uc = um * (1.0 - lam2 / lim2)
+        dum = 0j
+        duc = um * -(dlam2 / lim2)
+    else:
+        um = 0.0 + 0j
+        uc = 1.0 + 0j
+        dum = duc = 0j
+    u_before = du_before = 0j
+    for a, rpw, rm, rp in _fd_steps(dim, mode, n_grid):
+        u_before, du_before = um, dum
+        c = a - lam2 * rpw
+        un = (c * uc - rm * um) / rp
+        dun = (c * duc - dlam2 * rpw * uc - rm * dum) / rp
+        um, dum = uc, duc
+        uc, duc = un, dun
+        if not abs(uc) <= 1e200:
+            if abs(uc.real) > 1e200 or abs(uc.imag) > 1e200:
+                um /= 1e200
+                uc /= 1e200
+                u_before /= 1e200
+                dum /= 1e200
+                duc /= 1e200
+                du_before /= 1e200
+    return (u_before, um, uc), (du_before, dum, duc)
 
 
 # CPython's complex product and quotient by a real, on split float64 parts.

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from randbc._pykernels import fd_radial_edge, fd_radial_edge_batch
+from randbc._pykernels import (fd_radial_edge, fd_radial_edge_batch,
+                               fd_radial_edge_dlam)
 from randbc.impedance import ACCRETIVE_TOL, cayley_zeta_to_xi
 from randbc.specfun import (BesselEval, bessel_j, bessel_j_grid,
                             complex_root_polish, find_real_roots, spherical_j,
@@ -83,14 +84,35 @@ def _radial_grid(mode, ws, params):
     return spherical_j_grid(mode, ws)
 
 
+def _radial_fdf(mode, lam, params, char):
+    """char(lam, C(w), C'(w)), w = sqrt(ab) lam, and its lam-derivative.
+
+    char must be linear in (C, C') with lam-independent coefficients, as
+    the secular, Dirichlet and contraction/lam forms are.  Then the
+    derivative is sqrt(ab) char(lam, C'(w), C''(w)), with C'' from the
+    radial equation w^2 C'' + (d-1) w C' + (w^2 - mu) C = 0: no extra
+    kernel call.
+    """
+    w = params.wave_factor * lam
+    ev = _radial(mode, w, params)
+    v, d = ev.value, ev.derivative
+    d2 = (-((params.dim - 1) / w) * d
+          - (1.0 - mode_mu(params, mode) / (w * w)) * v)
+    return char(lam, v, d), params.wave_factor * char(lam, d, d2)
+
+
 def _radial_scan_functions(mode, params, char):
     """The real part of char(lam, C(w), C'(w)), w = sqrt(ab) lam, on the
-    real lam axis, pointwise and over a grid (equal value by value: the grid
-    goes through the batched Bessel kernels)."""
+    real lam axis: pointwise, with its lam-derivative (_radial_fdf), and
+    over a grid (equal value by value: the grid goes through the batched
+    Bessel kernels).  Returns (f, fdf, f_grid) for find_real_roots."""
+
+    def fdf(lam):
+        value, deriv = _radial_fdf(mode, lam, params, char)
+        return value.real, deriv.real
 
     def f(lam):
-        ev = _radial(mode, params.wave_factor * lam, params)
-        return char(lam, ev.value, ev.derivative).real
+        return fdf(lam)[0]
 
     def f_grid(lams):
         values, derivs = _radial_grid(
@@ -98,15 +120,16 @@ def _radial_scan_functions(mode, params, char):
         return [char(lam, v, d).real for lam, v, d
                 in zip(lams, values.tolist(), derivs.tolist())]
 
-    return f, f_grid
+    return f, fdf, f_grid
 
 
 def _real_axis_roots(mode, params, char, window):
     """find_real_roots on the real part of char(lam, C(w), C'(w)), at the
-    interlacing-scale resolution, with the grid scanned in one batch."""
-    f, f_grid = _radial_scan_functions(mode, params, char)
+    interlacing-scale resolution, with the grid scanned in one batch and
+    each bracket refined by Newton steps on the exact derivative."""
+    f, fdf, f_grid = _radial_scan_functions(mode, params, char)
     return find_real_roots(f, window, min_spacing=math.pi / params.wave_factor,
-                           f_grid=f_grid)
+                           f_grid=f_grid, fdf=fdf)
 
 
 @dataclass(frozen=True)
@@ -231,6 +254,9 @@ def _re_zeta_schedule(re_part):
 def _continue_in_re_zeta(char_of_zeta, zeta, seeds, step_cap=1.5):
     """Homotopy in Re zeta from the imaginary-axis solution, Newton-polished.
 
+    char_of_zeta(zz, lam) returns the characteristic function at impedance
+    zz and its exact lam-derivative, as complex_root_polish takes them.
+
     A step is accepted only when the root moves less than step_cap (half a
     typical root spacing); otherwise the zeta-step is bisected, so the
     iteration tracks one branch instead of hopping to a neighbor.
@@ -282,7 +308,8 @@ def solve_mode_eigenvalues(mode: int, zeta, params: MaterialParams, window,
     expected = len(neumann_eigenvalues(mode, params, (lo, hi)))
 
     def char_of_zeta(zz, lam):
-        return secular_value(mode, zz, lam, params)
+        return _radial_fdf(mode, complex(lam), params,
+                           lambda lam, v, d: _secular(params, zz, v, d))
 
     warnings = []
     if abs(zeta.real) <= ACCRETIVE_TOL:
@@ -350,15 +377,32 @@ def _fd_char(params, m_nodes, zz, lam, edge, normalize=False):
     return value / (abs(u_m) + abs(du) / (1.0 + abs(params.wave_factor * lam)))
 
 
+def _fd_fdf(params, mode, m_nodes, zz, lam):
+    """The raw FD characteristic function and its exact lam-derivative, from
+    one forward-mode shooting pass.  _fd_char is linear in the edge values
+    apart from its -i lam zz u_M term, so the derivative is _fd_char of the
+    edge derivatives minus i zz u_M."""
+    edge, d_edge = fd_radial_edge_dlam(params.dim, mode, lam,
+                                       params.a * params.b, m_nodes)
+    return (_fd_char(params, m_nodes, zz, lam, edge),
+            _fd_char(params, m_nodes, zz, lam, d_edge) - 1j * zz * edge[1])
+
+
 def _fd_scan_functions(mode, zz, params, m_nodes):
     """The real part of the normalized FD characteristic function on the
     real lam axis, pointwise and over a grid (equal value by value: the
-    grid goes through the lam-batched shooting kernel)."""
+    grid goes through the lam-batched shooting kernel), and the real part
+    of the raw one with its derivative (same sign).  Returns
+    (f, fdf, f_grid) for find_real_roots."""
     ab = params.a * params.b
 
     def f(lam):
         edge = fd_radial_edge(params.dim, mode, lam, ab, m_nodes)
         return _fd_char(params, m_nodes, zz, lam, edge, True).real
+
+    def fdf(lam):
+        value, deriv = _fd_fdf(params, mode, m_nodes, zz, lam)
+        return value.real, deriv.real
 
     def f_grid(lams):
         edges = zip(*(e.tolist() for e in fd_radial_edge_batch(
@@ -366,7 +410,7 @@ def _fd_scan_functions(mode, zz, params, m_nodes):
         return [_fd_char(params, m_nodes, zz, lam, edge, True).real
                 for lam, edge in zip(lams, edges)]
 
-    return f, f_grid
+    return f, fdf, f_grid
 
 
 def fd_oracle(mode: int, zeta, params: MaterialParams, grid=1024,
@@ -382,29 +426,24 @@ def fd_oracle(mode: int, zeta, params: MaterialParams, grid=1024,
     if grid < 1000:
         raise DiskModelError("grid must be >= 1e3")
     zeta = complex(zeta)
-    ab = params.a * params.b
     spacing = math.pi / params.wave_factor
     if window is None:
         window = (0.2 * spacing, (mode + 16.0) / params.wave_factor)
     lo, hi = window
 
-    def fd_char_raw(zz, lam, m_nodes):
-        edge = fd_radial_edge(params.dim, mode, lam, ab, m_nodes)
-        return _fd_char(params, m_nodes, zz, lam, edge)
-
     per_grid = []
     for m_nodes in (grid // 2, grid):
-        f, f_grid = _fd_scan_functions(mode, complex(0.0, zeta.imag), params,
-                                       m_nodes)
+        f, fdf, f_grid = _fd_scan_functions(mode, complex(0.0, zeta.imag),
+                                            params, m_nodes)
         seed_res = find_real_roots(f, (lo, hi), min_spacing=spacing,
-                                   f_grid=f_grid)
+                                   f_grid=f_grid, fdf=fdf)
         seeds = seed_res.roots
         if abs(zeta.real) <= ACCRETIVE_TOL:
             roots = [complex(r) for r in seeds]
         else:
             roots, failures = _continue_in_re_zeta(
-                lambda zz, lam: fd_char_raw(zz, lam, m_nodes), zeta, seeds,
-                step_cap=0.5 * spacing)
+                lambda zz, lam: _fd_fdf(params, mode, m_nodes, zz, lam),
+                zeta, seeds, step_cap=0.5 * spacing)
             if failures:
                 raise ConvergenceError(
                     f"FD continuation failed for mode {mode}, zeta {zeta}: "
@@ -465,17 +504,12 @@ def route_equivalence_report(mode: int, zeta, params: MaterialParams,
     s = math.sqrt(1.0 + mu)
     xi = cayley_zeta_to_xi(zeta, mu)
 
-    def contraction_char(zz, lam):
+    def contraction_over_lam(zz):
         # written as the raw contraction form, solved independently
-        w = params.wave_factor * lam
-        ev = _radial(mode, w, params)
-        return _contraction(params, mode, zz, lam, ev.value, ev.derivative)
+        return lambda lam, v, d: _contraction(params, mode, zz, lam, v, d) / lam
 
     def contraction_scan(zz):
-        return _real_axis_roots(
-            mode, params,
-            lambda lam, v, d: _contraction(params, mode, zz, lam, v, d) / lam,
-            window)
+        return _real_axis_roots(mode, params, contraction_over_lam(zz), window)
 
     sec = solve_mode_eigenvalues(mode, zeta, params, window)
     spacing = math.pi / params.wave_factor
@@ -485,15 +519,15 @@ def route_equivalence_report(mode: int, zeta, params: MaterialParams,
     else:
         seed_res = contraction_scan(complex(0, zeta.imag))
         con_roots, _ = _continue_in_re_zeta(
-            lambda zz, lam: contraction_char(zz, lam) / lam, zeta,
-            seed_res.roots, step_cap=0.5 * spacing)
+            lambda zz, lam: _radial_fdf(mode, complex(lam), params,
+                                        contraction_over_lam(zz)),
+            zeta, seed_res.roots, step_cap=0.5 * spacing)
         con_roots = [r for r in con_roots
                      if window[0] <= r.real <= window[1]]
 
     def sec_scale(lam):
-        h = 1e-6 * max(1.0, abs(lam))
-        d = (secular_value(mode, zeta, lam + h, params)
-             - secular_value(mode, zeta, lam - h, params)) / (2 * h)
+        _, d = _radial_fdf(mode, complex(lam), params,
+                           lambda lam, v, d: _secular(params, zeta, v, d))
         return max(abs(d) * max(1.0, abs(lam)), 1e-300)
 
     cross = 0.0
@@ -502,7 +536,9 @@ def route_equivalence_report(mode: int, zeta, params: MaterialParams,
                     / sec_scale(r))
     for r in sec.eigenvalues:
         factor = 2.0 * math.sqrt(s) * r / (zeta + s)
-        val = contraction_char(zeta, r) / factor
+        ev = _radial(mode, params.wave_factor * r, params)
+        val = _contraction(params, mode, zeta, r, ev.value,
+                           ev.derivative) / factor
         cross = max(cross, abs(val) / sec_scale(r))
     return {
         "mode": mode,

@@ -108,54 +108,68 @@ class RootSearchResult:
     n_evals: int = 0
 
 
-def _bisect(f, lo, hi, f_lo, f_hi):
-    # plain bisection to near machine width, then one Newton polish
+def _refine(f, fdf, lo, hi, f_lo):
+    """Root of a bracket (lo, hi), f_lo = f(lo) != 0 of the other sign than
+    f(hi): safeguarded Newton (rtsafe) with fdf, bisection without.
+
+    A Newton step is taken only when it lands strictly inside the bracket
+    and is at most half the step before last; otherwise the bracket is
+    bisected.  Every iterate shrinks the bracket by its sign.  Stops on an
+    exact zero, on a Newton step of at most 1e-13 relative (returning its
+    end point, so a step that rounds to nothing ends the search), or when
+    the bracket is 1e-13 relative wide.  Returns (root, evaluations).
+    """
     n = 0
+    x = 0.5 * (lo + hi)
+    step = step_before = hi - lo
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        fm = f(mid)
-        n += 1
-        if fm == 0.0:
-            return mid, n
-        if f_lo * fm < 0:
-            hi, f_hi = mid, fm
+        if fdf is None:
+            fx, dfx = f(x), 0.0
         else:
-            lo, f_lo = mid, fm
-        if hi - lo <= 1e-13 * max(1.0, abs(mid)):
+            fx, dfx = fdf(x)
+        n += 1
+        if fx == 0.0:
+            return x, n
+        if (fx < 0.0) == (f_lo < 0.0):
+            lo, f_lo = x, fx
+        else:
+            hi = x
+        if dfx != 0.0:
+            newton = x - fx / dfx
+            if abs(newton - x) <= 1e-13 * max(1.0, abs(x)):
+                return newton, n
+            if lo < newton < hi and (
+                    abs(newton - x) <= 0.5 * abs(step_before)):
+                step_before, step = step, newton - x
+                x = newton
+                continue
+        step_before, step = step, 0.5 * (hi - lo)
+        x = 0.5 * (lo + hi)
+        if hi - lo <= 1e-13 * max(1.0, abs(x)) or not lo < x < hi:
             break
-    root = 0.5 * (lo + hi)
-    step = 1e-7 * max(1.0, abs(root))
-    f0 = f(root)
-    deriv = (f(root + step) - f(root - step)) / (2.0 * step)
-    n += 3
-    if deriv != 0.0:
-        polished = root - f0 / deriv
-        if lo - (hi - lo) <= polished <= hi + (hi - lo):
-            if abs(f(polished)) <= abs(f0):
-                root = polished
-            n += 1
-    return root, n
+    return x, n
 
 
 def find_real_roots(f, window, max_roots=None, n_grid=1024,
-                    min_spacing=None, f_grid=None) -> RootSearchResult:
-    """Bracket and polish the real roots of a scalar function on a window.
+                    min_spacing=None, f_grid=None, fdf=None) -> RootSearchResult:
+    """Bracket and refine the real roots of a scalar function on a window.
 
     Scan on a uniform grid (refined locally so no cell holds more than one
-    sign change), bisection per bracket, one Newton polish per root.  Grid
-    minima with |f| below 1e-8 of the local scale but no sign change are
-    reported as suspected double roots instead of being dropped.
+    sign change), then refine each bracket with one loop: safeguarded Newton
+    steps when `fdf` is given, bisection steps otherwise (see _refine).
+    Grid minima with |f| below 1e-8 of the local scale but no sign change
+    are reported as suspected double roots instead of being dropped.
 
-    The uniform grid is evaluated by `f` point by point, or, when `f_grid`
-    is given, by one batched call `f_grid(xs)` on the list of grid points,
-    which must return f's values at those points, in order.  Every
-    real-axis scan in disk_model passes one (the FD oracle's and the
+    `fdf(x)` returns (g(x), g'(x)) for a function g with f's sign at every
+    x, such as f itself or f times a positive factor; only the refinement
+    calls it.  The uniform grid is evaluated by `f` point by point, or, when
+    `f_grid` is given, by one batched call `f_grid(xs)` on the list of grid
+    points, which must return f's values at those points, in order.  Every
+    real-axis scan in disk_model passes both (the FD oracle's and the
     secular and contraction-form scans), built on kernels that equal the
-    scalar ones bit for bit.  Local subdivision, bisection, polish and the
-    double-root search always call `f`; `n_evals` counts the grid points
-    either way.
+    scalar ones bit for bit.  Local subdivision and the double-root search
+    call `f`.  `n_evals` counts every evaluation of f, f_grid's points and
+    fdf.
     """
     a, b = float(window[0]), float(window[1])
     if not a < b:
@@ -189,7 +203,7 @@ def find_real_roots(f, window, max_roots=None, n_grid=1024,
                                     depth - 1)
                 return
         result.brackets.append(RootBracket(lo, hi, f_lo, f_hi))
-        root, n = _bisect(f, lo, hi, f_lo, f_hi)
+        root, n = _refine(f, fdf, lo, hi, f_lo)
         result.n_evals += n
         result.roots.append(root)
 
@@ -239,27 +253,27 @@ class PolishResult:
     iterations: int
 
 
-def complex_root_polish(f, seed, tol=1e-10, max_iter=100) -> PolishResult:
-    """Damped Newton iteration with a numerical derivative.
+def complex_root_polish(fdf, seed, tol=1e-10, max_iter=100) -> PolishResult:
+    """Damped Newton iteration on fdf(z) = (f(z), f'(z)), exact derivative.
 
-    Convergence requires |f(z)| <= tol * scale with scale set by the local
-    derivative; when the iteration stagnates without reaching that (multiple
-    roots flatten f), the flag comes back False and the best point is
-    returned, which may still be accurate to ~|f|^(1/multiplicity).
+    Each trial point of the damping line search is one fdf call, and the
+    accepted point's derivative gives the next step.  Convergence requires
+    |f(z)| <= tol * scale with scale set by the derivative of the step;
+    when the iteration stagnates without reaching that (multiple roots
+    flatten f), the flag comes back False and the best point is returned,
+    which may still be accurate to ~|f|^(1/multiplicity).
     """
     z = complex(seed)
-    fz = f(z)
+    fz, deriv = fdf(z)
     best_z, best_f = z, abs(fz)
     for it in range(1, max_iter + 1):
-        h = 1e-7 * max(1.0, abs(z))
-        deriv = (f(z + h) - f(z - h)) / (2.0 * h)
         if deriv == 0:
             break
         step = fz / deriv
         damp = 1.0
         for _ in range(12):
             z_new = z - damp * step
-            f_new = f(z_new)
+            f_new, d_new = fdf(z_new)
             if abs(f_new) < abs(fz) or abs(f_new) == 0.0:
                 break
             damp *= 0.5
@@ -273,4 +287,5 @@ def complex_root_polish(f, seed, tol=1e-10, max_iter=100) -> PolishResult:
             return PolishResult(z, True, abs(fz), it)
         if abs(damp * step) <= 1e-14 * max(1.0, abs(z)):
             break
+        deriv = d_new
     return PolishResult(best_z, False, best_f, max_iter)

@@ -258,18 +258,47 @@ def _tail_criterion(name, dist: ImpedanceDistribution,
     return CriterionVerdict(name, verdict, tuple(deltas), evidence)
 
 
-def series_criterion(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
-                     deltas=DEFAULT_DELTAS) -> CriterionVerdict:
-    """Convergence of sum_k mult_k (1 - F(delta sqrt(mu_k))) over the delta grid."""
+def _survivals(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
+               deltas) -> dict:
+    """{delta: [1 - F(delta sqrt(mu)) for each enumerated mu]}, the one
+    survival vector the series and expectation criteria both sum."""
+    roots = [math.sqrt(mu) for mu in spectrum.mu.tolist()]
+    return {delta: [dist.survival_abs(delta * r) for r in roots]
+            for delta in deltas}
+
+
+def _series_verdict(dist, spectrum, deltas, survivals) -> CriterionVerdict:
+    mult = spectrum.mult.tolist()
+
     def partial_at(delta):
         # Python floats, summed left to right: builtin sum() compensates a
         # sum of floats from Python 3.12 on, which would change the bits
         total = 0.0
-        for mu, m in zip(spectrum.mu.tolist(), spectrum.mult.tolist()):
-            total += m * dist.survival_abs(delta * math.sqrt(mu))
+        for m, surv in zip(mult, survivals[delta]):
+            total += m * surv
         return total
 
     return _tail_criterion("series", dist, spectrum, deltas, partial_at)
+
+
+def _expectation_verdict(dist, spectrum, deltas,
+                         survivals) -> CriterionVerdict:
+    cum = np.cumsum(spectrum.mult).astype(float)
+
+    def partial_at(delta):
+        surv = np.array(survivals[delta])
+        # sum_{i<M} N_i (S_i - S_{i+1}) + N_M S_M  (Stieltjes against F)
+        return float(np.sum(cum[:-1] * (surv[:-1] - surv[1:]))
+                     + cum[-1] * surv[-1])
+
+    return _tail_criterion("expectation", dist, spectrum, deltas, partial_at)
+
+
+def series_criterion(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
+                     deltas=DEFAULT_DELTAS) -> CriterionVerdict:
+    """Convergence of sum_k mult_k (1 - F(delta sqrt(mu_k))) over the delta grid."""
+    return _series_verdict(dist, spectrum, deltas,
+                           _survivals(dist, spectrum, deltas))
 
 
 def expectation_criterion(dist: ImpedanceDistribution,
@@ -281,16 +310,8 @@ def expectation_criterion(dist: ImpedanceDistribution,
     (N_i [F(s_{i+1}) - F(s_i)] summed, plus the boundary term), the analytic
     per-kind tail bounds what lies beyond the enumeration.
     """
-    cum = np.cumsum(spectrum.mult).astype(float)
-
-    def partial_at(delta):
-        s_vals = delta * np.sqrt(spectrum.mu)
-        surv = np.array([dist.survival_abs(s) for s in s_vals.tolist()])
-        # sum_{i<M} N_i (S_i - S_{i+1}) + N_M S_M  (Stieltjes against F)
-        return float(np.sum(cum[:-1] * (surv[:-1] - surv[1:]))
-                     + cum[-1] * surv[-1])
-
-    return _tail_criterion("expectation", dist, spectrum, deltas, partial_at)
+    return _expectation_verdict(dist, spectrum, deltas,
+                                _survivals(dist, spectrum, deltas))
 
 
 def moment_criterion(dist: ImpedanceDistribution, d: int) -> CriterionVerdict:
@@ -309,9 +330,11 @@ def moment_criterion(dist: ImpedanceDistribution, d: int) -> CriterionVerdict:
 
 def standard_verdicts(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
                       deltas=DEFAULT_DELTAS) -> list:
-    """The series, expectation and moment verdicts, in that order."""
-    return [series_criterion(dist, spectrum, deltas),
-            expectation_criterion(dist, spectrum, deltas),
+    """The series, expectation and moment verdicts, in that order; the
+    first two share one survival vector per delta."""
+    survivals = _survivals(dist, spectrum, deltas)
+    return [_series_verdict(dist, spectrum, deltas, survivals),
+            _expectation_verdict(dist, spectrum, deltas, survivals),
             moment_criterion(dist, spectrum.dim)]
 
 

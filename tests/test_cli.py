@@ -266,7 +266,7 @@ def test_disk_spectrum_batched_scans_match_pointwise(tmp_path, monkeypatch,
         if name == "pointwise":
             scan = disk_model._radial_scan_functions
             monkeypatch.setattr(disk_model, "_radial_scan_functions",
-                                lambda *args: (scan(*args)[0], None))
+                                lambda *args: (*scan(*args)[:2], None))
         out = str(tmp_path / name)
         assert cli.main(["disk-spectrum", cfg, "--out", out]) == 0
         manifest = json.load(open(os.path.join(out, "manifest.json")))

@@ -232,6 +232,20 @@ def test_strict_dissipation_for_positive_re_zeta(rng):
             assert ev.imag <= -1e-6, (mode, zeta, ev)
 
 
+def test_fd_char_derivative():
+    # the raw FD characteristic function's derivative, assembled from the
+    # forward-mode edge derivatives, against a central difference
+    for dim in (2, 3):
+        params = MaterialParams(a=1.3, b=0.8, dim=dim)
+        for mode in (0, 3):
+            for zz, lam in ((0.5j, 4.7), (1.5 + 0.5j, 6.2 - 0.4j)):
+                _, deriv = dm._fd_fdf(params, mode, 512, zz, lam)
+                h = 1e-6 * abs(lam)
+                num = (dm._fd_fdf(params, mode, 512, zz, lam + h)[0]
+                       - dm._fd_fdf(params, mode, 512, zz, lam - h)[0]) / (2 * h)
+                assert abs(num - deriv) <= 1e-6 * abs(deriv), (dim, mode, zz)
+
+
 def test_fd_grid_scan_batched_equals_pointwise():
     # fd_oracle and the secular solves scan their uniform grids through the
     # batched kernels; the bracketing result must be the one the per-point
@@ -254,12 +268,99 @@ def test_fd_grid_scan_batched_equals_pointwise():
             for char in chars:
                 scans.append((dm._radial_scan_functions(mode, params, char),
                               (0.3, 60.0), math.pi / params.wave_factor, 10))
-    for (f, f_grid), window, spacing, n_roots in scans:
-        pointwise = find_real_roots(f, window, min_spacing=spacing)
+    for (f, fdf, f_grid), window, spacing, n_roots in scans:
+        pointwise = find_real_roots(f, window, min_spacing=spacing, fdf=fdf)
         batched = find_real_roots(f, window, min_spacing=spacing,
-                                  f_grid=f_grid)
+                                  f_grid=f_grid, fdf=fdf)
         assert len(pointwise.roots) >= n_roots
         assert batched.roots == pointwise.roots
         assert batched.brackets == pointwise.brackets
         assert batched.suspected_double == pointwise.suspected_double
         assert batched.n_evals == pointwise.n_evals
+
+
+# float.hex of (Re, Im) of each eigenvalue, from the commit before the exact
+# derivatives and the Newton refiner, whose bisection-plus-polish roots these
+# pin: solve_mode_eigenvalues on window (0.5, 12) with a = 1.3, b = 0.8, and
+# fd_oracle on the unit disk and ball with its default grid and window.
+SOLVE_PINS = (
+    ('circle', 2.5j, 0, (
+        ('0x1.04d8f31199263p+1', '0x0.0p+0'),
+        ('0x1.46cb03a3b23f6p+2', '0x0.0p+0'),
+        ('0x1.05d4997976e78p+3', '0x0.0p+0'),
+        ('0x1.68565bdd81afap+3', '0x0.0p+0'),
+    )),
+    ('circle', 2.5j, 3, (
+        ('0x1.7cb2d2a977f0bp+2', '0x0.0p+0'),
+        ('0x1.2890daef52d5bp+3', '0x0.0p+0'),
+    )),
+    ('circle', (0.8+1.2j), 0, (
+        ('0x1.e1d43271eef8fp+0', '-0x1.3e1d64306a1dbp-2'),
+        ('0x1.3cfceb6de7c16p+2', '-0x1.1373b14dcee8fp-2'),
+        ('0x1.00fc9558e71efp+3', '-0x1.0a99028f843e7p-2'),
+        ('0x1.6385d64c1b726p+3', '-0x1.06cbb53c35d38p-2'),
+    )),
+    ('circle', (0.8+1.2j), 3, (
+        ('0x1.7323aaa6e2ee5p+2', '-0x1.1cf058d82c084p-2'),
+        ('0x1.23c370a6820d1p+3', '-0x1.0dfdae7b82828p-2'),
+    )),
+    ('sphere', 2.5j, 0, (
+        ('0x1.5faea982c4e23p+1', '0x0.0p+0'),
+        ('0x1.763e1552a4f05p+2', '0x0.0p+0'),
+        ('0x1.1de069f9d299bp+3', '0x0.0p+0'),
+    )),
+    ('sphere', 2.5j, 3, (
+        ('0x1.a267269c5e61bp+2', '0x0.0p+0'),
+        ('0x1.3d02a640de842p+3', '0x0.0p+0'),
+    )),
+    ('sphere', (0.8+1.2j), 0, (
+        ('0x1.4b89e8f09f8a3p+1', '-0x1.6719004c8c26bp-2'),
+        ('0x1.6c317a0e8c0e7p+2', '-0x1.265b32910c5c8p-2'),
+        ('0x1.18f0b3e0c683cp+3', '-0x1.16abd243d22ddp-2'),
+        ('0x1.7ba6e3d71c343p+3', '-0x1.0fa77d321b3d2p-2'),
+    )),
+    ('sphere', (0.8+1.2j), 3, (
+        ('0x1.98b38e7c7fb6dp+2', '-0x1.310154dbe0836p-2'),
+        ('0x1.38226c5558dcep+3', '-0x1.1a3862f539221p-2'),
+    )),
+)
+FD_PINS = (
+    (2, 2, (1.5+0.5j), (
+        ('0x1.3990c93b688c8p+2', '-0x1.56ad7fd96eb54p-1'),
+        ('0x1.04e2963c36d81p+3', '-0x1.5412f2f34a99fp-1'),
+        ('0x1.6b0a0753fc204p+3', '-0x1.51825f308aebdp-1'),
+    )),
+    (3, 1, (0.7+1.1j), (
+        ('0x1.e381bc6e464d9p+1', '-0x1.a57529d8d1749p-2'),
+        ('0x1.c2f48bcdc553cp+2', '-0x1.5bf4bf831880bp-2'),
+        ('0x1.47af29964893ep+3', '-0x1.483fe16b9423bp-2'),
+    )),
+)
+
+
+def _unhex(pins):
+    return [complex(float.fromhex(re_), float.fromhex(im_)) for re_, im_ in pins]
+
+
+def test_refiner_golden_pins():
+    # Root refinement may move eigenvalue bits in the last places only.  The
+    # secular roots hold 1e-12 relative.  The FD oracle's are held to 1e-11:
+    # complex_root_polish stops at |f| <= 1e-10 |f'| |lam|, and the pinned
+    # FD roots sit up to 1.5e-11 (relative) from the discrete roots they
+    # approximate, so any change of the Newton iterates moves them by more
+    # than the secular roots move (1.45e-12 measured for mode 2).
+    for boundary, zeta, mode, pins in SOLVE_PINS:
+        params = MaterialParams(a=1.3, b=0.8, dim=2 if boundary == "circle"
+                                else 3)
+        got = dm.solve_mode_eigenvalues(mode, zeta, params,
+                                        (0.5, 12.0)).eigenvalues
+        want = _unhex(pins)
+        assert len(got) == len(want), (boundary, zeta, mode)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * abs(w), (boundary, zeta, mode)
+    for dim, mode, zeta, pins in FD_PINS:
+        got = dm.fd_oracle(mode, zeta, MaterialParams(dim=dim))
+        want = _unhex(pins)
+        assert len(got) == len(want), (dim, mode, zeta)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-11 * abs(w), (dim, mode, zeta)

@@ -112,8 +112,8 @@ def test_order_guard_and_range_guard():
     for dim in (2, 3):
         params = dm.MaterialParams(a=2.0, b=2.0, dim=dim)
         for mode, window in ((201, (1.0, 10.0)), (0, (4000.0, 6000.0))):
-            f, f_grid = dm._radial_scan_functions(mode, params,
-                                                  lambda lam, v, d: d)
+            f, _, f_grid = dm._radial_scan_functions(mode, params,
+                                                     lambda lam, v, d: d)
             with pytest.raises(specfun.SpecFunError) as pointwise:
                 specfun.find_real_roots(f, window, n_grid=8)
             with pytest.raises(specfun.SpecFunError) as batched:
@@ -192,25 +192,30 @@ def test_bracket_type_rejects_same_sign():
 
 
 def test_complex_polish_simple():
-    res = specfun.complex_root_polish(lambda z: z * z + 1.0, 0.9j)
+    res = specfun.complex_root_polish(lambda z: (z * z + 1.0, 2.0 * z), 0.9j)
     assert res.converged
     assert abs(res.root - 1j) <= 1e-12
 
 
 def test_complex_polish_triple_root_relaxation():
     target = 1.0 - 0.5j
-    res = specfun.complex_root_polish(lambda z: (z - target) ** 3, 1.0 - 0.4j)
+    res = specfun.complex_root_polish(
+        lambda z: ((z - target) ** 3, 3.0 * (z - target) ** 2), 1.0 - 0.4j)
     # multiple root: either an honest failure flag or a root within 1e-4
     assert (not res.converged) or abs(res.root - target) <= 1e-4
     assert abs(res.root - target) <= 1e-3
 
 
 def test_complex_polish_robin_continuation():
-    from randbc.disk_model import MaterialParams, secular_value
+    # F = J_0'(lam) - 0.1 i J_0(lam) on the unit disk, and
+    # F' = J_0''(lam) - 0.1 i J_0'(lam) with J_0'' = -J_0'/lam - J_0
+    def fdf(lam):
+        ev = specfun.bessel_j(0, lam)
+        second = -ev.derivative / lam - ev.value
+        return (ev.derivative - 0.1j * ev.value,
+                second - 0.1j * ev.derivative)
 
-    params = MaterialParams()
-    res = specfun.complex_root_polish(
-        lambda lam: secular_value(0, 0.1, lam, params), J0P_ZEROS[0])
+    res = specfun.complex_root_polish(fdf, J0P_ZEROS[0])
     assert res.converged
     assert res.root.imag <= 0.0
 
@@ -369,3 +374,184 @@ def test_kernel_names_read_by_benchmark():
     assert specfun.bessel_jk is _pykernels.bessel_jk
     assert specfun.spherical_jl is _pykernels.spherical_jl
     assert disk_model.fd_radial_edge is _pykernels.fd_radial_edge
+
+
+def _secular_mp(dim, k, lam, a, b, zeta):
+    # F(lam) = sqrt(b/a) C'(w) - i zeta C(w), w = sqrt(ab) lam, from
+    # mpmath's own Bessel functions (j_l through J_{l+1/2})
+    w = mpmath.sqrt(a * b) * lam
+    if dim == 2:
+        c = mpmath.besselj(k, w)
+        dc = mpmath.besselj(k, w, derivative=1)
+    else:
+        def sph(n):
+            return mpmath.sqrt(mpmath.pi / (2 * w)) * mpmath.besselj(n + 0.5, w)
+        c = sph(k)
+        dc = (k / w) * c - sph(k + 1)
+    return mpmath.sqrt(b / a) * dc - 1j * mpmath.mpc(zeta) * c
+
+
+def test_secular_derivative_matches_mpmath():
+    # the Bessel route's F'(lam) = sqrt(ab) (sqrt(b/a) C'' - i zeta C'),
+    # C'' from the radial equation, against a 40-digit central difference
+    # of F; real w at the kernel branch edges (j_l series 0.5, J_k series
+    # 12, J_k asymptotics 50) and up to 1e4, complex w up to |Im w| = 600
+    from randbc import disk_model as dm
+
+    a, b, zeta = 1.3, 0.8, 0.7 + 1.3j
+    sab = math.sqrt(a * b)
+    ws = [0.5, 12.0, 50.0, 333.3, 1e4, 3.0 + 0.5j, 40.0 - 25.0j,
+          30.0 + 600.0j, 700.0 - 599.0j]
+    for dim in (2, 3):
+        params = dm.MaterialParams(a=a, b=b, dim=dim)
+        for k in (0, 1, 25, 200):
+            # order 200 underflows to 0 at w = 0.5 (J_200(0.5) ~ 1e-495)
+            # and below 1e-300 at w = 3 + 0.5i
+            for w in (ws if k < 200 else ws[1:5] + ws[6:]):
+                lam = w / sab
+                _, got = dm._radial_fdf(
+                    k, complex(lam), params,
+                    lambda lam, v, d: dm._secular(params, zeta, v, d))
+                with mpmath.workdps(40):
+                    lm = mpmath.mpc(lam)
+                    h = mpmath.mpf("1e-12") * max(1, abs(lm))
+                    ref = complex((_secular_mp(dim, k, lm + h, a, b, zeta)
+                                   - _secular_mp(dim, k, lm - h, a, b, zeta))
+                                  / (2 * h))
+                assert abs(got - ref) <= 1e-10 * abs(ref), (dim, k, w)
+
+
+def test_fd_derivative_kernel():
+    # fd_radial_edge_dlam: its value part equals fd_radial_edge (==), also
+    # through the 1e200 rescale, and its derivative matches a central
+    # difference of fd_radial_edge to 1e-6
+    from randbc import _pykernels as pk
+
+    rng = np.random.default_rng(12)
+    lams = ([float(x) for x in rng.uniform(0.2, 25.0, 6)]
+            + [complex(x, y) for x, y in zip(rng.uniform(0.2, 25.0, 4),
+                                             rng.uniform(-3.0, 3.0, 4))]
+            + [520j, 3.0 + 530j])
+    for dim in (2, 3):
+        for mode in (0, 4):
+            for n_grid in (512, 1024):
+                batch = pk.fd_radial_edge_batch(dim, mode, lams, 1.3, n_grid)
+                for j, lam in enumerate(lams):
+                    edge, d_edge = pk.fd_radial_edge_dlam(dim, mode, lam, 1.3,
+                                                          n_grid)
+                    assert edge == pk.fd_radial_edge(dim, mode, lam, 1.3,
+                                                     n_grid)
+                    assert edge == tuple(complex(e[j]) for e in batch)
+                    h = 1e-6 * abs(lam)
+                    up = pk.fd_radial_edge(dim, mode, lam + h, 1.3, n_grid)
+                    dn = pk.fd_radial_edge(dim, mode, lam - h, 1.3, n_grid)
+                    scale = max(abs(d) for d in d_edge)
+                    for u_up, u_dn, d in zip(up, dn, d_edge):
+                        assert abs((u_up - u_dn) / (2 * h) - d) \
+                            <= 1e-6 * scale, (dim, mode, n_grid, lam)
+                    if abs(lam.imag) > 500:
+                        # unrescaled, u_{M+1} would be far above 1e200
+                        assert max(abs(edge[2].real),
+                                   abs(edge[2].imag)) <= 1e200
+
+
+def _counted(fdf):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return fdf(x)
+
+    return wrapped, calls
+
+
+def test_refiner_newton_step_leaving_bracket_bisects():
+    # one cell (0, 10): from x = 5 the Newton step of atan(x - 3) lands at
+    # 5 - 5 atan(2) < 0, outside the bracket (0, 5), so the next iterate is
+    # the bisection point 2.5
+    fdf, calls = _counted(lambda x: (math.atan(x - 3.0),
+                                     1.0 / (1.0 + (x - 3.0) ** 2)))
+    res = specfun.find_real_roots(lambda x: math.atan(x - 3.0), (0.0, 10.0),
+                                  n_grid=1, fdf=fdf)
+    assert calls[:2] == [5.0, 2.5]
+    assert len(res.roots) == 1 and abs(res.roots[0] - 3.0) <= 1e-12
+    # a Newton step that points out of the bracket, well under half the
+    # step before last: f(5) > 0 makes the bracket (0, 5), and f' < 0 there
+    # sends Newton to 5.054, next to another root of f outside it
+    def g(x):
+        return x - 8.0 + 4.0 * math.exp(-(x - 4.5) ** 2)
+
+    fdf, calls = _counted(lambda x: (g(x), 1.0 - 8.0 * (x - 4.5)
+                                     * math.exp(-(x - 4.5) ** 2)))
+    root, _ = specfun._refine(g, fdf, 0.0, 10.0, g(0.0))
+    assert calls[:2] == [5.0, 2.5]
+    assert 0.0 < root < 5.0 and abs(g(root)) <= 1e-12
+
+
+def test_refiner_slow_newton_bisects():
+    # Newton on x^9 - 1e-9 shrinks its step by only 8/9 per iteration; a
+    # step that does not halve the step before last is replaced by a
+    # bisection step (23 evaluations without that rule)
+    fdf, calls = _counted(lambda x: (x ** 9 - 1e-9, 9.0 * x ** 8))
+    root, n = specfun._refine(None, fdf, 0.0, 1.5, -1e-9)
+    assert abs(root - 0.1) <= 1e-12 and n == len(calls) <= 15
+
+
+def test_refiner_zero_derivative_bisects():
+    # f'(0.5) = 0 at the first iterate of the cell (0, 1)
+    def f(x):
+        return (x - 0.5) ** 3 - 1e-3
+
+    fdf, calls = _counted(lambda x: (f(x), 3.0 * (x - 0.5) ** 2))
+    res = specfun.find_real_roots(f, (0.0, 1.0), n_grid=1, fdf=fdf)
+    assert calls[:2] == [0.5, 0.75]
+    assert len(res.roots) == 1 and abs(res.roots[0] - 0.6) <= 1e-12
+
+
+def test_refiner_root_on_grid_point():
+    # on 4 cells both roots are grid points and nothing is refined; on 2
+    # cells each root is the refiner's first iterate, an exact zero
+    def f(x):
+        return (x - 2.5) * (x - 7.5)
+
+    fdf, calls = _counted(lambda x: (f(x), 2.0 * x - 10.0))
+    res = specfun.find_real_roots(f, (0.0, 10.0), n_grid=4, fdf=fdf)
+    assert res.roots == [2.5, 7.5] and calls == []
+    res = specfun.find_real_roots(f, (0.0, 10.0), n_grid=2, fdf=fdf)
+    assert res.roots == [2.5, 7.5] and calls == [2.5, 7.5]
+
+
+def test_refiner_value_only_bisects():
+    fdf, calls = _counted(lambda x: (math.atan(x - 3.0),
+                                     1.0 / (1.0 + (x - 3.0) ** 2)))
+    newton = specfun.find_real_roots(lambda x: math.atan(x - 3.0),
+                                     (0.1, 10.0), fdf=fdf)
+    plain = specfun.find_real_roots(lambda x: math.atan(x - 3.0),
+                                    (0.1, 10.0))
+    for res in (newton, plain):
+        assert len(res.roots) == 1 and abs(res.roots[0] - 3.0) <= 1e-12
+    # both scan and subdivide alike; without fdf the refinement bisects a
+    # grid cell of width 0.0097 down to 1e-13 relative, 30 halvings or more
+    scan_and_subdivision = newton.n_evals - len(calls)
+    assert plain.n_evals - scan_and_subdivision >= 30
+    assert len(calls) <= 5
+
+
+@pytest.mark.parametrize("window, refs, fdf", [
+    ((2.0, 6.0), J0_ZEROS,
+     lambda x: (specfun.bessel_j(0, x).value.real,
+                specfun.bessel_j(0, x).derivative.real)),
+    ((1.0, 10.0), J0P_ZEROS,
+     # J_0'' = -J_0'/x - J_0
+     lambda x: (specfun.bessel_j(0, x).derivative.real,
+                (-specfun.bessel_j(0, x).derivative / x
+                 - specfun.bessel_j(0, x).value).real)),
+], ids=["j0", "j0prime"])
+def test_refiner_newton_evaluations_per_bracket(window, refs, fdf):
+    # only the refinement calls fdf: the grid and the subdivision call f
+    counted, calls = _counted(fdf)
+    res = specfun.find_real_roots(lambda x: fdf(x)[0], window, fdf=counted)
+    assert len(res.roots) == len(refs) == len(res.brackets)
+    for root, ref in zip(res.roots, refs):
+        assert abs(root - ref) <= 1e-12 * ref
+    assert len(calls) <= 12 * len(res.brackets), calls
