@@ -240,6 +240,14 @@ class ModeEigenvalues:
         return max((ev.imag for ev in self.eigenvalues), default=-math.inf)
 
 
+# char_of_zeta calls one seed's Re-zeta continuation may spend before it is
+# reported as stalled.  Measured per seed: at most 1,716 in the tests (the
+# dissipative disk-spectrum summary), 30 on the benchmark's FD-continuation
+# inputs.  A wrong derivative can otherwise crawl through step halvings
+# without end, at up to 1,201 calls per polish.
+CONTINUATION_MAX_EVALS = 5000
+
+
 def _re_zeta_schedule(re_part):
     """Geometric homotopy targets: roots move like log(Re zeta), so linear
     stepping would need millions of polishes for the Dirichlet limit."""
@@ -259,7 +267,10 @@ def _continue_in_re_zeta(char_of_zeta, zeta, seeds, step_cap=1.5):
 
     A step is accepted only when the root moves less than step_cap (half a
     typical root spacing); otherwise the zeta-step is bisected, so the
-    iteration tracks one branch instead of hopping to a neighbor.
+    iteration tracks one branch instead of hopping to a neighbor.  A seed
+    whose Re-zeta step falls below 1e-6, or that has spent
+    CONTINUATION_MAX_EVALS char_of_zeta calls (at most one polish more), is
+    reported in failures with the Re zeta it stalled at.
     """
     re_part, im_part = zeta.real, zeta.imag
     schedule = _re_zeta_schedule(re_part)
@@ -268,22 +279,28 @@ def _continue_in_re_zeta(char_of_zeta, zeta, seeds, step_cap=1.5):
         z = complex(seed)
         re_prev = 0.0
         targets = list(reversed(schedule))
-        ok = True
-        while targets:
+        evals = 0
+        while targets and evals < CONTINUATION_MAX_EVALS:
             re_now = targets[-1]
             zz = complex(re_now, im_part)
-            pol = complex_root_polish(lambda lam: char_of_zeta(zz, lam), z)
+
+            def fdf(lam):
+                nonlocal evals
+                evals += 1
+                return char_of_zeta(zz, lam)
+
+            pol = complex_root_polish(fdf, z)
             if pol.converged and abs(pol.root - z) <= step_cap:
                 z = pol.root
                 re_prev = re_now
                 targets.pop()
                 continue
             if re_now - re_prev <= 1e-6 * max(re_now, 0.25):
-                failures.append((seed, float(re_now)))
-                ok = False
                 break
             targets.append(0.5 * (re_prev + re_now))
-        if ok:
+        if targets:
+            failures.append((seed, float(targets[-1])))
+        else:
             roots.append(z)
     return roots, failures
 

@@ -49,7 +49,9 @@ class ImpedanceDistribution:
 
     # Laws whose |zeta| is a function of one uniform draw define
     # abs_quantile(u), the inverse cdf of |zeta| at the uniforms u, and sample
-    # through it; weyl.monte_carlo_transition needs it.
+    # through it; weyl.monte_carlo_transition needs it.  It must be
+    # nondecreasing in u (elementwise, in floating point): the Monte Carlo
+    # maps only each window's running-max uniforms and is exact only then.
     abs_quantile = None
 
     def survival_abs(self, s) -> float:

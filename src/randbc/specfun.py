@@ -261,14 +261,18 @@ def complex_root_polish(fdf, seed, tol=1e-10, max_iter=100) -> PolishResult:
     |f(z)| <= tol * scale with scale set by the derivative of the step;
     when the iteration stagnates without reaching that (multiple roots
     flatten f), the flag comes back False and the best point is returned,
-    which may still be accurate to ~|f|^(1/multiplicity).
+    which may still be accurate to ~|f|^(1/multiplicity).  `iterations`
+    counts the Newton steps tried, so an early exit (zero derivative, failed
+    line search, stalled step) reports fewer than max_iter.
     """
     z = complex(seed)
     fz, deriv = fdf(z)
     best_z, best_f = z, abs(fz)
+    iterations = 0
     for it in range(1, max_iter + 1):
         if deriv == 0:
             break
+        iterations = it
         step = fz / deriv
         damp = 1.0
         for _ in range(12):
@@ -288,4 +292,4 @@ def complex_root_polish(fdf, seed, tol=1e-10, max_iter=100) -> PolishResult:
         if abs(damp * step) <= 1e-14 * max(1.0, abs(z)):
             break
         deriv = d_new
-    return PolishResult(best_z, False, best_f, max_iter)
+    return PolishResult(best_z, False, best_f, iterations)

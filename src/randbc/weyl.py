@@ -364,6 +364,16 @@ class TransitionEntry:
         raise KeyError((eps, truncation))
 
 
+def _window_records(u, starts):
+    """Positions of the running-max records of u inside each window
+    [starts[w], starts[w + 1]), ties kept, and where each window begins in
+    that list (a window's first element is always a record)."""
+    keep = np.concatenate([seg == np.maximum.accumulate(seg)
+                           for seg in np.split(u, starts[1:])])
+    idx = np.flatnonzero(keep)
+    return idx, np.searchsorted(idx, starts)
+
+
 def monte_carlo_transition(dists, model: str, trials: int, m_modes: int,
                            stream: SeededStream, eps_grid=(0.75, 0.1, 0.01),
                            threads=1) -> list:
@@ -379,6 +389,16 @@ def monte_carlo_transition(dists, model: str, trials: int, m_modes: int,
     by the trial index, and every distribution maps that same draw to |zeta|
     through its abs_quantile, so the result is byte-identical for any thread
     count and equals sampling each distribution from the trial's stream.
+
+    Only the running-max records of each window's uniforms are mapped: in a
+    window mu_j is nondecreasing, so when abs_quantile is nondecreasing in u
+    a mode whose u_j is below an earlier u_k of its window has a ratio no
+    larger than mode k's (division rounds monotonically), and cannot change
+    the maximum.  The records, ties kept, are about ln(window) modes per
+    window, shared by all laws.  The maximum is then the same float as over
+    the whole window; an abs_quantile that is non-monotone at the 1-ulp
+    level (libm pow, np.interp at a breakpoint) can move one trial's
+    statistic by at most that ulp.
     """
     if trials < 1 or m_modes < 8:
         raise WeylError("need trials >= 1 and m_modes >= 8")
@@ -389,18 +409,20 @@ def monte_carlo_transition(dists, model: str, trials: int, m_modes: int,
                             "function of one uniform draw")
     truncations = [m_modes // 4, m_modes // 2, m_modes]
     # the windows [M'//2, M') are contiguous: [M//4//2, M//4), [M//4, M//2),
-    # [M//2, M), so one reduceat over the ratio from `lo` on gives all three;
-    # lo >= 1, where mu > 0
+    # [M//2, M), so one reduceat over the records' ratios from `lo` on gives
+    # all three; lo >= 1, where mu > 0
     lo = truncations[0] // 2
     starts = [mt // 2 - lo for mt in truncations]
     sqrt_mu = np.sqrt(spectrum_by_mode_count(model, m_modes)[lo:])
     stats = np.empty((len(dists), len(truncations), trials))
 
     def run_trial(t):
-        u = stream.child(t).generator().random(m_modes)
+        u = stream.child(t).generator().random(m_modes)[lo:]
+        idx, offsets = _window_records(u, starts)
+        u, root = u[idx], sqrt_mu[idx]
         for i, (_, dist) in enumerate(dists):
-            ratio = dist.abs_quantile(u[lo:]) / sqrt_mu
-            stats[i, :, t] = np.maximum.reduceat(ratio, starts)
+            ratio = dist.abs_quantile(u) / root
+            stats[i, :, t] = np.maximum.reduceat(ratio, offsets)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

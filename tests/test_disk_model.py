@@ -210,6 +210,42 @@ def test_lost_root_reported():
         assert res.warnings
 
 
+def test_continuation_budget_reports_stalled_seed():
+    # a derivative 20x too large makes every polish crawl and every Re-zeta
+    # step halve without end; each seed must come back in failures after
+    # the budget plus at most one polish (1 + 12 * 100 calls)
+    params = MaterialParams(a=1.3, b=0.8)
+    zeta = 2.0 + 1.0j
+    seeds = dm._real_axis_roots(
+        0, params, lambda lam, v, d: dm._secular(params, 1.0j, v, d),
+        (0.5, 6.0)).roots
+    assert len(seeds) == 2
+    limit = dm.CONTINUATION_MAX_EVALS + 1 + 12 * 100
+
+    def char_of_zeta(scale):
+        def char(zz, lam):
+            calls.append(lam)
+            assert len(calls) <= limit
+            f, d = dm._radial_fdf(
+                0, complex(lam), params,
+                lambda lam, v, d: dm._secular(params, zz, v, d))
+            return f, scale * d
+        return char
+
+    for seed in seeds:
+        calls = []
+        roots, failures = dm._continue_in_re_zeta(char_of_zeta(20.0), zeta,
+                                                  [seed])
+        assert roots == [] and [s for s, _ in failures] == [seed]
+        assert len(calls) >= dm.CONTINUATION_MAX_EVALS
+        # the exact derivative continues the same seed well inside the budget
+        calls = []
+        roots, failures = dm._continue_in_re_zeta(char_of_zeta(1.0), zeta,
+                                                  [seed])
+        assert len(roots) == 1 and not failures
+        assert len(calls) < 100
+
+
 def test_interlacing_across_modes():
     # Dirichlet values (poles of the DtN quadratic form) and Neumann values
     # strictly interlace on each mode

@@ -206,6 +206,34 @@ def test_complex_polish_triple_root_relaxation():
     assert abs(res.root - target) <= 1e-3
 
 
+def _counted(fdf):
+    calls = []
+
+    def wrapped(z):
+        calls.append(z)
+        return fdf(z)
+
+    return wrapped, calls
+
+
+@pytest.mark.parametrize("fdf, seed, tol, want_iterations, want_calls", [
+    # zero derivative at the seed: no step is tried
+    (lambda z: (z * z + 1.0, 2.0 * z), 0.0, 1e-10, 0, 1),
+    # wrong-sign derivative: every damping trial of step 1 goes uphill
+    (lambda z: (z * z + 1.0, -2.0 * z), 0.9j, 1e-10, 1, 13),
+    # triple root with tol = 0: linear convergence until the step stalls
+    (lambda z: ((z - 1.0) ** 3, 3.0 * (z - 1.0) ** 2), 1.5, 0.0, 77, 78),
+], ids=["zero-derivative", "failed-line-search", "stalled-step"])
+def test_complex_polish_early_exit_iterations(fdf, seed, tol,
+                                              want_iterations, want_calls):
+    # an early exit reports the Newton steps actually tried, not max_iter
+    counted, calls = _counted(fdf)
+    res = specfun.complex_root_polish(counted, seed, tol=tol)
+    assert not res.converged
+    assert res.iterations == want_iterations < 100
+    assert len(calls) == want_calls
+
+
 def test_complex_polish_robin_continuation():
     # F = J_0'(lam) - 0.1 i J_0(lam) on the unit disk, and
     # F' = J_0''(lam) - 0.1 i J_0'(lam) with J_0'' = -J_0'/lam - J_0

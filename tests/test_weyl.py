@@ -1,4 +1,5 @@
 """Counting functions, Weyl fits, compactness criteria, Monte Carlo transition."""
+import itertools
 import math
 
 import numpy as np
@@ -209,17 +210,55 @@ def test_transition_equals_per_law_sampling():
     dists = [(f"a={a:g}", imp.ParetoImag(a, 1.0)) for a in (0.5, 1, 2, 3)]
     dists.append(("table", imp.BoundedCustom([0.0, 2.0, 50.0],
                                              [0.0, 0.5, 1.0])))
+    # a plateau (equal consecutive F) makes abs_quantile jump
+    dists.append(("plateau", imp.BoundedCustom([0.0, 1.0, 2.0, 3.0, 9.0],
+                                               [0.0, 0.3, 0.3, 0.3, 1.0])))
     eps_grid = (0.75, 0.1, 0.01)
-    for model in ("circle", "sphere"):
+    # m_modes = 8, the smallest allowed, has windows of 1, 2 and 4 modes
+    for model, m_modes in itertools.product(("circle", "sphere"), (8, 1030)):
         stream = imp.SeededStream(31, 4)
-        want = _reference_transition(dists, model, 40, 1030, stream,
+        want = _reference_transition(dists, model, 40, m_modes, stream,
                                      eps_grid)
         for threads in (1, 3):
             got = weyl.monte_carlo_transition(
-                dists, model, trials=40, m_modes=1030, stream=stream,
+                dists, model, trials=40, m_modes=m_modes, stream=stream,
                 eps_grid=eps_grid, threads=threads)
             assert [([c.fraction for c in e.cells], e.tail_stat_mean)
-                    for e in got] == want, (model, threads)
+                    for e in got] == want, (model, m_modes, threads)
+
+
+@pytest.mark.parametrize("model", ["circle", "sphere"])
+@pytest.mark.parametrize("m_modes", [8, 37, 400])
+def test_window_records_max_equals_brute_force(model, m_modes):
+    # the records screen against the full-window maximum, bit for bit, on
+    # uniforms with many exact ties and on the spectra's equal-mu runs
+    # (circle multiplicity 2, sphere 2l + 1)
+    truncations = [m_modes // 4, m_modes // 2, m_modes]
+    lo = truncations[0] // 2
+    starts = [mt // 2 - lo for mt in truncations]
+    sqrt_mu = np.sqrt(weyl.spectrum_by_mode_count(model, m_modes)[lo:])
+    n = m_modes - lo
+    rng = np.random.default_rng(5)
+    draws = [rng.integers(0, 4, n) / 4.0,          # four values, many ties
+             rng.integers(0, 2, n) * 0.5 + 0.25,   # two values
+             np.full(n, 0.5),                      # all tied
+             np.linspace(0.0, 0.999, n),           # every mode a record
+             np.linspace(0.999, 0.0, n),           # one record per window
+             np.repeat(rng.random(n // 3 + 1), 3)[:n],
+             rng.random(n)]
+    laws = [imp.ParetoImag(a, 1.0) for a in (0.5, 2.0)]
+    laws += [imp.BoundedCustom([0.0, 2.0, 50.0], [0.0, 0.5, 1.0]),
+             imp.BoundedCustom([0.0, 1.0, 2.0, 3.0, 9.0],
+                               [0.0, 0.25, 0.25, 0.5, 1.0])]
+    for u in draws:
+        idx, offsets = weyl._window_records(u, starts)
+        assert (np.diff(offsets) > 0).all() and offsets[0] == 0
+        for dist in laws:
+            brute = np.maximum.reduceat(dist.abs_quantile(u) / sqrt_mu,
+                                        starts)
+            screened = np.maximum.reduceat(
+                dist.abs_quantile(u[idx]) / sqrt_mu[idx], offsets)
+            assert screened.tobytes() == brute.tobytes(), dist.label()
 
 
 def test_sample_goes_through_abs_quantile():
