@@ -7,19 +7,21 @@ rounding: dissipativity with the sharp resolvent bound, the Weyl function's
 Nevanlinna properties, the Krein resolvent formula, and rank laws for
 resolvent differences.
 
-Extensions are realized on the interior coordinates (nodes 1..n): boundary
-values are slaved to the interior through the boundary condition, which is
-what makes the numerical range exactly lower-half-plane and the Krein formula
-an algebraic identity rather than an approximation.
+Extensions are realized on the interior coordinates (nodes 1..n): the
+boundary condition is two equations in the two boundary values f_0, f_{n+1},
+so they are slaved to the interior by a 2x2 solve.  The extension's matrix is
+then the interior rows of A* acting on the slaved vectors, which makes the
+numerical range exactly lower-half-plane and the Krein formula an algebraic
+identity rather than an approximation.
 """
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space, qr
 
 CONTRACTION_TOL = 1e-12
 UNITARY_TOL = 1e-10
 RANK_REL_TOL = 1e-8
+SLAVING_REL_TOL = 1e-12
 
 
 class LabError(Exception):
@@ -120,6 +122,19 @@ def boundary_map_rank(model: TripleModel) -> int:
     return int(np.sum(s > RANK_REL_TOL * s[0]))
 
 
+def _svd_rank(s, shape):
+    """Rank from the singular values s of a matrix of the given shape:
+    values up to eps * max(shape) * sigma_max count as zero."""
+    return int(np.sum(s > np.finfo(float).eps * max(shape)
+                      * (s[0] if s.size else 0.0)))
+
+
+def null_space(mat):
+    """Orthonormal basis of ker mat (columns), from a full SVD."""
+    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    return vh[_svd_rank(s, mat.shape):].conj().T
+
+
 def symmetric_core_residual(model: TripleModel) -> float:
     """Max |(A*f|g)-(f|A*g)| over a basis of ker Gamma0 ∩ ker Gamma1."""
     stacked = np.vstack([model.gamma0, model.gamma1])
@@ -162,9 +177,11 @@ class ContractionOp:
 class ExtensionOp:
     """m-dissipative extension determined by a contraction.
 
-    basis spans {f : (K+I) W^-1 Gamma0 f + i (K-I) W* Gamma1 f = 0} with
-    interior components orthonormal; t is the matrix of the extension in that
-    basis; frame = interior components of basis (unitary n x n).
+    basis spans {f : (K+I) W^-1 Gamma0 f + i (K-I) W* Gamma1 f = 0} in
+    interior coordinates: column j has f_j = 1 at interior node j, zero at
+    the other interior nodes, and the boundary values the condition slaves
+    to it.  t is the matrix of the extension in that basis, acting on
+    interior vectors; frame = interior components of basis = I.
     """
     model: TripleModel
     contraction: ContractionOp
@@ -177,10 +194,8 @@ class ExtensionOp:
         return np.linalg.eigvals(self.t)
 
     def resolvent(self, z):
-        """(T - z)^-1 expressed in interior coordinates."""
-        n = self.model.n
-        inv = np.linalg.inv(self.t - z * np.eye(n))
-        return self.frame @ inv @ self.frame.conj().T
+        """(T - z)^-1 in interior coordinates."""
+        return np.linalg.inv(self.t - z * np.eye(self.model.n))
 
     def boundary_condition_residual(self):
         c = _constraint_matrix(self.model, self.contraction, self.weight)
@@ -197,32 +212,35 @@ def _constraint_matrix(model, contraction, weight):
 
 def extension_from_contraction(model: TripleModel, contraction: ContractionOp,
                                weight=None) -> ExtensionOp:
-    """Restrict A* to the kernel of (K+I)W^-1 Gamma0 + i(K-I)W* Gamma1."""
+    """Restrict A* to the kernel of C = (K+I)W^-1 Gamma0 + i(K-I)W* Gamma1.
+
+    C f = C_b f_boundary + C_i f_interior with C_b the 2x2 block of the
+    boundary nodes 0 and n+1, so the domain is
+    f_boundary = -C_b^-1 C_i f_interior.
+    """
     if weight is None:
         weight = np.eye(contraction.m, dtype=complex)
     weight = np.asarray(weight, dtype=complex)
     c = _constraint_matrix(model, contraction, weight)
-    ker = null_space(c)
     n, big_n = model.n, model.total_dim
-    if ker.shape[1] != big_n - model.boundary_dim:
+    s = np.linalg.svd(c, compute_uv=False)
+    rank = _svd_rank(s, c.shape)
+    if rank != model.boundary_dim:
         raise ConstraintKernelError(
-            f"constraint kernel dimension {ker.shape[1]} != N-m = "
+            f"constraint kernel dimension {big_n - rank} != N-m = "
             f"{big_n - model.boundary_dim}")
-    p = model.interior_projector()
-    b = p @ ker
-    q_mat, r_mat, piv = qr(b, pivoting=True)
-    diag = np.abs(np.diag(r_mat))
-    if diag.min() <= 1e-12 * max(diag.max(), 1.0):
+    ends = [0, n + 1]
+    c_b = c[:, ends]
+    if np.linalg.svd(c_b, compute_uv=False)[-1] <= SLAVING_REL_TOL * s[0]:
         raise DegenerateRepresentationError(
             "boundary slaving singular: interior components of the domain "
             "do not determine it")
-    perm = np.zeros((n, n))
-    perm[piv, np.arange(n)] = 1.0
-    basis = ker @ (perm @ np.linalg.solve(r_mat, np.eye(n)))
-    frame = p @ basis
-    t = frame.conj().T @ (p @ model.astar @ basis)
+    basis = np.zeros((big_n, n), dtype=complex)
+    basis[1:n + 1] = np.eye(n)
+    basis[ends] = -np.linalg.solve(c_b, c[:, 1:n + 1])
+    t = model.astar[1:n + 1] @ basis
     return ExtensionOp(model=model, contraction=contraction, weight=weight,
-                       basis=basis, t=t, frame=frame)
+                       basis=basis, t=t, frame=np.eye(n))
 
 
 def dirichlet_matrix(model: TripleModel):

@@ -1,7 +1,10 @@
 """CLI subcommands: config validation, outputs, manifests, determinism."""
+import configparser
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -287,3 +290,62 @@ s_min = 1.0
     summary = json.load(open(os.path.join(out, "summary.json")))
     entry = summary["results"]["circle"]["configured"]
     assert entry["verdicts"]["moment"] == "compact_as"
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# example config -> section overrides that make it run in well under a second
+SMALL_EXAMPLES = {
+    "lab": ("lab.ini", {"lab": {
+        "n_values": "8, 12", "green_pairs": "100", "contractions": "50",
+        "krein_triples": "20", "rank_pairs": "20", "injectivity_pairs": "20"}}),
+    "criteria": ("criteria.ini", {"criteria": {
+        "mu_max": "1e4", "prefixes": "10, 100"}}),
+    "weyl-fit": ("weyl_fit.ini", {"weylfit": {
+        "lambda_lo": "1e2", "lambda_hi": "1e5"}}),
+    "transition": ("transition.ini", {"transition": {
+        "trials": "100", "m_modes": "1000"}}),
+    "disk-spectrum": ("disk_spectrum.ini", {"disk": {
+        "modes": "2", "window": "1.0, 6.0", "oracle_spot_checks": "0"}}),
+}
+
+BLOCKED_SCIPY_RUN = """
+import json, sys
+sys.modules["scipy"] = None
+from randbc import cli
+print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def _python(code, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(REPO, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_runtime_without_scipy(tmp_path):
+    loaded = _python("import json, sys, randbc.cli; print(json.dumps(sorted("
+                     "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    assert loaded == []
+    argvs = {"blocked": [], "plain": []}
+    for sub, (name, overrides) in SMALL_EXAMPLES.items():
+        parser = configparser.ConfigParser()
+        parser.read(os.path.join(REPO, "configs", name))
+        parser.read_dict(overrides)
+        cfg = tmp_path / name
+        with open(cfg, "w") as fh:
+            parser.write(fh)
+        for kind, argv in argvs.items():
+            argv.append([sub, str(cfg), "--out", str(tmp_path / kind / sub)])
+    assert _python(BLOCKED_SCIPY_RUN, json.dumps(argvs["blocked"])) == \
+        [0] * len(SMALL_EXAMPLES)
+    for argv in argvs["plain"]:
+        assert cli.main(argv) == 0
+    for sub in SMALL_EXAMPLES:
+        files = [json.load(open(tmp_path / kind / sub / "manifest.json"))["files"]
+                 for kind in argvs]
+        assert files[0] == files[1] and len(files[0]) >= 2, sub

@@ -1,4 +1,7 @@
 """Boundary-triple lab: Green identity, extensions, Weyl function, Krein formula."""
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -76,6 +79,68 @@ def test_constraint_kernel_dimension_guard(chain8):
     with pytest.raises(lab.ConstraintKernelError):
         lab.extension_from_contraction(
             broken, lab.ContractionOp(np.zeros((2, 2))))
+
+
+def _critical_scalar(h):
+    # K = c I with c = -(1 + i beta)/(1 - i beta), beta = 1/h^2, makes both
+    # boundary columns of the constraint matrix vanish: C_b = 0
+    beta = 1.0 / (h * h)
+    return -(1 + 1j * beta) / (1 - 1j * beta)
+
+
+@pytest.mark.parametrize("potential", [None, np.linspace(-1.0, 2.0, 8)])
+def test_degenerate_slaving_raises(potential):
+    model = lab.build_discrete_triple(8, h=0.2, potential=potential)
+    c = _critical_scalar(0.2)
+    critical = lab.ContractionOp(c * np.eye(2))
+    assert critical.is_unitary
+    with pytest.raises(lab.DegenerateRepresentationError):
+        lab.extension_from_contraction(model, critical)
+    # 1e-6 away (scaled to stay a contraction) the slaving is regular again
+    near = lab.ContractionOp((1 - 1e-6) * c * np.eye(2)
+                             + 1e-6 * np.array([[0.3, 0.2j], [-0.1, 0.4]]))
+    ext = lab.extension_from_contraction(model, near)
+    assert ext.boundary_condition_residual() <= 1e-10 * np.abs(ext.basis).max()
+    assert ext.eigenvalues().imag.max() <= 1e-10
+
+
+with open(os.path.join(os.path.dirname(__file__), "data",
+                       "extension_golden.json")) as _fh:
+    GOLDEN = json.load(_fh)
+
+
+def _unhex(pairs):
+    return np.array([complex(float.fromhex(re), float.fromhex(im))
+                     for re, im in pairs])
+
+
+@pytest.mark.parametrize("case", GOLDEN["cases"],
+                         ids=lambda c: f"n{c['n']}-{c['kind']}"
+                                       f"{'-pot' if c['potential'] else ''}")
+def test_extension_golden_pins(case):
+    # values from the earlier construction (orthonormal interior frame from a
+    # pivoted QR of the constraint kernel), unitarily similar to this one
+    n = case["n"]
+    potential = 0.5 * np.cos(1.7 * np.arange(n)) if case["potential"] else None
+    model = lab.build_discrete_triple(n, h=GOLDEN["h"], potential=potential)
+    k = lab.ContractionOp(_unhex(case["k"]).reshape(2, 2))
+    ext = lab.extension_from_contraction(model, k)
+    assert np.array_equal(ext.frame, np.eye(n))
+    assert np.array_equal(ext.basis[1:n + 1], np.eye(n))
+    tol = 1e-12 * float.fromhex(case["t_norm"])
+    want = _unhex(case["eigenvalues"])
+    got = ext.eigenvalues()
+    dist = np.abs(want[:, None] - got[None, :])
+    match = dist.argmin(axis=1)
+    assert sorted(match) == list(range(n))
+    assert dist[np.arange(n), match].max() <= tol
+    # ||R(z)|| <= 1/Im z = 1, so a perturbation E of T moves R(z) v by at
+    # most ||E|| ||v||
+    z = complex(*(float.fromhex(x) for x in GOLDEN["z"]))
+    probe = np.exp(1j * np.arange(n))
+    got_r = ext.resolvent(z) @ probe
+    want_r = _unhex(case["resolvent_probe"])
+    assert np.linalg.norm(got_r - want_r) <= tol * np.linalg.norm(probe)
 
 
 def test_haar_unitary_gives_selfadjoint(chain12, contraction_sampler):

@@ -1,12 +1,18 @@
 """Counting functions, Weyl fits, compactness criteria, Monte Carlo transition."""
+import hashlib
 import itertools
 import math
+import os
 
+import mpmath
 import numpy as np
 import pytest
 
+from randbc import cli
 from randbc import impedance as imp
 from randbc import weyl
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
 
 
 def test_circle_spectrum_counts():
@@ -122,6 +128,36 @@ def test_moment_criterion_values():
     v0 = weyl.moment_criterion(imp.PointMass(0.5 + 0.5j), 3)
     assert v0.verdict == weyl.COMPACT
     assert abs(v0.evidence["value"] - abs(0.5 + 0.5j) ** 2) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [1.0001, 1.01, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 8.0])
+def test_hurwitz_zeta_against_mpmath(s):
+    with mpmath.workdps(50):
+        for q in (1, 2, 3, 10, 101, 3163, 1e5, 1e7):
+            want = mpmath.zeta(mpmath.mpf(s), mpmath.mpf(q))
+            got = weyl.hurwitz_zeta(s, q)
+            assert abs((mpmath.mpf(got) - want) / want) <= 1e-15, (s, q)
+
+
+def test_hurwitz_zeta_domain():
+    for s, q in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.0)):
+        with pytest.raises(weyl.WeylError):
+            weyl.hurwitz_zeta(s, q)
+
+
+@pytest.mark.parametrize("subcommand,config,data_file,digest", [
+    ("criteria", "criteria.ini", "criteria.csv", "a1c48bdec7a2"),
+    ("transition", "transition.ini", "transition.csv", "98bad66b6916"),
+])
+def test_example_tail_outputs_pinned(tmp_path, subcommand, config, data_file,
+                                     digest):
+    # the example outputs that go through the analytic Pareto tails; their
+    # sha256 prefixes are those from scipy.special.zeta on x86-64 Linux
+    out = str(tmp_path / "out")
+    assert cli.main([subcommand, os.path.join(CONFIGS, config),
+                     "--out", out]) == 0
+    with open(os.path.join(out, data_file), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest()[:12] == digest
 
 
 def test_criteria_cross_consistency_builtins():
