@@ -14,6 +14,7 @@ then the interior rows of A* acting on the slaved vectors, which makes the
 numerical range exactly lower-half-plane and the Krein formula an algebraic
 identity rather than an approximation.
 """
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,21 +182,22 @@ class ExtensionOp:
     interior coordinates: column j has f_j = 1 at interior node j, zero at
     the other interior nodes, and the boundary values the condition slaves
     to it.  t is the matrix of the extension in that basis, acting on
-    interior vectors; frame = interior components of basis = I.
+    interior vectors.
     """
     model: TripleModel
     contraction: ContractionOp
     weight: np.ndarray
     basis: np.ndarray
     t: np.ndarray
-    frame: np.ndarray
 
     def eigenvalues(self):
         return np.linalg.eigvals(self.t)
 
     def resolvent(self, z):
-        """(T - z)^-1 in interior coordinates."""
-        return np.linalg.inv(self.t - z * np.eye(self.model.n))
+        """(T - z)^-1 in interior coordinates; for an array of z, the stack
+        of (T - z_i)^-1 along its last two axes."""
+        return np.linalg.inv(
+            self.t - np.multiply.outer(z, np.eye(self.model.n)))
 
     def boundary_condition_residual(self):
         c = _constraint_matrix(self.model, self.contraction, self.weight)
@@ -240,7 +242,7 @@ def extension_from_contraction(model: TripleModel, contraction: ContractionOp,
     basis[ends] = -np.linalg.solve(c_b, c[:, 1:n + 1])
     t = model.astar[1:n + 1] @ basis
     return ExtensionOp(model=model, contraction=contraction, weight=weight,
-                       basis=basis, t=t, frame=np.eye(n))
+                       basis=basis, t=t)
 
 
 def dirichlet_matrix(model: TripleModel):
@@ -313,10 +315,13 @@ def _gamma1_interior(model, v):
     return model.gamma1 @ full
 
 
+@functools.lru_cache(maxsize=None)
 def _probe_vectors(n, count, seed=1234):
+    """count seeded complex n-vectors, drawn once per (n, count, seed);
+    callers must not modify them."""
     rng = np.random.default_rng(seed)
-    return [rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            for _ in range(count)]
+    return tuple(rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                 for _ in range(count))
 
 
 def krein_residual(model: TripleModel, contraction: ContractionOp, z,

@@ -150,26 +150,47 @@ def _refine(f, fdf, lo, hi, f_lo):
     return x, n
 
 
-def find_real_roots(f, window, max_roots=None, n_grid=1024,
-                    min_spacing=None, f_grid=None, fdf=None) -> RootSearchResult:
+SUBDIVISIONS = 16
+
+
+def _subdivision(lo, hi):
+    """The SUBDIVISIONS + 1 equally spaced points of [lo, hi], ends
+    included."""
+    return [lo + (hi - lo) * i / SUBDIVISIONS for i in range(SUBDIVISIONS + 1)]
+
+
+def _batched(f_grid, xs):
+    values = [float(v) for v in f_grid(xs)]
+    if len(values) != len(xs):
+        raise SpecFunError(
+            f"f_grid returned {len(values)} values for {len(xs)} points")
+    return values
+
+
+def find_real_roots(f, window, n_grid=1024, min_spacing=None, f_grid=None,
+                    fdf=None) -> RootSearchResult:
     """Bracket and refine the real roots of a scalar function on a window.
 
-    Scan on a uniform grid (refined locally so no cell holds more than one
-    sign change), then refine each bracket with one loop: safeguarded Newton
+    Scan on a uniform grid, subdivide each cell with a sign change into 16
+    (and a subcell into 16 again where a cell holds more than one sign
+    change), then refine each bracket with one loop: safeguarded Newton
     steps when `fdf` is given, bisection steps otherwise (see _refine).
     Grid minima with |f| below 1e-8 of the local scale but no sign change
     are reported as suspected double roots instead of being dropped.
 
     `fdf(x)` returns (g(x), g'(x)) for a function g with f's sign at every
     x, such as f itself or f times a positive factor; only the refinement
-    calls it.  The uniform grid is evaluated by `f` point by point, or, when
-    `f_grid` is given, by one batched call `f_grid(xs)` on the list of grid
-    points, which must return f's values at those points, in order.  Every
-    real-axis scan in disk_model passes both (the FD oracle's and the
-    secular and contraction-form scans), built on kernels that equal the
-    scalar ones bit for bit.  Local subdivision and the double-root search
-    call `f`.  `n_evals` counts every evaluation of f, f_grid's points and
-    fdf.
+    calls it.  `f_grid(xs)`, when given, must return f's values at the
+    points of the list xs, in order.  It then evaluates, in two calls, the
+    uniform grid and the 15 interior subdivision points of every grid cell
+    with a sign change, all cells pooled into one list; without it `f`
+    evaluates them point by point.  The second subdivision level, where a
+    cell holds several sign changes, and the double-root search always
+    call `f`.  Every real-axis scan in disk_model passes both (the FD
+    oracle's and the secular and contraction-form scans), built on kernels
+    that equal the scalar ones bit for bit, so the roots do not depend on
+    which of f and f_grid evaluated a point.  `n_evals` counts every
+    evaluation of f, f_grid's points and fdf.
     """
     a, b = float(window[0]), float(window[1])
     if not a < b:
@@ -181,21 +202,20 @@ def find_real_roots(f, window, max_roots=None, n_grid=1024,
     if f_grid is None:
         fs = [float(f(x)) for x in xs]
     else:
-        fs = [float(v) for v in f_grid(xs)]
-        if len(fs) != len(xs):
-            raise SpecFunError(
-                f"f_grid returned {len(fs)} values for {len(xs)} points")
+        fs = _batched(f_grid, xs)
     result.n_evals += len(xs)
     scale = max(max(abs(v) for v in fs), 1e-300)
 
-    def handle_interval(lo, hi, f_lo, f_hi, depth):
-        # enforce at most one sign change per step by local subdivision
+    def handle_interval(lo, hi, f_lo, f_hi, depth, inner=None):
+        # enforce at most one sign change per step by local subdivision;
+        # `inner` holds f at the interior points when already evaluated
         if depth > 0:
-            sub = 16
-            pts = [lo + (hi - lo) * i / sub for i in range(sub + 1)]
-            vals = [f_lo] + [float(f(p)) for p in pts[1:-1]] + [f_hi]
-            result.n_evals += sub - 1
-            changes = [i for i in range(sub)
+            pts = _subdivision(lo, hi)
+            if inner is None:
+                inner = [float(f(p)) for p in pts[1:-1]]
+            vals = [f_lo, *inner, f_hi]
+            result.n_evals += SUBDIVISIONS - 1
+            changes = [i for i in range(SUBDIVISIONS)
                        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0]
             if len(changes) > 1:
                 for i in changes:
@@ -207,14 +227,20 @@ def find_real_roots(f, window, max_roots=None, n_grid=1024,
         result.n_evals += n
         result.roots.append(root)
 
+    # per sign-change cell, f at its interior subdivision points from the
+    # one pooled f_grid call, or None where handle_interval calls f
+    cells = [i for i in range(n_grid) if fs[i] * fs[i + 1] < 0]
+    pooled = dict.fromkeys(cells)
+    if f_grid is not None and cells:
+        m = SUBDIVISIONS - 1
+        pts = [p for i in cells for p in _subdivision(xs[i], xs[i + 1])[1:-1]]
+        vals = _batched(f_grid, pts)
+        pooled = {i: vals[k * m:(k + 1) * m] for k, i in enumerate(cells)}
     for i in range(n_grid):
-        if max_roots is not None and len(result.roots) >= max_roots:
-            break
         if fs[i] == 0.0:
             result.roots.append(xs[i])
-            continue
-        if fs[i] * fs[i + 1] < 0:
-            handle_interval(xs[i], xs[i + 1], fs[i], fs[i + 1], depth=2)
+        elif i in pooled:
+            handle_interval(xs[i], xs[i + 1], fs[i], fs[i + 1], 2, pooled[i])
 
     # suspected double roots: interior |f| minima without a sign change are
     # refined by ternary search, then tested against 1e-8 * scale
@@ -240,8 +266,6 @@ def find_real_roots(f, window, max_roots=None, n_grid=1024,
                     result.suspected_double.append(x_min)
 
     result.roots.sort()
-    if max_roots is not None:
-        result.roots = result.roots[:max_roots]
     return result
 
 

@@ -349,3 +349,38 @@ def test_runtime_without_scipy(tmp_path):
         files = [json.load(open(tmp_path / kind / sub / "manifest.json"))["files"]
                  for kind in argvs]
         assert files[0] == files[1] and len(files[0]) >= 2, sub
+
+
+DISK_GOLDEN = DISK_NEUMANN.replace(
+    "kind = point_mass\nz0 = 0",
+    "kind = pareto_imaginary\na = 3.0\ns_min = 1.0").replace(
+    "modes = 5", "modes = 4").replace(
+    "window = 1.0, 10.0", "window = 1.0, 30.0").replace(
+    "oracle_spot_checks = 2", "oracle_spot_checks = 0")
+
+# sha256 of the data files (config echo and manifest excluded) of two small
+# runs; a change here is a golden-file change and must be recorded as one
+GOLDEN_DIGESTS = {
+    "disk-spectrum": (DISK_GOLDEN, {
+        "eigenvalues.csv":
+            "2338afb7b7a3d1d09066e43ddd0c69d2fdeb3d18c5601f7fec6b67cec5b72e25",
+        "impedance_sequence.csv":
+            "0f5e38ccb6850828dac7a5b7e01666a8a69635bb5c6c77ace7699d57e098858a",
+        "summary.json":
+            "ea1c6e7e9e31c3f4478af7b036f9327dbaf834f05f9363e3e96dcd7ff29da66b",
+    }),
+    "lab": (LAB_SMALL, {
+        "lab_report.json":
+            "b521633845d7d13bd54e2e3f49a9b0c0ff312a5c8b7747758703887231ccf91e",
+    }),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(GOLDEN_DIGESTS))
+def test_golden_digests(tmp_path, sub):
+    text, want = GOLDEN_DIGESTS[sub]
+    cfg = write_config(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert cli.main([sub, cfg, "--out", out]) == 0
+    got = {name: sha(os.path.join(out, name)) for name in want}
+    assert got == want

@@ -125,7 +125,6 @@ def test_extension_golden_pins(case):
     model = lab.build_discrete_triple(n, h=GOLDEN["h"], potential=potential)
     k = lab.ContractionOp(_unhex(case["k"]).reshape(2, 2))
     ext = lab.extension_from_contraction(model, k)
-    assert np.array_equal(ext.frame, np.eye(n))
     assert np.array_equal(ext.basis[1:n + 1], np.eye(n))
     tol = 1e-12 * float.fromhex(case["t_norm"])
     want = _unhex(case["eigenvalues"])

@@ -583,3 +583,84 @@ def test_refiner_newton_evaluations_per_bracket(window, refs, fdf):
     for root, ref in zip(res.roots, refs):
         assert abs(root - ref) <= 1e-12 * ref
     assert len(calls) <= 12 * len(res.brackets), calls
+
+
+def test_pooled_subdivision_matches_pointwise():
+    # roots 0.1, 0.2 and 0.3 share the grid cell (0, 0.5): its pooled
+    # subdivision shows three sign changes, and each of those subcells is
+    # subdivided again by `f`; the cell (0.5, 1) holds the one root 0.7
+    def g(x):
+        return (x - 0.1) * (x - 0.2) * (x - 0.3) * (x - 0.7)
+
+    def dg(x):
+        return ((x - 0.2) * (x - 0.3) * (x - 0.7) + (x - 0.1) * (x - 0.3)
+                * (x - 0.7) + (x - 0.1) * (x - 0.2) * (x - 0.7)
+                + (x - 0.1) * (x - 0.2) * (x - 0.3))
+
+    f, f_calls = _counted(g)
+    f_grid, grid_calls = _counted(lambda xs: [g(x) for x in xs])
+    fdf = lambda x: (g(x), dg(x))
+    pooled = specfun.find_real_roots(f, (0.0, 1.0), n_grid=2, f_grid=f_grid,
+                                     fdf=fdf)
+    assert [len(xs) for xs in grid_calls] == [3, 2 * 15]
+    assert len(f_calls) == 3 * 15
+    pointwise = specfun.find_real_roots(g, (0.0, 1.0), n_grid=2, fdf=fdf)
+    assert pooled.roots == pointwise.roots
+    assert pooled.brackets == pointwise.brackets
+    assert pooled.suspected_double == pointwise.suspected_double
+    assert pooled.n_evals == pointwise.n_evals
+    assert len(pooled.brackets) == 4
+    for root, ref in zip(pooled.roots, (0.1, 0.2, 0.3, 0.7)):
+        assert abs(root - ref) <= 1e-12
+
+
+def test_pooled_subdivision_without_sign_change():
+    # no cell to subdivide: f_grid sees the grid only, never an empty list
+    f, f_calls = _counted(lambda x: x * x + 1.0)
+    f_grid, grid_calls = _counted(lambda xs: [x * x + 1.0 for x in xs])
+    res = specfun.find_real_roots(f, (-1.0, 1.0), n_grid=8, f_grid=f_grid)
+    assert [len(xs) for xs in grid_calls] == [9]
+    assert not res.roots and not res.brackets and f_calls == []
+    assert res.n_evals == 9
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_bessel_scan_subdivision_is_batched(dim):
+    # a secular scan's subdivision goes through f_grid, one pooled call
+    # after the grid, with 15 points per bracket; the scalar f is not called
+    from randbc import disk_model as dm
+
+    params = dm.MaterialParams(a=1.3, b=0.8, dim=dim)
+    for mode in (0, 3):
+        f, fdf, f_grid = dm._radial_scan_functions(
+            mode, params, lambda lam, v, d: dm._secular(params, 2.5j, v, d))
+        counted_f, f_calls = _counted(f)
+        counted_grid, grid_calls = _counted(f_grid)
+        res = specfun.find_real_roots(
+            counted_f, (0.3, 60.0), min_spacing=math.pi / params.wave_factor,
+            f_grid=counted_grid, fdf=fdf)
+        assert len(res.brackets) >= 10
+        assert f_calls == []
+        assert len(grid_calls) == 2
+        assert len(grid_calls[1]) == 15 * len(res.brackets)
+
+
+def test_fd_scan_grid_crossover(monkeypatch):
+    # below FD_BATCH_MIN_POINTS the FD f_grid evaluates point by point, from
+    # there on through the batched kernel; the values are equal either way
+    from randbc import disk_model as dm
+
+    batch = dm.fd_radial_edge_batch
+    sizes = []
+
+    def counted_batch(dim, mode, lams, ab, n_grid):
+        sizes.append(len(lams))
+        return batch(dim, mode, lams, ab, n_grid)
+
+    monkeypatch.setattr(dm, "fd_radial_edge_batch", counted_batch)
+    params = dm.MaterialParams(a=1.3, b=0.8, dim=2)
+    f, _, f_grid = dm._fd_scan_functions(2, 0.5j, params, 256)
+    for n in (dm.FD_BATCH_MIN_POINTS - 1, dm.FD_BATCH_MIN_POINTS):
+        lams = [0.5 + 12.0 * i / n for i in range(n)]
+        assert f_grid(lams) == [f(lam) for lam in lams]
+    assert sizes == [dm.FD_BATCH_MIN_POINTS]
