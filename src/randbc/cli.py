@@ -216,22 +216,23 @@ def run_criteria(cfg, out_dir, manifest) -> int:
     family = builtin_distribution_family()
     if cfg.get("distribution", "kind") is not None:
         family = [("configured", cfgmod.build_distribution(cfg))] + family
+    spectra = {b: weyl.boundary_spectrum(b, mu_max)
+               for b in ("circle", "sphere")}
+    for boundary, spectrum in spectra.items():
+        for prefix in prefixes:
+            if prefix >= spectrum.n_modes:
+                raise ConfigError(
+                    f"prefix {prefix} removes the whole enumerated {boundary} "
+                    f"spectrum ({spectrum.n_modes} modes up to mu_max)")
     timer = StageTimer(manifest)
     rows, summary, consistent = [], {}, True
     with timer.stage("criteria"):
-        for boundary in ("circle", "sphere"):
-            spectrum = weyl.boundary_spectrum(boundary, mu_max)
+        for boundary, spectrum in spectra.items():
             for label, dist in family:
-                verdicts = weyl.standard_verdicts(dist, spectrum, deltas)
+                verdicts, stable = weyl.prefix_stable_verdicts(
+                    dist, spectrum, deltas, prefixes)
                 ok = weyl.verdicts_consistent(verdicts)
                 consistent = consistent and ok
-                stable = True
-                for prefix in prefixes:
-                    dropped = weyl.drop_prefix(spectrum, prefix)
-                    again = weyl.standard_verdicts(dist, dropped, deltas)
-                    stable = stable and all(
-                        a.verdict == b.verdict
-                        for a, b in zip(verdicts, again))
                 for v in verdicts:
                     rows.append([label, boundary, v.criterion, v.verdict,
                                  int(ok), int(stable)])

@@ -138,6 +138,11 @@ def validate_config(cfg: ExperimentConfig):
                          listy=True)
         if not deltas or any(float(d) <= 0 for d in deltas):
             raise ConfigError("deltas must be positive")
+        _validate_mu_max(cfg, "criteria")
+        for p in cfg.get("criteria", "prefixes", default=[10, 100, 1000],
+                         listy=True):
+            if int(p) < 0:
+                raise ConfigError(f"criteria prefix {p} must be >= 0")
     elif sub == "transition":
         grid = cfg.get("transition", "a_grid",
                        default=[0.5, 1.0, 1.5, 2.0, 3.0], listy=True)
@@ -151,10 +156,16 @@ def validate_config(cfg: ExperimentConfig):
             raise ConfigError("transition trials must be >= 100")
         if m_modes < 1000:
             raise ConfigError("transition m_modes must be >= 1e3")
+        _validate_mu_max(cfg, "transition")
         for b in cfg.get("transition", "boundaries",
                          default=["circle", "sphere"], listy=True):
             if b not in ("circle", "sphere"):
                 raise ConfigError(f"unknown boundary {b!r}")
+
+
+def _validate_mu_max(cfg, section):
+    if not float(cfg.get(section, "mu_max", default=4.0e4)) >= 1:
+        raise ConfigError(f"{section} mu_max must be >= 1")
 
 
 def _validate_model(cfg):

@@ -12,6 +12,7 @@ masquerade as convergence.
 """
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -266,7 +267,14 @@ def _tail_criterion(name, dist: ImpedanceDistribution,
                     spectrum: BoundarySpectrum, deltas,
                     partial_at) -> CriterionVerdict:
     """Verdict over the delta grid from the enumerated part partial_at(delta)
-    plus the analytic tail beyond the enumeration."""
+    plus the analytic tail beyond the enumeration.
+
+    The verdict is decided by _analytic_tail(dist, dim, delta,
+    spectrum.tail_mode_index()) alone; the finite partial sums only feed
+    `evidence`.  drop_prefix keeps mu[-1], so the tail index and the verdict
+    are those of the full spectrum for every dropped prefix: the criteria's
+    prefix check (prefix_stable_verdicts) cannot report a change.
+    """
     start = spectrum.tail_mode_index()
     evidence = {}
     finite_flags = []
@@ -297,26 +305,27 @@ def _survivals(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
             for delta in deltas}
 
 
-def _series_verdict(dist, spectrum, deltas, survivals) -> CriterionVerdict:
+def _series_verdict(dist, spectrum, deltas, survivals,
+                    offset=0) -> CriterionVerdict:
     mult = spectrum.mult.tolist()
 
     def partial_at(delta):
         # Python floats, summed left to right: builtin sum() compensates a
         # sum of floats from Python 3.12 on, which would change the bits
         total = 0.0
-        for m, surv in zip(mult, survivals[delta]):
+        for m, surv in zip(mult, islice(survivals[delta], offset, None)):
             total += m * surv
         return total
 
     return _tail_criterion("series", dist, spectrum, deltas, partial_at)
 
 
-def _expectation_verdict(dist, spectrum, deltas,
-                         survivals) -> CriterionVerdict:
+def _expectation_verdict(dist, spectrum, deltas, survivals,
+                         offset=0) -> CriterionVerdict:
     cum = np.cumsum(spectrum.mult).astype(float)
 
     def partial_at(delta):
-        surv = np.array(survivals[delta])
+        surv = np.fromiter(islice(survivals[delta], offset, None), float)
         # sum_{i<M} N_i (S_i - S_{i+1}) + N_M S_M  (Stieltjes against F)
         return float(np.sum(cum[:-1] * (surv[:-1] - surv[1:]))
                      + cum[-1] * surv[-1])
@@ -362,10 +371,41 @@ def standard_verdicts(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
                       deltas=DEFAULT_DELTAS) -> list:
     """The series, expectation and moment verdicts, in that order; the
     first two share one survival vector per delta."""
+    return prefix_verdicts(dist, spectrum, deltas, (0,))[0]
+
+
+def prefix_verdicts(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
+                    deltas, prefixes) -> list:
+    """[standard_verdicts(dist, drop_prefix(spectrum, p), deltas) for p in
+    prefixes], from one survival pass over the whole spectrum.
+
+    A dropped spectrum's mu is the trailing slice spectrum.mu[cut:], the same
+    floats, so each dropped spectrum reads the shared survival lists from
+    offset cut and gets the same bits as its own pass would.
+    """
     survivals = _survivals(dist, spectrum, deltas)
-    return [_series_verdict(dist, spectrum, deltas, survivals),
-            _expectation_verdict(dist, spectrum, deltas, survivals),
-            moment_criterion(dist, spectrum.dim)]
+    out = []
+    for prefix in prefixes:
+        dropped = drop_prefix(spectrum, prefix)
+        cut = spectrum.mu.size - dropped.mu.size
+        out.append([
+            _series_verdict(dist, dropped, deltas, survivals, cut),
+            _expectation_verdict(dist, dropped, deltas, survivals, cut),
+            moment_criterion(dist, spectrum.dim)])
+    return out
+
+
+def prefix_stable_verdicts(dist: ImpedanceDistribution,
+                           spectrum: BoundarySpectrum, deltas,
+                           prefixes) -> tuple:
+    """(standard_verdicts(dist, spectrum, deltas), stable): stable is whether
+    every criterion keeps its verdict when the first p modes are dropped,
+    for each p in prefixes (the zero-one law of a tail event)."""
+    verdicts, *dropped = prefix_verdicts(dist, spectrum, deltas,
+                                         (0, *prefixes))
+    stable = all(a.verdict == b.verdict
+                 for again in dropped for a, b in zip(verdicts, again))
+    return verdicts, stable
 
 
 def verdicts_consistent(verdicts) -> bool:

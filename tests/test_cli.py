@@ -202,6 +202,22 @@ def test_transition_empty_grid_rejected(tmp_path):
     assert cli.main(["transition", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("sub,old,new", [
+    ("criteria", "prefixes = 10, 100, 1000", "prefixes = -1"),
+    ("criteria", "mu_max = 1e6\nprefixes = 10, 100, 1000",
+     "mu_max = 4\nprefixes = 1000"),
+    ("criteria", "mu_max = 1e6", "mu_max = 0.5"),
+    ("transition", "boundaries = circle", "boundaries = circle\nmu_max = 0.5"),
+], ids=["negative-prefix", "prefix-past-spectrum", "criteria-mu_max",
+        "transition-mu_max"])
+def test_bad_spectrum_inputs_are_config_errors(tmp_path, capsys, sub, old, new):
+    text = CRITERIA if sub == "criteria" else TRANSITION_SMALL
+    assert old in text
+    cfg = write_config(tmp_path, text.replace(old, new))
+    assert cli.main([sub, cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_transition_thread_invariance_bytes(tmp_path):
     cfg = write_config(tmp_path, TRANSITION_SMALL)
     digests = []
@@ -358,9 +374,31 @@ DISK_GOLDEN = DISK_NEUMANN.replace(
     "window = 1.0, 10.0", "window = 1.0, 30.0").replace(
     "oracle_spot_checks = 2", "oracle_spot_checks = 0")
 
-# sha256 of the data files (config echo and manifest excluded) of two small
-# runs; a change here is a golden-file change and must be recorded as one
+# prefix 1 removes k = l = 0, 2 splits the k = 1 and l = 1 blocks, and 7
+# splits the sphere's l = 2 block (1 + 3 + 3 of its 5 modes) and ends at the
+# circle's k = 3 block (1 + 2 + 2 + 2)
+CRITERIA_GOLDEN = """
+[run]
+seed = 1
+[criteria]
+deltas = 0.01, 0.1, 1, 10
+mu_max = 50
+prefixes = 1, 2, 7
+[distribution]
+kind = pareto_imaginary
+a = 2.5
+s_min = 1.0
+"""
+
+# sha256 of the data files (config echo and manifest excluded) of small runs;
+# a change here is a golden-file change and must be recorded as one
 GOLDEN_DIGESTS = {
+    "criteria": (CRITERIA_GOLDEN, {
+        "criteria.csv":
+            "06f3054e99ad7a86feddee9e1b2dfafa80c515a2f4e33460c57bdf9c54d99a20",
+        "summary.json":
+            "28dc0c48f98a0d253156572dc003332c35fe90d09e76a9d36c4a24d84697960a",
+    }),
     "disk-spectrum": (DISK_GOLDEN, {
         "eigenvalues.csv":
             "2338afb7b7a3d1d09066e43ddd0c69d2fdeb3d18c5601f7fec6b67cec5b72e25",

@@ -182,6 +182,63 @@ def test_prefix_removal_invariance():
         assert weyl.series_criterion(dist, dropped).verdict == base
 
 
+def _bits(x):
+    """x with every float replaced by float.hex, for bit equality."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    return x
+
+
+def _verdict_bits(verdicts):
+    return [(v.criterion, v.verdict, v.deltas, _bits(v.evidence))
+            for v in verdicts]
+
+
+@pytest.mark.parametrize("model", ["circle", "sphere"])
+def test_prefix_verdicts_share_one_survival_pass(model, monkeypatch):
+    # prefix 2 splits the k = 1 / l = 1 block; the dropped spectra read the
+    # full spectrum's survival lists from an offset and must give the bits of
+    # their own pass
+    spec = weyl.boundary_spectrum(model, 1e6)
+    deltas = (0.01, 0.3, 1.0, 10.0)
+    prefixes = (1, 2, 10, 100, 1000)
+    laws = cli.builtin_distribution_family() + [
+        ("table", imp.BoundedCustom([0.0, 2.0, 50.0], [0.0, 0.5, 1.0]))]
+    calls = {"all": 0, "tail": 0}
+    tail = weyl._analytic_tail
+
+    def counted_tail(*args):
+        before = calls["all"]
+        out = tail(*args)
+        calls["tail"] += calls["all"] - before
+        return out
+
+    monkeypatch.setattr(weyl, "_analytic_tail", counted_tail)
+    for label, dist in laws:
+        want = [weyl.standard_verdicts(dist, weyl.drop_prefix(spec, p), deltas)
+                for p in prefixes]
+        survival = dist.survival_abs
+
+        def counted(s, survival=survival):
+            calls["all"] += 1
+            return survival(s)
+
+        monkeypatch.setattr(dist, "survival_abs", counted)
+        calls.update(all=0, tail=0)
+        got = weyl.prefix_verdicts(dist, spec, deltas, prefixes)
+        assert calls["all"] - calls["tail"] == len(deltas) * spec.mu.size, label
+        assert [_verdict_bits(v) for v in got] == \
+            [_verdict_bits(v) for v in want], label
+        full, stable = weyl.prefix_stable_verdicts(dist, spec, deltas, prefixes)
+        assert _verdict_bits(full) == \
+            _verdict_bits(weyl.standard_verdicts(dist, spec, deltas))
+        assert stable
+
+
 def test_drop_prefix_counts():
     spec = weyl.boundary_spectrum("sphere", 100.0)
     dropped = weyl.drop_prefix(spec, 2)  # splits the l=1 block
