@@ -15,7 +15,7 @@ import numpy as np
 import randbc
 from randbc import config as cfgmod
 from randbc import disk_model, impedance, labsuite, serialize, weyl
-from randbc.config import ConfigError, ExperimentConfig, RunManifest, StageTimer
+from randbc.config import ConfigError, RunManifest, StageTimer
 from randbc.disk_model import ConvergenceError, MaterialParams
 
 EXIT_OK = 0
@@ -54,12 +54,12 @@ def _prepare(args):
         cfg.seed = args.seed
     if args.threads is not None:
         cfg.threads = args.threads
-    cfgmod.validate_config(cfg)
+    params = cfgmod.validate_config(cfg)
     out_dir = cfgmod.resolve_out_dir(cfg, args.out)
     os.makedirs(out_dir, exist_ok=True)
     manifest = RunManifest(config_hash=cfg.hash(), seed=cfg.seed,
                            artifact_version=randbc.__version__)
-    return cfg, out_dir, manifest
+    return cfg, params, out_dir, manifest
 
 
 def _save(files, out_dir, name, write, *data):
@@ -80,19 +80,10 @@ def _finish(cfg, out_dir, manifest, files):
                          manifest.payload())
 
 
-def run_lab(cfg: ExperimentConfig, out_dir: str, manifest: RunManifest) -> int:
+def run_lab(cfg, p, out_dir, manifest) -> int:
     timer = StageTimer(manifest)
     with timer.stage("lab_suite"):
-        report = labsuite.run_invariant_suite(
-            seed=cfg.seed,
-            n_values=[int(n) for n in cfg.get("lab", "n_values",
-                                              default=[8, 12, 16], listy=True)],
-            green_pairs=int(cfg.get("lab", "green_pairs", default=1000)),
-            contractions=int(cfg.get("lab", "contractions", default=500)),
-            krein_triples=int(cfg.get("lab", "krein_triples", default=200)),
-            rank_pairs=int(cfg.get("lab", "rank_pairs", default=100)),
-            injectivity_pairs=int(cfg.get("lab", "injectivity_pairs",
-                                          default=100)))
+        report = labsuite.run_invariant_suite(seed=cfg.seed, **p)
     files = {}
     _save(files, out_dir, "lab_report.json", serialize.write_json, report)
     if not report["passed"]:
@@ -105,20 +96,11 @@ def run_lab(cfg: ExperimentConfig, out_dir: str, manifest: RunManifest) -> int:
     return EXIT_OK if report["passed"] else EXIT_INVARIANT
 
 
-def _material(cfg) -> MaterialParams:
-    boundary = str(cfg.get("model", "boundary", default="circle"))
-    return MaterialParams(a=float(cfg.get("model", "a", default=1.0)),
-                          b=float(cfg.get("model", "b", default=1.0)),
-                          dim=2 if boundary == "circle" else 3)
-
-
-def run_disk_spectrum(cfg, out_dir, manifest) -> int:
-    params = _material(cfg)
-    dist = cfgmod.build_distribution(cfg)
-    modes = int(cfg.get("disk", "modes", default=5))
-    window = [float(x) for x in cfg.get("disk", "window",
-                                        default=[1.0, 10.0], listy=True)]
-    n_spot = int(cfg.get("disk", "oracle_spot_checks", default=5))
+def run_disk_spectrum(cfg, p, out_dir, manifest) -> int:
+    params = MaterialParams(a=p["a"], b=p["b"],
+                            dim=2 if p["boundary"] == "circle" else 3)
+    dist, modes, window = p["distribution"], p["modes"], p["window"]
+    n_spot = p["oracle_spot_checks"]
     stream = impedance.SeededStream(cfg.seed, 1)
     timer = StageTimer(manifest)
     rows, warnings, results = [], [], []
@@ -157,7 +139,7 @@ def run_disk_spectrum(cfg, out_dir, manifest) -> int:
     min_im = min((row[5] for row in rows), default=float("nan"))
     summary = {
         "seed": cfg.seed,
-        "boundary": "circle" if params.dim == 2 else "sphere",
+        "boundary": p["boundary"],
         "distribution": dist.label(),
         "modes": modes,
         "window": window,
@@ -171,15 +153,12 @@ def run_disk_spectrum(cfg, out_dir, manifest) -> int:
     return EXIT_OK
 
 
-def run_weyl_fit(cfg, out_dir, manifest) -> int:
-    lo = float(cfg.get("weylfit", "lambda_lo", default=1e3))
-    hi = float(cfg.get("weylfit", "lambda_hi", default=1e7))
-    boundaries = [str(b) for b in cfg.get(
-        "weylfit", "boundaries", default=["circle", "sphere"], listy=True)]
+def run_weyl_fit(cfg, p, out_dir, manifest) -> int:
+    lo, hi = p["lambda_lo"], p["lambda_hi"]
     timer = StageTimer(manifest)
     rows, summary = [], {}
     with timer.stage("fits"):
-        for boundary in boundaries:
+        for boundary in p["boundaries"]:
             spectrum = weyl.boundary_spectrum(boundary, hi)
             fit = weyl.weyl_exponent_fit(weyl.CountingFunction(spectrum),
                                          lo, hi)
@@ -207,23 +186,20 @@ def builtin_distribution_family():
     ]
 
 
-def run_criteria(cfg, out_dir, manifest) -> int:
-    deltas = tuple(float(d) for d in cfg.get(
-        "criteria", "deltas", default=[0.01, 0.1, 1.0, 10.0], listy=True))
-    mu_max = float(cfg.get("criteria", "mu_max", default=4.0e4))
-    prefixes = [int(p) for p in cfg.get("criteria", "prefixes",
-                                        default=[10, 100, 1000], listy=True)]
+def run_criteria(cfg, p, out_dir, manifest) -> int:
+    deltas, mu_max, prefixes = p["deltas"], p["mu_max"], p["prefixes"]
     family = builtin_distribution_family()
-    if cfg.get("distribution", "kind") is not None:
-        family = [("configured", cfgmod.build_distribution(cfg))] + family
+    if p["distribution"] is not None:
+        family = [("configured", p["distribution"])] + family
     spectra = {b: weyl.boundary_spectrum(b, mu_max)
                for b in ("circle", "sphere")}
     for boundary, spectrum in spectra.items():
         for prefix in prefixes:
             if prefix >= spectrum.n_modes:
                 raise ConfigError(
-                    f"prefix {prefix} removes the whole enumerated {boundary} "
-                    f"spectrum ({spectrum.n_modes} modes up to mu_max)")
+                    f"[criteria] prefixes: {prefix} removes the whole "
+                    f"enumerated {boundary} spectrum ({spectrum.n_modes} "
+                    f"modes up to mu_max)")
     timer = StageTimer(manifest)
     rows, summary, consistent = [], {}, True
     with timer.stage("criteria"):
@@ -257,23 +233,13 @@ def run_criteria(cfg, out_dir, manifest) -> int:
     return EXIT_OK if consistent else EXIT_INVARIANT
 
 
-def run_transition(cfg, out_dir, manifest) -> int:
-    a_grid = [float(a) for a in cfg.get(
-        "transition", "a_grid", default=[0.5, 1.0, 1.5, 2.0, 3.0], listy=True)]
-    trials = int(cfg.get("transition", "trials", default=1000))
-    m_modes = int(cfg.get("transition", "m_modes", default=10_000))
-    s_min = float(cfg.get("transition", "s_min", default=1.0))
-    eps_grid = tuple(float(e) for e in cfg.get(
-        "transition", "eps", default=[0.75, 0.1, 0.01], listy=True))
-    deltas = tuple(float(d) for d in cfg.get(
-        "transition", "deltas", default=[0.01, 0.1, 1.0, 10.0], listy=True))
-    mu_max = float(cfg.get("transition", "mu_max", default=4.0e4))
-    boundaries = [str(b) for b in cfg.get(
-        "transition", "boundaries", default=["circle", "sphere"], listy=True)]
+def run_transition(cfg, p, out_dir, manifest) -> int:
+    a_grid, trials, m_modes = p["a_grid"], p["trials"], p["m_modes"]
+    s_min, eps_grid, deltas = p["s_min"], p["eps"], p["deltas"]
     timer = StageTimer(manifest)
     rows, summary = [], {}
-    for bi, boundary in enumerate(boundaries):
-        spectrum = weyl.boundary_spectrum(boundary, mu_max)
+    for bi, boundary in enumerate(p["boundaries"]):
+        spectrum = weyl.boundary_spectrum(boundary, p["mu_max"])
         dists = [(f"a={a:g}", impedance.ParetoImag(a, s_min)) for a in a_grid]
         stream = impedance.SeededStream(cfg.seed, 1_000_000 + bi)
         with timer.stage(f"monte_carlo_{boundary}"):
@@ -307,6 +273,7 @@ def run_transition(cfg, out_dir, manifest) -> int:
     return EXIT_OK
 
 
+# runner(cfg, p, out_dir, manifest); p is what config.validate_config returns
 _RUNNERS = {
     "lab": run_lab,
     "disk-spectrum": run_disk_spectrum,
@@ -323,12 +290,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg, out_dir, manifest = _prepare(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_USAGE
-    try:
-        return _RUNNERS[args.subcommand](cfg, out_dir, manifest)
+        cfg, params, out_dir, manifest = _prepare(args)
+        return _RUNNERS[args.subcommand](cfg, params, out_dir, manifest)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_USAGE

@@ -20,6 +20,7 @@ class ConfigError(ValueError):
 
 
 def _parse_scalar(text):
+    """A [distribution] constructor argument, in the first type that fits."""
     text = text.strip()
     for cast in (int, float, complex):
         try:
@@ -31,26 +32,120 @@ def _parse_scalar(text):
     return text
 
 
-def _parse_list(text):
-    return [_parse_scalar(tok) for tok in text.split(",") if tok.strip()]
+_INF = float("inf")
+
+
+def _parse_item(kind, text):
+    """text as an int (integral number text, so 1e3 is 1000), a finite float
+    or a str; ValueError if it is not one."""
+    text = text.strip()
+    if kind is str:
+        return text
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    number = float(text)
+    if not -_INF < number < _INF or kind is int and not number.is_integer():
+        raise ValueError(text)
+    return kind(number)
+
+
+@dataclass(frozen=True)
+class Key:
+    """A config key: its type (int, float or str, or [int], [float] or [str]
+    for a non-empty comma-separated list, read as a tuple), its default and
+    its range, which holds for every item of a list."""
+    kind: object
+    default: object
+    ge: float = None
+    gt: float = None
+    le: float = None
+    choices: tuple = None
+
+    def check(self, where, value):
+        items = value if isinstance(self.kind, list) else [value]
+        if not items:
+            raise ConfigError(f"{where} needs at least one value")
+        for item in items:
+            # each test is written so that NaN fails it
+            for ok, rule in (
+                    (self.ge is None or item >= self.ge, f">= {self.ge}"),
+                    (self.gt is None or item > self.gt, f"> {self.gt}"),
+                    (self.le is None or item <= self.le, f"<= {self.le}"),
+                    (self.choices is None or item in self.choices,
+                     f"one of {', '.join(self.choices or ())}")):
+                if not ok:
+                    raise ConfigError(f"{where} = {item!r} must be {rule}")
+
+
+_BOUNDARIES = ("circle", "sphere")
+_BOUNDARY_LIST = Key([str], _BOUNDARIES, choices=_BOUNDARIES)
+_DELTAS = Key([float], (0.01, 0.1, 1.0, 10.0), gt=0)
+_MU_MAX = Key(float, 4.0e4, ge=1)
+
+RUN_KEYS = {"seed": Key(int, 12345, ge=0), "out": Key(str, ""),
+            "threads": Key(int, 1, ge=1)}
+# The one list of the keys each subcommand reads, by section, besides
+# RUN_KEYS.  [distribution] is not listed: its keys are the constructor
+# arguments of impedance.distribution_from_spec.
+KEYS = {
+    "lab": {"lab": {
+        "n_values": Key([int], (8, 12, 16), ge=4),
+        "green_pairs": Key(int, 1000, ge=1),
+        "contractions": Key(int, 500, ge=1),
+        "krein_triples": Key(int, 200, ge=1),
+        "rank_pairs": Key(int, 100, ge=1),
+        "injectivity_pairs": Key(int, 100, ge=1)}},
+    "disk-spectrum": {
+        "model": {"boundary": Key(str, "circle", choices=_BOUNDARIES),
+                  "a": Key(float, 1.0, gt=0), "b": Key(float, 1.0, gt=0)},
+        # 100 is the solver's Lambda_max
+        "disk": {"modes": Key(int, 5, ge=0, le=200),
+                 "window": Key([float], (1.0, 10.0), gt=0, le=100),
+                 "oracle_spot_checks": Key(int, 5, ge=0)}},
+    "weyl-fit": {"weylfit": {"lambda_lo": Key(float, 1e3, gt=0),
+                             "lambda_hi": Key(float, 1e7, gt=0),
+                             "boundaries": _BOUNDARY_LIST}},
+    "criteria": {"criteria": {"deltas": _DELTAS, "mu_max": _MU_MAX,
+                              "prefixes": Key([int], (10, 100, 1000), ge=0)}},
+    "transition": {"transition": {
+        "a_grid": Key([float], (0.5, 1.0, 1.5, 2.0, 3.0), gt=0),
+        "trials": Key(int, 1000, ge=100),
+        "m_modes": Key(int, 10_000, ge=1000),
+        "s_min": Key(float, 1.0, gt=0),
+        "eps": Key([float], (0.75, 0.1, 0.01), gt=0),
+        "deltas": _DELTAS, "mu_max": _MU_MAX,
+        "boundaries": _BOUNDARY_LIST}},
+}
 
 
 @dataclass
 class ExperimentConfig:
     subcommand: str
-    sections: dict = field(default_factory=dict)
-    seed: int = 12345
-    out_dir: str = ""
-    threads: int = 1
+    sections: dict
+    seed: int = None
+    out_dir: str = None
+    threads: int = None
 
-    def get(self, section, key, default=None, required=False, listy=False):
-        sec = self.sections.get(section, {})
-        if key not in sec:
-            if required:
-                raise ConfigError(f"missing [{section}] {key}")
-            return default
-        raw = sec[key]
-        return _parse_list(raw) if listy else _parse_scalar(raw)
+    def value(self, section, key, spec: Key):
+        """[section] key read as spec's type and checked against its range;
+        spec's default if the key is absent."""
+        text = self.sections.get(section, {}).get(key)
+        if text is None:
+            return spec.default
+        where, listy = f"[{section}] {key}", isinstance(spec.kind, list)
+        kind = spec.kind[0] if listy else spec.kind
+        try:
+            value = (tuple(_parse_item(kind, tok) for tok in text.split(",")
+                           if tok.strip()) if listy
+                     else _parse_item(kind, text))
+        except ValueError:
+            raise ConfigError(f"{where} = {text!r} is not of type "
+                              f"{'list of ' * listy}{kind.__name__}") from None
+        spec.check(where, value)
+        return value
 
     def canonical_text(self) -> str:
         buf = io.StringIO()
@@ -71,18 +166,16 @@ def load_config(path, subcommand) -> ExperimentConfig:
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"config file not found: {path}")
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from None
     sections = {name: dict(parser[name]) for name in parser.sections()}
     cfg = ExperimentConfig(subcommand=subcommand, sections=sections)
-    run = sections.get("run", {})
-    if "seed" in run:
-        cfg.seed = int(_parse_scalar(run["seed"]))
-    if "out" in run:
-        cfg.out_dir = str(run["out"])
-    if "threads" in run:
-        cfg.threads = int(_parse_scalar(run["threads"]))
+    cfg.seed, cfg.out_dir, cfg.threads = (
+        cfg.value("run", key, RUN_KEYS[key])
+        for key in ("seed", "out", "threads"))
     return cfg
 
 
@@ -91,112 +184,54 @@ def config_roundtrip(cfg: ExperimentConfig) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     parser.read_string(cfg.canonical_text())
     sections = {name: dict(parser[name]) for name in parser.sections()}
-    clone = ExperimentConfig(subcommand=cfg.subcommand, sections=sections,
-                             seed=cfg.seed, out_dir=cfg.out_dir,
-                             threads=cfg.threads)
-    return clone
+    return ExperimentConfig(subcommand=cfg.subcommand, sections=sections,
+                            seed=cfg.seed, out_dir=cfg.out_dir,
+                            threads=cfg.threads)
 
 
-def validate_config(cfg: ExperimentConfig):
-    """Check every referenced parameter against module preconditions before
-    any computation starts."""
-    sub = cfg.subcommand
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
-    if sub == "lab":
-        for n in cfg.get("lab", "n_values", default=[8, 12, 16], listy=True):
-            if int(n) < 4:
-                raise ConfigError(f"lab n={n} violates n >= 4")
-        for key in ("green_pairs", "contractions", "krein_triples",
-                    "rank_pairs", "injectivity_pairs"):
-            val = cfg.get("lab", key, default=1)
-            if int(val) < 1:
-                raise ConfigError(f"lab {key} must be >= 1")
-    elif sub == "disk-spectrum":
-        _validate_model(cfg)
-        _validate_distribution(cfg)
-        modes = int(cfg.get("disk", "modes", default=5))
-        if modes < 0 or modes > 200:
-            raise ConfigError("disk modes must be in [0, 200]")
-        window = cfg.get("disk", "window", default=[1.0, 10.0], listy=True)
-        if len(window) != 2 or not 0 < float(window[0]) < float(window[1]):
-            raise ConfigError("disk window must satisfy 0 < lo < hi")
-        if float(window[1]) > 100.0:
-            raise ConfigError("disk window exceeds Lambda_max = 100")
+def validate_config(cfg: ExperimentConfig) -> dict:
+    """Read every key of cfg's subcommand (KEYS) and check it before any
+    computation starts.  Returns the typed values by key name; disk-spectrum
+    and criteria also get the [distribution] law (None where criteria has
+    no [distribution] section)."""
+    sub, sections = cfg.subcommand, KEYS[cfg.subcommand]
+    for key in ("seed", "threads"):  # --seed and --threads replace them
+        RUN_KEYS[key].check(f"[run] {key}", getattr(cfg, key))
+    for section, known in {"run": RUN_KEYS, **sections}.items():
+        unknown = sorted(set(cfg.sections.get(section, {})) - set(known))
+        if unknown:
+            raise ConfigError(f"unknown key [{section}] {unknown[0]}; "
+                              f"known: {', '.join(known)}")
+    params = {key: cfg.value(section, key, spec)
+              for section, known in sections.items()
+              for key, spec in known.items()}
+    if sub == "disk-spectrum":
+        window = params["window"]
+        if len(window) != 2 or not window[0] < window[1]:
+            raise ConfigError("[disk] window must be two values lo < hi")
+        params["distribution"] = build_distribution(cfg)
     elif sub == "weyl-fit":
-        lo = float(cfg.get("weylfit", "lambda_lo", default=1e3))
-        hi = float(cfg.get("weylfit", "lambda_hi", default=1e7))
-        if not (0 < lo < hi) or hi / lo < 1e3:
-            raise ConfigError("weyl fit range must span >= 3 decades")
-        for b in cfg.get("weylfit", "boundaries", default=["circle", "sphere"],
-                         listy=True):
-            if b not in ("circle", "sphere"):
-                raise ConfigError(f"unknown boundary {b!r}")
+        if params["lambda_hi"] / params["lambda_lo"] < 1e3:
+            raise ConfigError("[weylfit] lambda_lo, lambda_hi must span "
+                              ">= 3 decades")
     elif sub == "criteria":
-        _validate_distribution(cfg, optional=True)
-        deltas = cfg.get("criteria", "deltas", default=[0.01, 0.1, 1.0, 10.0],
-                         listy=True)
-        if not deltas or any(float(d) <= 0 for d in deltas):
-            raise ConfigError("deltas must be positive")
-        _validate_mu_max(cfg, "criteria")
-        for p in cfg.get("criteria", "prefixes", default=[10, 100, 1000],
-                         listy=True):
-            if int(p) < 0:
-                raise ConfigError(f"criteria prefix {p} must be >= 0")
-    elif sub == "transition":
-        grid = cfg.get("transition", "a_grid",
-                       default=[0.5, 1.0, 1.5, 2.0, 3.0], listy=True)
-        if not grid:
-            raise ConfigError("transition a_grid must be non-empty")
-        if any(float(a) <= 0 for a in grid):
-            raise ConfigError("Pareto exponents must be positive")
-        trials = int(cfg.get("transition", "trials", default=1000))
-        m_modes = int(cfg.get("transition", "m_modes", default=10_000))
-        if trials < 100:
-            raise ConfigError("transition trials must be >= 100")
-        if m_modes < 1000:
-            raise ConfigError("transition m_modes must be >= 1e3")
-        _validate_mu_max(cfg, "transition")
-        for b in cfg.get("transition", "boundaries",
-                         default=["circle", "sphere"], listy=True):
-            if b not in ("circle", "sphere"):
-                raise ConfigError(f"unknown boundary {b!r}")
-
-
-def _validate_mu_max(cfg, section):
-    if not float(cfg.get(section, "mu_max", default=4.0e4)) >= 1:
-        raise ConfigError(f"{section} mu_max must be >= 1")
-
-
-def _validate_model(cfg):
-    boundary = cfg.get("model", "boundary", default="circle")
-    if boundary not in ("circle", "sphere"):
-        raise ConfigError(f"unknown boundary {boundary!r}")
-    a = float(cfg.get("model", "a", default=1.0))
-    b = float(cfg.get("model", "b", default=1.0))
-    if a <= 0 or b <= 0:
-        raise ConfigError("material constants must be positive")
-
-
-def _validate_distribution(cfg, optional=False):
-    kind = cfg.get("distribution", "kind")
-    if kind is None:
-        if optional:
-            return
-        raise ConfigError("missing [distribution] kind")
-    build_distribution(cfg)
+        params["distribution"] = (build_distribution(cfg)
+                                  if "distribution" in cfg.sections else None)
+    return params
 
 
 def build_distribution(cfg: ExperimentConfig):
+    """The [distribution] law: `kind` and its constructor arguments."""
     from randbc import impedance
 
-    kind = str(cfg.get("distribution", "kind", required=True))
     params = {k: _parse_scalar(v)
-              for k, v in cfg.sections.get("distribution", {}).items()
-              if k != "kind"}
+              for k, v in cfg.sections.get("distribution", {}).items()}
+    kind = params.pop("kind", None)
+    if kind is None:
+        raise ConfigError("missing [distribution] kind")
     try:
-        return impedance.distribution_from_spec(kind, **params)
-    except (TypeError, ValueError) as exc:
+        return impedance.distribution_from_spec(str(kind), **params)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad distribution spec: {exc}") from exc
 
 

@@ -1,13 +1,17 @@
 """CLI subcommands: config validation, outputs, manifests, determinism."""
 import configparser
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, seed, settings, strategies as st
 
 from randbc import cli
 from randbc.config import ConfigError, load_config, validate_config, config_roundtrip
@@ -202,20 +206,42 @@ def test_transition_empty_grid_rejected(tmp_path):
     assert cli.main(["transition", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
-@pytest.mark.parametrize("sub,old,new", [
-    ("criteria", "prefixes = 10, 100, 1000", "prefixes = -1"),
+@pytest.mark.parametrize("sub,old,new,key", [
+    ("criteria", "prefixes = 10, 100, 1000", "prefixes = -1", "prefixes"),
     ("criteria", "mu_max = 1e6\nprefixes = 10, 100, 1000",
-     "mu_max = 4\nprefixes = 1000"),
-    ("criteria", "mu_max = 1e6", "mu_max = 0.5"),
-    ("transition", "boundaries = circle", "boundaries = circle\nmu_max = 0.5"),
+     "mu_max = 4\nprefixes = 1000", "prefixes"),
+    ("criteria", "mu_max = 1e6", "mu_max = 0.5", "mu_max"),
+    ("transition", "boundaries = circle", "boundaries = circle\nmu_max = 0.5",
+     "mu_max"),
+    ("criteria", "mu_max = 1e6", "mu_max = abc", "mu_max"),
+    ("criteria", "mu_max = 1e6", "mu_max = 1j", "mu_max"),
+    ("transition", "seed = 31415", "seed = 31415\nthreads = x", "threads"),
+    ("lab", "n_values = 8, 12", "n_values = 8, x", "n_values"),
+    ("transition", "trials = 120", "trials = inf", "trials"),
+    ("disk-spectrum", "oracle_spot_checks = 2", "oracle_spot_checks = -1",
+     "oracle_spot_checks"),
+    ("transition", "trials = 120", "trials = 120\ns_min = -1", "s_min"),
+    ("transition", "trials = 120", "trials = 120\ndeltas = -1", "deltas"),
+    ("disk-spectrum", "modes = 5", "modes = 1.7", "modes"),
+    ("disk-spectrum", "\na = 1.0", "\na = nan", "a"),
+    ("disk-spectrum", "modes = 5", "mode = 3", "mode"),
+    ("transition", "trials = 120", "trials = 120\ntrials = 130", "trials"),
+    ("lab", "seed = 4242", "seed = -5", "seed"),
 ], ids=["negative-prefix", "prefix-past-spectrum", "criteria-mu_max",
-        "transition-mu_max"])
-def test_bad_spectrum_inputs_are_config_errors(tmp_path, capsys, sub, old, new):
-    text = CRITERIA if sub == "criteria" else TRANSITION_SMALL
-    assert old in text
+        "transition-mu_max", "mu_max-not-a-number", "mu_max-complex",
+        "threads-not-a-number", "n_values-item-not-a-number", "trials-inf",
+        "negative-oracle_spot_checks", "negative-s_min",
+        "transition-negative-deltas", "modes-not-integral", "a-nan",
+        "misspelt-key", "repeated-key", "negative-seed"])
+def test_bad_spectrum_inputs_are_config_errors(tmp_path, capsys, sub, old, new,
+                                               key):
+    text = {"criteria": CRITERIA, "transition": TRANSITION_SMALL,
+            "lab": LAB_SMALL, "disk-spectrum": DISK_NEUMANN}[sub]
+    assert text.count(old) == 1
     cfg = write_config(tmp_path, text.replace(old, new))
     assert cli.main([sub, cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
 
 
 def test_transition_thread_invariance_bytes(tmp_path):
@@ -422,3 +448,103 @@ def test_golden_digests(tmp_path, sub):
     assert cli.main([sub, cfg, "--out", out]) == 0
     got = {name: sha(os.path.join(out, name)) for name in want}
     assert got == want
+
+
+# valid values that keep each run tiny; the fuzz test swaps some of them for
+# values at the edge of a key's range or outside its type or range
+FUZZ_VALID = {
+    "lab": {"lab": {
+        "n_values": "8", "green_pairs": "5", "contractions": "5",
+        "krein_triples": "5", "rank_pairs": "5", "injectivity_pairs": "5"}},
+    "disk-spectrum": {
+        "model": {"boundary": "circle", "a": "1.0", "b": "1.0"},
+        "distribution": {"kind": "pareto_imaginary", "a": "3.0",
+                         "s_min": "1.0"},
+        "disk": {"modes": "1", "window": "1.0, 6.0",
+                 "oracle_spot_checks": "0"}},
+    "weyl-fit": {"weylfit": {"lambda_lo": "10", "lambda_hi": "1e4",
+                             "boundaries": "circle, sphere"}},
+    "criteria": {"criteria": {"deltas": "0.1, 1", "mu_max": "100",
+                              "prefixes": "1, 2"}},
+    "transition": {"transition": {
+        "a_grid": "0.5, 3", "trials": "100", "m_modes": "1000",
+        "s_min": "1", "eps": "0.75, 0.1", "deltas": "0.1, 1",
+        "mu_max": "100", "boundaries": "circle, sphere"}},
+}
+FUZZ_EDGES = {
+    "seed": ["-5", "1e3", "18446744073709551617"], "threads": ["0", "2"],
+    "n_values": ["3", "4", "8, 12"], "modes": ["0", "201"],
+    "window": ["1, 100", "1, 100.5", "6, 1", "1", "0, 6"],
+    "oracle_spot_checks": ["1"], "boundary": ["sphere"],
+    "boundaries": ["sphere", "circle, square"], "lambda_lo": ["1e2"],
+    "mu_max": ["1", "0.99"], "prefixes": ["0", "20", "21"],
+    "trials": ["1e2", "99"], "m_modes": ["999"], "a_grid": ["0"],
+}
+FUZZ_INVALID = ["abc", "nan", "inf", "-inf", "-1", "1.7", "1j", "true", "",
+                "1, abc", "nan, 1"]
+
+
+def fuzz_case(sub, section=None, key=None, value=None):
+    sections = {**{name: dict(keys) for name, keys in FUZZ_VALID[sub].items()},
+                "run": {"seed": "1", "threads": "1"}}
+    if section is not None:
+        sections[section][key] = value
+    return sub, sections
+
+
+@st.composite
+def fuzz_configs(draw):
+    sub, sections = fuzz_case(draw(st.sampled_from(sorted(FUZZ_VALID))))
+    keys = [(name, key) for name in sections if name != "distribution"
+            for key in sections[name]]
+    # one key at an edge of its range (never two, so that no two edges
+    # multiply the run time), one or two keys with an invalid value, or a
+    # copy of one key under a name no subcommand reads
+    change = draw(st.sampled_from(["valid", "edge", "valid", "edge",
+                                   "invalid", "misspelt"]))
+    if change == "edge":
+        name, key = draw(st.sampled_from(
+            [(name, key) for name, key in keys if key in FUZZ_EDGES]))
+        sections[name][key] = draw(st.sampled_from(FUZZ_EDGES[key]))
+    elif change == "invalid":
+        for name, key in draw(st.lists(st.sampled_from(keys), min_size=1,
+                                       max_size=2)):
+            sections[name][key] = draw(st.sampled_from(FUZZ_INVALID))
+    elif change == "misspelt":
+        name, key = draw(st.sampled_from(keys))
+        sections[name][key[:-1] or key + "s"] = sections[name][key]
+    return sub, sections
+
+
+# modes = 200 costs seconds, so it runs once, here, and is not drawn
+@seed(20241019)
+@settings(max_examples=150, deadline=None, database=None)
+@example(fuzz_case("criteria", "criteria", "mu_max", "abc"))
+@example(fuzz_case("disk-spectrum", "disk", "modes", "200"))
+@example(fuzz_case("disk-spectrum", "disk", "modes", "201"))
+@example(fuzz_case("disk-spectrum", "disk", "window", "1, 100"))
+@example(fuzz_case("disk-spectrum", "disk", "window", "1, 100.5"))
+@given(fuzz_configs())
+def test_fuzzed_configs_exit_cleanly(config):
+    # every run returns an exit code and writes no traceback; a config
+    # error names itself as one; a successful run repeats byte for byte
+    sub, sections = config
+    parser = configparser.ConfigParser()
+    parser.read_dict(sections)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.ini")
+        with open(path, "w") as fh:
+            parser.write(fh)
+        files = []
+        for run in ("a", "b"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = cli.main([sub, path, "--out", os.path.join(tmp, run)])
+            assert rc in (0, 1, 2, 3), (rc, err.getvalue())
+            event(f"{sub}: exit {rc}")
+            assert rc != 1 or err.getvalue().startswith("config error: ")
+            if rc != 0:
+                break
+            manifest = json.load(open(os.path.join(tmp, run, "manifest.json")))
+            files.append(manifest["files"])
+        assert rc != 0 or files[0] == files[1]
