@@ -124,8 +124,7 @@ def run_disk_spectrum(cfg, p, out_dir, manifest) -> int:
                 continue
             oracle = disk_model.fd_oracle(mode, res.zeta, params,
                                           grid=2048, n_values=len(low))
-            rel = max(abs(a - b) / abs(a)
-                      for a, b in zip(low, oracle[:len(low)]))
+            rel = max(abs(a - b) / abs(a) for a, b in zip(low, oracle))
             spot.append({"mode": mode, "rel_disagreement": rel})
     files = {}
     _save(files, out_dir, "eigenvalues.csv", serialize.write_csv,

@@ -7,6 +7,7 @@ reproduce identical output checksums.
 import configparser
 import hashlib
 import io
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -19,14 +20,20 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_scalar(text):
-    """A [distribution] constructor argument, in the first type that fits."""
+def _parse_scalar(key, text):
+    """The [distribution] constructor argument `key`, in the first type that
+    fits; a NaN or infinite number is a ConfigError."""
     text = text.strip()
     for cast in (int, float, complex):
         try:
-            return cast(text)
+            value = cast(text)
         except ValueError:
             continue
+        if cast is not int and not (math.isfinite(value.real)
+                                    and math.isfinite(value.imag)):
+            raise ConfigError(f"[distribution] {key} must be finite, "
+                              f"got {text!r}")
+        return value
     if text.lower() in ("true", "false"):
         return text.lower() == "true"
     return text
@@ -224,7 +231,7 @@ def build_distribution(cfg: ExperimentConfig):
     """The [distribution] law: `kind` and its constructor arguments."""
     from randbc import impedance
 
-    params = {k: _parse_scalar(v)
+    params = {k: _parse_scalar(k, v)
               for k, v in cfg.sections.get("distribution", {}).items()}
     kind = params.pop("kind", None)
     if kind is None:

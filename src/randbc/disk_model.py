@@ -395,14 +395,20 @@ def _fd_char(params, m_nodes, zz, lam, edge, normalize=False):
 
 
 def _fd_fdf(params, mode, m_nodes, zz, lam):
-    """The raw FD characteristic function and its exact lam-derivative, from
-    one forward-mode shooting pass.  _fd_char is linear in the edge values
-    apart from its -i lam zz u_M term, so the derivative is _fd_char of the
-    edge derivatives minus i zz u_M."""
+    """The raw FD characteristic function divided by lam, as secular_value
+    is, and its exact lam-derivative, from one forward-mode shooting pass.
+
+    _fd_char is linear in the edge values apart from its -i lam zz u_M
+    term, so its derivative F' is _fd_char of the edge derivatives minus
+    i zz u_M; the quotient's is (F' lam - F) / lam^2.  Dividing removes the
+    zero of the raw function at lam = 0 (mode 0, where the static solution
+    is constant), which a continuation could otherwise land on.
+    """
     edge, d_edge = fd_radial_edge_dlam(params.dim, mode, lam,
                                        params.a * params.b, m_nodes)
-    return (_fd_char(params, m_nodes, zz, lam, edge),
-            _fd_char(params, m_nodes, zz, lam, d_edge) - 1j * zz * edge[1])
+    value = _fd_char(params, m_nodes, zz, lam, edge)
+    deriv = _fd_char(params, m_nodes, zz, lam, d_edge) - 1j * zz * edge[1]
+    return value / lam, (deriv * lam - value) / (lam * lam)
 
 
 # Shortest lam list that fd_radial_edge_batch evaluates faster than a loop
@@ -449,9 +455,18 @@ def fd_oracle(mode: int, zeta, params: MaterialParams, grid=1024,
     the Bessel route.
 
     The conservative radial scheme plus the ghost-node impedance row define a
-    discrete characteristic function whose zeros are the eigenvalues of the
-    banded FD pencil; they are located by the same bracket/continuation
-    strategy and Richardson-extrapolated across grids (grid/2, grid).
+    discrete characteristic function (divided by lam, as secular_value is)
+    whose zeros are the eigenvalues of the banded FD pencil.  On the coarse
+    grid (grid // 2 nodes) they are bracketed on the real axis at the
+    imaginary part of zeta and continued in Re zeta, as the secular solver
+    does; the lowest n_values in the window are kept.  Each is then polished
+    once on the fine grid (grid nodes) at zeta, and the pair is
+    Richardson-extrapolated, (4 fine - coarse) / 3.
+
+    Raises ConvergenceError when the continuation stalls, fewer than
+    n_values roots stay in the window, a fine polish fails, a fine root
+    lies more than a quarter of the root spacing pi / sqrt(ab) from its
+    coarse root (the two differ by O(h^2)), or two fine roots coincide.
     """
     if grid < 1000:
         raise DiskModelError("grid must be >= 1e3")
@@ -460,33 +475,48 @@ def fd_oracle(mode: int, zeta, params: MaterialParams, grid=1024,
     if window is None:
         window = (0.2 * spacing, (mode + 16.0) / params.wave_factor)
     lo, hi = window
+    tol = 1e-8 * max(1.0, hi)
 
-    per_grid = []
-    for m_nodes in (grid // 2, grid):
-        f, fdf, f_grid = _fd_scan_functions(mode, complex(0.0, zeta.imag),
-                                            params, m_nodes)
-        seed_res = find_real_roots(f, (lo, hi), min_spacing=spacing,
-                                   f_grid=f_grid, fdf=fdf)
-        seeds = seed_res.roots
-        if abs(zeta.real) <= ACCRETIVE_TOL:
-            roots = [complex(r) for r in seeds]
-        else:
-            roots, failures = _continue_in_re_zeta(
-                lambda zz, lam: _fd_fdf(params, mode, m_nodes, zz, lam),
-                zeta, seeds, step_cap=0.5 * spacing)
-            if failures:
-                raise ConvergenceError(
-                    f"FD continuation failed for mode {mode}, zeta {zeta}: "
-                    f"{failures}")
-        roots = [r for r in roots if lo <= r.real <= hi]
-        roots = _dedupe(roots, 1e-8 * max(1.0, hi))
-        roots = sorted(roots, key=lambda z: z.real)[:n_values]
-        per_grid.append(roots)
-    coarse, fine = per_grid
-    if len(coarse) != len(fine):
+    coarse_nodes = grid // 2
+    f, fdf, f_grid = _fd_scan_functions(mode, complex(0.0, zeta.imag),
+                                        params, coarse_nodes)
+    seeds = find_real_roots(f, (lo, hi), min_spacing=spacing,
+                            f_grid=f_grid, fdf=fdf).roots
+    if abs(zeta.real) <= ACCRETIVE_TOL:
+        coarse = [complex(r) for r in seeds]
+    else:
+        coarse, failures = _continue_in_re_zeta(
+            lambda zz, lam: _fd_fdf(params, mode, coarse_nodes, zz, lam),
+            zeta, seeds, step_cap=0.5 * spacing)
+        if failures:
+            raise ConvergenceError(
+                f"FD continuation failed for mode {mode}, zeta {zeta}: "
+                f"{failures}")
+    coarse = _dedupe([r for r in coarse if lo <= r.real <= hi], tol)
+    coarse = sorted(coarse, key=lambda z: z.real)[:n_values]
+    if len(coarse) < n_values:
         raise ConvergenceError(
-            f"FD root counts differ across grids: {len(coarse)} vs {len(fine)}")
-    return [(4.0 * f - c) / 3.0 for c, f in zip(coarse, fine)]
+            f"FD oracle for mode {mode}, zeta {zeta} kept {len(coarse)} "
+            f"roots in the window {window}, not {n_values}")
+
+    fine = []
+    for c in coarse:
+        pol = complex_root_polish(
+            lambda lam: _fd_fdf(params, mode, grid, zeta, lam), c)
+        if not pol.converged:
+            raise ConvergenceError(
+                f"FD fine-grid polish from {c:.6g} did not converge for "
+                f"mode {mode}, zeta {zeta}")
+        if abs(pol.root - c) > 0.25 * spacing:
+            raise ConvergenceError(
+                f"FD fine-grid root {pol.root:.6g} moved from its coarse "
+                f"root {c:.6g} by more than a quarter spacing")
+        fine.append(pol.root)
+    if len(_dedupe(fine, tol)) != len(fine):
+        raise ConvergenceError(
+            f"FD fine-grid roots coincide for mode {mode}, zeta {zeta}: "
+            f"{fine}")
+    return [(4.0 * r - c) / 3.0 for c, r in zip(coarse, fine)]
 
 
 def contraction_route_residual(mode: int, zeta, lam,

@@ -227,12 +227,17 @@ def test_transition_empty_grid_rejected(tmp_path):
     ("disk-spectrum", "modes = 5", "mode = 3", "mode"),
     ("transition", "trials = 120", "trials = 120\ntrials = 130", "trials"),
     ("lab", "seed = 4242", "seed = -5", "seed"),
+    ("criteria", "prefixes = 10, 100, 1000",
+     "prefixes = 10, 100, 1000\n[distribution]\nkind = pareto_imaginary\n"
+     "a = nan", "[distribution] a"),
+    ("disk-spectrum", "z0 = 0", "z0 = nan", "[distribution] z0"),
 ], ids=["negative-prefix", "prefix-past-spectrum", "criteria-mu_max",
         "transition-mu_max", "mu_max-not-a-number", "mu_max-complex",
         "threads-not-a-number", "n_values-item-not-a-number", "trials-inf",
         "negative-oracle_spot_checks", "negative-s_min",
         "transition-negative-deltas", "modes-not-integral", "a-nan",
-        "misspelt-key", "repeated-key", "negative-seed"])
+        "misspelt-key", "repeated-key", "negative-seed",
+        "distribution-a-nan", "distribution-z0-nan"])
 def test_bad_spectrum_inputs_are_config_errors(tmp_path, capsys, sub, old, new,
                                                key):
     text = {"criteria": CRITERIA, "transition": TRANSITION_SMALL,

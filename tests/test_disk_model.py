@@ -1,12 +1,13 @@
 """Disk/ball model: NtD samples, secular equation, eigenvalue solves, FD oracle."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from randbc import disk_model as dm
 from randbc.disk_model import MaterialParams
-from randbc.specfun import find_real_roots
+from randbc.specfun import PolishResult, find_real_roots
 
 J0_ZEROS = (2.4048255576957728, 5.5200781102863106)
 J0P_ZEROS = (3.8317059702075123, 7.0155866698156188)
@@ -176,6 +177,49 @@ def test_fd_oracle_grid_guard():
         dm.fd_oracle(0, 0.0, UNIT, grid=512)
 
 
+def test_fd_oracle_skips_the_static_zero_at_lam_zero():
+    # The raw FD function of mode 0 vanishes at lam = 0 (constant static
+    # solution); divided by lam it does not, so this root's continuation
+    # reaches the root the secular solver reports instead of lam ~ 0.
+    zeta, window = 0.4836 + 0.0670j, (0.2, 12.5)
+    fd = dm.fd_oracle(0, zeta, BALL, window=window)
+    assert len(fd) == 3
+    assert min(abs(f - (0.32830 - 1.68657j)) for f in fd) <= 1e-5
+    sec = dm.solve_mode_eigenvalues(0, zeta, BALL, window).eigenvalues[:3]
+    for s, f in zip(sec, fd):
+        assert abs(s - f) / abs(s) <= 1e-4
+
+
+def test_fd_oracle_short_root_list_is_an_error():
+    # two Neumann roots of mode 0 lie in (1, 10)
+    assert len(dm.fd_oracle(0, 0.0, UNIT, window=(1.0, 10.0),
+                            n_values=2)) == 2
+    with pytest.raises(dm.ConvergenceError, match="kept 2 roots"):
+        dm.fd_oracle(0, 0.0, UNIT, window=(1.0, 10.0), n_values=3)
+
+
+@pytest.mark.parametrize("name,fake,message", [
+    ("complex_root_polish",
+     lambda fdf, seed: PolishResult(seed, False, 1.0, 100),
+     "did not converge"),
+    ("complex_root_polish",
+     lambda fdf, seed: PolishResult(seed + 0.26 * math.pi, True, 0.0, 1),
+     "quarter spacing"),
+    # a spurious bracket next to a genuine one: both coarse roots polish to
+    # the one fine-grid Neumann root
+    ("find_real_roots",
+     lambda *args, **kwargs: SimpleNamespace(
+         roots=[J0P_ZEROS[0], J0P_ZEROS[0] + 1e-3]),
+     "coincide"),
+], ids=["not-converged", "moved-too-far", "coincident"])
+def test_fd_oracle_fine_root_checks(monkeypatch, name, fake, message):
+    # zeta = 0 has no continuation: complex_root_polish runs only for the
+    # fine-grid roots, seeded from the coarse ones
+    monkeypatch.setattr(dm, name, fake)
+    with pytest.raises(dm.ConvergenceError, match=message):
+        dm.fd_oracle(0, 0.0, UNIT, window=(1.0, 10.0), n_values=2)
+
+
 def test_cayley_endpoint_values():
     from randbc.impedance import cayley_zeta_to_xi
 
@@ -315,10 +359,12 @@ def test_fd_grid_scan_batched_equals_pointwise():
         assert batched.n_evals == pointwise.n_evals
 
 
-# float.hex of (Re, Im) of each eigenvalue, from the commit before the exact
+# float.hex of (Re, Im) of each eigenvalue.  SOLVE_PINS: solve_mode_eigenvalues
+# on window (0.5, 12) with a = 1.3, b = 0.8, from the commit before the exact
 # derivatives and the Newton refiner, whose bisection-plus-polish roots these
-# pin: solve_mode_eigenvalues on window (0.5, 12) with a = 1.3, b = 0.8, and
-# fd_oracle on the unit disk and ball with its default grid and window.
+# pin.  FD_PINS: fd_oracle on the unit disk and ball with its default grid
+# and window, from the oracle that continues on the coarse grid only and
+# polishes each fine-grid root once.
 SOLVE_PINS = (
     ('circle', 2.5j, 0, (
         ('0x1.04d8f31199263p+1', '0x0.0p+0'),
@@ -362,14 +408,14 @@ SOLVE_PINS = (
 )
 FD_PINS = (
     (2, 2, (1.5+0.5j), (
-        ('0x1.3990c93b688c8p+2', '-0x1.56ad7fd96eb54p-1'),
-        ('0x1.04e2963c36d81p+3', '-0x1.5412f2f34a99fp-1'),
-        ('0x1.6b0a0753fc204p+3', '-0x1.51825f308aebdp-1'),
+        ('0x1.3990c93b734fdp+2', '-0x1.56ad7fd95494bp-1'),
+        ('0x1.04e2963c4a665p+3', '-0x1.5412f2ee227bbp-1'),
+        ('0x1.6b0a075404314p+3', '-0x1.51825f2edad6dp-1'),
     )),
     (3, 1, (0.7+1.1j), (
-        ('0x1.e381bc6e464d9p+1', '-0x1.a57529d8d1749p-2'),
-        ('0x1.c2f48bcdc553cp+2', '-0x1.5bf4bf831880bp-2'),
-        ('0x1.47af29964893ep+3', '-0x1.483fe16b9423bp-2'),
+        ('0x1.e381bc6e77e0fp+1', '-0x1.a57529d852938p-2'),
+        ('0x1.c2f48bcdc2df3p+2', '-0x1.5bf4bf825e35dp-2'),
+        ('0x1.47af2995e500cp+3', '-0x1.483fe164be0f7p-2'),
     )),
 )
 
@@ -382,9 +428,10 @@ def test_refiner_golden_pins():
     # Root refinement may move eigenvalue bits in the last places only.  The
     # secular roots hold 1e-12 relative.  The FD oracle's are held to 1e-11:
     # complex_root_polish stops at |f| <= 1e-10 |f'| |lam|, and the pinned
-    # FD roots sit up to 1.5e-11 (relative) from the discrete roots they
-    # approximate, so any change of the Newton iterates moves them by more
-    # than the secular roots move (1.45e-12 measured for mode 2).
+    # FD roots sit up to 8.1e-11 (relative) from the tightly polished
+    # discrete Richardson roots they approximate, so any change of the
+    # Newton iterates moves them by more than the secular roots move
+    # (1.45e-12 measured for mode 2).
     for boundary, zeta, mode, pins in SOLVE_PINS:
         params = MaterialParams(a=1.3, b=0.8, dim=2 if boundary == "circle"
                                 else 3)
