@@ -25,10 +25,24 @@ class SeededStream:
     seed: int
     stream: int = 0
 
+    def key(self) -> np.ndarray:
+        """The 128-bit Philox key of this stream."""
+        return np.array([self.seed % 2**64, self.stream % 2**64],
+                        dtype=np.uint64)
+
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed % 2**64, self.stream % 2**64],
-                       dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=self.key()))
+
+    def rekey(self, bitgen: np.random.Philox) -> None:
+        """Reset `bitgen` to the state generator()'s Philox starts in.
+
+        Cheaper than a new Philox, whose constructor draws OS entropy
+        before the key replaces it; for loops over many streams."""
+        bitgen.state = {"bit_generator": "Philox",
+                        "state": {"counter": np.zeros(4, np.uint64),
+                                  "key": self.key()},
+                        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                        "has_uint32": 0, "uinteger": 0}
 
     def child(self, index: int) -> "SeededStream":
         mixed = (self.stream * _STREAM_STRIDE + index + 1) % 2**64

@@ -434,14 +434,64 @@ class TransitionEntry:
         raise KeyError((eps, truncation))
 
 
-def _window_records(u, starts):
-    """Positions of the running-max records of u inside each window
-    [starts[w], starts[w + 1]), ties kept, and where each window begins in
-    that list (a window's first element is always a record)."""
-    keep = np.concatenate([seg == np.maximum.accumulate(seg)
-                           for seg in np.split(u, starts[1:])])
-    idx = np.flatnonzero(keep)
-    return idx, np.searchsorted(idx, starts)
+# uniforms (float64) per block of Monte Carlo trials: 512 KiB, whatever
+# m_modes is
+_BLOCK_UNIFORMS = 2**16
+# columns per block of the records screen; about sqrt of a window's length at
+# the example's 10,000 modes
+_SCREEN_COLUMNS = 50
+
+
+def _window_records(u, starts, width=_SCREEN_COLUMNS):
+    """The running-max records of each row of u inside each window
+    [starts[w], starts[w + 1]) (the last window ends with the row), ties
+    kept: (rows, cols) sorted by row, then column, and where each (row,
+    window) begins in that list (a window's first element is a record).
+
+    Each window is cut into column blocks of `width`; only a block whose
+    max reaches the max of the window's earlier blocks can hold a record,
+    and only those blocks are scanned."""
+    n = u.shape[1]
+    edges = [*starts, n]
+    blocks = [np.arange(a, b, width) for a, b in zip(edges, edges[1:])]
+    first = np.concatenate(blocks)
+    size = np.diff(first, append=n)
+    block_max = np.maximum.reduceat(u, first, axis=1)
+    # the max of the window's earlier blocks, -inf before its first
+    before = np.full_like(block_max, -np.inf)
+    j = 0
+    for b in blocks:
+        np.maximum.accumulate(block_max[:, j:j + len(b) - 1], axis=1,
+                              out=before[:, j + 1:j + len(b)])
+        j += len(b)
+    rows, cand = np.nonzero(block_max >= before)
+    # the candidate blocks' flat positions in u, one block per column and
+    # padded past its end to `width` rows
+    step = np.arange(width)[:, None]
+    pos = np.minimum(rows * n + first[cand] + step, u.size - 1)
+    vals = u.ravel()[pos]
+    is_record = ((step < size[cand]) & (vals >= before[rows, cand])
+                 & (vals == np.maximum.accumulate(vals)))
+    # transposed, the records come out sorted by position
+    pos = pos.T[is_record.T]
+    window_first = (np.arange(len(u))[:, None] * n + starts).ravel()
+    return *np.divmod(pos, n), np.searchsorted(pos, window_first)
+
+
+def _draw_uniforms(stream, t0, t1, lo, m_modes):
+    """Row t - t0 is stream.child(t).generator().random(m_modes)[lo:], for
+    t in [t0, t1), drawn by one Philox re-keyed for each trial; its counter
+    skips the first lo uniforms."""
+    u = np.empty((t1 - t0, m_modes - lo))
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
+    for row, t in enumerate(range(t0, t1)):
+        stream.child(t).rekey(bitgen)
+        # one counter step gives 4 uint64, so 4 uniforms
+        bitgen.advance(lo // 4)
+        rng.random(lo % 4)
+        rng.random(out=u[row])
+    return u
 
 
 def monte_carlo_transition(dists, model: str, trials: int, m_modes: int,
@@ -459,6 +509,14 @@ def monte_carlo_transition(dists, model: str, trials: int, m_modes: int,
     by the trial index, and every distribution maps that same draw to |zeta|
     through its abs_quantile, so the result is byte-identical for any thread
     count and equals sampling each distribution from the trial's stream.
+    Only the uniforms from mode M/8 on are drawn: the Philox counter skips
+    the others.
+
+    Trials run in blocks of max(1, 2**16 // (m_modes - M/8)) (7 at the
+    example's 10,000 modes): one (block, m_modes - M/8) float64 buffer of
+    at most 512 KiB, unless one trial needs more, one Philox re-keyed for
+    each trial, one records screen and one abs_quantile call per law.  The
+    blocks depend on the trial index only; `threads` workers share them out.
 
     Only the running-max records of each window's uniforms are mapped: in a
     window mu_j is nondecreasing, so when abs_quantile is nondecreasing in u
@@ -485,23 +543,26 @@ def monte_carlo_transition(dists, model: str, trials: int, m_modes: int,
     starts = [mt // 2 - lo for mt in truncations]
     sqrt_mu = np.sqrt(spectrum_by_mode_count(model, m_modes)[lo:])
     stats = np.empty((len(dists), len(truncations), trials))
+    block = max(1, _BLOCK_UNIFORMS // (m_modes - lo))
 
-    def run_trial(t):
-        u = stream.child(t).generator().random(m_modes)[lo:]
-        idx, offsets = _window_records(u, starts)
-        u, root = u[idx], sqrt_mu[idx]
+    def run_block(t0):
+        u = _draw_uniforms(stream, t0, min(t0 + block, trials), lo, m_modes)
+        rows, cols, offsets = _window_records(u, starts)
+        u, root = u[rows, cols], sqrt_mu[cols]
         for i, (_, dist) in enumerate(dists):
             ratio = dist.abs_quantile(u) / root
-            stats[i, :, t] = np.maximum.reduceat(ratio, offsets)
+            stats[i, :, t0:t0 + block] = np.maximum.reduceat(
+                ratio, offsets).reshape(-1, len(starts)).T
 
+    blocks = range(0, trials, block)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_trial, range(trials)))
+            list(pool.map(run_block, blocks))
     else:
-        for t in range(trials):
-            run_trial(t)
+        for t0 in blocks:
+            run_block(t0)
     entries = []
     for (label, _), law_stats in zip(dists, stats):
         cells = [TransitionCell(eps=eps, truncation=mt,

@@ -266,8 +266,9 @@ def test_monte_carlo_transition_circle_spec_example():
 
 
 def test_transition_thread_count_invariance():
+    # 10,000 modes: 7-trial blocks, so the 4 threads share out 10 blocks
     kwargs = dict(dists=[("a=2", imp.ParetoImag(2.0))], model="circle",
-                  trials=64, m_modes=1024,
+                  trials=64, m_modes=10_000,
                   stream=imp.SeededStream(99, 3), eps_grid=(0.75, 0.1))
     one = weyl.monte_carlo_transition(threads=1, **kwargs)
     four = weyl.monte_carlo_transition(threads=4, **kwargs)
@@ -321,37 +322,82 @@ def test_transition_equals_per_law_sampling():
 
 
 @pytest.mark.parametrize("model", ["circle", "sphere"])
-@pytest.mark.parametrize("m_modes", [8, 37, 400])
+@pytest.mark.parametrize("m_modes", [8, 37, 400, 10_000])
 def test_window_records_max_equals_brute_force(model, m_modes):
-    # the records screen against the full-window maximum, bit for bit, on
-    # uniforms with many exact ties and on the spectra's equal-mu runs
-    # (circle multiplicity 2, sphere 2l + 1)
+    # the blocked records screen against the full-window maximum, bit for
+    # bit, on uniforms with many exact ties and on the spectra's equal-mu
+    # runs (circle multiplicity 2, sphere 2l + 1); one draw per trial row,
+    # column blocks that do not divide the windows
     truncations = [m_modes // 4, m_modes // 2, m_modes]
     lo = truncations[0] // 2
     starts = [mt // 2 - lo for mt in truncations]
     sqrt_mu = np.sqrt(weyl.spectrum_by_mode_count(model, m_modes)[lo:])
     n = m_modes - lo
     rng = np.random.default_rng(5)
-    draws = [rng.integers(0, 4, n) / 4.0,          # four values, many ties
-             rng.integers(0, 2, n) * 0.5 + 0.25,   # two values
-             np.full(n, 0.5),                      # all tied
-             np.linspace(0.0, 0.999, n),           # every mode a record
-             np.linspace(0.999, 0.0, n),           # one record per window
-             np.repeat(rng.random(n // 3 + 1), 3)[:n],
-             rng.random(n)]
+    u = np.array([rng.integers(0, 4, n) / 4.0,          # four values, ties
+                  rng.integers(0, 2, n) * 0.5 + 0.25,   # two values
+                  np.full(n, 0.5),                      # all tied
+                  np.linspace(0.0, 0.999, n),           # every mode a record
+                  np.linspace(0.999, 0.0, n),           # one per window
+                  np.repeat(rng.random(n // 3 + 1), 3)[:n],
+                  rng.random(n)])
+    # the one-row screen it replaces: every running max of each window
+    want = np.concatenate([seg == np.maximum.accumulate(seg, axis=1)
+                           for seg in np.split(u, starts[1:], axis=1)],
+                          axis=1)
     laws = [imp.ParetoImag(a, 1.0) for a in (0.5, 2.0)]
     laws += [imp.BoundedCustom([0.0, 2.0, 50.0], [0.0, 0.5, 1.0]),
              imp.BoundedCustom([0.0, 1.0, 2.0, 3.0, 9.0],
                                [0.0, 0.25, 0.25, 0.5, 1.0])]
-    for u in draws:
-        idx, offsets = weyl._window_records(u, starts)
-        assert (np.diff(offsets) > 0).all() and offsets[0] == 0
+    for width in (1, 13, 50):
+        rows, cols, offsets = weyl._window_records(u, starts, width)
+        want_rows, want_cols = np.nonzero(want)
+        assert rows.tolist() == want_rows.tolist(), width
+        assert cols.tolist() == want_cols.tolist(), width
+        assert len(offsets) == len(u) * len(starts) and offsets[0] == 0
+        assert (np.diff(offsets) > 0).all()
         for dist in laws:
             brute = np.maximum.reduceat(dist.abs_quantile(u) / sqrt_mu,
-                                        starts)
+                                        starts, axis=1)
             screened = np.maximum.reduceat(
-                dist.abs_quantile(u[idx]) / sqrt_mu[idx], offsets)
-            assert screened.tobytes() == brute.tobytes(), dist.label()
+                dist.abs_quantile(u[rows, cols]) / sqrt_mu[cols], offsets)
+            assert screened.tobytes() == brute.tobytes(), (width,
+                                                           dist.label())
+
+
+@pytest.mark.parametrize("trials", [1, 7, 8, 15])
+@pytest.mark.parametrize("m_modes", [8, 16, 24, 32])
+def test_blocked_draw_equals_trial_generator(monkeypatch, m_modes, trials):
+    # the Monte Carlo draws its trials in blocks, from one Philox re-keyed
+    # per trial whose counter skips the first lo uniforms (lo % 4 = 1, 2,
+    # 3, 0 here); 7-trial blocks leave a short last block for 8 and 15
+    lo = m_modes // 4 // 2
+    stream = imp.SeededStream(4, 9)
+    kwargs = dict(dists=[("a=2", imp.ParetoImag(2.0)),
+                         ("a=0.5", imp.ParetoImag(0.5))],
+                  model="circle", trials=trials, m_modes=m_modes,
+                  stream=stream)
+    # every trial in one block
+    one_block = weyl.monte_carlo_transition(**kwargs)
+    monkeypatch.setattr(weyl, "_BLOCK_UNIFORMS", 7 * (m_modes - lo))
+    drawn = {}
+    draw = weyl._draw_uniforms
+
+    def spy(parent, t0, t1, *rest):
+        u = draw(parent, t0, t1, *rest)
+        drawn.update((t0 + row, u[row].copy()) for row in range(len(u)))
+        assert t1 - t0 == min(7, trials - t0)
+        return u
+
+    monkeypatch.setattr(weyl, "_draw_uniforms", spy)
+    for threads in (1, 3):
+        drawn.clear()
+        got = weyl.monte_carlo_transition(threads=threads, **kwargs)
+        assert got == one_block, threads
+        assert sorted(drawn) == list(range(trials))
+        for t, row in drawn.items():
+            want = stream.child(t).generator().random(m_modes)[lo:]
+            assert row.tobytes() == want.tobytes(), (t, threads)
 
 
 def test_sample_goes_through_abs_quantile():
