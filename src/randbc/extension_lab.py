@@ -104,17 +104,19 @@ def build_discrete_triple(n, h=0.1, potential=None) -> TripleModel:
 
 
 def green_form(model: TripleModel, f, g):
-    """(A*f|g) - (f|A*g) and its boundary-side counterpart."""
+    """(A*f|g) - (f|A*g) and its boundary-side counterpart; stacks of f and
+    g (vectors along the last axis, broadcast) give arrays."""
     gm = model.metric
-    lhs = np.vdot(gm @ g, model.astar @ f) - np.vdot(gm @ (model.astar @ g), f)
-    rhs = (np.vdot(model.gamma0 @ g, model.gamma1 @ f)
-           - np.vdot(model.gamma1 @ g, model.gamma0 @ f))
-    return lhs, rhs
+    lhs = (_dot(_matvec(gm, g), _matvec(model.astar, f))
+           - _dot(_matvec(gm, _matvec(model.astar, g)), f))
+    rhs = (_dot(_matvec(model.gamma0, g), _matvec(model.gamma1, f))
+           - _dot(_matvec(model.gamma1, g), _matvec(model.gamma0, f)))
+    return _item(lhs), _item(rhs)
 
 
 def green_residual(model: TripleModel, f, g) -> float:
     lhs, rhs = green_form(model, f, g)
-    return abs(lhs - rhs)
+    return _item(_abs(lhs - rhs))
 
 
 def boundary_map_rank(model: TripleModel) -> int:
@@ -123,55 +125,81 @@ def boundary_map_rank(model: TripleModel) -> int:
     return int(np.sum(s > RANK_REL_TOL * s[0]))
 
 
+def _item(a):
+    """A 0-d result as a Python scalar; a stacked result unchanged."""
+    return a.item() if a.ndim == 0 else a
+
+
 def _svd_rank(s, shape):
-    """Rank from the singular values s of a matrix of the given shape:
-    values up to eps * max(shape) * sigma_max count as zero."""
-    return int(np.sum(s > np.finfo(float).eps * max(shape)
-                      * (s[0] if s.size else 0.0)))
+    """Rank from the singular values s (last axis) of a matrix of the given
+    shape, or of a stack of them: values up to eps * max(shape) * sigma_max
+    count as zero."""
+    top = s[..., :1] if s.shape[-1] else 0.0
+    return np.sum(s > np.finfo(float).eps * max(shape) * top, axis=-1)
 
 
 def null_space(mat):
-    """Orthonormal basis of ker mat (columns), from a full SVD."""
+    """Orthonormal basis of ker mat (columns), from a full SVD; for a stack
+    of matrices whose kernels have one dimension, the stack of bases."""
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    return vh[_svd_rank(s, mat.shape):].conj().T
+    rank = np.ravel(_svd_rank(s, mat.shape[-2:]))
+    if np.any(rank != rank[0]):
+        raise LabError(f"kernel dimensions differ across the stack: "
+                       f"{mat.shape[-1] - rank}")
+    return _adjoint(vh[..., rank[0]:, :])
 
 
 def symmetric_core_residual(model: TripleModel) -> float:
     """Max |(A*f|g)-(f|A*g)| over a basis of ker Gamma0 ∩ ker Gamma1."""
     stacked = np.vstack([model.gamma0, model.gamma1])
-    core = null_space(stacked)
-    worst = 0.0
-    for i in range(core.shape[1]):
-        for j in range(core.shape[1]):
-            lhs, _ = green_form(model, core[:, i], core[:, j])
-            worst = max(worst, abs(lhs))
-    return worst
+    core = null_space(stacked).T
+    lhs, _ = green_form(model, core[:, None], core[None, :])
+    return max([0.0, *_abs(lhs).ravel().tolist()])
 
 
 @dataclass
 class ContractionOp:
-    """Square complex matrix with operator norm <= 1."""
+    """Square complex matrix with operator norm <= 1, or a stack of them
+    along leading axes; the properties of a stack are arrays over it."""
     k: np.ndarray
 
     def __post_init__(self):
         self.k = np.asarray(self.k, dtype=complex)
-        if self.k.ndim != 2 or self.k.shape[0] != self.k.shape[1]:
+        if self.k.ndim < 2 or self.k.shape[-1] != self.k.shape[-2]:
             raise LabError("contraction parameter must be square")
-        if self.norm > 1.0 + CONTRACTION_TOL:
-            raise LabError(f"||K|| = {self.norm:.15g} exceeds 1")
+        norms = np.ravel(self.norm)
+        bad = np.flatnonzero(norms > 1.0 + CONTRACTION_TOL)
+        if bad.size:
+            raise LabError(f"||K|| = {norms[bad[0]]:.15g} exceeds 1")
 
     @property
     def m(self):
-        return self.k.shape[0]
+        return self.k.shape[-1]
 
     @property
     def norm(self):
-        return float(np.linalg.svd(self.k, compute_uv=False)[0])
+        return _item(np.linalg.svd(self.k, compute_uv=False)[..., 0])
+
+    @property
+    def unitary_defect(self):
+        """||K* K - I||."""
+        defect = _adjoint(self.k) @ self.k - np.eye(self.m)
+        return _item(np.linalg.norm(defect, 2, axis=(-2, -1)))
 
     @property
     def is_unitary(self):
-        defect = self.k.conj().T @ self.k - np.eye(self.m)
-        return bool(np.linalg.norm(defect, 2) <= UNITARY_TOL)
+        return _item(np.asarray(self.unitary_defect) <= UNITARY_TOL)
+
+
+def _adjoint(a):
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
+
+
+def _resolvent(t, z):
+    """(t - z)^-1, broadcast over a stack of matrices t and an array of z."""
+    z = np.asarray(z, dtype=complex)[..., None, None]
+    return np.linalg.inv(t - z * np.eye(t.shape[-1]))
 
 
 @dataclass
@@ -182,7 +210,7 @@ class ExtensionOp:
     interior coordinates: column j has f_j = 1 at interior node j, zero at
     the other interior nodes, and the boundary values the condition slaves
     to it.  t is the matrix of the extension in that basis, acting on
-    interior vectors.
+    interior vectors.  A stack carries its leading axes on basis and t.
     """
     model: TripleModel
     contraction: ContractionOp
@@ -194,19 +222,18 @@ class ExtensionOp:
         return np.linalg.eigvals(self.t)
 
     def resolvent(self, z):
-        """(T - z)^-1 in interior coordinates; for an array of z, the stack
-        of (T - z_i)^-1 along its last two axes."""
-        return np.linalg.inv(
-            self.t - np.multiply.outer(z, np.eye(self.model.n)))
+        """(T - z)^-1 in interior coordinates, broadcast over the stack of T
+        and an array of z: one z for every T, or one z per T."""
+        return _resolvent(self.t, z)
 
     def boundary_condition_residual(self):
-        c = _constraint_matrix(self.model, self.contraction, self.weight)
-        return float(np.linalg.norm(c @ self.basis, 2))
+        c = _constraint_matrix(self.model, self.contraction.k, self.weight)
+        return _item(np.linalg.norm(c @ self.basis, 2, axis=(-2, -1)))
 
 
-def _constraint_matrix(model, contraction, weight):
-    k = contraction.k
-    eye = np.eye(contraction.m)
+def _constraint_matrix(model, k, weight):
+    """C = (K+I)W^-1 Gamma0 + i(K-I)W* Gamma1 for K or a stack of K."""
+    eye = np.eye(k.shape[-1])
     w_inv = np.linalg.inv(weight)
     w_adj = weight.conj().T
     return (k + eye) @ w_inv @ model.gamma0 + 1j * (k - eye) @ w_adj @ model.gamma1
@@ -219,27 +246,33 @@ def extension_from_contraction(model: TripleModel, contraction: ContractionOp,
     C f = C_b f_boundary + C_i f_interior with C_b the 2x2 block of the
     boundary nodes 0 and n+1, so the domain is
     f_boundary = -C_b^-1 C_i f_interior.
+
+    A stack of contractions gives the stack of extensions, each from the
+    same LAPACK and BLAS calls as its own single call; the first item that
+    fails a check raises.
     """
     if weight is None:
         weight = np.eye(contraction.m, dtype=complex)
     weight = np.asarray(weight, dtype=complex)
-    c = _constraint_matrix(model, contraction, weight)
+    c = _constraint_matrix(model, contraction.k, weight)
     n, big_n = model.n, model.total_dim
     s = np.linalg.svd(c, compute_uv=False)
-    rank = _svd_rank(s, c.shape)
-    if rank != model.boundary_dim:
+    rank = np.ravel(_svd_rank(s, c.shape[-2:]))
+    bad = np.flatnonzero(rank != model.boundary_dim)
+    if bad.size:
         raise ConstraintKernelError(
-            f"constraint kernel dimension {big_n - rank} != N-m = "
+            f"constraint kernel dimension {big_n - rank[bad[0]]} != N-m = "
             f"{big_n - model.boundary_dim}")
     ends = [0, n + 1]
-    c_b = c[:, ends]
-    if np.linalg.svd(c_b, compute_uv=False)[-1] <= SLAVING_REL_TOL * s[0]:
+    c_b = c[..., ends]
+    if np.any(np.linalg.svd(c_b, compute_uv=False)[..., -1]
+              <= SLAVING_REL_TOL * s[..., 0]):
         raise DegenerateRepresentationError(
             "boundary slaving singular: interior components of the domain "
             "do not determine it")
-    basis = np.zeros((big_n, n), dtype=complex)
-    basis[1:n + 1] = np.eye(n)
-    basis[ends] = -np.linalg.solve(c_b, c[:, 1:n + 1])
+    basis = np.zeros(c.shape[:-2] + (big_n, n), dtype=complex)
+    basis[..., 1:n + 1, :] = np.eye(n)
+    basis[..., ends, :] = -np.linalg.solve(c_b, c[..., 1:n + 1])
     t = model.astar[1:n + 1] @ basis
     return ExtensionOp(model=model, contraction=contraction, weight=weight,
                        basis=basis, t=t)
@@ -310,9 +343,27 @@ def weyl_function(model: TripleModel, z, weight=None, _defect=None) -> WeylSampl
 
 
 def _gamma1_interior(model, v):
-    full = np.zeros(model.total_dim, dtype=complex)
-    full[1:model.n + 1] = v
-    return model.gamma1 @ full
+    """Gamma1 of the interior vector v (last axis), zero at both ends."""
+    full = np.zeros(v.shape[:-1] + (model.total_dim,), dtype=complex)
+    full[..., 1:model.n + 1] = v
+    return _matvec(model.gamma1, full)
+
+
+def _matvec(a, v):
+    """a @ v for a matrix or stack a and a vector or stack v (last axis)."""
+    return (a @ v[..., None])[..., 0]
+
+
+def _dot(a, b):
+    """vdot(a, b) over the last axis, broadcast over stacks of vectors; the
+    BLAS dot of conj(a) with b rounds as vdot does."""
+    return (a.conj()[..., None, :] @ b[..., None])[..., 0, 0]
+
+
+def _abs(x):
+    """|x| elementwise by hypot, which rounds as abs of one complex scalar
+    does; numpy's vectorized complex abs can differ from it in the last bit."""
+    return np.hypot(x.real, x.imag)
 
 
 @functools.lru_cache(maxsize=None)
@@ -331,39 +382,47 @@ def krein_residual(model: TripleModel, contraction: ContractionOp, z,
     Left side: ((R0 - RK) psi | phi) with R0 the Gamma0-reference resolvent.
     Right side: ([E0 + E1 M(z)]^-1 E1 Gamma1 R0(z) psi | Gamma1 R0(conj z) phi)
     with E0 = K+I, E1 = i(K-I).
+
+    A stack of contractions with one z, or with one z per contraction, gives
+    the array of their residuals.
     """
-    z = complex(z)
-    if z.imag <= 0:
+    z = np.broadcast_to(np.asarray(z, dtype=complex), contraction.k.shape[:-2])
+    if np.any(z.imag <= 0):
         raise LabError("krein_residual requires z in the upper half-plane")
     n = model.n
     t0 = dirichlet_matrix(model)
-    r0 = np.linalg.inv(t0 - z * np.eye(n))
-    r0c = np.linalg.inv(t0 - np.conj(z) * np.eye(n))
-    ext = extension_from_contraction(model, contraction)
-    rk = ext.resolvent(z)
+    r0 = _resolvent(t0, z)
+    r0c = _resolvent(t0, z.conj())
+    rk = extension_from_contraction(model, contraction).resolvent(z)
     eye = np.eye(contraction.m)
     e0 = contraction.k + eye
     e1 = 1j * (contraction.k - eye)
-    m_val = weyl_function(model, z).m
+    m_val = np.reshape([weyl_function(model, zi).m for zi in z.flat],
+                       z.shape + (2, 2))
     gram = e0 + e1 @ m_val
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
+    cond = np.ravel(np.linalg.cond(gram))
+    bad = np.flatnonzero(~np.isfinite(cond) | (cond > 1e12))
+    if bad.size:
         raise SpectralPointError(
-            f"E0 + E1 M(z) singular at z={z}: z is in the extension's spectrum")
+            f"E0 + E1 M(z) singular at z={z.flat[bad[0]]}: z is in the "
+            "extension's spectrum")
     core = np.linalg.inv(gram) @ e1
-    worst = 0.0
+    worst = np.zeros(z.shape)
     for psi, phi in zip(_probe_vectors(n, n_probes, seed=2024),
                         _probe_vectors(n, n_probes, seed=4048)):
-        lhs = np.vdot(phi, (r0 - rk) @ psi)
-        rhs = np.vdot(_gamma1_interior(model, r0c @ phi),
-                      core @ _gamma1_interior(model, r0 @ psi))
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return worst
+        lhs = _dot(phi, (r0 - rk) @ psi)
+        rhs = _dot(_gamma1_interior(model, r0c @ phi),
+                   _matvec(core, _gamma1_interior(model, r0 @ psi)))
+        worst = np.fmax(worst, _abs(lhs - rhs) / (1.0 + _abs(lhs)))
+    return _item(worst)
 
 
 def resolvent_difference_rank(model: TripleModel, k1: ContractionOp,
                               k2: ContractionOp, z) -> int:
-    """Numerical rank of R(K1) - R(K2); equals rank(K2 - K1) by the rank law."""
+    """Numerical rank of R(K1) - R(K2); equals rank(K2 - K1) by the rank law.
+
+    Stacks of K1 and K2 with one z, or with one z per pair, give the array
+    of ranks."""
     r1 = extension_from_contraction(model, k1).resolvent(z)
     r2 = extension_from_contraction(model, k2).resolvent(z)
     return matrix_rank(r2 - r1)
@@ -375,22 +434,27 @@ def matrix_rank(mat, rel_tol=RANK_REL_TOL, abs_floor=1e-13) -> int:
     A matrix whose largest singular value sits at rounding scale (everything
     here has O(1) norm: contractions, resolvents bounded by 1/Im z) is zero;
     without the absolute floor its noise spectrum would count as full rank.
+    A stack of matrices gives the array of their ranks.
     """
     s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] <= abs_floor:
-        return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    if s.shape[-1] == 0:
+        return _item(np.zeros(s.shape[:-1], dtype=int))
+    top = s[..., :1]
+    rank = np.where(top[..., 0] <= abs_floor, 0,
+                    np.sum(s > rel_tol * top, axis=-1))
+    return _item(rank)
 
 
 def domain_gap(model: TripleModel, k1: ContractionOp, k2: ContractionOp,
                weight=None) -> float:
-    """Largest principal angle between the two constraint kernels (radians)."""
+    """Largest principal angle between the two constraint kernels (radians);
+    stacks of K1 and K2 give the array of angles."""
     if weight is None:
         weight = np.eye(k1.m, dtype=complex)
-    q1 = null_space(_constraint_matrix(model, k1, weight))
-    q2 = null_space(_constraint_matrix(model, k2, weight))
-    sv = np.linalg.svd(q1.conj().T @ q2, compute_uv=False)
-    return float(np.arccos(np.clip(sv.min(), -1.0, 1.0)))
+    q1 = null_space(_constraint_matrix(model, k1.k, weight))
+    q2 = null_space(_constraint_matrix(model, k2.k, weight))
+    sv = np.linalg.svd(_adjoint(q1) @ q2, compute_uv=False)
+    return _item(np.arccos(np.clip(sv.min(axis=-1), -1.0, 1.0)))
 
 
 def contraction_from_boundary_relation(theta_basis) -> ContractionOp:

@@ -11,6 +11,8 @@ SELFADJOINT_TOL = 1e-10
 KREIN_TOL = 1e-9
 GAP_TOL = 1e-6
 CONVERSE_UNITARY_TOL = 1e-6
+# samples per model in one window of a stacked battery
+_LAB_BLOCK = 16
 
 
 def _models(n_values, rng):
@@ -28,6 +30,30 @@ def _sample_contraction(rng, m=2, idx=0):
     return impedance.random_contraction(m, rng, boundary=(idx % 5 == 3))
 
 
+def _stack(cons):
+    """One ContractionOp holding the stack of the given contractions."""
+    return lab.ContractionOp(np.array([c.k for c in cons]))
+
+
+def _windowed(models, count, draw, check):
+    """Yield (i, draw(i), result) for i in range(count), in index order.
+
+    Sample i belongs to models[i % len(models)].  The samples are drawn in
+    index order, one window of _LAB_BLOCK consecutive indices per model at a
+    time; check(model, samples) evaluates one model's samples of a window
+    with stacked calls and returns their results as a list.
+    """
+    nm = len(models)
+    for lo in range(0, count, _LAB_BLOCK * nm):
+        window = range(lo, min(lo + _LAB_BLOCK * nm, count))
+        samples = [draw(i) for i in window]
+        results = [None] * len(samples)
+        for mi, model in enumerate(models):
+            if samples[mi::nm]:
+                results[mi::nm] = check(model, samples[mi::nm])
+        yield from zip(window, samples, results)
+
+
 def run_invariant_suite(seed=20240, n_values=(8, 12, 16), green_pairs=1000,
                         contractions=500, weyl_points=20, krein_triples=200,
                         rank_pairs=100, injectivity_pairs=100) -> dict:
@@ -35,6 +61,17 @@ def run_invariant_suite(seed=20240, n_values=(8, 12, 16), green_pairs=1000,
 
     report["violations"] collects failing cases with enough data to reproduce
     them; an empty list means the suite passed.
+
+    One generator seeded with `seed` draws everything: the models'
+    potentials, then each battery's samples in index order, battery after
+    battery.  No draw depends on a computed result.  Every battery but the
+    Weyl one draws one window at a time, _LAB_BLOCK samples per model, and
+    evaluates each model's part of the window with one stacked call per
+    linear-algebra step; resolvents are inverted one z at a time over the
+    stack.  So memory is bounded by a window whatever the counts: only the
+    running worst values and the violations outlive it.  Worst values and
+    violations are taken in index order, so the report does not depend on
+    the window size.
     """
     rng = np.random.default_rng(seed)
     models = _models(n_values, rng)
@@ -48,13 +85,19 @@ def run_invariant_suite(seed=20240, n_values=(8, 12, 16), green_pairs=1000,
         return worst <= tol
 
     # Green identity over random pairs
-    worst = 0.0
-    for i in range(green_pairs):
-        model = models[i % len(models)]
-        big_n = model.total_dim
+    def green_draw(i):
+        big_n = models[i % len(models)].total_dim
         f = rng.standard_normal(big_n) + 1j * rng.standard_normal(big_n)
         g = rng.standard_normal(big_n) + 1j * rng.standard_normal(big_n)
-        worst = max(worst, lab.green_residual(model, f, g))
+        return f, g
+
+    def green_checks(model, pairs):
+        f, g = (np.array(v) for v in zip(*pairs))
+        return lab.green_residual(model, f, g).tolist()
+
+    worst = 0.0
+    for _, _, res in _windowed(models, green_pairs, green_draw, green_checks):
+        worst = max(worst, res)
     if not record("green_identity", worst, GREEN_TOL,
                   {"pairs": green_pairs}):
         report["violations"].append({"invariant": "green_identity",
@@ -74,38 +117,42 @@ def run_invariant_suite(seed=20240, n_values=(8, 12, 16), green_pairs=1000,
     # dissipativity, resolvent bound, unitary <-> selfadjoint
     z_grid = [complex(re, im) for re, im in
               zip(np.linspace(-2.0, 2.0, 10), np.linspace(0.4, 3.0, 10))]
+
+    def contraction_checks(model, cons):
+        ext = lab.extension_from_contraction(model, _stack(cons))
+        eig_im = ext.eigenvalues().imag.max(axis=-1)
+        norms = np.array([np.linalg.svd(ext.resolvent(z), compute_uv=False)
+                          [:, 0] for z in z_grid]).T
+        sym = np.linalg.norm(ext.t - np.swapaxes(ext.t.conj(), -1, -2), 2,
+                             axis=(-2, -1))
+        return list(zip(eig_im.tolist(), norms.tolist(), sym.tolist(),
+                        ext.contraction.is_unitary.tolist(),
+                        ext.contraction.unitary_defect.tolist()))
+
     worst_im, worst_res, worst_sym, worst_conv = 0.0, 0.0, 0.0, 0.0
-    for i in range(contractions):
+    for i, con, (eig_im, norms, sym, unitary, defect) in _windowed(
+            models, contractions,
+            lambda i: _sample_contraction(rng, 2, i), contraction_checks):
         model = models[i % len(models)]
-        con = _sample_contraction(rng, 2, i)
-        ext = lab.extension_from_contraction(model, con)
-        eig_im = float(ext.eigenvalues().imag.max())
         worst_im = max(worst_im, eig_im)
         if eig_im > EIG_IM_TOL:
             report["violations"].append(
                 {"invariant": "eig_lower_halfplane", "k": con.k.tolist(),
                  "n": model.n, "max_imag": eig_im})
-        # spectral norms over z_grid from one stacked inverse and SVD per
-        # contraction; stacking the contractions too costs memory
-        norms = np.linalg.svd(ext.resolvent(np.array(z_grid)),
-                              compute_uv=False)[:, 0]
-        for z, nrm in zip(z_grid, norms.tolist()):
+        for z, nrm in zip(z_grid, norms):
             bound = (1.0 + RESOLVENT_SLACK) / z.imag
             worst_res = max(worst_res, nrm * z.imag)
             if nrm > bound:
                 report["violations"].append(
                     {"invariant": "resolvent_bound", "k": con.k.tolist(),
                      "z": [z.real, z.imag], "norm": nrm})
-        sym = float(np.linalg.norm(ext.t - ext.t.conj().T, 2))
-        if con.is_unitary:
+        if unitary:
             worst_sym = max(worst_sym, sym)
             if sym > SELFADJOINT_TOL:
                 report["violations"].append(
                     {"invariant": "unitary_selfadjoint", "k": con.k.tolist(),
                      "residual": sym})
         elif sym <= SELFADJOINT_TOL:
-            defect = float(np.linalg.norm(
-                con.k.conj().T @ con.k - np.eye(con.m), 2))
             worst_conv = max(worst_conv, defect)
             if defect > CONVERSE_UNITARY_TOL:
                 report["violations"].append(
@@ -139,12 +186,17 @@ def run_invariant_suite(seed=20240, n_values=(8, 12, 16), green_pairs=1000,
                                      "residual": worst_conj})
 
     # Krein formula
-    worst_krein = 0.0
-    for i in range(krein_triples):
-        model = models[i % len(models)]
+    def krein_draw(i):
         con = _sample_contraction(rng, 2, i)
-        z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 3.0))
-        res = lab.krein_residual(model, con, z)
+        return con, complex(rng.uniform(-2, 2), rng.uniform(0.5, 3.0))
+
+    def krein_checks(model, triples):
+        cons, zs = zip(*triples)
+        return lab.krein_residual(model, _stack(cons), np.array(zs)).tolist()
+
+    worst_krein = 0.0
+    for _, (con, z), res in _windowed(models, krein_triples, krein_draw,
+                                      krein_checks):
         worst_krein = max(worst_krein, res)
         if res > KREIN_TOL:
             report["violations"].append(
@@ -154,9 +206,7 @@ def run_invariant_suite(seed=20240, n_values=(8, 12, 16), green_pairs=1000,
            {"triples": krein_triples})
 
     # resolvent-difference rank law
-    failures = 0
-    for i in range(rank_pairs):
-        model = models[i % len(models)]
+    def rank_draw(i):
         k1 = _sample_contraction(rng, 2, i)
         if i % 3 == 0:
             # rank-one perturbation staying contractive; shrink the base
@@ -169,9 +219,17 @@ def run_invariant_suite(seed=20240, n_values=(8, 12, 16), green_pairs=1000,
             k2 = lab.ContractionOp(k1.k + pert)
         else:
             k2 = _sample_contraction(rng, 2, i + 1)
-        z = complex(rng.uniform(-1, 1), rng.uniform(0.7, 2.5))
-        got = lab.resolvent_difference_rank(model, k1, k2, z)
-        want = lab.matrix_rank(k2.k - k1.k)
+        return k1, k2, complex(rng.uniform(-1, 1), rng.uniform(0.7, 2.5))
+
+    def rank_checks(model, pairs):
+        k1s, k2s, zs = zip(*pairs)
+        k1, k2 = _stack(k1s), _stack(k2s)
+        got = lab.resolvent_difference_rank(model, k1, k2, np.array(zs))
+        return list(zip(got.tolist(), lab.matrix_rank(k2.k - k1.k).tolist()))
+
+    failures = 0
+    for _, (k1, k2, _), (got, want) in _windowed(models, rank_pairs,
+                                                 rank_draw, rank_checks):
         if got != want:
             failures += 1
             report["violations"].append(
@@ -181,15 +239,19 @@ def run_invariant_suite(seed=20240, n_values=(8, 12, 16), green_pairs=1000,
                                         "failures": failures, "tolerance": 0}
 
     # injectivity spot check of K -> domain
+    def injectivity_draw(i):
+        return _sample_contraction(rng, 2, i), _sample_contraction(rng, 2, i + 2)
+
+    def injectivity_checks(model, pairs):
+        k1, k2 = (_stack(ks) for ks in zip(*pairs))
+        near = np.linalg.norm(k1.k - k2.k, 2, axis=(-2, -1)) < 1e-3
+        gaps = lab.domain_gap(model, k1, k2).tolist()
+        return [None if skip else gap for skip, gap in zip(near, gaps)]
+
     worst_gap_violation = 0.0
-    for i in range(injectivity_pairs):
-        model = models[i % len(models)]
-        k1 = _sample_contraction(rng, 2, i)
-        k2 = _sample_contraction(rng, 2, i + 2)
-        if np.linalg.norm(k1.k - k2.k, 2) < 1e-3:
-            continue
-        gap = lab.domain_gap(model, k1, k2)
-        if gap < GAP_TOL:
+    for _, (k1, k2), gap in _windowed(models, injectivity_pairs,
+                                      injectivity_draw, injectivity_checks):
+        if gap is not None and gap < GAP_TOL:
             worst_gap_violation = max(worst_gap_violation, GAP_TOL - gap)
             report["violations"].append(
                 {"invariant": "injectivity", "k1": k1.k.tolist(),

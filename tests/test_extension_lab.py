@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from randbc import extension_lab as lab
-from randbc import impedance, serialize
+from randbc import impedance, labsuite, serialize
 from tests.conftest import random_vector
 
 
@@ -102,6 +102,84 @@ def test_degenerate_slaving_raises(potential):
     ext = lab.extension_from_contraction(model, near)
     assert ext.boundary_condition_residual() <= 1e-10 * np.abs(ext.basis).max()
     assert ext.eigenvalues().imag.max() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+@pytest.mark.parametrize("potential", [False, True])
+def test_stack_slices_equal_single_calls(n, potential):
+    # each item of a stacked call is bit for bit the single-K call
+    rng = np.random.default_rng(100 + n)
+    model = lab.build_discrete_triple(
+        n, h=0.2, potential=rng.standard_normal(n) if potential else None)
+    # idx % 5 cycles strict (0-2), boundary-norm (3) and Haar unitary (4) K
+    cons = [labsuite._sample_contraction(rng, 2, i) for i in range(10)]
+    others = [labsuite._sample_contraction(rng, 2, i + 1) for i in range(10)]
+    zs = rng.uniform(-2, 2, 10) + 1j * rng.uniform(0.5, 3.0, 10)
+    k1, k2 = labsuite._stack(cons), labsuite._stack(others)
+    ext = lab.extension_from_contraction(model, k1)
+    stacked = {
+        "t": ext.t, "basis": ext.basis, "eigenvalues": ext.eigenvalues(),
+        "resolvent": ext.resolvent(zs[0]),
+        "resolvent_per_z": ext.resolvent(zs),
+        "krein": lab.krein_residual(model, k1, zs),
+        "krein_one_z": lab.krein_residual(model, k1, zs[0]),
+        "rank": lab.resolvent_difference_rank(model, k1, k2, zs),
+        "matrix_rank": lab.matrix_rank(k2.k - k1.k),
+        "gap": lab.domain_gap(model, k1, k2),
+        "norm": k1.norm, "unitary_defect": k1.unitary_defect,
+        "is_unitary": k1.is_unitary,
+        "bc_residual": ext.boundary_condition_residual(),
+    }
+    for j, (con, other, z) in enumerate(zip(cons, others, zs)):
+        one = lab.extension_from_contraction(model, con)
+        single = {
+            "t": one.t, "basis": one.basis, "eigenvalues": one.eigenvalues(),
+            "resolvent": one.resolvent(zs[0]),
+            "resolvent_per_z": one.resolvent(z),
+            "krein": lab.krein_residual(model, con, z),
+            "krein_one_z": lab.krein_residual(model, con, zs[0]),
+            "rank": lab.resolvent_difference_rank(model, con, other, z),
+            "matrix_rank": lab.matrix_rank(other.k - con.k),
+            "gap": lab.domain_gap(model, con, other),
+            "norm": con.norm, "unitary_defect": con.unitary_defect,
+            "is_unitary": con.is_unitary,
+            "bc_residual": one.boundary_condition_residual(),
+        }
+        for name, value in single.items():
+            assert np.array_equal(stacked[name][j], value), (name, j)
+    assert stacked["is_unitary"].tolist() == [i % 5 == 4 for i in range(10)]
+    f = rng.standard_normal((10, n + 2)) + 1j * rng.standard_normal((10, n + 2))
+    g = rng.standard_normal((10, n + 2)) + 1j * rng.standard_normal((10, n + 2))
+    green = lab.green_residual(model, f, g)
+    assert [lab.green_residual(model, a, b) for a, b in zip(f, g)] == \
+        green.tolist()
+
+
+def test_stack_raises_for_a_bad_item():
+    model = lab.build_discrete_triple(8, h=0.2)
+    good = 0.5 * np.eye(2)
+    critical = _critical_scalar(0.2) * np.eye(2)
+    stack = lab.ContractionOp(np.array([good, critical, -np.eye(2)]))
+    with pytest.raises(lab.DegenerateRepresentationError):
+        lab.extension_from_contraction(model, stack)
+    with pytest.raises(lab.DegenerateRepresentationError):
+        lab.krein_residual(model, stack, 1j)
+    with pytest.raises(lab.LabError, match="1.5 exceeds 1"):
+        lab.ContractionOp(np.array([good, 1.5 * np.eye(2), 2.0 * np.eye(2)]))
+    with pytest.raises(lab.LabError, match="upper half-plane"):
+        lab.krein_residual(model, lab.ContractionOp(np.array([good, good])),
+                           np.array([1j, -1j]))
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_dirichlet_matrix_bits(n):
+    # the interior block of A*, from the interior projector as it always was
+    model = lab.build_discrete_triple(n, h=0.2,
+                                      potential=np.linspace(-1.0, 2.0, n))
+    p = model.interior_projector()
+    got = lab.dirichlet_matrix(model)
+    assert got.tobytes() == (p @ model.astar @ p.T).tobytes()
+    assert np.array_equal(got, model.astar[1:n + 1, 1:n + 1])
 
 
 with open(os.path.join(os.path.dirname(__file__), "data",
