@@ -3,7 +3,8 @@
 Hot paths: Bessel J_k / spherical j_l of complex argument, and the radial
 finite-difference shooting recurrence.  specfun and disk_model import them by
 name.  Each has a numpy twin for the grid scans that equals the scalar kernel
-bit for bit: bessel_jk_batch and spherical_jl_batch over real arguments, and
+bit for bit: bessel_jk_batch and spherical_jl_batch over real arguments (every
+branch batched; only x = 0 goes through the scalar kernel), and
 fd_radial_edge_batch over lam.  fd_radial_edge_dlam adds the lam-derivative
 of the FD edge values for Newton steps.  The FD recurrence runs off a cached
 table of its lam-independent coefficients.
@@ -357,6 +358,43 @@ def _spherical_miller_batch(l, x):
     return jl, (l / x) * jl - out_l1 * scale
 
 
+def _hankel_batch(k, x):
+    # _bessel_asym_one at real x > 0: with a zero imaginary part every complex
+    # operation rounds like its real part, and the amplitude is
+    # sqrt(2 / (pi x)).  Each point's series stops where the scalar loop
+    # stops: before a term that grows, or after one below 1e-17.
+    mu = 4.0 * k * k
+    p, q = np.ones(x.shape), np.zeros(x.shape)
+    idx = np.arange(x.size)
+    xs, term, prev = x, np.ones(x.shape), np.full(x.shape, 1e300)
+    for j in range(1, 40):
+        term = term * ((mu - (2 * j - 1) ** 2) / (8.0 * j * xs))
+        t = np.abs(term)
+        add = ~(t > prev)
+        signed = term[add] if j % 4 in (0, 1) else -term[add]
+        if j % 2 == 1:
+            q[idx[add]] += signed
+        else:
+            p[idx[add]] += signed
+        keep = add & ~(t < 1e-17)
+        if not keep.all():
+            idx, xs, term, t = idx[keep], xs[keep], term[keep], t[keep]
+            if not idx.size:
+                break
+        prev = t
+    chi = (x - (0.5 * k + 0.25) * math.pi).tolist()
+    cos = np.array([math.cos(c) for c in chi])
+    sin = np.array([math.sin(c) for c in chi])
+    return np.sqrt(2.0 / (math.pi * x)) * (p * cos - q * sin)
+
+
+def _bessel_asym_batch(k, x):
+    jk = _hankel_batch(k, x)
+    if k == 0:
+        return jk, -_hankel_batch(1, x)
+    return jk, _hankel_batch(k - 1, x) - (k / x) * jk
+
+
 def _real_batch(scalar, order, x, ax, pointwise, branches):
     # Each (mask, kernel) branch evaluates its points at ax = |x| in one
     # batch, the pointwise ones go through the scalar kernel; negative x by
@@ -377,17 +415,18 @@ def bessel_jk_batch(k, xs):
     """bessel_jk over a sequence of real x, as two float64 arrays.
 
     Value and derivative equal (==) the scalar kernel's at every point: the
-    series and Miller branches run batched, x = 0 and the asymptotic branch
-    call the scalar kernel.
+    series, Miller and asymptotic branches run batched, x = 0 calls the
+    scalar kernel.
     """
     x = np.asarray(xs, dtype=float)
     ax = np.abs(x)
     series = (ax <= 12.0) | (ax * ax <= 2.0 * (k + 1))
     asym = ~series & (ax >= 50.0) & (ax >= 4.0 * k * k)
     zero = ax == 0.0
-    return _real_batch(bessel_jk, k, x, ax, zero | asym,
+    return _real_batch(bessel_jk, k, x, ax, zero,
                        ((series & ~zero, _bessel_series_batch),
-                        (~series & ~asym, _bessel_miller_batch)))
+                        (~series & ~asym, _bessel_miller_batch),
+                        (asym, _bessel_asym_batch)))
 
 
 def spherical_jl_batch(l, xs):

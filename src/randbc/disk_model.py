@@ -18,7 +18,8 @@ from randbc._pykernels import (fd_radial_edge, fd_radial_edge_batch,
                                fd_radial_edge_dlam)
 from randbc.impedance import ACCRETIVE_TOL, cayley_zeta_to_xi
 from randbc.specfun import (BesselEval, bessel_j, bessel_j_grid,
-                            complex_root_polish, find_real_roots, spherical_j,
+                            bracket_real_roots, complex_root_polish,
+                            find_real_roots, scan_grid, spherical_j,
                             spherical_j_grid)
 
 
@@ -78,10 +79,12 @@ def _radial(mode, w, params) -> BesselEval:
     return spherical_j(mode, w)
 
 
-def _radial_grid(mode, ws, params):
-    if params.dim == 2:
-        return bessel_j_grid(mode, ws)
-    return spherical_j_grid(mode, ws)
+def _radial_grid(mode, lams, params):
+    # C(w) and C'(w), w = sqrt(ab) lam, at the points of lams, as two lists
+    wave_factor = params.wave_factor
+    ws = [wave_factor * lam for lam in lams]
+    grid = bessel_j_grid if params.dim == 2 else spherical_j_grid
+    return tuple(a.tolist() for a in grid(mode, ws))
 
 
 def _radial_fdf(mode, lam, params, char):
@@ -101,11 +104,36 @@ def _radial_fdf(mode, lam, params, char):
     return char(lam, v, d), params.wave_factor * char(lam, d, d2)
 
 
-def _radial_scan_functions(mode, params, char):
+class _RadialGrid:
+    """The uniform lam grid that the real-axis scans of one mode scan on a
+    window at the interlacing-scale resolution pi / sqrt(ab) (scan_grid),
+    with C(w) and C'(w) there, evaluated in one batch on first use.  Every
+    scan of the mode on the window reads the same values, whatever its
+    char; an instance lives as long as the call that made it."""
+
+    def __init__(self, mode, params, window):
+        self.mode, self.params, self.window = mode, params, window
+        self.min_spacing = math.pi / params.wave_factor
+        self.lams = scan_grid(window, min_spacing=self.min_spacing)
+        self._radial = None
+
+    def radial(self, lams):
+        """C and C' at the points of lams, as two lists: the grid's own
+        values when lams is the grid, else a batch of their own."""
+        if lams != self.lams:
+            return _radial_grid(self.mode, lams, self.params)
+        if self._radial is None:
+            self._radial = _radial_grid(self.mode, lams, self.params)
+        return self._radial
+
+
+def _radial_scan_functions(grid, char):
     """The real part of char(lam, C(w), C'(w)), w = sqrt(ab) lam, on the
-    real lam axis: pointwise, with its lam-derivative (_radial_fdf), and
-    over a grid (equal value by value: the grid goes through the batched
-    Bessel kernels).  Returns (f, fdf, f_grid) for find_real_roots."""
+    real lam axis for grid's mode: pointwise, with its lam-derivative
+    (_radial_fdf), and over a list (equal value by value: the list's C and
+    C' come from grid.radial, in batches).  Returns (f, fdf, f_grid) for
+    find_real_roots and bracket_real_roots."""
+    mode, params = grid.mode, grid.params
 
     def fdf(lam):
         value, deriv = _radial_fdf(mode, lam, params, char)
@@ -115,20 +143,20 @@ def _radial_scan_functions(mode, params, char):
         return fdf(lam)[0]
 
     def f_grid(lams):
-        values, derivs = _radial_grid(
-            mode, [params.wave_factor * lam for lam in lams], params)
+        values, derivs = grid.radial(lams)
         return [char(lam, v, d).real for lam, v, d
-                in zip(lams, values.tolist(), derivs.tolist())]
+                in zip(lams, values, derivs)]
 
     return f, fdf, f_grid
 
 
-def _real_axis_roots(mode, params, char, window):
-    """find_real_roots on the real part of char(lam, C(w), C'(w)), at the
-    interlacing-scale resolution, with the grid scanned in one batch and
-    each bracket refined by Newton steps on the exact derivative."""
-    f, fdf, f_grid = _radial_scan_functions(mode, params, char)
-    return find_real_roots(f, window, min_spacing=math.pi / params.wave_factor,
+def _real_axis_roots(grid, char):
+    """find_real_roots on the real part of char(lam, C(w), C'(w)) over
+    grid's window, at the interlacing-scale resolution, with the grid read
+    from `grid` and each bracket refined by Newton steps on the exact
+    derivative."""
+    f, fdf, f_grid = _radial_scan_functions(grid, char)
+    return find_real_roots(f, grid.window, min_spacing=grid.min_spacing,
                            f_grid=f_grid, fdf=fdf)
 
 
@@ -214,16 +242,30 @@ def _secular(params, zeta, value, derivative):
             - 1j * complex(zeta) * value)
 
 
+def _neumann_char(params):
+    return lambda lam, v, d: _secular(params, 0.0, v, d)
+
+
 def neumann_eigenvalues(mode: int, params: MaterialParams, window):
     """Real zeros of C'(sqrt(ab) lam) in the window."""
-    return _real_axis_roots(mode, params,
-                            lambda lam, v, d: _secular(params, 0.0, v, d),
-                            window).roots
+    return _real_axis_roots(_RadialGrid(mode, params, window),
+                            _neumann_char(params)).roots
+
+
+def _interlacing_count(grid):
+    """len(neumann_eigenvalues(...)) on grid's mode and window, from the
+    bracketing stage alone: the brackets of the zeta = 0 scan plus its exact
+    grid zeros, each of which find_real_roots turns into one root.  Refines
+    nothing and calls no fdf."""
+    f, _, f_grid = _radial_scan_functions(grid, _neumann_char(grid.params))
+    return bracket_real_roots(f, grid.window, min_spacing=grid.min_spacing,
+                              f_grid=f_grid).count
 
 
 def dirichlet_eigenvalues(mode: int, params: MaterialParams, window):
     """Real zeros of C(sqrt(ab) lam) in the window."""
-    return _real_axis_roots(mode, params, lambda lam, v, d: v, window).roots
+    return _real_axis_roots(_RadialGrid(mode, params, window),
+                            lambda lam, v, d: v).roots
 
 
 @dataclass
@@ -312,8 +354,11 @@ def solve_mode_eigenvalues(mode: int, zeta, params: MaterialParams, window,
     Re zeta = 0: the spectrum is real; bracketed search with
     Neumann/Dirichlet-interlacing-scale resolution.  Re zeta > 0: homotopy
     continuation in Re zeta from the imaginary-axis roots.  A mismatch with
-    the zeta = 0 interlacing count is reported in warnings, never silently
-    accepted.
+    the zeta = 0 interlacing count (the brackets and exact grid zeros of
+    the zeta = 0 scan, unrefined) is reported in warnings, never silently
+    accepted.  The count scan and the real-axis scan (of zeta, or of
+    i Im zeta for the seeds) share one _RadialGrid: one batched Bessel
+    evaluation of the uniform grid per call.
     """
     zeta = complex(zeta)
     if zeta.real < -ACCRETIVE_TOL:
@@ -322,7 +367,8 @@ def solve_mode_eigenvalues(mode: int, zeta, params: MaterialParams, window,
     if not 0.0 < lo < hi:
         raise DiskModelError("window must satisfy 0 < lo < hi")
     spacing = math.pi / params.wave_factor
-    expected = len(neumann_eigenvalues(mode, params, (lo, hi)))
+    grid = _RadialGrid(mode, params, (lo, hi))
+    expected = _interlacing_count(grid)
 
     def char_of_zeta(zz, lam):
         return _radial_fdf(mode, complex(lam), params,
@@ -331,8 +377,7 @@ def solve_mode_eigenvalues(mode: int, zeta, params: MaterialParams, window,
     warnings = []
     if abs(zeta.real) <= ACCRETIVE_TOL:
         res = _real_axis_roots(
-            mode, params, lambda lam, v, d: _secular(params, zeta, v, d),
-            (lo, hi))
+            grid, lambda lam, v, d: _secular(params, zeta, v, d))
         eigs = [complex(r) for r in res.roots]
         if res.suspected_double:
             warnings.append(f"suspected double roots at {res.suspected_double}")
@@ -343,8 +388,7 @@ def solve_mode_eigenvalues(mode: int, zeta, params: MaterialParams, window,
         # window, not a completeness claim -- see module docs)
         seed_zeta = complex(0.0, zeta.imag)
         seed_res = _real_axis_roots(
-            mode, params, lambda lam, v, d: _secular(params, seed_zeta, v, d),
-            (lo, hi))
+            grid, lambda lam, v, d: _secular(params, seed_zeta, v, d))
         roots, failures = _continue_in_re_zeta(char_of_zeta, zeta,
                                                seed_res.roots,
                                                step_cap=0.5 * spacing)
@@ -569,7 +613,8 @@ def route_equivalence_report(mode: int, zeta, params: MaterialParams,
         return lambda lam, v, d: _contraction(params, mode, zz, lam, v, d) / lam
 
     def contraction_scan(zz):
-        return _real_axis_roots(mode, params, contraction_over_lam(zz), window)
+        return _real_axis_roots(_RadialGrid(mode, params, window),
+                                contraction_over_lam(zz))
 
     sec = solve_mode_eigenvalues(mode, zeta, params, window)
     spacing = math.pi / params.wave_factor

@@ -167,68 +167,87 @@ def _batched(f_grid, xs):
     return values
 
 
-def find_real_roots(f, window, n_grid=1024, min_spacing=None, f_grid=None,
-                    fdf=None) -> RootSearchResult:
-    """Bracket and refine the real roots of a scalar function on a window.
+def _split_cell(f, lo, hi, f_lo, f_hi, depth, brackets, inner=None):
+    """Append the brackets of the sign-change cell (lo, hi) to `brackets`:
+    the cell itself, or, where its 16-way subdivision shows more than one
+    sign change and depth > 0, those of each sign-change subcell, split
+    again to depth - 1.  `inner` holds f at the interior points when
+    already evaluated; otherwise f evaluates them.  Returns the number of
+    subdivision values used."""
+    if depth == 0:
+        brackets.append(RootBracket(lo, hi, f_lo, f_hi))
+        return 0
+    pts = _subdivision(lo, hi)
+    if inner is None:
+        inner = [float(f(p)) for p in pts[1:-1]]
+    vals = [f_lo, *inner, f_hi]
+    n = SUBDIVISIONS - 1
+    changes = [i for i in range(SUBDIVISIONS)
+               if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0]
+    if len(changes) > 1:
+        for i in changes:
+            n += _split_cell(f, pts[i], pts[i + 1], vals[i], vals[i + 1],
+                             depth - 1, brackets)
+    else:
+        brackets.append(RootBracket(lo, hi, f_lo, f_hi))
+    return n
 
-    Scan on a uniform grid, subdivide each cell with a sign change into 16
-    (and a subcell into 16 again where a cell holds more than one sign
-    change), then refine each bracket with one loop: safeguarded Newton
-    steps when `fdf` is given, bisection steps otherwise (see _refine).
-    Grid minima with |f| below 1e-8 of the local scale but no sign change
-    are reported as suspected double roots instead of being dropped.
 
-    `fdf(x)` returns (g(x), g'(x)) for a function g with f's sign at every
-    x, such as f itself or f times a positive factor; only the refinement
-    calls it.  `f_grid(xs)`, when given, must return f's values at the
-    points of the list xs, in order.  It then evaluates, in two calls, the
-    uniform grid and the 15 interior subdivision points of every grid cell
-    with a sign change, all cells pooled into one list; without it `f`
-    evaluates them point by point.  The second subdivision level, where a
-    cell holds several sign changes, and the double-root search always
-    call `f`.  Every real-axis scan in disk_model passes both (the FD
-    oracle's and the secular and contraction-form scans), built on kernels
-    that equal the scalar ones bit for bit, so the roots do not depend on
-    which of f and f_grid evaluated a point.  `n_evals` counts every
-    evaluation of f, f_grid's points and fdf.
-    """
+def scan_grid(window, n_grid=1024, min_spacing=None):
+    """The uniform grid that bracket_real_roots scans on the window: n_grid
+    cells, or enough for 4 cells per min_spacing where that is more."""
     a, b = float(window[0]), float(window[1])
     if not a < b:
         raise SpecFunError(f"empty window {window!r}")
     if min_spacing is not None and min_spacing > 0:
         n_grid = max(n_grid, int(math.ceil(4.0 * (b - a) / min_spacing)))
-    result = RootSearchResult()
-    xs = [a + (b - a) * i / n_grid for i in range(n_grid + 1)]
+    return [a + (b - a) * i / n_grid for i in range(n_grid + 1)]
+
+
+@dataclass
+class RootBrackets:
+    """The bracketing stage of find_real_roots on one window: the scanned
+    grid and f on it, the sign-change brackets and the grid points where f
+    is exactly 0, in grid order.  `n_evals` counts f's evaluations."""
+    window: tuple
+    xs: list
+    fs: list
+    brackets: list = field(default_factory=list)
+    grid_zeros: list = field(default_factory=list)
+    n_evals: int = 0
+
+    @property
+    def count(self):
+        """The number of roots find_real_roots returns: one per bracket
+        plus the exact grid zeros (suspected double roots not included)."""
+        return len(self.brackets) + len(self.grid_zeros)
+
+
+def bracket_real_roots(f, window, n_grid=1024, min_spacing=None,
+                       f_grid=None) -> RootBrackets:
+    """Bracket the real sign changes of a scalar function on a window.
+
+    Scan on the uniform grid of scan_grid, subdivide each cell with a sign
+    change into 16, and a subcell into 16 again where a cell holds more
+    than one sign change; each remaining (sub)cell with a sign change is one
+    bracket.  `f_grid(xs)`, when given, must return f's values at the points
+    of the list xs, in order.  It then evaluates, in two calls, the uniform
+    grid and the 15 interior subdivision points of every grid cell with a
+    sign change, all cells pooled into one list; without it `f` evaluates
+    them point by point.  The second subdivision level always calls `f`.
+    Nothing is refined.
+    """
+    xs = scan_grid(window, n_grid, min_spacing)
+    n_grid = len(xs) - 1
     if f_grid is None:
         fs = [float(f(x)) for x in xs]
     else:
         fs = _batched(f_grid, xs)
-    result.n_evals += len(xs)
-    scale = max(max(abs(v) for v in fs), 1e-300)
-
-    def handle_interval(lo, hi, f_lo, f_hi, depth, inner=None):
-        # enforce at most one sign change per step by local subdivision;
-        # `inner` holds f at the interior points when already evaluated
-        if depth > 0:
-            pts = _subdivision(lo, hi)
-            if inner is None:
-                inner = [float(f(p)) for p in pts[1:-1]]
-            vals = [f_lo, *inner, f_hi]
-            result.n_evals += SUBDIVISIONS - 1
-            changes = [i for i in range(SUBDIVISIONS)
-                       if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0]
-            if len(changes) > 1:
-                for i in changes:
-                    handle_interval(pts[i], pts[i + 1], vals[i], vals[i + 1],
-                                    depth - 1)
-                return
-        result.brackets.append(RootBracket(lo, hi, f_lo, f_hi))
-        root, n = _refine(f, fdf, lo, hi, f_lo)
-        result.n_evals += n
-        result.roots.append(root)
+    out = RootBrackets((float(window[0]), float(window[1])), xs, fs,
+                       n_evals=len(xs))
 
     # per sign-change cell, f at its interior subdivision points from the
-    # one pooled f_grid call, or None where handle_interval calls f
+    # one pooled f_grid call, or None where _split_cell calls f
     cells = [i for i in range(n_grid) if fs[i] * fs[i + 1] < 0]
     pooled = dict.fromkeys(cells)
     if f_grid is not None and cells:
@@ -238,9 +257,44 @@ def find_real_roots(f, window, n_grid=1024, min_spacing=None, f_grid=None,
         pooled = {i: vals[k * m:(k + 1) * m] for k, i in enumerate(cells)}
     for i in range(n_grid):
         if fs[i] == 0.0:
-            result.roots.append(xs[i])
+            out.grid_zeros.append(xs[i])
         elif i in pooled:
-            handle_interval(xs[i], xs[i + 1], fs[i], fs[i + 1], 2, pooled[i])
+            out.n_evals += _split_cell(f, xs[i], xs[i + 1], fs[i], fs[i + 1],
+                                       2, out.brackets, pooled[i])
+    return out
+
+
+def find_real_roots(f, window, n_grid=1024, min_spacing=None, f_grid=None,
+                    fdf=None) -> RootSearchResult:
+    """Bracket and refine the real roots of a scalar function on a window.
+
+    bracket_real_roots brackets them (f_grid as there), then one loop
+    refines each bracket: safeguarded Newton steps when `fdf` is given,
+    bisection steps otherwise (see _refine).  The exact grid zeros are
+    roots as they stand.  Grid minima with |f| below 1e-8 of the local
+    scale but no sign change are reported as suspected double roots
+    instead of being dropped.
+
+    `fdf(x)` returns (g(x), g'(x)) for a function g with f's sign at every
+    x, such as f itself or f times a positive factor; only the refinement
+    calls it.  The double-root search always calls `f`.  Every real-axis
+    scan in disk_model passes f_grid and fdf (the FD oracle's and the
+    secular and contraction-form scans), built on kernels that equal the
+    scalar ones bit for bit, so the roots do not depend on which of f and
+    f_grid evaluated a point.  `n_evals` counts every evaluation of f,
+    f_grid's points and fdf.
+    """
+    scan = bracket_real_roots(f, window, n_grid, min_spacing, f_grid)
+    a, b = scan.window
+    xs, fs = scan.xs, scan.fs
+    n_grid = len(xs) - 1
+    result = RootSearchResult(roots=list(scan.grid_zeros),
+                              brackets=scan.brackets, n_evals=scan.n_evals)
+    for br in scan.brackets:
+        root, n = _refine(f, fdf, br.lo, br.hi, br.f_lo)
+        result.n_evals += n
+        result.roots.append(root)
+    scale = max(max(abs(v) for v in fs), 1e-300)
 
     # suspected double roots: interior |f| minima without a sign change are
     # refined by ternary search, then tested against 1e-8 * scale

@@ -308,21 +308,37 @@ def test_disk_spectrum_batched_scans_match_pointwise(tmp_path, monkeypatch,
                                                      config):
     # The real-axis scans evaluate their grids through the batched Bessel
     # kernels; the data files must be the ones per-point scans write.
+    # Without f_grid every scan, the interlacing count included, runs point
+    # by point: the pointwise run makes no batched call at all.
     from randbc import disk_model
 
+    batched_calls = []
+
+    def counted(kernel):
+        def call(k, xs):
+            batched_calls.append(len(xs))
+            return kernel(k, xs)
+        return call
+
+    for name in ("bessel_j_grid", "spherical_j_grid"):
+        monkeypatch.setattr(disk_model, name,
+                            counted(getattr(disk_model, name)))
     cfg = write_config(tmp_path, config)
-    files = []
+    files, calls = [], []
     for name in ("batched", "pointwise"):
         if name == "pointwise":
             scan = disk_model._radial_scan_functions
             monkeypatch.setattr(disk_model, "_radial_scan_functions",
                                 lambda *args: (*scan(*args)[:2], None))
         out = str(tmp_path / name)
+        batched_calls.clear()
         assert cli.main(["disk-spectrum", cfg, "--out", out]) == 0
+        calls.append(len(batched_calls))
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         files.append(manifest["files"])
     assert "eigenvalues.csv" in files[0]
     assert files[0] == files[1]
+    assert calls[0] > 0 and calls[1] == 0
 
 
 def test_criteria_with_configured_distribution(tmp_path):
@@ -421,16 +437,22 @@ a = 2.5
 s_min = 1.0
 """
 
-# sha256 of the data files (config echo and manifest excluded) of small runs;
-# a change here is a golden-file change and must be recorded as one
+# sha256 of the data files (config echo and manifest excluded) of small runs,
+# by case: (subcommand, config, digests); a change here is a golden-file
+# change and must be recorded as one.  The two disk-spectrum-* cases reach
+# the paths DISK_GOLDEN does not: the circle to window 60, where J_k takes
+# its asymptotic branch (|x| >= 50 and |x| >= 4k^2), and the ball at
+# Re zeta > 0, where the roots come from the Re-zeta continuation.  Both
+# write count warnings, so their summaries pin the zeta = 0 interlacing
+# counts too.
 GOLDEN_DIGESTS = {
-    "criteria": (CRITERIA_GOLDEN, {
+    "criteria": ("criteria", CRITERIA_GOLDEN, {
         "criteria.csv":
             "06f3054e99ad7a86feddee9e1b2dfafa80c515a2f4e33460c57bdf9c54d99a20",
         "summary.json":
             "28dc0c48f98a0d253156572dc003332c35fe90d09e76a9d36c4a24d84697960a",
     }),
-    "disk-spectrum": (DISK_GOLDEN, {
+    "disk-spectrum": ("disk-spectrum", DISK_GOLDEN, {
         "eigenvalues.csv":
             "2338afb7b7a3d1d09066e43ddd0c69d2fdeb3d18c5601f7fec6b67cec5b72e25",
         "impedance_sequence.csv":
@@ -438,16 +460,35 @@ GOLDEN_DIGESTS = {
         "summary.json":
             "ea1c6e7e9e31c3f4478af7b036f9327dbaf834f05f9363e3e96dcd7ff29da66b",
     }),
-    "lab": (LAB_SMALL, {
+    "disk-spectrum-circle-wide": ("disk-spectrum", DISK_GOLDEN.replace(
+            "window = 1.0, 30.0", "window = 1.0, 60.0"), {
+        "eigenvalues.csv":
+            "60fcaa5ebcfd240328c46d9378208c60209171f81154972111c95a7ab59a8416",
+        "impedance_sequence.csv":
+            "0f5e38ccb6850828dac7a5b7e01666a8a69635bb5c6c77ace7699d57e098858a",
+        "summary.json":
+            "01edf3135501286ba828e47b0117470a2b8c9837ff56304ab5c2f5c8b3e6cd1f",
+    }),
+    "disk-spectrum-sphere-continuation": ("disk-spectrum", DISK_BALL.replace(
+            "z0 = 0", "z0 = 0.5+0.5j").replace("oracle_spot_checks = 2",
+                                               "oracle_spot_checks = 0"), {
+        "eigenvalues.csv":
+            "7ce0022ba906a7c3d28d964122743fad82c1bb35242d0f15d5bcb94c7c35ea23",
+        "impedance_sequence.csv":
+            "f1f2a5350ccc4bc0d14027f4f38d2fdaa4ab083aa39f973ea284a0f8722594e6",
+        "summary.json":
+            "00601c0660490e4faab9cff1217c09eab0288f2721592476702a6ad79e82bec9",
+    }),
+    "lab": ("lab", LAB_SMALL, {
         "lab_report.json":
             "b521633845d7d13bd54e2e3f49a9b0c0ff312a5c8b7747758703887231ccf91e",
     }),
 }
 
 
-@pytest.mark.parametrize("sub", sorted(GOLDEN_DIGESTS))
-def test_golden_digests(tmp_path, sub):
-    text, want = GOLDEN_DIGESTS[sub]
+@pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
+def test_golden_digests(tmp_path, case):
+    sub, text, want = GOLDEN_DIGESTS[case]
     cfg = write_config(tmp_path, text)
     out = str(tmp_path / "out")
     assert cli.main([sub, cfg, "--out", out]) == 0

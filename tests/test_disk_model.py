@@ -261,8 +261,8 @@ def test_continuation_budget_reports_stalled_seed():
     params = MaterialParams(a=1.3, b=0.8)
     zeta = 2.0 + 1.0j
     seeds = dm._real_axis_roots(
-        0, params, lambda lam, v, d: dm._secular(params, 1.0j, v, d),
-        (0.5, 6.0)).roots
+        dm._RadialGrid(0, params, (0.5, 6.0)),
+        lambda lam, v, d: dm._secular(params, 1.0j, v, d)).roots
     assert len(seeds) == 2
     limit = dm.CONTINUATION_MAX_EVALS + 1 + 12 * 100
 
@@ -299,6 +299,66 @@ def test_interlacing_across_modes():
         merged = sorted([(x, "n") for x in neu] + [(x, "d") for x in diri])
         kinds = "".join(k for _, k in merged)
         assert "nn" not in kinds and "dd" not in kinds, (mode, kinds)
+
+
+# floats at which the zeta = 0 scan function of mode 1 is exactly 0.0 on
+# the unit disk and ball (C'(w) = (1/w) C(w) - C_2(w) rounds to 0 there)
+EXACT_NEUMANN_ZEROS = {2: 1.8411837813406595, 3: 2.0815759778181007}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_interlacing_count_is_the_bracket_count(monkeypatch, dim):
+    # solve_mode_eigenvalues compares its roots with the brackets plus exact
+    # grid zeros of the zeta = 0 scan, unrefined: as many as the refining
+    # scan (neumann_eigenvalues) returns, with no fdf or scalar-kernel call.
+    # The last window starts on an exact zero, so its scan starts on a grid
+    # zero.
+    from randbc import specfun
+
+    params = MaterialParams(dim=dim)
+    zero = EXACT_NEUMANN_ZEROS[dim]
+    windows = [(0.3, 12.0), (1.0, 60.0), (5.5, 31.0), (zero, zero + 20.0)]
+    want = {(mode, window): len(dm.neumann_eigenvalues(mode, params, window))
+            for mode in range(9) for window in windows}
+
+    def forbidden(*args):
+        raise AssertionError("the count made a pointwise call")
+
+    for name in ("bessel_jk", "spherical_jl"):
+        monkeypatch.setattr(specfun, name, forbidden)
+    monkeypatch.setattr(dm, "_radial_fdf", forbidden)
+    for (mode, window), n_roots in want.items():
+        grid = dm._RadialGrid(mode, params, window)
+        assert dm._interlacing_count(grid) == n_roots, (mode, window)
+    f, _, f_grid = dm._radial_scan_functions(
+        dm._RadialGrid(1, params, windows[-1]), dm._neumann_char(params))
+    scan = specfun.bracket_real_roots(f, windows[-1], f_grid=f_grid)
+    assert scan.grid_zeros == [zero] and len(scan.brackets) >= 5
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("zeta", [0.8j, 0.5 + 1.0j])
+def test_mode_solve_evaluates_its_grid_once(monkeypatch, dim, zeta):
+    # the count scan and the real-axis scan (of zeta, or of i Im zeta for the
+    # continuation seeds) read one batched evaluation of the uniform grid
+    # (1,025 points or more); only the pooled subdivision points, fewer,
+    # take batches of their own
+    name = "bessel_j_grid" if dim == 2 else "spherical_j_grid"
+    kernel = getattr(dm, name)
+    sizes = []
+
+    def counted(k, xs):
+        sizes.append(len(xs))
+        return kernel(k, xs)
+
+    monkeypatch.setattr(dm, name, counted)
+    params = MaterialParams(dim=dim)
+    for mode in range(4):
+        sizes.clear()
+        res = dm.solve_mode_eigenvalues(mode, zeta, params, (1.0, 12.0))
+        assert res.eigenvalues
+        assert len([n for n in sizes if n >= 1025]) == 1, (mode, sizes)
+        assert len(sizes) == 3 and max(sizes[1:]) < 1025, (mode, sizes)
 
 
 def test_strict_dissipation_for_positive_re_zeta(rng):
@@ -346,8 +406,9 @@ def test_fd_grid_scan_batched_equals_pointwise():
                 lambda lam, v, d, p=params, k=mode:
                     dm._contraction(p, k, 0.7j, lam, v, d) / lam)
             for char in chars:
-                scans.append((dm._radial_scan_functions(mode, params, char),
-                              (0.3, 60.0), math.pi / params.wave_factor, 10))
+                grid = dm._RadialGrid(mode, params, (0.3, 60.0))
+                scans.append((dm._radial_scan_functions(grid, char),
+                              grid.window, grid.min_spacing, 10))
     for (f, fdf, f_grid), window, spacing, n_roots in scans:
         pointwise = find_real_roots(f, window, min_spacing=spacing, fdf=fdf)
         batched = find_real_roots(f, window, min_spacing=spacing,

@@ -112,8 +112,8 @@ def test_order_guard_and_range_guard():
     for dim in (2, 3):
         params = dm.MaterialParams(a=2.0, b=2.0, dim=dim)
         for mode, window in ((201, (1.0, 10.0)), (0, (4000.0, 6000.0))):
-            f, _, f_grid = dm._radial_scan_functions(mode, params,
-                                                     lambda lam, v, d: d)
+            f, _, f_grid = dm._radial_scan_functions(
+                dm._RadialGrid(mode, params, window), lambda lam, v, d: d)
             with pytest.raises(specfun.SpecFunError) as pointwise:
                 specfun.find_real_roots(f, window, n_grid=8)
             with pytest.raises(specfun.SpecFunError) as batched:
@@ -297,9 +297,9 @@ def test_bessel_batch_equals_scalar(monkeypatch):
     # and bisect with the scalar ones, so the two must agree exactly.
     from randbc import _pykernels as pk
 
-    def check(k, xs):
-        for batch, scalar in ((pk.bessel_jk_batch, pk.bessel_jk),
-                              (pk.spherical_jl_batch, pk.spherical_jl)):
+    def check(k, xs, kernels=((pk.bessel_jk_batch, pk.bessel_jk),
+                              (pk.spherical_jl_batch, pk.spherical_jl))):
+        for batch, scalar in kernels:
             values, derivs = batch(k, xs)
             for x, v, d in zip(xs, values.tolist(), derivs.tolist()):
                 assert (v, d) == scalar(k, x), (scalar.__name__, k, x)
@@ -320,6 +320,55 @@ def test_bessel_batch_equals_scalar(monkeypatch):
             xs += [float(rng.uniform(60.0, 1e4)), 1e4]
         xs += [-x for x in xs[1:7]]  # negative x, by reflection
         check(k, xs)
+    # J_k's asymptotic branch over k <= 11 (|x| >= 4k^2), from its edge at
+    # |x| = 50 to 1e4, with negative x
+    for k in range(12):
+        lo = max(50.0, 4.0 * k * k)
+        xs = (np.linspace(lo, lo + 30.0, 41).tolist()
+              + rng.uniform(lo, 1e4, 40).tolist())
+        check(k, xs + [-x for x in xs[::4]],
+              ((pk.bessel_jk_batch, pk.bessel_jk),))
+
+    # The Hankel series stops at the first term that grows, or after the
+    # first one below 1e-17.  On the branch every point stops by the second
+    # rule (each term ratio is below 1/8 + j / (2|x|) < 1 there), so the
+    # first rule is checked on the batch helper below |x| = 50 directly.
+    def hankel_stop(k, x):
+        t, prev = 1.0, 1e300
+        for j in range(1, 40):
+            t *= abs((4.0 * k * k - (2 * j - 1) ** 2) / (8.0 * j * x))
+            if t > prev:
+                return "grows"
+            prev = t
+            if t < 1e-17:
+                return "small"
+        return "cap"
+
+    # (at 51.455 for k = 0 and 53.45 for k = 2, one term more than the
+    # scalar loop adds changes the last bit)
+    for k in (0, 2, 3):
+        xs = [3.0, 7.5, 12.0, 18.0, 19.0, 20.0, 33.3, 49.5, 50.0, 51.455,
+              53.45, 61.0, 700.0, 1e4]
+        assert {hankel_stop(k, x) for x in xs} == {"grows", "small"}
+        assert {hankel_stop(k, x) for x in xs if x >= 50.0} == {"small"}
+        values, derivs = pk._bessel_asym_batch(k, np.array(xs))
+        for x, v, d in zip(xs, values.tolist(), derivs.tolist()):
+            assert (v, d) == pk._bessel_asym_pair(k, complex(x)), (k, x)
+
+    # only x = 0 goes through the scalar kernel
+    scalar_args = []
+    scalar = pk.bessel_jk
+
+    def counted(k, x):
+        scalar_args.append(x)
+        return scalar(k, x)
+
+    monkeypatch.setattr(pk, "bessel_jk", counted)
+    for k in (0, 1, 3, 11, 200):
+        pk.bessel_jk_batch(k, [0.0, 0.5, 11.0, 13.0, 49.0, 50.0, 60.0, 300.0,
+                               600.0, 1e4, -75.0])
+    assert scalar_args == [0.0] * 5
+    monkeypatch.undo()
     # Cases that run the 1e250 rescale of the backward recurrence.  On the
     # real axis J_k reaches it only above the validated order 200 (the
     # kernels themselves take any order).
@@ -633,7 +682,8 @@ def test_bessel_scan_subdivision_is_batched(dim):
     params = dm.MaterialParams(a=1.3, b=0.8, dim=dim)
     for mode in (0, 3):
         f, fdf, f_grid = dm._radial_scan_functions(
-            mode, params, lambda lam, v, d: dm._secular(params, 2.5j, v, d))
+            dm._RadialGrid(mode, params, (0.3, 60.0)),
+            lambda lam, v, d: dm._secular(params, 2.5j, v, d))
         counted_f, f_calls = _counted(f)
         counted_grid, grid_calls = _counted(f_grid)
         res = specfun.find_real_roots(
