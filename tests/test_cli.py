@@ -437,6 +437,9 @@ a = 2.5
 s_min = 1.0
 """
 
+with open(os.path.join(REPO, "configs", "criteria.ini")) as _fh:
+    CRITERIA_EXAMPLE = _fh.read()
+
 # sha256 of the data files (config echo and manifest excluded) of small runs,
 # by case: (subcommand, config, digests); a change here is a golden-file
 # change and must be recorded as one.  The two disk-spectrum-* cases reach
@@ -451,6 +454,14 @@ GOLDEN_DIGESTS = {
             "06f3054e99ad7a86feddee9e1b2dfafa80c515a2f4e33460c57bdf9c54d99a20",
         "summary.json":
             "28dc0c48f98a0d253156572dc003332c35fe90d09e76a9d36c4a24d84697960a",
+    }),
+    # the example as shipped: mu_max 1e6, the six built-in laws, prefixes
+    # 10, 100 and 1000
+    "criteria-example": ("criteria", CRITERIA_EXAMPLE, {
+        "criteria.csv":
+            "a1c48bdec7a25d2c8b82c61c36b4f92888e76eb47f196b18dc8a02572cf105a0",
+        "summary.json":
+            "b7362cf4e71d8678c440399a9716c6cb1b8d7e0c2d14f3dbd8df48a9413cef71",
     }),
     "disk-spectrum": ("disk-spectrum", DISK_GOLDEN, {
         "eigenvalues.csv":
