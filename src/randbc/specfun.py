@@ -88,6 +88,13 @@ def spherical_j_grid(l: int, xs):
     return spherical_jl_batch(int(l), xs)
 
 
+def _opposite_signs(a, b):
+    """a and b are of strictly opposite signs (0 is of neither sign).  A
+    product test a * b < 0 would read two values below about 1e-162 in
+    magnitude as 0, their product having underflowed."""
+    return a < 0.0 < b or b < 0.0 < a
+
+
 @dataclass(frozen=True)
 class RootBracket:
     lo: float
@@ -96,7 +103,7 @@ class RootBracket:
     f_hi: float
 
     def __post_init__(self):
-        if not self.f_lo * self.f_hi < 0:
+        if not _opposite_signs(self.f_lo, self.f_hi):
             raise SpecFunError("bracket endpoints must have opposite signs")
 
 
@@ -183,7 +190,7 @@ def _split_cell(f, lo, hi, f_lo, f_hi, depth, brackets, inner=None):
     vals = [f_lo, *inner, f_hi]
     n = SUBDIVISIONS - 1
     changes = [i for i in range(SUBDIVISIONS)
-               if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0]
+               if vals[i] == 0.0 or _opposite_signs(vals[i], vals[i + 1])]
     if len(changes) > 1:
         for i in changes:
             n += _split_cell(f, pts[i], pts[i + 1], vals[i], vals[i + 1],
@@ -248,7 +255,7 @@ def bracket_real_roots(f, window, n_grid=1024, min_spacing=None,
 
     # per sign-change cell, f at its interior subdivision points from the
     # one pooled f_grid call, or None where _split_cell calls f
-    cells = [i for i in range(n_grid) if fs[i] * fs[i + 1] < 0]
+    cells = [i for i in range(n_grid) if _opposite_signs(fs[i], fs[i + 1])]
     pooled = dict.fromkeys(cells)
     if f_grid is not None and cells:
         m = SUBDIVISIONS - 1
@@ -297,10 +304,12 @@ def find_real_roots(f, window, n_grid=1024, min_spacing=None, f_grid=None,
     scale = max(max(abs(v) for v in fs), 1e-300)
 
     # suspected double roots: interior |f| minima without a sign change are
-    # refined by ternary search, then tested against 1e-8 * scale
+    # refined by ternary search, then tested against 1e-8 * scale; a and b
+    # are of strictly the same sign where a and -b are of opposite signs
     for i in range(1, n_grid):
         ai, bi, ci = abs(fs[i - 1]), abs(fs[i]), abs(fs[i + 1])
-        if bi < ai and bi < ci and fs[i - 1] * fs[i] > 0 and fs[i] * fs[i + 1] > 0:
+        if (bi < ai and bi < ci and _opposite_signs(fs[i - 1], -fs[i])
+                and _opposite_signs(fs[i], -fs[i + 1])):
             if bi > 1e-3 * scale:
                 continue
             lo, hi = xs[i - 1], xs[i + 1]

@@ -191,6 +191,29 @@ def test_bracket_type_rejects_same_sign():
         specfun.RootBracket(0.0, 1.0, 2.0, 3.0)
 
 
+def test_sign_changes_between_tiny_values_are_bracketed():
+    # values of about 1e-170: their products underflow to 0, so a product
+    # test finds no sign change; 0 stays of neither sign
+    tiny = 1e-170
+    specfun.RootBracket(0.0, 1.0, -tiny, tiny)
+    for f_lo, f_hi in ((0.0, tiny), (-tiny, 0.0), (tiny, tiny)):
+        with pytest.raises(specfun.SpecFunError):
+            specfun.RootBracket(0.0, 1.0, f_lo, f_hi)
+    res = specfun.find_real_roots(lambda x: tiny * (x - 0.3), (0.0, 1.0),
+                                  n_grid=8)
+    assert len(res.brackets) == 1 and abs(res.roots[0] - 0.3) <= 1e-12
+    # three roots in the grid cell (0.25, 0.375), one per subcell
+    scan = specfun.bracket_real_roots(
+        lambda x: tiny * (x - 0.3) * (x - 0.31) * (x - 0.32), (0.0, 1.0),
+        n_grid=8)
+    assert [(b.lo < r < b.hi) for b, r in zip(scan.brackets,
+                                              (0.3, 0.31, 0.32))] == [True] * 3
+    # the double-root search's same-sign tests, at values of about 1e-176
+    res = specfun.find_real_roots(lambda x: tiny * (x - 3.0) ** 2, (1.0, 5.1))
+    assert not res.roots
+    assert any(abs(s - 3.0) < 1e-3 for s in res.suspected_double)
+
+
 def test_complex_polish_simple():
     res = specfun.complex_root_polish(lambda z: (z * z + 1.0, 2.0 * z), 0.9j)
     assert res.converged
