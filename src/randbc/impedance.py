@@ -4,6 +4,7 @@ All sampling is counter-based: a (seed, stream) pair keys a Philox generator,
 so the draw at any index is a pure function of (seed, stream, index) and
 parallel scheduling cannot perturb statistics.
 """
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,12 +50,25 @@ class SeededStream:
         return SeededStream(self.seed, mixed)
 
 
+def _elementwise(fn):
+    """Run fn(self, s) on s as a 1-d float64 array: a float s gives a
+    float, an array of s an array of its shape."""
+    @functools.wraps(fn)
+    def wrapper(self, s):
+        arr = np.asarray(s, dtype=float)
+        out = fn(self, arr.reshape(-1)).reshape(arr.shape)
+        return float(out) if arr.ndim == 0 else out
+    return wrapper
+
+
 class ImpedanceDistribution:
     """Law of one i.i.d. impedance value, supported in {Re z >= 0}.
 
     survival_abs(s) = P{|zeta| >= s} is the primitive used by the compactness
     criteria (it is what the series sum_k mult 1-F(delta sqrt(mu_k)) needs,
     atoms included); cdf_abs is the ordinary right-continuous P{|zeta| <= s}.
+    survival_abs takes a float or an array of them: the criteria evaluate a
+    whole spectrum in one call, s = 0 (the mode mu = 0) included.
     """
     kind = "abstract"
 
@@ -102,8 +116,9 @@ class PointMass(ImpedanceDistribution):
     def sample(self, n, rng):
         return np.full(n, self.z0, dtype=complex)
 
+    @_elementwise
     def survival_abs(self, s):
-        return 1.0 if s <= abs(self.z0) else 0.0
+        return np.where(s <= abs(self.z0), 1.0, 0.0)
 
     def cdf_abs(self, s):
         return 1.0 if s >= abs(self.z0) else 0.0
@@ -136,22 +151,28 @@ class UniformDisc(ImpedanceDistribution):
         th = 2.0 * math.pi * rng.random(n)
         return self.center + rho * np.exp(1j * th)
 
-    def _abs_cdf_exact(self, s, strict=False):
-        # P{|zeta| < s} (strict) or <= s; the boundary circle has measure 0
+    @_elementwise
+    def _abs_cdf_exact(self, s):
+        # P{|zeta| <= s} = P{|zeta| < s}: circles have measure 0
         c, r = abs(self.center), self.radius
-        if s <= c - r:
-            return 0.0
-        if s >= c + r:
-            return 1.0
+        cdf = np.where(s >= c + r, 1.0, 0.0)
+        # 0 < s: the lens formula divides by s
+        inner = (s > max(c - r, 0.0)) & (s < c + r)
+        s = s[inner]
         # area of {|z - c| <= r} ∩ {|z| <= s} over pi r^2 (lens area)
         d = c
         if d == 0.0:
-            return min(1.0, (s / r) ** 2)
-        a1 = s * s * math.acos((d * d + s * s - r * r) / (2 * d * s))
-        a2 = r * r * math.acos((d * d + r * r - s * s) / (2 * d * r))
-        a3 = 0.5 * math.sqrt(max(0.0, (-d + s + r) * (d + s - r)
-                                 * (d - s + r) * (d + s + r)))
-        return (a1 + a2 - a3) / (math.pi * r * r)
+            cdf[inner] = np.minimum(1.0, (s / r) ** 2)
+            return cdf
+        # the cosines lie in [-1, 1] but for rounding
+        a1 = s * s * np.arccos(np.clip(
+            (d * d + s * s - r * r) / (2 * d * s), -1.0, 1.0))
+        a2 = r * r * np.arccos(np.clip(
+            (d * d + r * r - s * s) / (2 * d * r), -1.0, 1.0))
+        a3 = 0.5 * np.sqrt(np.maximum(0.0, (-d + s + r) * (d + s - r)
+                                      * (d - s + r) * (d + s + r)))
+        cdf[inner] = (a1 + a2 - a3) / (math.pi * r * r)
+        return cdf
 
     def survival_abs(self, s):
         return 1.0 - self._abs_cdf_exact(s)
@@ -202,10 +223,12 @@ class UniformImagSegment(ImpedanceDistribution):
         covered = max(0.0, min(hi, s) - max(lo, -s))
         return min(1.0, covered / length)
 
+    @_elementwise
     def survival_abs(self, s):
         lo, hi = self.c_lo, self.c_hi
-        covered = max(0.0, min(hi, s) - max(lo, -s))  # measure of {|c| < s}... boundary null
-        return max(0.0, 1.0 - covered / (hi - lo))
+        # the length of {|c| < s}; the law has no atoms
+        covered = np.maximum(0.0, np.minimum(hi, s) - np.maximum(lo, -s))
+        return np.maximum(0.0, 1.0 - covered / (hi - lo))
 
     def cdf_abs(self, s):
         return self._cdf(s)
@@ -239,10 +262,11 @@ class ParetoImag(ImpedanceDistribution):
     def abs_quantile(self, u):
         return self.s_min * (1.0 - u) ** (-1.0 / self.a)
 
+    @_elementwise
     def survival_abs(self, s):
-        if s <= self.s_min:
-            return 1.0
-        return (self.s_min / s) ** self.a
+        # s_min / s only where s > s_min: no division by s = 0
+        return np.where(s <= self.s_min, 1.0,
+                        (self.s_min / np.maximum(s, self.s_min)) ** self.a)
 
     def cdf_abs(self, s):
         return 1.0 - self.survival_abs(s) if s >= self.s_min else 0.0
@@ -268,10 +292,12 @@ class HalfNormalReal(ImpedanceDistribution):
     def sample(self, n, rng):
         return np.abs(rng.normal(0.0, self.sigma, size=n)) + 0j
 
+    @_elementwise
     def survival_abs(self, s):
-        if s <= 0:
-            return 1.0
-        return math.erfc(s / (self.sigma * math.sqrt(2.0)))
+        # math.erfc point by point: numpy has no erfc; erfc(0) = 1 covers
+        # s <= 0
+        x = np.maximum(s, 0.0) / (self.sigma * math.sqrt(2.0))
+        return np.fromiter(map(math.erfc, x.tolist()), float, x.size)
 
     def cdf_abs(self, s):
         return 1.0 - self.survival_abs(s)
@@ -319,8 +345,12 @@ class BoundedCustom(ImpedanceDistribution):
             return float(self.f_table[-1])
         return float(np.interp(s, self.s_table, self.f_table))
 
+    @_elementwise
     def survival_abs(self, s):
-        return 1.0 - self.cdf_abs(s)
+        # P{|zeta| >= s} is 1 up to the table's first point, its atom
+        # included; past its last point np.interp holds 1 - F at the end
+        return np.where(s <= self.s_table[0], 1.0,
+                        1.0 - np.interp(s, self.s_table, self.f_table))
 
     def abs_moment(self, p):
         mids = 0.5 * (self.s_table[1:] + self.s_table[:-1])

@@ -12,7 +12,6 @@ masquerade as convergence.
 """
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -263,24 +262,29 @@ def _analytic_tail(dist: ImpedanceDistribution, dim: int, delta: float,
     return 0.0, math.inf, False
 
 
-def _tail_criterion(name, dist: ImpedanceDistribution,
-                    spectrum: BoundarySpectrum, deltas,
-                    partial_at) -> CriterionVerdict:
-    """Verdict over the delta grid from the enumerated part partial_at(delta)
-    plus the analytic tail beyond the enumeration.
+def _tails(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
+           deltas) -> dict:
+    """{delta: _analytic_tail(...)} beyond the spectrum's last mode.
 
-    The verdict is decided by _analytic_tail(dist, dim, delta,
-    spectrum.tail_mode_index()) alone; the finite partial sums only feed
-    `evidence`.  drop_prefix keeps mu[-1], so the tail index and the verdict
-    are those of the full spectrum for every dropped prefix: the criteria's
-    prefix check (prefix_stable_verdicts) cannot report a change.
+    The verdicts are decided by these alone; the finite partial sums only
+    feed `evidence`.  drop_prefix keeps mu[-1], so the tail index and the
+    tails are those of the full spectrum for every dropped prefix: the
+    criteria's prefix check (prefix_stable_verdicts) cannot report a
+    change.
     """
     start = spectrum.tail_mode_index()
+    return {delta: _analytic_tail(dist, spectrum.dim, delta, start)
+            for delta in deltas}
+
+
+def _tail_criterion(name, deltas, partials, tails) -> CriterionVerdict:
+    """Verdict over the delta grid from the enumerated part partials[delta]
+    plus the analytic tail beyond the enumeration, tails[delta]."""
     evidence = {}
     finite_flags = []
     for delta in deltas:
-        partial = partial_at(delta)
-        lo, hi, certified = _analytic_tail(dist, spectrum.dim, delta, start)
+        partial = partials[delta]
+        lo, hi, certified = tails[delta]
         finite = certified and math.isfinite(hi)
         infinite = certified and math.isinf(lo)
         evidence[delta] = {"partial": partial, "tail_lo": lo, "tail_hi": hi,
@@ -298,46 +302,40 @@ def _tail_criterion(name, dist: ImpedanceDistribution,
 
 def _survivals(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
                deltas) -> dict:
-    """{delta: [1 - F(delta sqrt(mu)) for each enumerated mu]}, the one
-    survival vector the series and expectation criteria both sum."""
-    roots = [math.sqrt(mu) for mu in spectrum.mu.tolist()]
-    return {delta: [dist.survival_abs(delta * r) for r in roots]
-            for delta in deltas}
+    """{delta: 1 - F(delta sqrt(mu)) as an array over the enumerated mu},
+    one survival_abs call per delta; the series and expectation criteria
+    both sum it."""
+    roots = np.sqrt(spectrum.mu)
+    return {delta: dist.survival_abs(delta * roots) for delta in deltas}
 
 
-def _series_verdict(dist, spectrum, deltas, survivals,
+def _series_verdict(spectrum, deltas, survivals, tails,
                     offset=0) -> CriterionVerdict:
-    mult = spectrum.mult.tolist()
-
-    def partial_at(delta):
-        # Python floats, summed left to right: builtin sum() compensates a
-        # sum of floats from Python 3.12 on, which would change the bits
-        total = 0.0
-        for m, surv in zip(mult, islice(survivals[delta], offset, None)):
-            total += m * surv
-        return total
-
-    return _tail_criterion("series", dist, spectrum, deltas, partial_at)
+    """The series criterion of `spectrum`, whose modes are those of the
+    survival arrays from index `offset` on: sum mult * survival."""
+    partials = {delta: float(np.sum(spectrum.mult * survivals[delta][offset:]))
+                for delta in deltas}
+    return _tail_criterion("series", deltas, partials, tails)
 
 
-def _expectation_verdict(dist, spectrum, deltas, survivals,
+def _expectation_verdict(spectrum, deltas, survivals, tails,
                          offset=0) -> CriterionVerdict:
     cum = np.cumsum(spectrum.mult).astype(float)
-
-    def partial_at(delta):
-        surv = np.fromiter(islice(survivals[delta], offset, None), float)
+    partials = {}
+    for delta in deltas:
+        surv = survivals[delta][offset:]
         # sum_{i<M} N_i (S_i - S_{i+1}) + N_M S_M  (Stieltjes against F)
-        return float(np.sum(cum[:-1] * (surv[:-1] - surv[1:]))
-                     + cum[-1] * surv[-1])
-
-    return _tail_criterion("expectation", dist, spectrum, deltas, partial_at)
+        partials[delta] = float(np.sum(cum[:-1] * (surv[:-1] - surv[1:]))
+                                + cum[-1] * surv[-1])
+    return _tail_criterion("expectation", deltas, partials, tails)
 
 
 def series_criterion(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
                      deltas=DEFAULT_DELTAS) -> CriterionVerdict:
     """Convergence of sum_k mult_k (1 - F(delta sqrt(mu_k))) over the delta grid."""
-    return _series_verdict(dist, spectrum, deltas,
-                           _survivals(dist, spectrum, deltas))
+    return _series_verdict(spectrum, deltas,
+                           _survivals(dist, spectrum, deltas),
+                           _tails(dist, spectrum, deltas))
 
 
 def expectation_criterion(dist: ImpedanceDistribution,
@@ -349,8 +347,9 @@ def expectation_criterion(dist: ImpedanceDistribution,
     (N_i [F(s_{i+1}) - F(s_i)] summed, plus the boundary term), the analytic
     per-kind tail bounds what lies beyond the enumeration.
     """
-    return _expectation_verdict(dist, spectrum, deltas,
-                                _survivals(dist, spectrum, deltas))
+    return _expectation_verdict(spectrum, deltas,
+                                _survivals(dist, spectrum, deltas),
+                                _tails(dist, spectrum, deltas))
 
 
 def moment_criterion(dist: ImpedanceDistribution, d: int) -> CriterionVerdict:
@@ -377,21 +376,26 @@ def standard_verdicts(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
 def prefix_verdicts(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
                     deltas, prefixes) -> list:
     """[standard_verdicts(dist, drop_prefix(spectrum, p), deltas) for p in
-    prefixes], from one survival pass over the whole spectrum.
+    prefixes], from one survival pass over the whole spectrum and one
+    analytic tail per delta.
 
     A dropped spectrum's mu is the trailing slice spectrum.mu[cut:], the same
-    floats, so each dropped spectrum reads the shared survival lists from
-    offset cut and gets the same bits as its own pass would.
+    floats, so each dropped spectrum sums the shared survival arrays from
+    offset cut and gets the same bits as its own pass would; it also keeps
+    mu[-1], and with it the tails.  The moment criterion does not depend on
+    the spectrum's modes: every prefix shares one verdict.
     """
     survivals = _survivals(dist, spectrum, deltas)
+    tails = _tails(dist, spectrum, deltas)
+    moment = moment_criterion(dist, spectrum.dim)
     out = []
     for prefix in prefixes:
         dropped = drop_prefix(spectrum, prefix)
         cut = spectrum.mu.size - dropped.mu.size
         out.append([
-            _series_verdict(dist, dropped, deltas, survivals, cut),
-            _expectation_verdict(dist, dropped, deltas, survivals, cut),
-            moment_criterion(dist, spectrum.dim)])
+            _series_verdict(dropped, deltas, survivals, tails, cut),
+            _expectation_verdict(dropped, deltas, survivals, tails, cut),
+            moment])
     return out
 
 

@@ -201,17 +201,20 @@ def _verdict_bits(verdicts):
 @pytest.mark.parametrize("model", ["circle", "sphere"])
 def test_prefix_verdicts_share_one_survival_pass(model, monkeypatch):
     # prefix 2 splits the k = 1 / l = 1 block; the dropped spectra read the
-    # full spectrum's survival lists from an offset and must give the bits of
-    # their own pass
+    # full spectrum's survival arrays from an offset and must give the bits
+    # of their own pass.  survival_abs takes arrays, so the count is of the
+    # points it evaluates, not of its calls; the analytic tail is the same
+    # for every prefix and is evaluated once per delta
     spec = weyl.boundary_spectrum(model, 1e6)
     deltas = (0.01, 0.3, 1.0, 10.0)
     prefixes = (1, 2, 10, 100, 1000)
     laws = cli.builtin_distribution_family() + [
         ("table", imp.BoundedCustom([0.0, 2.0, 50.0], [0.0, 0.5, 1.0]))]
-    calls = {"all": 0, "tail": 0}
+    calls = {"all": 0, "tail": 0, "tails": 0}
     tail = weyl._analytic_tail
 
     def counted_tail(*args):
+        calls["tails"] += 1
         before = calls["all"]
         out = tail(*args)
         calls["tail"] += calls["all"] - before
@@ -224,13 +227,14 @@ def test_prefix_verdicts_share_one_survival_pass(model, monkeypatch):
         survival = dist.survival_abs
 
         def counted(s, survival=survival):
-            calls["all"] += 1
+            calls["all"] += np.size(s)
             return survival(s)
 
         monkeypatch.setattr(dist, "survival_abs", counted)
-        calls.update(all=0, tail=0)
+        calls.update(all=0, tail=0, tails=0)
         got = weyl.prefix_verdicts(dist, spec, deltas, prefixes)
         assert calls["all"] - calls["tail"] == len(deltas) * spec.mu.size, label
+        assert calls["tails"] == len(deltas), label
         assert [_verdict_bits(v) for v in got] == \
             [_verdict_bits(v) for v in want], label
         full, stable = weyl.prefix_stable_verdicts(dist, spec, deltas, prefixes)
