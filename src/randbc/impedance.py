@@ -153,25 +153,28 @@ class UniformDisc(ImpedanceDistribution):
 
     @_elementwise
     def _abs_cdf_exact(self, s):
-        # P{|zeta| <= s} = P{|zeta| < s}: circles have measure 0
-        c, r = abs(self.center), self.radius
-        cdf = np.where(s >= c + r, 1.0, 0.0)
-        # 0 < s: the lens formula divides by s
-        inner = (s > max(c - r, 0.0)) & (s < c + r)
+        # P{|zeta| <= s} = P{|zeta| < s}: circles have measure 0.  Between
+        # |center| -+ r it is the area of the lens {|z - center| <= r} ∩
+        # {|z| <= s} over pi r^2
+        d, r = abs(self.center), self.radius
+        cdf = np.where(s >= d + r, 1.0, 0.0)
+        inner = (s > max(d - r, 0.0)) & (s < d + r)
         s = s[inner]
-        # area of {|z - c| <= r} ∩ {|z| <= s} over pi r^2 (lens area)
-        d = c
         if d == 0.0:
             cdf[inner] = np.minimum(1.0, (s / r) ** 2)
             return cdf
-        # the cosines lie in [-1, 1] but for rounding
-        a1 = s * s * np.arccos(np.clip(
-            (d * d + s * s - r * r) / (2 * d * s), -1.0, 1.0))
-        a2 = r * r * np.arccos(np.clip(
-            (d * d + r * r - s * s) / (2 * d * r), -1.0, 1.0))
-        a3 = 0.5 * np.sqrt(np.maximum(0.0, (-d + s + r) * (d + s - r)
-                                      * (d - s + r) * (d + s + r)))
-        cdf[inner] = (a1 + a2 - a3) / (math.pi * r * r)
+        # the triangle of sides d, s, r: 4 times its area by Heron's formula
+        # in Kahan's form (sides sorted, x >= y >= z), and its angles at 0
+        # and at the center by atan2, well conditioned where the circles
+        # touch (acos of the cosines lost up to 2e-6 there)
+        x, y, z = np.sort([np.full_like(s, d), s, np.full_like(s, r)],
+                          axis=0)[::-1]
+        area4 = np.sqrt(np.maximum(0.0, (x + (y + z)) * (z - (x - y))
+                                   * (z + (x - y)) * (x + (y - z))))
+        angle_0 = np.arctan2(area4, d * d + s * s - r * r)
+        angle_c = np.arctan2(area4, d * d + r * r - s * s)
+        lens = s * s * angle_0 + r * r * angle_c - 0.5 * area4
+        cdf[inner] = np.clip(lens / (math.pi * r * r), 0.0, 1.0)
         return cdf
 
     def survival_abs(self, s):

@@ -1,6 +1,8 @@
 """Samplers, Cayley transform, admissible directions, compactness proxies."""
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,120 @@ def test_survival_cdf_complementarity():
                  imp.UniformImagSegment(-1.0, 2.0)):
         for s in (0.0, 0.3, 1.0, 2.7, 10.0):
             assert abs(dist.survival_abs(s) + dist.cdf_abs(s) - 1.0) <= 1e-12
+
+
+def _disc_survival(r, c):
+    # 1 - P{|zeta| <= s}, integrated over the circles |z| = rho: the disc
+    # |z - c| <= r (|c| >= r) covers the angle 2 acos((rho^2 + c^2 - r^2)
+    # / (2 rho c)) of each
+    r, c = mpmath.mpf(r), mpmath.mpf(c)
+
+    def survival(s):
+        if s <= c - r:
+            return mpmath.mpf(1)
+        if s >= c + r:
+            return mpmath.mpf(0)
+        angle = lambda rho: 2 * rho * mpmath.acos(
+            (rho * rho + c * c - r * r) / (2 * rho * c))
+        return 1 - mpmath.quad(angle, [c - r, s]) / (mpmath.pi * r * r)
+    return survival
+
+
+def _segment_survival(lo, hi):
+    # the length of [lo, hi] outside (-s, s), over hi - lo
+    def survival(s):
+        outside = max(0, hi - max(s, lo)) + max(0, min(-s, hi) - lo)
+        return mpmath.mpf(outside) / (mpmath.mpf(hi) - lo)
+    return survival
+
+
+def _table_survival(s_table, f_table):
+    # 1 up to the first point, 1 - F on the linear interpolant after it
+    def survival(s):
+        if s <= s_table[0]:
+            return mpmath.mpf(1)
+        if s >= s_table[-1]:
+            return 1 - mpmath.mpf(f_table[-1])
+        i = int(np.searchsorted(s_table, s)) - 1
+        w = (mpmath.mpf(s) - s_table[i]) / (mpmath.mpf(s_table[i + 1])
+                                            - s_table[i])
+        return 1 - (f_table[i] + w * (mpmath.mpf(f_table[i + 1])
+                                      - f_table[i]))
+    return survival
+
+
+# (law, {breakpoint: survival there}, mpmath reference of the survival,
+# the end of the tested range); each law's atoms count at their breakpoint
+SURVIVAL_LAWS = {
+    "point_mass": (imp.PointMass(0.6 + 0.8j), {0.0: 1.0, 1.0: 1.0},
+                   lambda s: mpmath.mpf(s <= 1.0), 3.0),
+    "point_mass_zero": (imp.PointMass(0.0), {0.0: 1.0},
+                        lambda s: mpmath.mpf(s <= 0.0), 1.0),
+    "uniform_disc": (imp.UniformDisc(1.0, 1.5), {0.0: 1.0, 0.5: 1.0,
+                                                 2.5: 0.0},
+                     _disc_survival(1.0, 1.5), 3.0),
+    "uniform_disc_at_0": (imp.UniformDisc(1.0, 1.0), {0.0: 1.0, 2.0: 0.0},
+                          _disc_survival(1.0, 1.0), 2.5),
+    "uniform_disc_off_axis": (imp.UniformDisc(2.0, 3.0 + 1.0j),
+                              {0.0: 1.0, abs(3.0 + 1.0j) - 2.0: 1.0,
+                               abs(3.0 + 1.0j) + 2.0: 0.0},
+                              _disc_survival(2.0, abs(3.0 + 1.0j)), 6.0),
+    "uniform_segment": (imp.UniformImagSegment(-1.0, 3.0),
+                        {0.0: 1.0, 1.0: 0.5, 3.0: 0.0},
+                        _segment_survival(-1.0, 3.0), 4.0),
+    "pareto": (imp.ParetoImag(2.5, 1.5), {0.0: 1.0, 1.5: 1.0},
+               lambda s: min(1, (mpmath.mpf(1.5) / s) ** 2.5) if s else 1,
+               20.0),
+    "half_normal": (imp.HalfNormalReal(0.7), {0.0: 1.0},
+                    lambda s: mpmath.erfc(s / (0.7 * mpmath.sqrt(2))), 6.0),
+    "bounded_custom": (imp.BoundedCustom([0.5, 2.0, 5.0], [0.1, 0.6, 1.0]),
+                       {0.0: 1.0, 0.5: 1.0, 2.0: 0.4, 5.0: 0.0},
+                       _table_survival([0.5, 2.0, 5.0], [0.1, 0.6, 1.0]), 6.0),
+    "bounded_custom_open": (imp.BoundedCustom([0.0, 1.0, 3.0],
+                                              [0.0, 0.4, 0.9]),
+                            {0.0: 1.0, 1.0: 0.6, 3.0: 1.0 - 0.9},
+                            _table_survival([0.0, 1.0, 3.0], [0.0, 0.4, 0.9]),
+                            4.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SURVIVAL_LAWS))
+def test_survival_abs_on_floats_and_arrays(name):
+    dist, atoms, reference, top = SURVIVAL_LAWS[name]
+    breaks = np.array(sorted(atoms))
+    # floats give floats, the atoms included at their breakpoints
+    for s, want in atoms.items():
+        got = dist.survival_abs(s)
+        assert type(got) is float and got == want, s
+    # one array call equals the float calls, in the array's shape
+    grid = np.unique(np.concatenate([
+        np.linspace(0.0, top, 20_001), breaks, np.nextafter(breaks, -1.0),
+        np.nextafter(breaks, top)]))
+    grid = grid[grid >= 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = dist.survival_abs(grid)
+    assert isinstance(values, np.ndarray) and values.shape == grid.shape
+    assert np.array_equal(dist.survival_abs(grid[:60].reshape(3, 20)),
+                          values[:60].reshape(3, 20))
+    assert [dist.survival_abs(s) for s in grid[::400].tolist()] == \
+        values[::400].tolist()
+    # a survival function: in [0, 1] and nonincreasing
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    assert np.all(np.diff(values) <= 0.0)
+    # also in [0, 1] within 1e-13 relative of each breakpoint, where the
+    # disc's 1 - F(s) rounds to multiples of 2^-53 and may step up by one
+    near = np.unique(np.outer(1.0 + np.arange(-100, 101) * 1e-15,
+                              breaks).ravel())
+    values = dist.survival_abs(near)
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    assert np.all(np.diff(values) <= 2.0 ** -53)
+    # against mpmath at 50 points, the breakpoints among them
+    points = np.unique(np.concatenate([np.linspace(0.0, top, 46), breaks,
+                                       np.nextafter(breaks, top)]))
+    with mpmath.workdps(40):
+        want = [float(reference(s)) for s in points.tolist()]
+    assert np.max(np.abs(dist.survival_abs(points) - want)) <= 1e-15
 
 
 def test_half_normal_moment():
