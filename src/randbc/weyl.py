@@ -193,11 +193,27 @@ def hurwitz_zeta(s: float, q: float) -> float:
     return math.fsum(terms)
 
 
-def _tail_term(dist, dim, delta, idx):
-    """Series term at distinct mode index idx beyond the enumeration."""
+def _tail_terms(dist, dim, delta, idx):
+    """Series terms at the distinct mode indices idx (an int array) beyond
+    the enumeration."""
     if dim == 2:
         return 2.0 * dist.survival_abs(delta * idx)
-    return (2 * idx + 1) * dist.survival_abs(delta * math.sqrt(idx * (idx + 1)))
+    return (2 * idx + 1) * dist.survival_abs(delta * np.sqrt(idx * (idx + 1)))
+
+
+def _index_blocks(start, stop):
+    """The indices start + 1 .. stop as consecutive int64 arrays of 64,
+    128, ... and at most 2**16 indices."""
+    lo, n = start + 1, 64
+    while lo <= stop:
+        yield np.arange(lo, min(lo + n, stop + 1))
+        lo, n = lo + n, min(2 * n, 2**16)
+
+
+def _running_sums(total, terms):
+    """total + terms[0], total + terms[0] + terms[1], ...: summed left to
+    right (np.cumsum), as a loop over the terms would."""
+    return np.cumsum(np.concatenate(([total], terms)))[1:]
 
 
 def _analytic_tail(dist: ImpedanceDistribution, dim: int, delta: float,
@@ -205,29 +221,36 @@ def _analytic_tail(dist: ImpedanceDistribution, dim: int, delta: float,
     """Bounds (lo, hi) on sum of series terms at distinct indices > start.
 
     Returns (lo, hi, certified); hi = inf means certified divergence, and an
-    uncertified tail comes back (0, inf, False) -> inconclusive.
+    uncertified tail comes back (0, inf, False) -> inconclusive.  The terms
+    are evaluated in blocks of indices (_index_blocks) and summed left to
+    right.
     """
-    def s_at(idx):
-        return delta * (idx if dim == 2 else math.sqrt(idx * (idx + 1)))
-
     bound = dist.abs_bound()
     if bound is not None:
         # finitely many nonzero terms: sum them directly
         idx_stop = int(math.ceil(bound / delta)) + 2
         total = 0.0
-        for idx in range(start + 1, max(start + 1, idx_stop) + 1):
-            total += _tail_term(dist, dim, delta, idx)
+        for idx in _index_blocks(start, max(start + 1, idx_stop)):
+            total = float(_running_sums(
+                total, _tail_terms(dist, dim, delta, idx))[-1])
         return total, total, True
     if isinstance(dist, ParetoImag):
         a, s_min = dist.a, dist.s_min
-        # advance until the survival is in its power-law regime
+        # advance until the survival is in its power-law regime: the head
+        # is the indices with s <= s_min (1 + 1e-12), a run from start + 1
         idx0 = start
         head = 0.0
-        while s_at(idx0 + 1) <= s_min * (1 + 1e-12):
-            idx0 += 1
-            head += _tail_term(dist, dim, delta, idx0)
-            if idx0 - start > 10_000_000:
-                return 0.0, math.inf, False
+        for block in _index_blocks(start, start + 10_000_001):
+            s = delta * (block if dim == 2 else np.sqrt(block * (block + 1)))
+            idx = block[s <= s_min * (1 + 1e-12)]
+            if idx.size:
+                head = float(_running_sums(
+                    head, _tail_terms(dist, dim, delta, idx))[-1])
+            idx0 += idx.size
+            if idx.size < block.size:
+                break
+        else:
+            return 0.0, math.inf, False
         ratio = (s_min / delta) ** a
         if dim == 2:
             if a <= 1.0:
@@ -243,20 +266,20 @@ def _analytic_tail(dist: ImpedanceDistribution, dim: int, delta: float,
                              - hurwitz_zeta(a, idx0 + 2))
         return max(lo, 0.0), hi, True
     if isinstance(dist, HalfNormalReal):
-        # gaussian decay: direct summation with a certified cutoff
+        # gaussian decay: direct summation with a certified cutoff, the
+        # first index whose envelope is negligible against the sum so far
         total = 0.0
-        idx = start
         c = delta * delta / (2.0 * dist.sigma ** 2)
-        while True:
-            idx += 1
-            term = _tail_term(dist, dim, delta, idx)
-            total += term
-            envelope = (2 * idx + 1) * math.exp(-c * idx * idx)
-            if envelope < 1e-18 * max(total, 1e-12) or envelope < 1e-280:
-                break
-            if idx - start > 50_000_000:
-                return 0.0, math.inf, False
-        return total, total, True
+        for idx in _index_blocks(start, start + 50_000_001):
+            totals = _running_sums(total, _tail_terms(dist, dim, delta, idx))
+            envelope = (2 * idx + 1) * np.exp(-c * idx * idx)
+            done = ((envelope < 1e-18 * np.maximum(totals, 1e-12))
+                    | (envelope < 1e-280))
+            if done.any():
+                total = float(totals[np.argmax(done)])
+                return total, total, True
+            total = float(totals[-1])
+        return 0.0, math.inf, False
     if isinstance(dist, BoundedCustom):
         return 0.0, math.inf, False  # table does not reach F = 1
     return 0.0, math.inf, False
@@ -312,7 +335,9 @@ def _survivals(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
 def _series_verdict(spectrum, deltas, survivals, tails,
                     offset=0) -> CriterionVerdict:
     """The series criterion of `spectrum`, whose modes are those of the
-    survival arrays from index `offset` on: sum mult * survival."""
+    survival arrays from index `offset` on: sum mult * survival, by
+    numpy's pairwise sum.  The slice holds the floats of the spectrum's
+    own survival pass, so the partial sums have its bits."""
     partials = {delta: float(np.sum(spectrum.mult * survivals[delta][offset:]))
                 for delta in deltas}
     return _tail_criterion("series", deltas, partials, tails)

@@ -243,6 +243,60 @@ def test_prefix_verdicts_share_one_survival_pass(model, monkeypatch):
         assert stable
 
 
+def _tail_by_loop(dist, dim, delta, start):
+    """_analytic_tail one index at a time, summed left to right."""
+    def term(idx):
+        return float(weyl._tail_terms(dist, dim, delta, np.array([idx]))[0])
+
+    def s_at(idx):
+        return delta * (idx if dim == 2 else math.sqrt(idx * (idx + 1)))
+
+    if dist.abs_bound() is not None:
+        total = 0.0
+        stop = max(start + 1, math.ceil(dist.abs_bound() / delta) + 2)
+        for idx in range(start + 1, stop + 1):
+            total += term(idx)
+        return total, total, True
+    if isinstance(dist, imp.ParetoImag):
+        a, idx0, head = dist.a, start, 0.0
+        while s_at(idx0 + 1) <= dist.s_min * (1 + 1e-12):
+            idx0 += 1
+            head += term(idx0)
+        ratio, z = (dist.s_min / delta) ** a, weyl.hurwitz_zeta
+        if dim == 2:
+            val = head + 2.0 * ratio * z(a, idx0 + 1)
+            return val, val, True
+        return (max(head + ratio * (2.0 * z(a - 1, idx0 + 2) - z(a, idx0 + 2)),
+                    0.0),
+                head + ratio * (2.0 * z(a - 1, idx0 + 1) + z(a, idx0 + 1)),
+                True)
+    total, idx = 0.0, start
+    c = delta * delta / (2.0 * dist.sigma ** 2)
+    while True:
+        idx += 1
+        total += term(idx)
+        envelope = (2 * idx + 1) * float(np.exp(-c * idx * idx))
+        if envelope < 1e-18 * max(total, 1e-12) or envelope < 1e-280:
+            return total, total, True
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_analytic_tail_blocks_equal_one_index_at_a_time(dim):
+    # the deltas put the bounded sums' ends, the Pareto heads' ends and the
+    # half-normal cutoffs past the first blocks of 64, 128, ... indices
+    laws = [imp.PointMass(1.0), imp.UniformDisc(1.0, 1.5),
+            imp.UniformImagSegment(-1.0, 3.0),
+            imp.BoundedCustom([0.0, 2.0, 5.0], [0.0, 0.5, 1.0]),
+            imp.ParetoImag(3.5, 1.0), imp.ParetoImag(2.5, 2.0),
+            imp.HalfNormalReal(1.0), imp.HalfNormalReal(0.05)]
+    for dist in laws:
+        for delta in (0.001, 0.01, 0.3, 10.0):
+            for start in (0, 7, 500, 3162):
+                want = _tail_by_loop(dist, dim, delta, start)
+                got = weyl._analytic_tail(dist, dim, delta, start)
+                assert _bits(got) == _bits(want), (dist.label(), delta, start)
+
+
 def test_drop_prefix_counts():
     spec = weyl.boundary_spectrum("sphere", 100.0)
     dropped = weyl.drop_prefix(spec, 2)  # splits the l=1 block
