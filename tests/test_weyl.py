@@ -243,6 +243,22 @@ def test_prefix_verdicts_share_one_survival_pass(model, monkeypatch):
         assert stable
 
 
+@pytest.mark.parametrize("model", ["circle", "sphere"])
+def test_series_partial_sums_against_fsum(model):
+    # the partial sums are numpy's pairwise sums of nonnegative terms: within
+    # 1e-14 relative of the correctly rounded sum of the float survivals
+    spec = weyl.boundary_spectrum(model, 1e6)
+    deltas = (0.01, 0.3, 10.0)
+    roots = [math.sqrt(mu) for mu in spec.mu.tolist()]
+    for label, dist in cli.builtin_distribution_family():
+        series = weyl.series_criterion(dist, spec, deltas)
+        for delta in deltas:
+            want = math.fsum(m * dist.survival_abs(delta * r)
+                             for m, r in zip(spec.mult.tolist(), roots))
+            got = series.evidence[delta]["partial"]
+            assert abs(got - want) <= 1e-14 * want, (label, delta)
+
+
 def _tail_by_loop(dist, dim, delta, start):
     """_analytic_tail one index at a time, summed left to right."""
     def term(idx):
