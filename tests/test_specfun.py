@@ -202,12 +202,12 @@ def test_sign_changes_between_tiny_values_are_bracketed():
     res = specfun.find_real_roots(lambda x: tiny * (x - 0.3), (0.0, 1.0),
                                   n_grid=8)
     assert len(res.brackets) == 1 and abs(res.roots[0] - 0.3) <= 1e-12
-    # three roots in the grid cell (0.25, 0.375), one per subcell
+    # three roots in the grid cell (0.25, 0.375), one per 16th of it
     scan = specfun.bracket_real_roots(
         lambda x: tiny * (x - 0.3) * (x - 0.31) * (x - 0.32), (0.0, 1.0),
         n_grid=8)
-    assert [(b.lo < r < b.hi) for b, r in zip(scan.brackets,
-                                              (0.3, 0.31, 0.32))] == [True] * 3
+    assert [(b.lo, b.hi) for b in scan.brackets] == [
+        (0.296875, 0.3046875), (0.3046875, 0.3125), (0.3125, 0.3203125)]
     # the double-root search's same-sign tests, at values of about 1e-176
     res = specfun.find_real_roots(lambda x: tiny * (x - 3.0) ** 2, (1.0, 5.1))
     assert not res.roots
