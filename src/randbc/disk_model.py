@@ -301,64 +301,79 @@ def _re_zeta_schedule(re_part):
     return targets
 
 
-def _continue_in_re_zeta(char_of_zeta, zeta, seeds, step_cap=1.5):
-    """Homotopy in Re zeta from the imaginary-axis solution, Newton-polished.
+def _window_roots(scan, char_of_zeta, zeta, window, spacing):
+    """The roots with Re lambda in window of one mode's characteristic
+    function at impedance zeta: the one search of every route.
 
-    char_of_zeta(zz, lam) returns the characteristic function at impedance
-    zz and its exact lam-derivative, as complex_root_polish takes them.
+    scan(zz) is the real-axis root search (a find_real_roots result) at
+    impedance zz; char_of_zeta(zz, lam) is the function and its exact
+    lam-derivative, as complex_root_polish takes them.  Re zeta = 0: the
+    spectrum is real and scan(zeta) gives the roots.  Re zeta > 0: the
+    roots of scan(i Im zeta) seed a homotopy in Re zeta.  A polished step
+    is accepted only when the root moves at most half the root spacing,
+    else the Re-zeta step is bisected, so the iteration tracks one branch.
+    A seed stalls when its Re-zeta step falls below 1e-6 or it has spent
+    CONTINUATION_MAX_EVALS char_of_zeta calls (at most one polish more).
 
-    A step is accepted only when the root moves less than step_cap (half a
-    typical root spacing); otherwise the zeta-step is bisected, so the
-    iteration tracks one branch instead of hopping to a neighbor.  A seed
-    whose Re-zeta step falls below 1e-6, or that has spent
-    CONTINUATION_MAX_EVALS char_of_zeta calls (at most one polish more), is
-    reported in failures with the Re zeta it stalled at.
+    Returns (roots, search, stalled, drifted): the roots in the window,
+    sorted by real part, with roots closer than 1e-8 max(1, hi) merged; the
+    scan's result; a (seed, Re zeta reached) pair per stalled seed; and the
+    continued roots that left the window.
     """
-    re_part, im_part = zeta.real, zeta.imag
-    schedule = _re_zeta_schedule(re_part)
-    roots, failures = [], []
-    for seed in seeds:
-        z = complex(seed)
-        re_prev = 0.0
-        targets = list(reversed(schedule))
-        evals = 0
-        while targets and evals < CONTINUATION_MAX_EVALS:
-            re_now = targets[-1]
-            zz = complex(re_now, im_part)
+    lo, hi = window
+    stalled = []
+    if abs(zeta.real) <= ACCRETIVE_TOL:
+        search = scan(zeta)
+        roots = [complex(r) for r in search.roots]
+    else:
+        # the window is a seed window, not a completeness claim
+        search = scan(complex(0.0, zeta.imag))
+        schedule = _re_zeta_schedule(zeta.real)
+        roots = []
+        for seed in search.roots:
+            z = complex(seed)
+            re_prev = 0.0
+            targets = list(reversed(schedule))
+            evals = 0
+            while targets and evals < CONTINUATION_MAX_EVALS:
+                re_now = targets[-1]
+                zz = complex(re_now, zeta.imag)
 
-            def fdf(lam):
-                nonlocal evals
-                evals += 1
-                return char_of_zeta(zz, lam)
+                def fdf(lam):
+                    nonlocal evals
+                    evals += 1
+                    return char_of_zeta(zz, lam)
 
-            pol = complex_root_polish(fdf, z)
-            if pol.converged and abs(pol.root - z) <= step_cap:
-                z = pol.root
-                re_prev = re_now
-                targets.pop()
-                continue
-            if re_now - re_prev <= 1e-6 * max(re_now, 0.25):
-                break
-            targets.append(0.5 * (re_prev + re_now))
-        if targets:
-            failures.append((seed, float(targets[-1])))
-        else:
-            roots.append(z)
-    return roots, failures
+                pol = complex_root_polish(fdf, z)
+                if pol.converged and abs(pol.root - z) <= 0.5 * spacing:
+                    z = pol.root
+                    re_prev = re_now
+                    targets.pop()
+                    continue
+                if re_now - re_prev <= 1e-6 * max(re_now, 0.25):
+                    break
+                targets.append(0.5 * (re_prev + re_now))
+            if targets:
+                stalled.append((seed, float(targets[-1])))
+            else:
+                roots.append(z)
+    drifted = [r for r in roots if not lo <= r.real <= hi]
+    kept = _dedupe([r for r in roots if lo <= r.real <= hi],
+                   1e-8 * max(1.0, hi))
+    return sorted(kept, key=lambda z: z.real), search, stalled, drifted
 
 
-def solve_mode_eigenvalues(mode: int, zeta, params: MaterialParams, window,
-                           budget=None) -> ModeEigenvalues:
+def solve_mode_eigenvalues(mode: int, zeta, params: MaterialParams,
+                           window) -> ModeEigenvalues:
     """Eigenvalues of the mode under impedance zeta with Re lambda in window.
 
-    Re zeta = 0: the spectrum is real; bracketed search with
-    Neumann/Dirichlet-interlacing-scale resolution.  Re zeta > 0: homotopy
-    continuation in Re zeta from the imaginary-axis roots.  A mismatch with
-    the zeta = 0 interlacing count (the brackets and exact grid zeros of
-    the zeta = 0 scan, unrefined) is reported in warnings, never silently
-    accepted.  The count scan and the real-axis scan (of zeta, or of
-    i Im zeta for the seeds) share one _RadialGrid: one batched Bessel
-    evaluation of the uniform grid per call.
+    One _window_roots search on the secular function, bracketed at the
+    Neumann/Dirichlet-interlacing-scale resolution.  Suspected double roots
+    (Re zeta = 0), stalled seeds, drifted roots and a mismatch with the
+    zeta = 0 interlacing count (the brackets and exact grid zeros of the
+    zeta = 0 scan, unrefined) are reported in warnings, never silently
+    accepted.  The count scan and the real-axis scan share one _RadialGrid:
+    one batched Bessel evaluation of the uniform grid per call.
     """
     zeta = complex(zeta)
     if zeta.real < -ACCRETIVE_TOL:
@@ -366,50 +381,32 @@ def solve_mode_eigenvalues(mode: int, zeta, params: MaterialParams, window,
     lo, hi = float(window[0]), float(window[1])
     if not 0.0 < lo < hi:
         raise DiskModelError("window must satisfy 0 < lo < hi")
-    spacing = math.pi / params.wave_factor
     grid = _RadialGrid(mode, params, (lo, hi))
     expected = _interlacing_count(grid)
 
-    def char_of_zeta(zz, lam):
-        return _radial_fdf(mode, complex(lam), params,
-                           lambda lam, v, d: _secular(params, zz, v, d))
+    def char(zz):
+        return lambda lam, v, d: _secular(params, zz, v, d)
 
+    eigs, search, stalled, drifted = _window_roots(
+        lambda zz: _real_axis_roots(grid, char(zz)),
+        lambda zz, lam: _radial_fdf(mode, complex(lam), params, char(zz)),
+        zeta, (lo, hi), math.pi / params.wave_factor)
+    bracketed = abs(zeta.real) <= ACCRETIVE_TOL
     warnings = []
-    if abs(zeta.real) <= ACCRETIVE_TOL:
-        res = _real_axis_roots(
-            grid, lambda lam, v, d: _secular(params, zeta, v, d))
-        eigs = [complex(r) for r in res.roots]
-        if res.suspected_double:
-            warnings.append(f"suspected double roots at {res.suspected_double}")
-        method = "bracketed"
-    else:
-        # seeds: real roots of the imaginary-axis problem inside the window;
-        # their continuations are the reported set (the window is a seed
-        # window, not a completeness claim -- see module docs)
-        seed_zeta = complex(0.0, zeta.imag)
-        seed_res = _real_axis_roots(
-            grid, lambda lam, v, d: _secular(params, seed_zeta, v, d))
-        roots, failures = _continue_in_re_zeta(char_of_zeta, zeta,
-                                               seed_res.roots,
-                                               step_cap=0.5 * spacing)
-        for seed, s in failures:
-            warnings.append(
-                f"continuation from seed {seed:.6g} stalled at Re zeta={s:.3g}")
-        drifted = [r for r in roots if not lo <= r.real <= hi]
-        for r in drifted:
-            warnings.append(f"root {r:.6g} drifted out of the window")
-        eigs = [r for r in roots if lo <= r.real <= hi]
-        eigs = _dedupe(eigs, 1e-8 * max(1.0, hi))
-        method = "continuation"
-    if budget is not None:
-        eigs = sorted(eigs, key=lambda z: z.real)[:budget]
-    eigs = sorted(eigs, key=lambda z: z.real)
+    if bracketed and search.suspected_double:
+        warnings.append(f"suspected double roots at {search.suspected_double}")
+    for seed, s in stalled:
+        warnings.append(
+            f"continuation from seed {seed:.6g} stalled at Re zeta={s:.3g}")
+    for r in drifted:
+        warnings.append(f"root {r:.6g} drifted out of the window")
     if len(eigs) != expected:
         warnings.append(
             f"count {len(eigs)} differs from zeta=0 interlacing count "
             f"{expected}: possible lost or migrated root")
     return ModeEigenvalues(mode=mode, zeta=zeta, params=params,
-                           eigenvalues=eigs, method=method,
+                           eigenvalues=eigs,
+                           method="bracketed" if bracketed else "continuation",
                            expected_count=expected, warnings=warnings)
 
 
@@ -501,11 +498,11 @@ def fd_oracle(mode: int, zeta, params: MaterialParams, grid=1024,
     The conservative radial scheme plus the ghost-node impedance row define a
     discrete characteristic function (divided by lam, as secular_value is)
     whose zeros are the eigenvalues of the banded FD pencil.  On the coarse
-    grid (grid // 2 nodes) they are bracketed on the real axis at the
-    imaginary part of zeta and continued in Re zeta, as the secular solver
-    does; the lowest n_values in the window are kept.  Each is then polished
-    once on the fine grid (grid nodes) at zeta, and the pair is
-    Richardson-extrapolated, (4 fine - coarse) / 3.
+    grid (grid // 2 nodes) they come from the secular solver's search,
+    _window_roots: bracketed on the real axis at i Im zeta and, for
+    Re zeta > 0, continued in Re zeta; the lowest n_values in the window
+    are kept.  Each is then polished once on the fine grid (grid nodes) at
+    zeta, and the pair is Richardson-extrapolated, (4 fine - coarse) / 3.
 
     Raises ConvergenceError when the continuation stalls, fewer than
     n_values roots stay in the window, a fine polish fails, a fine root
@@ -522,22 +519,19 @@ def fd_oracle(mode: int, zeta, params: MaterialParams, grid=1024,
     tol = 1e-8 * max(1.0, hi)
 
     coarse_nodes = grid // 2
-    f, fdf, f_grid = _fd_scan_functions(mode, complex(0.0, zeta.imag),
-                                        params, coarse_nodes)
-    seeds = find_real_roots(f, (lo, hi), min_spacing=spacing,
-                            f_grid=f_grid, fdf=fdf).roots
-    if abs(zeta.real) <= ACCRETIVE_TOL:
-        coarse = [complex(r) for r in seeds]
-    else:
-        coarse, failures = _continue_in_re_zeta(
-            lambda zz, lam: _fd_fdf(params, mode, coarse_nodes, zz, lam),
-            zeta, seeds, step_cap=0.5 * spacing)
-        if failures:
-            raise ConvergenceError(
-                f"FD continuation failed for mode {mode}, zeta {zeta}: "
-                f"{failures}")
-    coarse = _dedupe([r for r in coarse if lo <= r.real <= hi], tol)
-    coarse = sorted(coarse, key=lambda z: z.real)[:n_values]
+
+    def scan(zz):
+        f, fdf, f_grid = _fd_scan_functions(mode, zz, params, coarse_nodes)
+        return find_real_roots(f, (lo, hi), min_spacing=spacing,
+                               f_grid=f_grid, fdf=fdf)
+
+    coarse, _, stalled, _ = _window_roots(
+        scan, lambda zz, lam: _fd_fdf(params, mode, coarse_nodes, zz, lam),
+        zeta, (lo, hi), spacing)
+    if stalled:
+        raise ConvergenceError(
+            f"FD continuation failed for mode {mode}, zeta {zeta}: {stalled}")
+    coarse = coarse[:n_values]
     if len(coarse) < n_values:
         raise ConvergenceError(
             f"FD oracle for mode {mode}, zeta {zeta} kept {len(coarse)} "
@@ -569,21 +563,14 @@ def contraction_route_residual(mode: int, zeta, lam,
     boundary conditions on one mode.
 
     The contraction form (K+I) V^-1 gamma0(p) - (K-I) V* gamma_n(a^-1 grad u)
-    with the Cayley entry xi and V acting as (1+mu)^(-1/4) is algebraically
-    proportional to the secular function; the residual is the normalized
-    difference after removing the exact proportionality factor
-    2 sqrt(s) lam / (zeta + s), s = sqrt(1 + mu).
+    is algebraically proportional to the secular function; the residual is
+    their difference after removing the exact factor
+    (_normalized_contraction), relative to 1 + |secular value|.
     """
-    zeta = complex(zeta)
     lam = complex(lam)
     if lam == 0:
         raise DiskModelError("lam = 0 excluded")
-    s = math.sqrt(1.0 + mode_mu(params, mode))
-    w = params.wave_factor * lam
-    ev = _radial(mode, w, params)
-    factor = 2.0 * math.sqrt(s) * lam / (zeta + s)
-    normalized = _contraction(params, mode, zeta, lam, ev.value,
-                              ev.derivative) / factor
+    normalized = _normalized_contraction(mode, complex(zeta), lam, params)
     impedance_form = secular_value(mode, zeta, lam, params)
     return abs(normalized - impedance_form) / (1.0 + abs(impedance_form))
 
@@ -600,35 +587,42 @@ def _contraction(params, mode, zz, lam, value, derivative):
             - (xi_s - 1.0) * s ** -0.5 * gamma_n)
 
 
+def _normalized_contraction(mode, zeta, lam, params):
+    """The contraction form at lam (Cayley entry xi, V acting as
+    (1+mu)^(-1/4)) over its exact proportionality factor to the secular
+    function, 2 sqrt(s) lam / (zeta + s), s = sqrt(1 + mu)."""
+    s = math.sqrt(1.0 + mode_mu(params, mode))
+    ev = _radial(mode, params.wave_factor * lam, params)
+    factor = 2.0 * math.sqrt(s) * lam / (zeta + s)
+    return _contraction(params, mode, zeta, lam, ev.value,
+                        ev.derivative) / factor
+
+
 def route_equivalence_report(mode: int, zeta, params: MaterialParams,
                              window) -> dict:
-    """Cross-evaluate the two boundary-condition forms at each other's roots."""
+    """Cross-evaluate the two boundary-condition forms at each other's roots.
+
+    The contraction form's roots come from its own _window_roots search;
+    raises ConvergenceError when a seed of its continuation stalls.
+    """
     zeta = complex(zeta)
-    mu = mode_mu(params, mode)
-    s = math.sqrt(1.0 + mu)
-    xi = cayley_zeta_to_xi(zeta, mu)
+    xi = cayley_zeta_to_xi(zeta, mode_mu(params, mode))
 
     def contraction_over_lam(zz):
         # written as the raw contraction form, solved independently
         return lambda lam, v, d: _contraction(params, mode, zz, lam, v, d) / lam
 
-    def contraction_scan(zz):
-        return _real_axis_roots(_RadialGrid(mode, params, window),
-                                contraction_over_lam(zz))
-
     sec = solve_mode_eigenvalues(mode, zeta, params, window)
-    spacing = math.pi / params.wave_factor
-    if abs(zeta.real) <= ACCRETIVE_TOL:
-        con_res = contraction_scan(zeta)
-        con_roots = [complex(r) for r in con_res.roots]
-    else:
-        seed_res = contraction_scan(complex(0, zeta.imag))
-        con_roots, _ = _continue_in_re_zeta(
-            lambda zz, lam: _radial_fdf(mode, complex(lam), params,
-                                        contraction_over_lam(zz)),
-            zeta, seed_res.roots, step_cap=0.5 * spacing)
-        con_roots = [r for r in con_roots
-                     if window[0] <= r.real <= window[1]]
+    con_roots, _, stalled, _ = _window_roots(
+        lambda zz: _real_axis_roots(_RadialGrid(mode, params, window),
+                                    contraction_over_lam(zz)),
+        lambda zz, lam: _radial_fdf(mode, complex(lam), params,
+                                    contraction_over_lam(zz)),
+        zeta, window, math.pi / params.wave_factor)
+    if stalled:
+        raise ConvergenceError(
+            f"contraction-form continuation failed for mode {mode}, "
+            f"zeta {zeta}: {stalled}")
 
     def sec_scale(lam):
         _, d = _radial_fdf(mode, complex(lam), params,
@@ -640,11 +634,8 @@ def route_equivalence_report(mode: int, zeta, params: MaterialParams,
         cross = max(cross, abs(secular_value(mode, zeta, r, params))
                     / sec_scale(r))
     for r in sec.eigenvalues:
-        factor = 2.0 * math.sqrt(s) * r / (zeta + s)
-        ev = _radial(mode, params.wave_factor * r, params)
-        val = _contraction(params, mode, zeta, r, ev.value,
-                           ev.derivative) / factor
-        cross = max(cross, abs(val) / sec_scale(r))
+        cross = max(cross, abs(_normalized_contraction(mode, zeta, r, params))
+                    / sec_scale(r))
     return {
         "mode": mode,
         "zeta": zeta,

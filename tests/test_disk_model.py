@@ -256,14 +256,15 @@ def test_lost_root_reported():
 
 def test_continuation_budget_reports_stalled_seed():
     # a derivative 20x too large makes every polish crawl and every Re-zeta
-    # step halve without end; each seed must come back in failures after
-    # the budget plus at most one polish (1 + 12 * 100 calls)
+    # step halve without end; each seed must come back stalled after the
+    # budget plus at most one polish (1 + 12 * 100 calls)
     params = MaterialParams(a=1.3, b=0.8)
-    zeta = 2.0 + 1.0j
+    zeta, window = 2.0 + 1.0j, (0.5, 6.0)
     seeds = dm._real_axis_roots(
-        dm._RadialGrid(0, params, (0.5, 6.0)),
+        dm._RadialGrid(0, params, window),
         lambda lam, v, d: dm._secular(params, 1.0j, v, d)).roots
     assert len(seeds) == 2
+    spacing = math.pi / params.wave_factor
     limit = dm.CONTINUATION_MAX_EVALS + 1 + 12 * 100
 
     def char_of_zeta(scale):
@@ -277,17 +278,48 @@ def test_continuation_budget_reports_stalled_seed():
         return char
 
     for seed in seeds:
+        # a scan stub that hands back this one seed, at i Im zeta
+        def scan(zz):
+            assert zz == 1.0j
+            return SimpleNamespace(roots=[seed], suspected_double=[])
+
         calls = []
-        roots, failures = dm._continue_in_re_zeta(char_of_zeta(20.0), zeta,
-                                                  [seed])
-        assert roots == [] and [s for s, _ in failures] == [seed]
+        roots, search, stalled, drifted = dm._window_roots(
+            scan, char_of_zeta(20.0), zeta, window, spacing)
+        assert roots == [] and drifted == [] and search.roots == [seed]
+        assert [s for s, _ in stalled] == [seed]
         assert len(calls) >= dm.CONTINUATION_MAX_EVALS
         # the exact derivative continues the same seed well inside the budget
         calls = []
-        roots, failures = dm._continue_in_re_zeta(char_of_zeta(1.0), zeta,
-                                                  [seed])
-        assert len(roots) == 1 and not failures
+        roots, _, stalled, drifted = dm._window_roots(
+            scan, char_of_zeta(1.0), zeta, window, spacing)
+        assert len(roots) == 1 and not stalled and not drifted
         assert len(calls) < 100
+
+
+def test_fd_oracle_stalled_continuation_is_an_error(monkeypatch):
+    # a polish that never converges stalls every seed of the coarse-grid
+    # continuation; the error names them, not a shorter root list
+    monkeypatch.setattr(dm, "complex_root_polish",
+                        lambda fdf, seed: PolishResult(seed, False, 1.0, 100))
+    with pytest.raises(dm.ConvergenceError,
+                       match="FD continuation failed") as info:
+        dm.fd_oracle(0, 1.0 + 1.0j, UNIT, window=(1.0, 10.0))
+    # the seeds: the coarse-grid (512-node) real roots at i Im zeta
+    f, fdf, f_grid = dm._fd_scan_functions(0, 1.0j, UNIT, 512)
+    seeds = find_real_roots(f, (1.0, 10.0), min_spacing=math.pi,
+                            f_grid=f_grid, fdf=fdf).roots
+    assert len(seeds) == 3
+    for seed in seeds:
+        assert f"({seed!r}, " in str(info.value)
+
+
+def test_route_equivalence_stalled_continuation_is_an_error(monkeypatch):
+    monkeypatch.setattr(dm, "complex_root_polish",
+                        lambda fdf, seed: PolishResult(seed, False, 1.0, 100))
+    with pytest.raises(dm.ConvergenceError,
+                       match="contraction-form continuation failed"):
+        dm.route_equivalence_report(1, 2.0 + 1.0j, UNIT, (1.0, 10.0))
 
 
 def test_interlacing_across_modes():
