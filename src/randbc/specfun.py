@@ -340,23 +340,23 @@ class PolishResult:
     iterations: int
 
 
-def complex_root_polish(fdf, seed, tol=1e-10, max_iter=100) -> PolishResult:
+def complex_root_polish(fdf, seed) -> PolishResult:
     """Damped Newton iteration on fdf(z) = (f(z), f'(z)), exact derivative.
 
     Each trial point of the damping line search is one fdf call, and the
     accepted point's derivative gives the next step.  Convergence requires
-    |f(z)| <= tol * scale with scale set by the derivative of the step;
-    when the iteration stagnates without reaching that (multiple roots
-    flatten f), the flag comes back False and the best point is returned,
-    which may still be accurate to ~|f|^(1/multiplicity).  `iterations`
-    counts the Newton steps tried, so an early exit (zero derivative, failed
-    line search, stalled step) reports fewer than max_iter.
+    |f(z)| <= 1e-10 |f'| max(1, |z|), f' the derivative of the step, within
+    100 steps; when the iteration stagnates without reaching that (multiple
+    roots flatten f), the flag comes back False and the best point is
+    returned, which may still be accurate to ~|f|^(1/multiplicity).
+    `iterations` counts the Newton steps tried, so an early exit (zero
+    derivative, failed line search) reports fewer than 100.
     """
     z = complex(seed)
     fz, deriv = fdf(z)
     best_z, best_f = z, abs(fz)
     iterations = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, 101):
         if deriv == 0:
             break
         iterations = it
@@ -374,9 +374,7 @@ def complex_root_polish(fdf, seed, tol=1e-10, max_iter=100) -> PolishResult:
         if abs(fz) < best_f:
             best_z, best_f = z, abs(fz)
         scale = max(abs(deriv) * max(1.0, abs(z)), 1e-300)
-        if abs(fz) <= tol * scale:
+        if abs(fz) <= 1e-10 * scale:
             return PolishResult(z, True, abs(fz), it)
-        if abs(damp * step) <= 1e-14 * max(1.0, abs(z)):
-            break
         deriv = d_new
     return PolishResult(best_z, False, best_f, iterations)

@@ -239,19 +239,18 @@ def _counted(fdf):
     return wrapped, calls
 
 
-@pytest.mark.parametrize("fdf, seed, tol, want_iterations, want_calls", [
+@pytest.mark.parametrize("fdf, seed, want_iterations, want_calls", [
     # zero derivative at the seed: no step is tried
-    (lambda z: (z * z + 1.0, 2.0 * z), 0.0, 1e-10, 0, 1),
+    (lambda z: (z * z + 1.0, 2.0 * z), 0.0, 0, 1),
     # wrong-sign derivative: every damping trial of step 1 goes uphill
-    (lambda z: (z * z + 1.0, -2.0 * z), 0.9j, 1e-10, 1, 13),
-    # triple root with tol = 0: linear convergence until the step stalls
-    (lambda z: ((z - 1.0) ** 3, 3.0 * (z - 1.0) ** 2), 1.5, 0.0, 77, 78),
-], ids=["zero-derivative", "failed-line-search", "stalled-step"])
-def test_complex_polish_early_exit_iterations(fdf, seed, tol,
-                                              want_iterations, want_calls):
-    # an early exit reports the Newton steps actually tried, not max_iter
+    (lambda z: (z * z + 1.0, -2.0 * z), 0.9j, 1, 13),
+], ids=["zero-derivative", "failed-line-search"])
+def test_complex_polish_early_exit_iterations(fdf, seed, want_iterations,
+                                              want_calls):
+    # an early exit reports the Newton steps actually tried, not the 100
+    # the iteration allows
     counted, calls = _counted(fdf)
-    res = specfun.complex_root_polish(counted, seed, tol=tol)
+    res = specfun.complex_root_polish(counted, seed)
     assert not res.converged
     assert res.iterations == want_iterations < 100
     assert len(calls) == want_calls
