@@ -494,10 +494,10 @@ def admissible_direction_check(d_mat, tol=1e-10) -> AdmissibleResult:
 
     Criterion: Re D >= 0 and c1 (Im D)^2 <= Re D for some c1 > 0, checked via
     the generalized eigenvalues of ((Im D)^2, Re D) on the range of Re D.
-    c_max is the largest admissible c, found by bisection on the norm.
+    ||-I + c D|| <= 1 is c D*D <= 2 Re D; D vanishes on ker Re D (checked),
+    so c_max = 2 / lambda_max(Re D^-1/2 D*D Re D^-1/2) on the range of Re D.
     """
     d_mat = np.asarray(d_mat, dtype=complex)
-    m = d_mat.shape[0]
     scale = max(float(np.linalg.norm(d_mat, 2)), 1e-300)
     re_d = (d_mat + d_mat.conj().T) / 2.0
     im_d = (d_mat - d_mat.conj().T) / 2j
@@ -515,32 +515,16 @@ def admissible_direction_check(d_mat, tol=1e-10) -> AdmissibleResult:
         # Re D = 0 and Im D = 0: D = 0, every c works
         return AdmissibleResult(True, math.inf, math.inf)
     v_pos = vecs[:, pos_sel]
-    lam_pos = evals[pos_sel]
-    s_mat = im_d @ im_d
-    core = (v_pos.conj().T @ s_mat @ v_pos) / np.sqrt(np.outer(lam_pos, lam_pos))
-    gamma = float(np.linalg.eigvalsh(core).max())
+    root = np.sqrt(np.outer(evals[pos_sel], evals[pos_sel]))
+
+    def top_eig(mat):
+        # largest eigenvalue of Re D^-1/2 mat Re D^-1/2 on the range of Re D
+        return float(np.linalg.eigvalsh(v_pos.conj().T @ mat @ v_pos
+                                        / root).max())
+
+    gamma = top_eig(im_d @ im_d)
     c1_max = math.inf if gamma <= tol else 1.0 / gamma
-
-    def norm_ok(c):
-        return np.linalg.norm(-np.eye(m) + c * d_mat, 2) <= 1.0 + 1e-14
-
-    hi = 1.0
-    grow = 0
-    while norm_ok(hi) and grow < 80:
-        hi *= 2.0
-        grow += 1
-    if grow >= 80:
-        return AdmissibleResult(True, math.inf, c1_max)
-    lo = 0.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if norm_ok(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-9 * max(1.0, hi):
-            break
-    c_max = lo
+    c_max = 2.0 / top_eig(d_mat.conj().T @ d_mat)
     return AdmissibleResult(c_max > tol, c_max, c1_max)
 
 

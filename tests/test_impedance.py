@@ -330,6 +330,29 @@ def test_admissible_agrees_with_brute_bisection(rng):
                 assert abs(res.c_max - brute_cmax) <= max(1e-6, 2 * grid_step)
 
 
+def test_admissible_cmax_is_the_contraction_edge(rng):
+    # the closed-form c_max is the largest c with ||-I + c D|| <= 1: at
+    # c_max the matrix is a contraction, 0.1% beyond it is not.  Re D >= 0.1
+    # on its range keeps that excess measurable (about 1e-6 or more).
+    for trial in range(200):
+        m = int(rng.integers(2, 6))
+        g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        re_part = g @ g.conj().T / m + 0.1 * np.eye(m)
+        im_part = rng.standard_normal((m, m))
+        im_part = (im_part + im_part.T) / 2
+        if trial % 4 == 0:
+            # rank-deficient real part, imaginary part vanishing on its kernel
+            for part in (re_part, im_part):
+                part[:, 0] = 0
+                part[0, :] = 0
+        d = re_part + 1j * im_part
+        res = imp.admissible_direction_check(d)
+        assert res.admissible and math.isfinite(res.c_max), (trial, d)
+        eye = np.eye(m)
+        assert np.linalg.norm(-eye + res.c_max * d, 2) <= 1.0 + 1e-12
+        assert np.linalg.norm(-eye + 1.001 * res.c_max * d, 2) > 1.0 + 1e-9
+
+
 def test_shifted_hs_sampler():
     k0 = 0.3 * np.eye(2, dtype=complex)
     k = imp.sample_shifted_hs(k0, np.full((2, 2), 0.2), stream(31))
