@@ -322,13 +322,13 @@ class WeylSample:
         return float(np.min(np.linalg.eigvalsh(np.imag(self.z) * im_m)))
 
 
-def weyl_function(model: TripleModel, z, weight=None, _defect=None) -> WeylSample:
+def weyl_function(model: TripleModel, z, weight=None) -> WeylSample:
     """M_W(z) = (W* Gamma1 F) (W^-1 Gamma0 F)^-1 on a defect basis F."""
     z = complex(z)
     if weight is None:
         weight = np.eye(model.boundary_dim, dtype=complex)
     weight = np.asarray(weight, dtype=complex)
-    basis = defect_basis(model, z) if _defect is None else _defect
+    basis = defect_basis(model, z)
     if basis.shape[1] != model.boundary_dim:
         raise SpectralPointError(
             f"defect dimension {basis.shape[1]} != m = {model.boundary_dim}")

@@ -280,8 +280,7 @@ def _analytic_tail(dist: ImpedanceDistribution, dim: int, delta: float,
                 return total, total, True
             total = float(totals[-1])
         return 0.0, math.inf, False
-    if isinstance(dist, BoundedCustom):
-        return 0.0, math.inf, False  # table does not reach F = 1
+    # any other law, such as a BoundedCustom table that does not reach F = 1
     return 0.0, math.inf, False
 
 
