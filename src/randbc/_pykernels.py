@@ -2,13 +2,24 @@
 
 Hot paths: Bessel J_k / spherical j_l of complex argument, and the radial
 finite-difference shooting recurrence.  specfun and disk_model import them by
-name.  Each has a numpy twin for the grid scans that equals the scalar kernel
-bit for bit: bessel_jk_batch and spherical_jl_batch over real arguments (every
-branch batched; only x = 0 goes through the scalar kernel), and
-fd_radial_edge_batch over lam.  fd_radial_edge_dlam adds the lam-derivative
-of the FD edge values for Newton steps.  The FD recurrence runs off a cached
-table of its lam-independent coefficients.
+name.
+
+J_k and j_l share one code path per branch.  Their ascending series divide
+term m by m (c m + d) (_series), and Miller's backward recurrence steps
+c_{m-1} = ((c m + d) / x) c_m - c_{m+1} (_backward), with integer (c, d):
+(1, k) and (2, 0) for J_k, (2, 2l + 1) and (2, 1) for j_l.  J_k adds a
+Hankel expansion at large |x|.  Both kernels reduce x to the first quadrant
+by symmetry, and x = 0 to its closed form, in one wrapper (_reflected).
+
+Each kernel has a numpy twin that equals it bit for bit: bessel_jk_batch and
+spherical_jl_batch over real arguments, whose _series_batch and
+_backward_batch take the same (c, d) (every branch batched; only x = 0 goes
+through the scalar kernel), and fd_radial_edge_batch over lam.
+fd_radial_edge_dlam adds the lam-derivative of the FD edge values for Newton
+steps.  The FD recurrence runs off a cached table of its lam-independent
+coefficients.
 """
+import cmath
 import functools
 import math
 
@@ -18,22 +29,8 @@ _RESCALE = 1e250
 _TINY_SEED = 1e-30
 
 
-def _cexp(z):
-    e = math.exp(z.real)
-    return complex(e * math.cos(z.imag), e * math.sin(z.imag))
-
-
-def _ccos(z):
-    return complex(math.cos(z.real) * math.cosh(z.imag),
-                   -math.sin(z.real) * math.sinh(z.imag))
-
-
-def _csin(z):
-    return complex(math.sin(z.real) * math.cosh(z.imag),
-                   math.cos(z.real) * math.sinh(z.imag))
-
-
 def _csqrt(z):
+    # cmath.sqrt rounds differently
     r = abs(z)
     if r == 0.0:
         return 0j
@@ -42,26 +39,30 @@ def _csqrt(z):
     return complex(rt * math.cos(th), rt * math.sin(th))
 
 
-def _bessel_series_pair(k, x):
-    # J_k and J_{k+1} by ascending series; safe for |x| <= 12 or k >= |x|^2/2.
-    def one(order):
-        head = 1.0 + 0j
-        half = x / 2.0
-        for i in range(1, order + 1):
-            head *= half / i
-        term = head
-        total = term
-        x2 = -(half * half)
-        for m in range(1, 500):
-            term *= x2 / (m * (m + order))
-            total += term
-            if abs(term) <= 1e-18 * abs(total) + 1e-305:
-                break
-        return total
+def _series(head, x2, c, d):
+    # head * sum_m prod_{i <= m} x2 / (i (c i + d)), up to the first term
+    # below 1e-18 of the sum
+    term = total = head
+    for m in range(1, 500):
+        term *= x2 / (m * (c * m + d))
+        total += term
+        if abs(term) <= 1e-18 * abs(total) + 1e-305:
+            break
+    return total
 
-    jk = one(k)
-    jk1 = one(k + 1)
-    return jk, (k / x) * jk - jk1
+
+def _series_pair(series, head, order, x, y, x2, c):
+    """f_order and (order / x) f_order - f_{order+1}, where f_n = series(
+    head prod_{i <= n} y / (c i + c - 1), x2, c, c n + c - 1) and head is
+    the empty product (a scalar or an array).  c = 1, y = x / 2 and
+    x2 = -y^2 give J_n; c = 2, y = x and x2 = -x^2 / 2 give j_n."""
+    d = c - 1
+    for _ in range(order):
+        d += c
+        head = head * (y / d)
+    f = series(head, x2, c, d)
+    d += c
+    return f, (order / x) * f - series(head * (y / d), x2, c, d)
 
 
 _IPOW = (1.0 + 0j, -1j, -1.0 + 0j, 1j)  # (-1j) ** n, exactly
@@ -73,51 +74,77 @@ def _miller_start(order, ax):
             + int(math.ceil(7.0 * ax ** (1.0 / 3.0))))
 
 
-def _bessel_miller_pair(k, x):
-    # Backward recurrence; x canonicalized to Re >= 0, Im >= 0 by the caller.
-    # Real x: normalize with J0 + 2*sum J_{2m} = 1.  Off the real axis that sum
-    # cancels catastrophically (terms ~ e^{Im x} adding up to 1), so use
-    # J0 + 2*sum (-i)^n J_n = e^{-ix}, whose target matches the term scale.
-    n_start = _miller_start(k, abs(x))
-    if n_start % 2 == 1:
-        n_start += 1
+def _backward(order, x, n_start, c, d, norm):
+    """Miller's backward recurrence c_{m-1} = ((c m + d) / x) c_m - c_{m+1}
+    from (c_{n_start+1}, c_{n_start}) = (0, _TINY_SEED), every carried value
+    divided by _RESCALE when a part of c_{m-1} exceeds it.  Returns c_1, c_0,
+    c_order, c_{order+1} and, if norm, J_k's normalization sum (else 0):
+    2 sum_{m >= 1} c_{2m} on the real axis, 2 sum_{n >= 1} (-i)^n c_n off
+    it (x in the first quadrant)."""
     real_axis = x.imag == 0.0
     jp = 0.0 + 0j
     jc = _TINY_SEED + 0j
-    norm = 0.0 + 0j
-    out_k = 0j
-    out_k1 = 0j
+    total = 0.0 + 0j
+    out_k = out_k1 = 0j
     phase = _IPOW[n_start % 4]
     for m in range(n_start, 0, -1):
-        jm = (2.0 * m / x) * jc - jp
+        jm = ((c * m + d) / x) * jc - jp
         jp = jc
         jc = jm
-        phase *= 1j
-        if m - 1 == k:
+        if m - 1 == order:
             out_k = jc
-        if m - 1 == k + 1:
+        if m - 1 == order + 1:
             out_k1 = jc
-        if m - 1 > 0:
-            if real_axis:
-                if (m - 1) % 2 == 0:
-                    norm += 2.0 * jc
-            else:
-                norm += 2.0 * phase * jc
+        if norm:
+            phase *= 1j
+            if m - 1 > 0:
+                if not real_axis:
+                    total += 2.0 * phase * jc
+                elif (m - 1) % 2 == 0:
+                    total += 2.0 * jc
         # |jc| >= max(|Re jc|, |Im jc|), so the first test only screens out
         # the steps that cannot need a rescale (as in fd_radial_edge)
         if not abs(jc) <= _RESCALE and (
                 max(abs(jc.real), abs(jc.imag)) > _RESCALE):
             jp /= _RESCALE
             jc /= _RESCALE
-            norm /= _RESCALE
+            total /= _RESCALE
             out_k /= _RESCALE
             out_k1 /= _RESCALE
+    return jp, jc, out_k, out_k1, total
+
+
+def _reflected(branches, d1, order, x):
+    """branches(order, x) with x reflected into Re x >= 0, Im x >= 0: J_n
+    and j_n have the parity of n and are real on the real axis.  x = 0 by
+    its closed form, whose derivative is d1 at order 1 and 0 above."""
+    x = complex(x)
+    if x.real < 0.0:
+        v, d = _reflected(branches, d1, order, -x)
+        s = -1.0 if order % 2 else 1.0
+        return s * v, -s * d
+    if x.imag < 0.0:
+        v, d = _reflected(branches, d1, order, x.conjugate())
+        return v.conjugate(), d.conjugate()
+    if x == 0.0:
+        if order == 0:
+            return 1.0 + 0j, 0.0 + 0j
+        return 0.0 + 0j, (complex(d1) if order == 1 else 0.0 + 0j)
+    return branches(order, x)
+
+
+def _bessel_miller(k, x):
+    # Real x: normalize with J0 + 2*sum J_{2m} = 1.  Off the real axis that sum
+    # cancels catastrophically (terms ~ e^{Im x} adding up to 1), so use
+    # J0 + 2*sum (-i)^n J_n = e^{-ix}, whose target matches the term scale.
+    n_start = _miller_start(k, abs(x))
+    n_start += n_start % 2
+    _, jc, out_k, out_k1, norm = _backward(k, x, n_start, 2, 0, True)
     norm += jc
-    if not real_axis:
-        norm /= _cexp(-1j * x)
+    if x.imag != 0.0:
+        norm /= cmath.exp(-1j * x)
     jk = out_k / norm
-    jk1 = out_k1 / norm
-    return jk, (k / x) * jk - jk1
+    return jk, (k / x) * jk - out_k1 / norm
 
 
 def _bessel_asym_one(k, x):
@@ -141,7 +168,7 @@ def _bessel_asym_one(k, x):
         if t < 1e-17:
             break
     amp = _csqrt(2.0 / (math.pi * x))
-    return amp * (p * _ccos(chi) - q * _csin(chi))
+    return amp * (p * cmath.cos(chi) - q * cmath.sin(chi))
 
 
 def _bessel_asym_pair(k, x):
@@ -152,46 +179,36 @@ def _bessel_asym_pair(k, x):
     return jk, jkm1 - (k / x) * jk
 
 
-def bessel_jk(k, x):
-    """J_k(x) and J_k'(x) for integer k >= 0, complex x."""
-    x = complex(x)
-    if x.real < 0.0:
-        v, d = bessel_jk(k, -x)
-        s = -1.0 if k % 2 else 1.0
-        return s * v, -s * d
-    if x.imag < 0.0:
-        v, d = bessel_jk(k, x.conjugate())
-        return v.conjugate(), d.conjugate()
+def _bessel_branches(k, x):
     ax = abs(x)
-    if ax == 0.0:
-        if k == 0:
-            return 1.0 + 0j, 0.0 + 0j
-        return 0.0 + 0j, (0.5 + 0j if k == 1 else 0.0 + 0j)
     if ax <= 12.0 or ax * ax <= 2.0 * (k + 1):
-        return _bessel_series_pair(k, x)
+        half = x / 2.0
+        return _series_pair(_series, 1.0 + 0j, k, x, half, -(half * half), 1)
     if ax >= 50.0 and ax >= 4.0 * k * k:
         return _bessel_asym_pair(k, x)
-    return _bessel_miller_pair(k, x)
+    return _bessel_miller(k, x)
 
 
-def _spherical_series_pair(l, x):
-    def one(order):
-        head = 1.0 + 0j
-        for i in range(1, order + 1):
-            head *= x / (2 * i + 1)
-        term = head
-        total = term
-        x2 = -(x * x / 2.0)
-        for m in range(1, 500):
-            term *= x2 / (m * (2 * order + 2 * m + 1))
-            total += term
-            if abs(term) <= 1e-18 * abs(total) + 1e-305:
-                break
-        return total
+def bessel_jk(k, x):
+    """J_k(x) and J_k'(x) for integer k >= 0, complex x."""
+    return _reflected(_bessel_branches, 0.5, k, x)
 
-    jl = one(l)
-    jl1 = one(l + 1)
-    return jl, (l / x) * jl - jl1
+
+def _spherical_miller(l, x):
+    jp, jc, out_l, out_l1, _ = _backward(l, x, _miller_start(l, abs(x)),
+                                         2, 1, False)
+    sin = cmath.sin(x)
+    j0e = sin / x
+    j1e = sin / (x * x) - cmath.cos(x) / x
+    scale = j0e / jc if abs(j0e) >= abs(j1e) else j1e / jp
+    jl = out_l * scale
+    return jl, (l / x) * jl - out_l1 * scale
+
+
+def _spherical_branches(l, x):
+    if abs(x) <= 0.5:
+        return _series_pair(_series, 1.0 + 0j, l, x, x, -(x * x / 2.0), 2)
+    return _spherical_miller(l, x)
 
 
 def spherical_jl(l, x):
@@ -201,46 +218,7 @@ def spherical_jl(l, x):
     the exact closed form j_0 = sin(x)/x (or j_1 when j_0 sits near a zero),
     which stays accurate on both sides of the turning point.
     """
-    x = complex(x)
-    if x.real < 0.0:
-        v, d = spherical_jl(l, -x)
-        s = -1.0 if l % 2 else 1.0
-        return s * v, -s * d
-    if x.imag < 0.0:
-        v, d = spherical_jl(l, x.conjugate())
-        return v.conjugate(), d.conjugate()
-    ax = abs(x)
-    if ax == 0.0:
-        if l == 0:
-            return 1.0 + 0j, 0.0 + 0j
-        return 0.0 + 0j, (complex(1.0 / 3.0) if l == 1 else 0.0 + 0j)
-    if ax <= 0.5:
-        return _spherical_series_pair(l, x)
-    n_start = _miller_start(l, ax)
-    jp = 0.0 + 0j
-    jc = _TINY_SEED + 0j
-    out_l = 0j
-    out_l1 = 0j
-    for m in range(n_start, 0, -1):
-        jm = (2 * m + 1) / x * jc - jp
-        jp = jc
-        jc = jm
-        if m - 1 == l:
-            out_l = jc
-        if m - 1 == l + 1:
-            out_l1 = jc
-        if not abs(jc) <= _RESCALE and (
-                max(abs(jc.real), abs(jc.imag)) > _RESCALE):
-            jp /= _RESCALE
-            jc /= _RESCALE
-            out_l /= _RESCALE
-            out_l1 /= _RESCALE
-    j0e = _csin(x) / x
-    j1e = _csin(x) / (x * x) - _ccos(x) / x
-    scale = j0e / jc if abs(j0e) >= abs(j1e) else j1e / jp
-    jl = out_l * scale
-    jl1 = out_l1 * scale
-    return jl, (l / x) * jl - jl1
+    return _reflected(_spherical_branches, 1.0 / 3.0, l, x)
 
 
 # Real-axis batches of bessel_jk / spherical_jl.  On the real axis every
@@ -249,14 +227,13 @@ def spherical_jl(l, x):
 # one), so float64 arrays reproduce them bit for bit.  Transcendentals stay on
 # math.*: numpy's SIMD sin/cos/pow need not round like libm.
 
-def _series_batch(head, x2, denom):
-    # head * sum_m prod_{i <= m} x2 / denom(i), each point stopped where the
-    # scalar series loop stops
+def _series_batch(head, x2, c, d):
+    # _series at each point, each stopped where the scalar loop stops
     out = head.copy()
     idx = np.arange(head.size)
     term = total = head
     for m in range(1, 500):
-        term = term * (x2 / denom(m))
+        term = term * (x2 / (m * (c * m + d)))
         total = total + term
         out[idx] = total
         keep = ~(np.abs(term) <= 1e-18 * np.abs(total) + 1e-305)
@@ -269,62 +246,44 @@ def _series_batch(head, x2, denom):
 
 def _bessel_series_batch(k, x):
     half = x / 2.0
-    x2 = -(half * half)
-
-    def one(order):
-        head = np.ones(x.shape)
-        for i in range(1, order + 1):
-            head = head * (half / i)
-        return _series_batch(head, x2, lambda m: m * (m + order))
-
-    jk = one(k)
-    return jk, (k / x) * jk - one(k + 1)
+    return _series_pair(_series_batch, np.ones(x.shape), k, x, half,
+                        -(half * half), 1)
 
 
 def _spherical_series_batch(l, x):
-    x2 = -(x * x / 2.0)
-
-    def one(order):
-        head = np.ones(x.shape)
-        for i in range(1, order + 1):
-            head = head * (x / (2 * i + 1))
-        return _series_batch(head, x2,
-                             lambda m: m * (2 * order + 2 * m + 1))
-
-    jl = one(l)
-    return jl, (l / x) * jl - one(l + 1)
+    return _series_pair(_series_batch, np.ones(x.shape), l, x, x,
+                        -(x * x / 2.0), 2)
 
 
-def _backward_batch(order, x, n_start, numer, even_norm):
-    """Backward recurrence c_{m-1} = (numer(m) / x) c_m - c_{m+1}, each point
-    from its own n_start with (c_{n+1}, c_n) = (0, _TINY_SEED) and rescaled on
-    its own.  The points are sorted by n_start, so step m updates only the
-    prefix that has started.  Returns c_1, c_0, c_order, c_{order+1} and,
-    if even_norm, 2 * sum_{m >= 1} c_{2m} (zeros otherwise)."""
+def _backward_batch(order, x, n_start, c, d, norm):
+    """_backward at each real x > 0, each point from its own n_start and
+    rescaled on its own.  The points are sorted by n_start, so step m
+    updates only the prefix that has started.  Returns c_1, c_0, c_order,
+    c_{order+1} and, if norm, 2 * sum_{m >= 1} c_{2m} (zeros otherwise)."""
     perm = np.argsort(-n_start, kind="stable")
     xs = x[perm]
     starts = n_start[perm].tolist()
     jp, jc = np.zeros(xs.shape), np.full(xs.shape, _TINY_SEED)
-    norm, out_k, out_k1 = (np.zeros(xs.shape) for _ in range(3))
+    total, out_k, out_k1 = (np.zeros(xs.shape) for _ in range(3))
     active = 0
     for m in range(starts[0], 0, -1):
         while active < len(starts) and starts[active] >= m:
             active += 1
-        jm = (numer(m) / xs[:active]) * jc[:active] - jp[:active]
+        jm = ((c * m + d) / xs[:active]) * jc[:active] - jp[:active]
         jp[:active] = jc[:active]
         jc[:active] = jm
         if m - 1 == order:
             out_k[:active] = jm
         if m - 1 == order + 1:
             out_k1[:active] = jm
-        if even_norm and m - 1 > 0 and (m - 1) % 2 == 0:
-            norm[:active] += 2.0 * jm
+        if norm and m - 1 > 0 and (m - 1) % 2 == 0:
+            total[:active] += 2.0 * jm
         big = np.abs(jm) > _RESCALE
         if big.any():
-            for arr in (jp, jc, norm, out_k, out_k1):
+            for arr in (jp, jc, total, out_k, out_k1):
                 arr[:active][big] /= _RESCALE
     out = []
-    for arr in (jp, jc, out_k, out_k1, norm):
+    for arr in (jp, jc, out_k, out_k1, total):
         unsorted = np.empty(arr.shape)
         unsorted[perm] = arr
         out.append(unsorted)
@@ -334,8 +293,7 @@ def _backward_batch(order, x, n_start, numer, even_norm):
 def _bessel_miller_batch(k, x):
     n_start = np.array([_miller_start(k, ax) for ax in x.tolist()])
     n_start += n_start % 2
-    _, jc, out_k, out_k1, norm = _backward_batch(k, x, n_start,
-                                                 lambda m: 2.0 * m, True)
+    _, jc, out_k, out_k1, norm = _backward_batch(k, x, n_start, 2, 0, True)
     norm = norm + jc
     jk = out_k / norm
     return jk, (k / x) * jk - out_k1 / norm
@@ -344,8 +302,7 @@ def _bessel_miller_batch(k, x):
 def _spherical_miller_batch(l, x):
     xl = x.tolist()
     n_start = np.array([_miller_start(l, ax) for ax in xl])
-    jp, jc, out_l, out_l1, _ = _backward_batch(l, x, n_start,
-                                               lambda m: 2 * m + 1, False)
+    jp, jc, out_l, out_l1, _ = _backward_batch(l, x, n_start, 2, 1, False)
     sin = np.array([math.sin(v) for v in xl])
     cos = np.array([math.cos(v) for v in xl])
     j0e = sin / x

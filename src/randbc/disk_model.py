@@ -56,23 +56,6 @@ def mode_mu(params: MaterialParams, mode: int) -> float:
     return float(mode * mode if params.dim == 2 else mode * (mode + 1))
 
 
-@dataclass(frozen=True)
-class ModeProblem:
-    """One boundary mode of the impedance problem."""
-    mode: int
-    zeta: complex
-    params: MaterialParams
-
-    def __post_init__(self):
-        if complex(self.zeta).real < -ACCRETIVE_TOL:
-            raise DiskModelError(
-                f"Re zeta = {complex(self.zeta).real:.3g} < 0: not accretive")
-
-    @property
-    def mu(self):
-        return mode_mu(self.params, self.mode)
-
-
 def _radial(mode, w, params) -> BesselEval:
     if params.dim == 2:
         return bessel_j(mode, w)
@@ -80,11 +63,19 @@ def _radial(mode, w, params) -> BesselEval:
 
 
 def _radial_grid(mode, lams, params):
-    # C(w) and C'(w), w = sqrt(ab) lam, at the points of lams, as two lists
+    """C(w) and C'(w), w = sqrt(ab) lam, at the points of lams, as two
+    lists.  C and C' have no common zero at w > 0, so a point where both
+    are 0.0 has underflowed: ConvergenceError, not a root."""
     wave_factor = params.wave_factor
     ws = [wave_factor * lam for lam in lams]
     grid = bessel_j_grid if params.dim == 2 else spherical_j_grid
-    return tuple(a.tolist() for a in grid(mode, ws))
+    values, derivs = grid(mode, ws)
+    lost = np.flatnonzero((values == 0.0) & (derivs == 0.0))
+    if lost.size:
+        raise ConvergenceError(
+            f"mode {mode}: C(w) and C'(w) underflow to 0 at "
+            f"lam = {lams[lost[0]]:.6g}, w = {ws[lost[0]]:.6g}")
+    return values.tolist(), derivs.tolist()
 
 
 def _radial_fdf(mode, lam, params, char):
@@ -278,9 +269,6 @@ class ModeEigenvalues:
     expected_count: int
     warnings: list = field(default_factory=list)
 
-    def max_imag(self):
-        return max((ev.imag for ev in self.eigenvalues), default=-math.inf)
-
 
 # char_of_zeta calls one seed's Re-zeta continuation may spend before it is
 # reported as stalled.  Measured per seed: at most 1,716 in the tests (the
@@ -373,7 +361,8 @@ def solve_mode_eigenvalues(mode: int, zeta, params: MaterialParams,
     zeta = 0 interlacing count (the brackets and exact grid zeros of the
     zeta = 0 scan, unrefined) are reported in warnings, never silently
     accepted.  The count scan and the real-axis scan share one _RadialGrid:
-    one batched Bessel evaluation of the uniform grid per call.
+    one batched Bessel evaluation of the uniform grid per call.  A scan
+    point where C and C' both underflow to 0.0 raises ConvergenceError.
     """
     zeta = complex(zeta)
     if zeta.real < -ACCRETIVE_TOL:

@@ -24,7 +24,7 @@ def test_params_validation():
     with pytest.raises(dm.DiskModelError):
         MaterialParams(dim=4)
     with pytest.raises(dm.DiskModelError):
-        dm.ModeProblem(0, -0.5, UNIT)
+        dm.solve_mode_eigenvalues(0, -0.5, UNIT, (1, 10))
 
 
 def test_mode_mu():
@@ -320,6 +320,22 @@ def test_route_equivalence_stalled_continuation_is_an_error(monkeypatch):
     with pytest.raises(dm.ConvergenceError,
                        match="contraction-form continuation failed"):
         dm.route_equivalence_report(1, 2.0 + 1.0j, UNIT, (1.0, 10.0))
+
+
+def test_underflow_is_a_convergence_error():
+    # at a high order and a small argument C(w) and C'(w) both underflow to
+    # 0.0; they have no common zero at w > 0, so such a grid point is a
+    # failure, not a root of every characteristic function.  Mode 156 is the
+    # last mode on (1, 12) without one, and it has no root there.
+    with pytest.raises(dm.ConvergenceError, match="mode 157: .* lam = 1,"):
+        dm.solve_mode_eigenvalues(157, 5j, UNIT, (1.0, 12.0))
+    with pytest.raises(dm.ConvergenceError, match="mode 85: .* lam = 0.01,"):
+        dm.solve_mode_eigenvalues(85, 5j, UNIT, (0.01, 12.0))
+    with pytest.raises(dm.ConvergenceError, match="mode 156: "):
+        dm.solve_mode_eigenvalues(156, 5j, BALL, (1.0, 12.0))
+    res = dm.solve_mode_eigenvalues(156, 5j, UNIT, (1.0, 12.0))
+    assert res.eigenvalues == [] and res.expected_count == 0
+    assert res.warnings == []
 
 
 def test_interlacing_across_modes():

@@ -452,15 +452,153 @@ MILLER_RESCALE_GOLDEN = (
 )
 
 
-def test_miller_rescale_bits_pinned():
+def _kernel_hex(name, k, x):
     from randbc import _pykernels as pk
 
-    kernels = {"J": pk.bessel_jk, "j": pk.spherical_jl}
+    kernel = {"J": pk.bessel_jk, "j": pk.spherical_jl}[name]
+    value, deriv = kernel(k, x)
+    return tuple(float.hex(c) for c in (value.real, value.imag,
+                                        deriv.real, deriv.imag))
+
+
+def test_miller_rescale_bits_pinned():
     for name, k, x, want in MILLER_RESCALE_GOLDEN:
-        value, deriv = kernels[name](k, x)
-        got = tuple(float.hex(c) for c in (value.real, value.imag,
-                                           deriv.real, deriv.imag))
-        assert got == want, (name, k, x)
+        assert _kernel_hex(name, k, x) == want, (name, k, x)
+
+
+# float.hex of Re/Im of the value and the derivative of the scalar kernels
+# at complex arguments, pinned before J_k and j_l shared their series,
+# backward recurrence and reflection code: x = 0 at orders 0-2; J_k's
+# series, Miller (both normalizations) and Hankel branches; j_l's series
+# and its Miller branch scaled by j_0 and by j_1; all four quadrants, zero
+# parts of either sign, and orders 157 and 200.
+SCALAR_BESSEL_PINS = (
+    ("J", 0, complex(0.0, 0.0),
+     ("0x1.0000000000000p+0", "0x0.0p+0",
+      "0x0.0p+0", "0x0.0p+0")),
+    ("J", 1, complex(0.0, 0.0),
+     ("0x0.0p+0", "0x0.0p+0",
+      "0x1.0000000000000p-1", "0x0.0p+0")),
+    ("J", 2, complex(-0.0, -0.0),
+     ("0x0.0p+0", "0x0.0p+0",
+      "0x0.0p+0", "0x0.0p+0")),
+    ("J", 3, complex(2.5, 1.25),
+     ("0x1.88b6de41f9a92p-3", "0x1.22b93425e9467p-2",
+      "0x1.42b979cca7b3ap-2", "0x1.bcec0113b340cp-5")),
+    ("J", 5, complex(-4.0, 7.0),
+     ("0x1.2f95d8dc0f85dp+5", "-0x1.b86a69511141ap+2",
+      "-0x1.919a236eb46b4p+3", "-0x1.386813efea72ap+5")),
+    ("J", 2, complex(-3.5, -0.75),
+     ("0x1.13db2693336f3p-1", "-0x1.929ef619d7a93p-4",
+      "0x1.271bc1922a7cap-3", "0x1.c815287eb0934p-3")),
+    ("J", 7, complex(6.0, -9.0),
+     ("-0x1.689c7214db41cp+6", "0x1.b78dc9a03cdecp+6",
+      "-0x1.0629816ed0ad4p+7", "-0x1.328a46fa76cedp+6")),
+    ("J", 157, complex(10.0, 8.0),
+     ("0x1.6f781e245f272p-505", "-0x1.889903a215081p-504",
+      "-0x1.3be4a78989969p-502", "-0x1.425cb0350022cp-500")),
+    ("J", 200, complex(-15.0, -5.0),
+     ("0x1.b2362da01bd35p-652", "0x1.bcdd896f7d577p-650",
+      "-0x1.81731f4f1fa4bp-647", "-0x1.31633d9a4d563p-646")),
+    ("J", 4, complex(20.0, 0.0),
+     ("0x1.0b9d33d13f56bp-3", "0x0.0p+0",
+      "-0x1.0012a7a32d47bp-3", "0x0.0p+0")),
+    ("J", 9, complex(-33.3, 0.0),
+     ("-0x1.a75b2efb49b6fp-4", "0x0.0p+0",
+      "-0x1.808fb9f3c4d14p-4", "0x0.0p+0")),
+    ("J", 157, complex(100.0, 0.0),
+     ("0x1.2836c0ab47423p-62", "0x0.0p+0",
+      "0x1.67833c9af5104p-62", "0x0.0p+0")),
+    ("J", 200, complex(3000.0, -0.0),
+     ("-0x1.84ccde7b3580ap-7", "0x0.0p+0",
+      "-0x1.152940303655ep-7", "0x0.0p+0")),
+    ("J", 0, complex(20.0, 15.0),
+     ("0x1.8c6e20d18c37ap+17", "-0x1.4259f6666ae62p+17",
+      "-0x1.44ec7d81bce34p+17", "-0x1.827a60dc20c42p+17")),
+    ("J", 6, complex(-25.0, 40.0),
+     ("-0x1.1339f3002e7f9p+53", "0x1.d0c497fd90d3ap+50",
+      "0x1.d214dc8c69306p+50", "0x1.119eb07ce4566p+53")),
+    ("J", 12, complex(-30.0, -10.0),
+     ("0x1.7ad8171ef1635p+9", "-0x1.d8f57f4325de0p+6",
+      "0x1.60f3dae055978p+6", "0x1.63d285fb61d0ep+9")),
+    ("J", 200, complex(40.0, -300.0),
+     ("-0x1.15cb870b4305bp+335", "-0x1.16fdf52bb86afp+335",
+      "0x1.3f44b94ad0b98p+335", "-0x1.5880bad4eddb3p+335")),
+    ("J", 157, complex(500.0, 500.0),
+     ("0x1.0187c7d6411d5p+695", "-0x1.54578d9ffc439p+697",
+      "-0x1.52b612c8a9942p+697", "-0x1.225fc1d4e235ep+695")),
+    ("J", 1, complex(-0.0, 13.0),
+     ("0x0.0p+0", "0x1.731df9871e494p+15",
+      "0x1.65bcd3c782e5ep+15", "0x0.0p+0")),
+    ("J", 0, complex(60.0, 0.0),
+     ("-0x1.76ab23711926bp-4", "-0x0.0p+0",
+      "-0x1.7dbbe4c935819p-5", "-0x0.0p+0")),
+    ("J", 1, complex(-75.0, 3.0),
+     ("0x1.b2e8b9acc3898p-1", "0x1.7a7949759db45p-2",
+      "0x1.81d7593b77b34p-2", "-0x1.af5185623309bp-1")),
+    ("J", 3, complex(80.0, -20.0),
+     ("0x1.e219e99bcc214p+23", "-0x1.a8750aa27f1cdp+23",
+      "0x1.a4e5a884e382dp+23", "0x1.e37c9bbe6ec17p+23")),
+    ("J", 5, complex(10000.0, 0.0),
+     ("0x1.dcf65234ed18cp-9", "0x0.0p+0",
+      "-0x1.d15d446c69a12p-8", "-0x0.0p+0")),
+    ("J", 2, complex(-200.0, -150.0),
+     ("-0x1.be41414b10e48p+206", "-0x1.0ff508d1cea70p+211",
+      "0x1.0f9b4997220dep+211", "-0x1.cb6388931db3cp+206")),
+    ("j", 0, complex(0.0, 0.0),
+     ("0x1.0000000000000p+0", "0x0.0p+0",
+      "0x0.0p+0", "0x0.0p+0")),
+    ("j", 1, complex(0.0, 0.0),
+     ("0x0.0p+0", "0x0.0p+0",
+      "0x1.5555555555555p-2", "0x0.0p+0")),
+    ("j", 2, complex(0.0, -0.0),
+     ("0x0.0p+0", "0x0.0p+0",
+      "0x0.0p+0", "0x0.0p+0")),
+    ("j", 0, complex(0.3, 0.2),
+     ("0x1.fbaec9ccd8772p-1", "-0x1.4609f6bde9340p-6",
+      "-0x1.9accbb10775e8p-4", "-0x1.0acac9c708013p-4")),
+    ("j", 3, complex(-0.4, 0.1),
+     ("-0x1.02865e187acdcp-11", "0x1.cf2b2241e51ecp-12",
+      "0x1.161479be3b021p-8", "-0x1.23532ca5dd18dp-9")),
+    ("j", 1, complex(-0.2, -0.3),
+     ("-0x1.175a6415da89fp-4", "-0x1.9857908666376p-4",
+      "0x1.5a6167088d28dp-2", "-0x1.8b8d67ae52486p-7")),
+    ("j", 157, complex(0.45, -0.1),
+     ("0x0.0p+0", "-0x0.0p+0",
+      "0x0.0p+0", "-0x0.0p+0")),
+    ("j", 2, complex(5.0, 1.0),
+     ("0x1.36566f84d7303p-3", "-0x1.92c95157a4badp-3",
+      "-0x1.eb36d63a92882p-3", "-0x1.206c83a5675c7p-5")),
+    ("j", 10, complex(-20.0, 3.0),
+     ("0x1.1d909dd113c5fp-2", "-0x1.a67829c0f5428p-3",
+      "-0x1.67394d97e92fdp-3", "-0x1.e71c175a8d216p-3")),
+    ("j", 157, complex(-150.0, -50.0),
+     ("0x1.338e7e0b502eep+15", "-0x1.16eaa274cb5b0p+17",
+      "0x1.1f0022f7b8ca4p+16", "0x1.61a3aa689f386p+16")),
+    ("j", 200, complex(300.0, -200.0),
+     ("0x1.299fe562e0f7fp+232", "-0x1.4c7757ef733eep+231",
+      "0x1.938579b16d866p+231", "0x1.01b9c0969d630p+232")),
+    ("j", 3, complex(-0.0, 7.0),
+     ("0x0.0p+0", "-0x1.fbe5ba4a53613p+4",
+      "-0x1.f6ac1d1c55bd2p+4", "-0x0.0p+0")),
+    ("j", 5, complex(8.0, -0.0),
+     ("0x1.03299dbe44506p-3", "0x0.0p+0",
+      "-0x1.2f37f504e472cp-4", "0x0.0p+0")),
+    ("j", 1, complex(3.141592653589793, 0.0),
+     ("0x1.45f306dc9c883p-2", "0x0.0p+0",
+      "-0x1.9f02f6222c720p-3", "0x0.0p+0")),
+    ("j", 4, complex(-9.42477796076938, 0.0),
+     ("-0x1.969d8aed546d7p-4", "0x0.0p+0",
+      "0x1.22fc4c48c2700p-5", "-0x0.0p+0")),
+    ("j", 2, complex(6.283185307179586, 1e-09),
+     ("-0x1.37423899a1558p-4", "-0x1.0e32c49ccc5b4p-33",
+      "-0x1.f7489873c47d0p-4", "0x1.c76e55c19ef93p-34")),
+)
+
+
+def test_scalar_bessel_bits_pinned():
+    for name, k, x, want in SCALAR_BESSEL_PINS:
+        assert _kernel_hex(name, k, x) == want, (name, k, x)
 
 
 def test_kernel_names_read_by_benchmark():
