@@ -14,10 +14,20 @@ by symmetry, and x = 0 to its closed form, in one wrapper (_reflected).
 Each kernel has a numpy twin that equals it bit for bit: bessel_jk_batch and
 spherical_jl_batch over real arguments, whose _series_batch and
 _backward_batch take the same (c, d) (every branch batched; only x = 0 goes
-through the scalar kernel), and fd_radial_edge_batch over lam.
-fd_radial_edge_dlam adds the lam-derivative of the FD edge values for Newton
+through the scalar kernel), and fd_radial_edge_batch over lam for the edge
+values of fd_radial_edge, which also returns their lam-derivatives for Newton
 steps.  The FD recurrence runs off a cached table of its lam-independent
 coefficients.
+
+One rule carries CPython's complex arithmetic over to float64 arrays.  In
+CPython 3.11 a float operand of a complex operation is taken as
+complex(r, 0.0).  A sum or difference keeps that 0.0 as a term, which the
+twins write out (0.0 - x).  A product or quotient only adds a signed-zero term
+to each part, so the twins scale each part by the real and split only
+complex-by-complex products.  That is exact unless a part is itself a zero
+whose sign the added term flips: on the FD route, only the sign of a zero
+imaginary part, at real lam with lam sqrt(ab) / n_grid above about sqrt(2),
+a grid that resolves no oscillation.
 """
 import cmath
 import functools
@@ -445,50 +455,20 @@ def _fd_steps(dim, mode, n_grid):
 
 
 def fd_radial_edge(dim, mode, lam, ab, n_grid):
-    """Shoot the conservative radial FD scheme on (0, 1].
+    """Shoot the conservative radial FD scheme on (0, 1], with lam-derivatives.
 
     Second-difference discretization of
         -(1/(ab r^{d-1})) (r^{d-1} u')' + mu/(ab r^2) u = lam^2 u
     with mu the angular eigenvalue, regular start at r=0, plus a ghost node
-    past r=1.  Returns (u_{M-1}, u_M, u_{M+1}) up to a common positive factor
-    (downscaled on overflow; only ratios are meaningful).
-    """
-    h = 1.0 / n_grid
-    lam = complex(lam)
-    lam2 = ab * lam * lam * h * h
-    if mode == 0:
-        um = 1.0 + 0j
-        uc = um * (1.0 - lam2 / (2.0 * _fd_shape(dim, mode)[2]))
-    else:
-        um = 0.0 + 0j
-        uc = 1.0 + 0j
-    u_before = 0j
-    for a, rpw, rm, rp in _fd_steps(dim, mode, n_grid):
-        u_before = um
-        un = ((a - lam2 * rpw) * uc - rm * um) / rp
-        um = uc
-        uc = un
-        # |uc| >= max(|Re uc|, |Im uc|), so the first test only screens out
-        # the steps that cannot need a rescale (_FD_RESCALE)
-        if not abs(uc) <= 1e200:
-            if abs(uc.real) > 1e200 or abs(uc.imag) > 1e200:
-                um /= 1e200
-                uc /= 1e200
-                u_before /= 1e200
-    return u_before, um, uc
+    past r=1.  Returns the edge values (u_{M-1}, u_M, u_{M+1}) and their
+    lam-derivatives, all up to one common positive factor (downscaled by
+    1e200 on overflow; only ratios are meaningful).
 
-
-def fd_radial_edge_dlam(dim, mode, lam, ab, n_grid):
-    """fd_radial_edge and the lam-derivatives of its three edge values.
-
-    Forward mode through the shooting recurrence: with c_i = a_i - lam2 r^pw
-    and lam2 = ab lam^2 h^2,
+    The derivatives run in forward mode through the recurrence: with
+    c_i = a_i - lam2 r^pw and lam2 = ab lam^2 h^2,
         u'_{i+1} = (c_i u'_i - lam2' r^pw u_i - rm u'_{i-1}) / rp,
     lam2' = 2 ab lam h^2, and every rescale divides the derivatives with the
-    values.  The value part runs fd_radial_edge's operations, so it equals
-    that kernel (==), and fd_radial_edge_batch's values.  Returns
-    ((u_{M-1}, u_M, u_{M+1}), (u'_{M-1}, u'_M, u'_{M+1})), all up to the
-    same positive factor.
+    values.  The values equal fd_radial_edge_batch's bit for bit.
     """
     h = 1.0 / n_grid
     lam = complex(lam)
@@ -512,73 +492,58 @@ def fd_radial_edge_dlam(dim, mode, lam, ab, n_grid):
         dun = (c * duc - dlam2 * rpw * uc - rm * dum) / rp
         um, dum = uc, duc
         uc, duc = un, dun
-        if not abs(uc) <= 1e200:
-            if abs(uc.real) > 1e200 or abs(uc.imag) > 1e200:
-                um /= 1e200
-                uc /= 1e200
-                u_before /= 1e200
-                dum /= 1e200
-                duc /= 1e200
-                du_before /= 1e200
+        # |uc| >= max(|Re uc|, |Im uc|), so the first test only screens out
+        # the steps that cannot need a rescale
+        if not abs(uc) <= _FD_RESCALE:
+            if abs(uc.real) > _FD_RESCALE or abs(uc.imag) > _FD_RESCALE:
+                um /= _FD_RESCALE
+                uc /= _FD_RESCALE
+                u_before /= _FD_RESCALE
+                dum /= _FD_RESCALE
+                duc /= _FD_RESCALE
+                du_before /= _FD_RESCALE
     return (u_before, um, uc), (du_before, dum, duc)
 
 
-# CPython's complex product and quotient by a real, on split float64 parts.
-# numpy's complex128 arithmetic is not bitwise equal to CPython's (its SIMD
-# loops may round a product differently in the last bit).
-
-def _mul(ar, ai, br, bi):
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _div_real(ar, ai, d):
-    ratio = 0.0 / d
-    denom = d + 0.0 * ratio
-    return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
-
-
-def _rescale_where(big, re_part, im_part):
-    sr, si = _div_real(re_part, im_part, _FD_RESCALE)
-    return np.where(big, sr, re_part), np.where(big, si, im_part)
-
-
 def fd_radial_edge_batch(dim, mode, lams, ab, n_grid):
-    """fd_radial_edge over a sequence of lam, as three complex128 arrays.
+    """fd_radial_edge's edge values over a sequence of lam, as three
+    complex128 arrays, equal to the scalar kernel's bit for bit by the
+    module's complex-by-real rule.
 
-    Equal to the scalar kernel value by value, bit for bit: every complex
-    operation of the scalar recurrence is repeated on split real/imaginary
-    float64 arrays with CPython's formulas, including the products with the
-    zero imaginary part of a real operand.
+    The recurrence runs on split float64 real and imaginary arrays (numpy's
+    complex128 products need not round like CPython's); only lam * lam and
+    c * u are complex-by-complex products.
     """
     lam = np.asarray(lams, dtype=complex)
+    lr, li = lam.real, lam.imag
     h = 1.0 / n_grid
-    l2r, l2i = _mul(float(ab), 0.0, lam.real, lam.imag)
-    l2r, l2i = _mul(l2r, l2i, lam.real, lam.imag)
-    l2r, l2i = _mul(l2r, l2i, h, 0.0)
-    l2r, l2i = _mul(l2r, l2i, h, 0.0)
-    zero, one = np.zeros(lam.shape), np.ones(lam.shape)
+    # lam2 = ab * lam * lam * h * h, left to right
+    ar, ai = ab * lr, ab * li
+    l2r, l2i = (ar * lr - ai * li) * h * h, (ar * li + ai * lr) * h * h
     if mode == 0:
-        mr, mi = one, zero
-        sr, si = _div_real(l2r, l2i, 2.0 * _fd_shape(dim, mode)[2])
-        cr, ci = _mul(mr, mi, 1.0 - sr, 0.0 - si)
+        # um * (1 - lam2 / lim2) with um = 1 + 0j: the product by 1 + 0j is
+        # exact, 0.0 - x being never -0.0
+        lim2 = 2.0 * _fd_shape(dim, mode)[2]
+        mr, mi = np.ones(lam.shape), np.zeros(lam.shape)
+        cr, ci = 1.0 - l2r / lim2, 0.0 - l2i / lim2
     else:
-        mr, mi = zero, zero
-        cr, ci = one, zero
-    br, bi = zero, zero
+        mr, mi = np.zeros(lam.shape), np.zeros(lam.shape)
+        cr, ci = np.ones(lam.shape), np.zeros(lam.shape)
+    br, bi = mr, mi
     with np.errstate(over="ignore", invalid="ignore"):
         for a, rpw, rm, rp in _fd_steps(dim, mode, n_grid):
             br, bi = mr, mi
-            tr, ti = _mul(l2r, l2i, rpw, 0.0)
-            tr, ti = _mul(a - tr, 0.0 - ti, cr, ci)
-            sr, si = _mul(rm, 0.0, mr, mi)
-            nr, ni = _div_real(tr - sr, ti - si, rp)
+            # c = a - lam2 * rpw, a float minus a complex
+            kr, ki = a - l2r * rpw, 0.0 - l2i * rpw
+            nr = (kr * cr - ki * ci - rm * mr) / rp
+            ni = (kr * ci + ki * cr - rm * mi) / rp
             mr, mi = cr, ci
             cr, ci = nr, ni
             big = (np.abs(cr) > _FD_RESCALE) | (np.abs(ci) > _FD_RESCALE)
             if big.any():
-                mr, mi = _rescale_where(big, mr, mi)
-                cr, ci = _rescale_where(big, cr, ci)
-                br, bi = _rescale_where(big, br, bi)
+                mr, mi, cr, ci, br, bi = (np.where(big, part / _FD_RESCALE,
+                                                   part)
+                                          for part in (mr, mi, cr, ci, br, bi))
     out = []
     for re_part, im_part in ((br, bi), (mr, mi), (cr, ci)):
         z = np.empty(lam.shape, dtype=complex)

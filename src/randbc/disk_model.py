@@ -7,15 +7,16 @@ spherical j_l on the ball).  That gives closed forms for the per-mode
 Dirichlet-to-Neumann value, the Neumann-to-Dirichlet diagonal entry, and the
 secular function whose zeros are the eigenvalues under a diagonal impedance
 boundary condition.  An independent finite-difference shooting oracle guards
-every sign convention.
+every sign convention; it shoots with one scalar kernel (fd_radial_edge, the
+edge values and their lam-derivatives) for Newton steps and its lam-batched
+twin for every scanned list.
 """
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from randbc._pykernels import (fd_radial_edge, fd_radial_edge_batch,
-                               fd_radial_edge_dlam)
+from randbc._pykernels import fd_radial_edge, fd_radial_edge_batch
 from randbc.impedance import ACCRETIVE_TOL, cayley_zeta_to_xi
 from randbc.specfun import (BesselEval, bessel_j, bessel_j_grid,
                             bracket_real_roots, complex_root_polish,
@@ -207,7 +208,7 @@ def fd_dtn_value(mode: int, lam, params: MaterialParams, grid=50_000) -> complex
     ab = params.a * params.b
     out = []
     for m_nodes in (grid // 2, grid):
-        um1, u_m, up1 = fd_radial_edge(params.dim, mode, lam, ab, m_nodes)
+        um1, u_m, up1 = fd_radial_edge(params.dim, mode, lam, ab, m_nodes)[0]
         h = 1.0 / m_nodes
         du = (up1 - um1) / (2.0 * h)
         out.append((du / params.a) / u_m)
@@ -246,7 +247,7 @@ def neumann_eigenvalues(mode: int, params: MaterialParams, window):
 def _interlacing_count(grid):
     """len(neumann_eigenvalues(...)) on grid's mode and window, from the
     bracketing stage alone: the brackets of the zeta = 0 scan plus its exact
-    grid zeros, each of which find_real_roots turns into one root.  Refines
+    zeros, each of which find_real_roots turns into one root.  Refines
     nothing and calls no fdf."""
     f, _, f_grid = _radial_scan_functions(grid, _neumann_char(grid.params))
     return bracket_real_roots(f, grid.window, min_spacing=grid.min_spacing,
@@ -358,7 +359,7 @@ def solve_mode_eigenvalues(mode: int, zeta, params: MaterialParams,
     One _window_roots search on the secular function, bracketed at the
     Neumann/Dirichlet-interlacing-scale resolution.  Suspected double roots
     (Re zeta = 0), stalled seeds, drifted roots and a mismatch with the
-    zeta = 0 interlacing count (the brackets and exact grid zeros of the
+    zeta = 0 interlacing count (the brackets and exact zeros of the
     zeta = 0 scan, unrefined) are reported in warnings, never silently
     accepted.  The count scan and the real-axis scan share one _RadialGrid:
     one batched Bessel evaluation of the uniform grid per call.  A scan
@@ -434,34 +435,23 @@ def _fd_fdf(params, mode, m_nodes, zz, lam):
     zero of the raw function at lam = 0 (mode 0, where the static solution
     is constant), which a continuation could otherwise land on.
     """
-    edge, d_edge = fd_radial_edge_dlam(params.dim, mode, lam,
-                                       params.a * params.b, m_nodes)
+    edge, d_edge = fd_radial_edge(params.dim, mode, lam, params.a * params.b,
+                                  m_nodes)
     value = _fd_char(params, m_nodes, zz, lam, edge)
     deriv = _fd_char(params, m_nodes, zz, lam, d_edge) - 1j * zz * edge[1]
     return value / lam, (deriv * lam - value) / (lam * lam)
 
 
-# Shortest lam list that fd_radial_edge_batch evaluates faster than a loop
-# of fd_radial_edge calls.  Its cost is one numpy pass per node, nearly flat
-# in the list length, so the crossover does not depend on the node count:
-# measured (2 vCPUs Intel Xeon, numpy 2.4.6) batch vs scalar at 512 nodes
-# 14.8 vs 11.4 ms for 60 lams, 14.8 vs 16.2 ms for 90; at 2,048 nodes
-# 61.9 vs 45.9 ms and 61.3 vs 70.7 ms.  The FD oracle's pooled subdivision
-# lists (45-75 points) stay scalar; its 1,025-point grids are batched.
-FD_BATCH_MIN_POINTS = 80
-
-
 def _fd_scan_functions(mode, zz, params, m_nodes):
     """The real part of the normalized FD characteristic function on the
     real lam axis, pointwise and over a list (equal value by value: a list
-    of FD_BATCH_MIN_POINTS or more goes through the lam-batched shooting
-    kernel, a shorter one point by point), and the real part of the raw
-    one with its derivative (same sign).  Returns (f, fdf, f_grid) for
-    find_real_roots."""
+    goes through the lam-batched shooting kernel, whatever its length), and
+    the real part of the raw one with its derivative (same sign).  Returns
+    (f, fdf, f_grid) for find_real_roots."""
     ab = params.a * params.b
 
     def f(lam):
-        edge = fd_radial_edge(params.dim, mode, lam, ab, m_nodes)
+        edge = fd_radial_edge(params.dim, mode, lam, ab, m_nodes)[0]
         return _fd_char(params, m_nodes, zz, lam, edge, True).real
 
     def fdf(lam):
@@ -469,8 +459,6 @@ def _fd_scan_functions(mode, zz, params, m_nodes):
         return value.real, deriv.real
 
     def f_grid(lams):
-        if len(lams) < FD_BATCH_MIN_POINTS:
-            return [f(lam) for lam in lams]
         edges = zip(*(e.tolist() for e in fd_radial_edge_batch(
             params.dim, mode, lams, ab, m_nodes)))
         return [_fd_char(params, m_nodes, zz, lam, edge, True).real
@@ -635,13 +623,13 @@ def route_equivalence_report(mode: int, zeta, params: MaterialParams,
     }
 
 
-def eigenvalue_rows(result: ModeEigenvalues, residual_fn=None):
-    """CSV rows: mode, mu, Re zeta, Im zeta, Re lambda, Im lambda, method, residual."""
+def eigenvalue_rows(result: ModeEigenvalues):
+    """CSV rows: mode, mu, Re zeta, Im zeta, Re lambda, Im lambda, method,
+    residual |F(lambda)| of the secular function."""
     rows = []
     mu = mode_mu(result.params, result.mode)
     for ev in result.eigenvalues:
-        res = (abs(secular_value(result.mode, result.zeta, ev, result.params))
-               if residual_fn is None else residual_fn(ev))
+        res = abs(secular_value(result.mode, result.zeta, ev, result.params))
         rows.append([result.mode, mu, result.zeta.real, result.zeta.imag,
                      ev.real, ev.imag, result.method, res])
     return rows

@@ -375,8 +375,7 @@ def _probe_vectors(n, count, seed=1234):
                  for _ in range(count))
 
 
-def krein_residual(model: TripleModel, contraction: ContractionOp, z,
-                   n_probes=6) -> float:
+def krein_residual(model: TripleModel, contraction: ContractionOp, z) -> float:
     """Max relative defect of the Krein resolvent formula over a probe set.
 
     Left side: ((R0 - RK) psi | phi) with R0 the Gamma0-reference resolvent.
@@ -408,6 +407,7 @@ def krein_residual(model: TripleModel, contraction: ContractionOp, z,
             "extension's spectrum")
     core = np.linalg.inv(gram) @ e1
     worst = np.zeros(z.shape)
+    n_probes = 6
     for psi, phi in zip(_probe_vectors(n, n_probes, seed=2024),
                         _probe_vectors(n, n_probes, seed=4048)):
         lhs = _dot(phi, (r0 - rk) @ psi)
@@ -428,8 +428,8 @@ def resolvent_difference_rank(model: TripleModel, k1: ContractionOp,
     return matrix_rank(r2 - r1)
 
 
-def matrix_rank(mat, rel_tol=RANK_REL_TOL, abs_floor=1e-13) -> int:
-    """Numerical rank: singular values above rel_tol * sigma_max.
+def matrix_rank(mat) -> int:
+    """Numerical rank: singular values above RANK_REL_TOL * sigma_max.
 
     A matrix whose largest singular value sits at rounding scale (everything
     here has O(1) norm: contractions, resolvents bounded by 1/Im z) is zero;
@@ -440,8 +440,8 @@ def matrix_rank(mat, rel_tol=RANK_REL_TOL, abs_floor=1e-13) -> int:
     if s.shape[-1] == 0:
         return _item(np.zeros(s.shape[:-1], dtype=int))
     top = s[..., :1]
-    rank = np.where(top[..., 0] <= abs_floor, 0,
-                    np.sum(s > rel_tol * top, axis=-1))
+    rank = np.where(top[..., 0] <= 1e-13, 0,
+                    np.sum(s > RANK_REL_TOL * top, axis=-1))
     return _item(rank)
 
 

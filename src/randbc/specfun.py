@@ -7,6 +7,8 @@ through an external special-function library.
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from randbc._pykernels import (bessel_jk, bessel_jk_batch, spherical_jl,
                                spherical_jl_batch)
 
@@ -32,7 +34,9 @@ def _check_arguments(order, xs, name):
     each x of xs is inside the validated range, checked in the order of xs.
 
     The pointwise evaluations and the grid evaluations share this check, so
-    a grid scan fails where its first invalid point would.
+    a grid scan fails where its first invalid point would.  A real array
+    passes in one numpy pass when its largest |x| is in range; only
+    otherwise does the loop look for the first invalid point.
     """
     if order < 0 or order != int(order):
         raise SpecFunError(
@@ -40,6 +44,9 @@ def _check_arguments(order, xs, name):
     if order > MAX_ORDER:
         raise SpecFunError(
             f"order {order} exceeds the validated maximum {MAX_ORDER}")
+    if (isinstance(xs, np.ndarray) and xs.dtype.kind == "f" and xs.size
+            and np.abs(xs).max() <= MAX_ABS_ARGUMENT):
+        return
     for x in xs:
         x = complex(x)
         if abs(x) > MAX_ABS_ARGUMENT:
@@ -77,6 +84,7 @@ def bessel_j_grid(k: int, xs):
     batched kernel call; raises the SpecFunError bessel_j raises at the
     first invalid point.
     """
+    xs = np.asarray(xs)
     _check_arguments(k, xs, "J_k")
     return bessel_jk_batch(int(k), xs)
 
@@ -84,6 +92,7 @@ def bessel_j_grid(k: int, xs):
 def spherical_j_grid(l: int, xs):
     """spherical_j's value and derivative at each real x of xs, batched
     like bessel_j_grid."""
+    xs = np.asarray(xs)
     _check_arguments(l, xs, "j_l")
     return spherical_jl_batch(int(l), xs)
 
@@ -174,32 +183,6 @@ def _batched(f_grid, xs):
     return values
 
 
-def _split_cell(f, lo, hi, f_lo, f_hi, depth, brackets, inner=None):
-    """Append the brackets of the sign-change cell (lo, hi) to `brackets`:
-    the cell itself, or, where its 16-way subdivision shows more than one
-    sign change and depth > 0, those of each sign-change subcell, split
-    again to depth - 1.  `inner` holds f at the interior points when
-    already evaluated; otherwise f evaluates them.  Returns the number of
-    subdivision values used."""
-    if depth == 0:
-        brackets.append(RootBracket(lo, hi, f_lo, f_hi))
-        return 0
-    pts = _subdivision(lo, hi)
-    if inner is None:
-        inner = [float(f(p)) for p in pts[1:-1]]
-    vals = [f_lo, *inner, f_hi]
-    n = SUBDIVISIONS - 1
-    changes = [i for i in range(SUBDIVISIONS)
-               if vals[i] == 0.0 or _opposite_signs(vals[i], vals[i + 1])]
-    if len(changes) > 1:
-        for i in changes:
-            n += _split_cell(f, pts[i], pts[i + 1], vals[i], vals[i + 1],
-                             depth - 1, brackets)
-    else:
-        brackets.append(RootBracket(lo, hi, f_lo, f_hi))
-    return n
-
-
 def scan_grid(window, n_grid=1024, min_spacing=None):
     """The uniform grid that bracket_real_roots scans on the window: n_grid
     cells, or enough for 4 cells per min_spacing where that is more."""
@@ -214,60 +197,83 @@ def scan_grid(window, n_grid=1024, min_spacing=None):
 @dataclass
 class RootBrackets:
     """The bracketing stage of find_real_roots on one window: the scanned
-    grid and f on it, the sign-change brackets and the grid points where f
-    is exactly 0, in grid order.  `n_evals` counts f's evaluations."""
+    grid and f on it, the sign-change brackets, and the points of the grid
+    or of a subdivision where f is exactly 0, in ascending order.
+    `n_evals` counts f's evaluations."""
     window: tuple
     xs: list
     fs: list
     brackets: list = field(default_factory=list)
-    grid_zeros: list = field(default_factory=list)
+    zeros: list = field(default_factory=list)
     n_evals: int = 0
 
     @property
     def count(self):
         """The number of roots find_real_roots returns: one per bracket
-        plus the exact grid zeros (suspected double roots not included)."""
-        return len(self.brackets) + len(self.grid_zeros)
+        plus the exact zeros (suspected double roots not included)."""
+        return len(self.brackets) + len(self.zeros)
+
+
+# subdivision levels below a grid cell with a sign change
+SUBDIVISION_LEVELS = 2
 
 
 def bracket_real_roots(f, window, n_grid=1024, min_spacing=None,
                        f_grid=None) -> RootBrackets:
     """Bracket the real sign changes of a scalar function on a window.
 
-    Scan on the uniform grid of scan_grid, subdivide each cell with a sign
-    change into 16, and a subcell into 16 again where a cell holds more
-    than one sign change; each remaining (sub)cell with a sign change is one
-    bracket.  `f_grid(xs)`, when given, must return f's values at the points
-    of the list xs, in order.  It then evaluates, in two calls, the uniform
-    grid and the 15 interior subdivision points of every grid cell with a
-    sign change, all cells pooled into one list; without it `f` evaluates
-    them point by point.  The second subdivision level always calls `f`.
-    Nothing is refined.
+    Scan on the uniform grid of scan_grid and subdivide each cell with a
+    sign change into 16.  A cell whose subdivision shows one root (one
+    strict sign change, or one exact zero) is one bracket.  In a cell that
+    shows more, each exact zero is a root as it stands and each subcell
+    with a strict sign change is subdivided into 16 again, where the same
+    rule makes brackets of the subcells or of their own subcells.  A grid
+    point where f is exactly 0 is a root as it stands too (the window's
+    upper end excepted).  `f_grid(xs)` must return f's values at the
+    points of the list xs, in order; it defaults to `f` point by point.  It
+    evaluates the grid, then at each subdivision level the 15 interior
+    points of every cell split at that level, all cells pooled into one
+    list.  With f_grid given, `f` is never called.  Nothing is refined.
     """
     xs = scan_grid(window, n_grid, min_spacing)
-    n_grid = len(xs) - 1
     if f_grid is None:
-        fs = [float(f(x)) for x in xs]
-    else:
-        fs = _batched(f_grid, xs)
+        def f_grid(pts):
+            return [f(x) for x in pts]
+    fs = _batched(f_grid, xs)
     out = RootBrackets((float(window[0]), float(window[1])), xs, fs,
                        n_evals=len(xs))
-
-    # per sign-change cell, f at its interior subdivision points from the
-    # one pooled f_grid call, or None where _split_cell calls f
-    cells = [i for i in range(n_grid) if _opposite_signs(fs[i], fs[i + 1])]
-    pooled = dict.fromkeys(cells)
-    if f_grid is not None and cells:
-        m = SUBDIVISIONS - 1
-        pts = [p for i in cells for p in _subdivision(xs[i], xs[i + 1])[1:-1]]
+    out.zeros = [x for x, v in zip(xs[:-1], fs[:-1]) if v == 0.0]
+    # (lo, hi, f_lo, f_hi) of the cells with a strict sign change to split
+    cells = [(xs[i], xs[i + 1], fs[i], fs[i + 1]) for i in range(len(xs) - 1)
+             if _opposite_signs(fs[i], fs[i + 1])]
+    m = SUBDIVISIONS - 1
+    for level in range(SUBDIVISION_LEVELS):
+        if not cells:
+            break
+        subs = [_subdivision(lo, hi) for lo, hi, _, _ in cells]
+        pts = [p for sub_x in subs for p in sub_x[1:-1]]
         vals = _batched(f_grid, pts)
-        pooled = {i: vals[k * m:(k + 1) * m] for k, i in enumerate(cells)}
-    for i in range(n_grid):
-        if fs[i] == 0.0:
-            out.grid_zeros.append(xs[i])
-        elif i in pooled:
-            out.n_evals += _split_cell(f, xs[i], xs[i + 1], fs[i], fs[i + 1],
-                                       2, out.brackets, pooled[i])
+        out.n_evals += len(pts)
+        split = []
+        for k, (cell, sub_x) in enumerate(zip(cells, subs)):
+            sub_f = [cell[2], *vals[k * m:(k + 1) * m], cell[3]]
+            zeros = [sub_x[i] for i in range(1, SUBDIVISIONS)
+                     if sub_f[i] == 0.0]
+            changes = [(sub_x[i], sub_x[i + 1], sub_f[i], sub_f[i + 1])
+                       for i in range(SUBDIVISIONS)
+                       if _opposite_signs(sub_f[i], sub_f[i + 1])]
+            if len(changes) + len(zeros) == 1:
+                out.brackets.append(RootBracket(*cell))
+                continue
+            out.zeros += zeros
+            if level == SUBDIVISION_LEVELS - 1:
+                out.brackets += [RootBracket(*c) for c in changes]
+            else:
+                split += changes
+        cells = split
+    # disjoint cells: ascending lo is the grid order
+    out.brackets.sort(key=lambda br: br.lo)
+    out.zeros.sort()
     return out
 
 
@@ -277,10 +283,10 @@ def find_real_roots(f, window, n_grid=1024, min_spacing=None, f_grid=None,
 
     bracket_real_roots brackets them (f_grid as there), then one loop
     refines each bracket: safeguarded Newton steps when `fdf` is given,
-    bisection steps otherwise (see _refine).  The exact grid zeros are
-    roots as they stand.  Grid minima with |f| below 1e-8 of the local
-    scale but no sign change are reported as suspected double roots
-    instead of being dropped.
+    bisection steps otherwise (see _refine).  The exact zeros of the
+    bracketing stage are roots as they stand.  Grid minima with |f| below
+    1e-8 of the local scale but no sign change are reported as suspected
+    double roots instead of being dropped.
 
     `fdf(x)` returns (g(x), g'(x)) for a function g with f's sign at every
     x, such as f itself or f times a positive factor; only the refinement
@@ -295,7 +301,7 @@ def find_real_roots(f, window, n_grid=1024, min_spacing=None, f_grid=None,
     a, b = scan.window
     xs, fs = scan.xs, scan.fs
     n_grid = len(xs) - 1
-    result = RootSearchResult(roots=list(scan.grid_zeros),
+    result = RootSearchResult(roots=list(scan.zeros),
                               brackets=scan.brackets, n_evals=scan.n_evals)
     for br in scan.brackets:
         root, n = _refine(f, fdf, br.lo, br.hi, br.f_lo)

@@ -136,9 +136,9 @@ class WeylFit:
     n_points: int
 
 
-def weyl_exponent_fit(cf: CountingFunction, lam_lo, lam_hi,
-                      n_points=48) -> WeylFit:
+def weyl_exponent_fit(cf: CountingFunction, lam_lo, lam_hi) -> WeylFit:
     """Least-squares slope of log N against log lam on a log-uniform grid."""
+    n_points = 48
     if lam_hi > cf.spectrum.mu_max:
         raise WeylError("fit range exceeds the enumerated spectrum")
     if lam_hi / lam_lo < 1e3:
@@ -603,16 +603,18 @@ def monte_carlo_transition(dists, model: str, trials: int, m_modes: int,
     return entries
 
 
-def limit_criterion_from_transition(entry: TransitionEntry, eps, truncations,
-                                    hi=0.95, lo=0.05) -> CriterionVerdict:
-    """Monte Carlo rendering of the tail-limit criterion: evidence, not proof."""
+def limit_criterion_from_transition(entry: TransitionEntry, eps,
+                                    truncations) -> CriterionVerdict:
+    """Monte Carlo rendering of the tail-limit criterion: evidence, not proof.
+    Compact when the last fraction is at least 0.95 and the fractions rise
+    (within 0.02), not compact when it is at most 0.05 and they fall."""
     fracs = [entry.fraction(eps, mt) for mt in truncations]
     increasing = all(b >= a - 0.02 for a, b in zip(fracs, fracs[1:]))
     decreasing = all(b <= a + 0.02 for a, b in zip(fracs, fracs[1:]))
     final = fracs[-1]
-    if final >= hi and increasing:
+    if final >= 0.95 and increasing:
         verdict = COMPACT
-    elif final <= lo and decreasing:
+    elif final <= 0.05 and decreasing:
         verdict = NOT_COMPACT
     else:
         verdict = INCONCLUSIVE

@@ -357,7 +357,7 @@ EXACT_NEUMANN_ZEROS = {2: 1.8411837813406595, 3: 2.0815759778181007}
 @pytest.mark.parametrize("dim", [2, 3])
 def test_interlacing_count_is_the_bracket_count(monkeypatch, dim):
     # solve_mode_eigenvalues compares its roots with the brackets plus exact
-    # grid zeros of the zeta = 0 scan, unrefined: as many as the refining
+    # zeros of the zeta = 0 scan, unrefined: as many as the refining
     # scan (neumann_eigenvalues) returns, with no fdf or scalar-kernel call.
     # The last window starts on an exact zero, so its scan starts on a grid
     # zero.
@@ -381,7 +381,7 @@ def test_interlacing_count_is_the_bracket_count(monkeypatch, dim):
     f, _, f_grid = dm._radial_scan_functions(
         dm._RadialGrid(1, params, windows[-1]), dm._neumann_char(params))
     scan = specfun.bracket_real_roots(f, windows[-1], f_grid=f_grid)
-    assert scan.grid_zeros == [zero] and len(scan.brackets) >= 5
+    assert scan.zeros == [zero] and len(scan.brackets) >= 5
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -119,6 +119,16 @@ def test_order_guard_and_range_guard():
             with pytest.raises(specfun.SpecFunError) as batched:
                 specfun.find_real_roots(f, window, n_grid=8, f_grid=f_grid)
             assert str(batched.value) == str(pointwise.value)
+    # the grid's numpy range check still names the first invalid point, not
+    # the largest one
+    for grid, scalar in ((specfun.bessel_j_grid, specfun.bessel_j),
+                         (specfun.spherical_j_grid, specfun.spherical_j)):
+        with pytest.raises(specfun.SpecFunError) as first:
+            scalar(3, 2.0e4)
+        with pytest.raises(specfun.SpecFunError) as batched:
+            grid(3, [1.0, 5.0, 2.0e4, 3.0e4, 2.0])
+        assert str(batched.value) == str(first.value) == \
+            "|x|=2e+04 outside validated range"
 
 
 def test_spherical_closed_forms():
@@ -292,7 +302,7 @@ def test_fd_batch_kernel_equals_scalar():
                                                         n_grid)
                 for j, lam in enumerate(lams):
                     edge = _pykernels.fd_radial_edge(dim, mode, lam, 1.3,
-                                                     n_grid)
+                                                     n_grid)[0]
                     assert tuple(complex(b[j]) for b in batch) == edge, \
                         (dim, mode, n_grid, lam)
                     if lam in grow:
@@ -310,8 +320,60 @@ def test_fd_batch_kernel_equals_scalar():
     for (dim, mode), drawn in cases.items():
         batch = _pykernels.fd_radial_edge_batch(dim, mode, drawn, 1.0, 512)
         for j, lam in enumerate(drawn):
-            edge = _pykernels.fd_radial_edge(dim, mode, lam, 1.0, 512)
+            edge = _pykernels.fd_radial_edge(dim, mode, lam, 1.0, 512)[0]
             assert tuple(complex(b[j]) for b in batch) == edge, (dim, mode, lam)
+
+
+# u_M and u_{M+1} of the FD kernels at ab = 1.3 on 512 nodes as (real, imag)
+# float.hex pairs, which also see the sign of a zero part: real, complex and
+# rescaled (|Im lam| > 500) lam
+FD_EDGE_PINS = (
+    ((2, 0, 7.3), ('0x1.6fbb7cda0b71bp-4', '0x0.0p+0'),
+     ('0x1.5de99283249e7p-4', '0x0.0p+0')),
+    ((2, 4, 7.3), ('-0x1.337abb7683326p+29', '0x0.0p+0'),
+     ('-0x1.38fbe6093f848p+29', '0x0.0p+0')),
+    ((3, 0, 7.3), ('0x1.b6ef8b5427b8cp-4', '0x0.0p+0'),
+     ('0x1.b26918427f3d2p-4', '0x0.0p+0')),
+    ((3, 4, 7.3), ('-0x1.94dfc1d8923a5p+26', '0x0.0p+0'),
+     ('-0x1.c280ba468a97cp+26', '0x0.0p+0')),
+    ((2, 0, 5.1 - 0.4j), ('0x1.cb98ac5884e57p-4', '-0x1.29689f8296f43p-3'),
+     ('0x1.db870c91621b5p-4', '-0x1.2859be79b960ep-3')),
+    ((2, 4, 5.1 - 0.4j), ('0x1.4a83a539a5b01p+32', '0x1.24b87b5d9f6dbp+31'),
+     ('0x1.496055931920ep+32', '0x1.26005f5f89e35p+31')),
+    ((3, 0, 5.1 - 0.4j), ('-0x1.464f158395cf2p-4', '-0x1.42524888fac79p-4'),
+     ('-0x1.3dc5086f35851p-4', '-0x1.436084a03c28cp-4')),
+    ((3, 4, 5.1 - 0.4j), ('0x1.4d0853c4f0b4fp+32', '0x1.d7d2cf9691656p+30'),
+     ('0x1.4ca3b796477bcp+32', '0x1.da523bcd36c5fp+30')),
+    ((2, 0, 520j), ('0x1.3c40520e46e3ep+143', '0x0.0p+0'),
+     ('0x1.db440b51bafe5p+144', '0x0.0p+0')),
+    ((3, 4, 520j), ('0x1.644f10a294e15p+146', '0x0.0p+0'),
+     ('0x1.0b7a9e4dc48a0p+148', '0x0.0p+0')),
+    ((2, 4, 3.0 + 530j),
+     ('-0x1.f2f91f80a4c04p+163', '-0x1.c48805271d4c7p+161'),
+     ('-0x1.7eb61c8132650p+165', '-0x1.51d79ac97f0e7p+163')),
+    ((3, 0, 3.0 + 530j),
+     ('-0x1.14f9770c89195p+153', '-0x1.c41ecd63b3da2p+150'),
+     ('-0x1.a8660ec4c237cp+154', '-0x1.5038e9ee04495p+152')),
+)
+
+
+def test_fd_edge_bits_pinned():
+    # the scalar kernel's value part and the batch kernel, bit for bit
+    # (signed zeros included), against values recorded before the batch
+    # kernel dropped its emulation of CPython's complex-by-real products
+    from randbc import _pykernels as pk
+
+    def hexes(z):
+        z = complex(z)
+        return z.real.hex(), z.imag.hex()
+
+    for (dim, mode, lam), u_m, u_next in FD_EDGE_PINS:
+        edge = pk.fd_radial_edge(dim, mode, lam, 1.3, 512)[0]
+        batch = pk.fd_radial_edge_batch(dim, mode, [lam, 1.0], 1.3, 512)
+        assert (hexes(edge[1]), hexes(edge[2])) == (u_m, u_next), (dim, mode,
+                                                                  lam)
+        assert (hexes(batch[1][0]), hexes(batch[2][0])) == (u_m, u_next), \
+            (dim, mode, lam)
 
 
 def test_bessel_batch_equals_scalar(monkeypatch):
@@ -659,9 +721,9 @@ def test_secular_derivative_matches_mpmath():
 
 
 def test_fd_derivative_kernel():
-    # fd_radial_edge_dlam: its value part equals fd_radial_edge (==), also
-    # through the 1e200 rescale, and its derivative matches a central
-    # difference of fd_radial_edge to 1e-6
+    # fd_radial_edge's value part equals fd_radial_edge_batch (==), also
+    # through the 1e200 rescale, and its derivative part matches a central
+    # difference of the value part to 1e-6
     from randbc import _pykernels as pk
 
     rng = np.random.default_rng(12)
@@ -674,14 +736,12 @@ def test_fd_derivative_kernel():
             for n_grid in (512, 1024):
                 batch = pk.fd_radial_edge_batch(dim, mode, lams, 1.3, n_grid)
                 for j, lam in enumerate(lams):
-                    edge, d_edge = pk.fd_radial_edge_dlam(dim, mode, lam, 1.3,
-                                                          n_grid)
-                    assert edge == pk.fd_radial_edge(dim, mode, lam, 1.3,
+                    edge, d_edge = pk.fd_radial_edge(dim, mode, lam, 1.3,
                                                      n_grid)
                     assert edge == tuple(complex(e[j]) for e in batch)
                     h = 1e-6 * abs(lam)
-                    up = pk.fd_radial_edge(dim, mode, lam + h, 1.3, n_grid)
-                    dn = pk.fd_radial_edge(dim, mode, lam - h, 1.3, n_grid)
+                    up, _ = pk.fd_radial_edge(dim, mode, lam + h, 1.3, n_grid)
+                    dn, _ = pk.fd_radial_edge(dim, mode, lam - h, 1.3, n_grid)
                     scale = max(abs(d) for d in d_edge)
                     for u_up, u_dn, d in zip(up, dn, d_edge):
                         assert abs((u_up - u_dn) / (2 * h) - d) \
@@ -797,7 +857,8 @@ def test_refiner_newton_evaluations_per_bracket(window, refs, fdf):
 def test_pooled_subdivision_matches_pointwise():
     # roots 0.1, 0.2 and 0.3 share the grid cell (0, 0.5): its pooled
     # subdivision shows three sign changes, and each of those subcells is
-    # subdivided again by `f`; the cell (0.5, 1) holds the one root 0.7
+    # subdivided again, in one more pooled call; the cell (0.5, 1) holds the
+    # one root 0.7.  With f_grid given, `f` is never called
     def g(x):
         return (x - 0.1) * (x - 0.2) * (x - 0.3) * (x - 0.7)
 
@@ -811,8 +872,8 @@ def test_pooled_subdivision_matches_pointwise():
     fdf = lambda x: (g(x), dg(x))
     pooled = specfun.find_real_roots(f, (0.0, 1.0), n_grid=2, f_grid=f_grid,
                                      fdf=fdf)
-    assert [len(xs) for xs in grid_calls] == [3, 2 * 15]
-    assert len(f_calls) == 3 * 15
+    assert [len(xs) for xs in grid_calls] == [3, 2 * 15, 3 * 15]
+    assert f_calls == []
     pointwise = specfun.find_real_roots(g, (0.0, 1.0), n_grid=2, fdf=fdf)
     assert pooled.roots == pointwise.roots
     assert pooled.brackets == pointwise.brackets
@@ -831,6 +892,31 @@ def test_pooled_subdivision_without_sign_change():
     assert [len(xs) for xs in grid_calls] == [9]
     assert not res.roots and not res.brackets and f_calls == []
     assert res.n_evals == 9
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+@pytest.mark.parametrize("roots", [(0.25, 0.53, 0.9), (0.25, 0.6)],
+                         ids=["simple", "touching"])
+def test_exact_zero_at_a_subdivision_point(pooled, roots):
+    # 0.25 is the subdivision point 4/16 of the one grid cell (0, 1), where
+    # f is exactly 0: a root as it stands, like a grid zero, counted by
+    # RootBrackets.count, while only the strict sign changes are bracketed.
+    # In the touching case f keeps its sign across 0.25 (a double root)
+    if len(roots) == 3:
+        def g(x):
+            return (x - 0.25) * (x - 0.53) * (x - 0.9)
+    else:
+        def g(x):
+            return (x - 0.25) ** 2 * (x - 0.6)
+    f_grid = (lambda xs: [g(x) for x in xs]) if pooled else None
+    scan = specfun.bracket_real_roots(g, (0.0, 1.0), n_grid=1,
+                                      f_grid=f_grid)
+    assert scan.zeros == [0.25]
+    assert scan.count == len(roots) and len(scan.brackets) == len(roots) - 1
+    res = specfun.find_real_roots(g, (0.0, 1.0), n_grid=1, f_grid=f_grid)
+    assert len(res.roots) == len(roots)
+    for root, ref in zip(res.roots, roots):
+        assert abs(root - ref) <= 1e-12, (root, ref)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -856,8 +942,8 @@ def test_bessel_scan_subdivision_is_batched(dim):
 
 
 def test_fd_scan_grid_crossover(monkeypatch):
-    # below FD_BATCH_MIN_POINTS the FD f_grid evaluates point by point, from
-    # there on through the batched kernel; the values are equal either way
+    # the FD f_grid evaluates every list, however short, in one call of the
+    # batched kernel, equal value by value to the pointwise f
     from randbc import disk_model as dm
 
     batch = dm.fd_radial_edge_batch
@@ -870,7 +956,7 @@ def test_fd_scan_grid_crossover(monkeypatch):
     monkeypatch.setattr(dm, "fd_radial_edge_batch", counted_batch)
     params = dm.MaterialParams(a=1.3, b=0.8, dim=2)
     f, _, f_grid = dm._fd_scan_functions(2, 0.5j, params, 256)
-    for n in (dm.FD_BATCH_MIN_POINTS - 1, dm.FD_BATCH_MIN_POINTS):
+    for n in (1, 15, 45, 1025):
         lams = [0.5 + 12.0 * i / n for i in range(n)]
         assert f_grid(lams) == [f(lam) for lam in lams]
-    assert sizes == [dm.FD_BATCH_MIN_POINTS]
+    assert sizes == [1, 15, 45, 1025]
