@@ -213,9 +213,16 @@ def validate_config(cfg: ExperimentConfig) -> dict:
               for section, known in sections.items()
               for key, spec in known.items()}
     if sub == "disk-spectrum":
+        from randbc.specfun import MAX_ABS_ARGUMENT
+
         window = params["window"]
         if len(window) != 2 or not window[0] < window[1]:
             raise ConfigError("[disk] window must be two values lo < hi")
+        w_hi = math.sqrt(params["a"] * params["b"]) * window[1]
+        if w_hi > MAX_ABS_ARGUMENT:
+            raise ConfigError(
+                f"[disk] window: sqrt(a b) * hi = {w_hi:.6g} exceeds the "
+                f"validated Bessel argument {MAX_ABS_ARGUMENT:g}")
         params["distribution"] = build_distribution(cfg)
     elif sub == "weyl-fit":
         if params["lambda_hi"] / params["lambda_lo"] < 1e3:

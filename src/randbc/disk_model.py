@@ -65,8 +65,8 @@ def _radial(mode, w, params) -> BesselEval:
 
 def _radial_grid(mode, lams, params):
     """C(w) and C'(w), w = sqrt(ab) lam, at the points of lams, as two
-    lists.  C and C' have no common zero at w > 0, so a point where both
-    are 0.0 has underflowed: ConvergenceError, not a root."""
+    float64 arrays.  C and C' have no common zero at w > 0, so a point where
+    both are 0.0 has underflowed: ConvergenceError, not a root."""
     wave_factor = params.wave_factor
     ws = [wave_factor * lam for lam in lams]
     grid = bessel_j_grid if params.dim == 2 else spherical_j_grid
@@ -76,24 +76,32 @@ def _radial_grid(mode, lams, params):
         raise ConvergenceError(
             f"mode {mode}: C(w) and C'(w) underflow to 0 at "
             f"lam = {lams[lost[0]]:.6g}, w = {ws[lost[0]]:.6g}")
-    return values.tolist(), derivs.tolist()
+    return values, derivs
 
 
-def _radial_fdf(mode, lam, params, char):
-    """char(lam, C(w), C'(w)), w = sqrt(ab) lam, and its lam-derivative.
+def _positive_window(window):
+    """(lo, hi) as floats; DiskModelError unless 0 < lo < hi."""
+    lo, hi = float(window[0]), float(window[1])
+    if not 0.0 < lo < hi:
+        raise DiskModelError("window must satisfy 0 < lo < hi")
+    return lo, hi
 
-    char must be linear in (C, C') with lam-independent coefficients, as
-    the secular, Dirichlet and contraction/lam forms are.  Then the
-    derivative is sqrt(ab) char(lam, C'(w), C''(w)), with C'' from the
-    radial equation w^2 C'' + (d-1) w C' + (w^2 - mu) C = 0: no extra
-    kernel call.
+
+def _radial_fdf(mode, lam, params, pq):
+    """F = q C'(w) - p C(w), w = sqrt(ab) lam, and its lam-derivative.
+
+    Each boundary condition is a linear relation between the two boundary
+    values, so every route's characteristic function is a pair pq = (p, q)
+    independent of lam.  The derivative is sqrt(ab) (q C'' - p C'), with
+    C'' from w^2 C'' + (d-1) w C' + (w^2 - mu) C = 0: no extra kernel call.
     """
+    p, q = pq
     w = params.wave_factor * lam
     ev = _radial(mode, w, params)
     v, d = ev.value, ev.derivative
     d2 = (-((params.dim - 1) / w) * d
           - (1.0 - mode_mu(params, mode) / (w * w)) * v)
-    return char(lam, v, d), params.wave_factor * char(lam, d, d2)
+    return q * d - p * v, params.wave_factor * (q * d2 - p * d)
 
 
 class _RadialGrid:
@@ -101,16 +109,18 @@ class _RadialGrid:
     window at the interlacing-scale resolution pi / sqrt(ab) (scan_grid),
     with C(w) and C'(w) there, evaluated in one batch on first use.  Every
     scan of the mode on the window reads the same values, whatever its
-    char; an instance lives as long as the call that made it."""
+    (p, q) pair; an instance lives as long as the call that made it.  The
+    window must satisfy 0 < lo < hi."""
 
     def __init__(self, mode, params, window):
-        self.mode, self.params, self.window = mode, params, window
+        self.mode, self.params = mode, params
+        self.window = _positive_window(window)
         self.min_spacing = math.pi / params.wave_factor
-        self.lams = scan_grid(window, min_spacing=self.min_spacing)
+        self.lams = scan_grid(self.window, min_spacing=self.min_spacing)
         self._radial = None
 
     def radial(self, lams):
-        """C and C' at the points of lams, as two lists: the grid's own
+        """C and C' at the points of lams, as two arrays: the grid's own
         values when lams is the grid, else a batch of their own."""
         if lams != self.lams:
             return _radial_grid(self.mode, lams, self.params)
@@ -119,16 +129,17 @@ class _RadialGrid:
         return self._radial
 
 
-def _radial_scan_functions(grid, char):
-    """The real part of char(lam, C(w), C'(w)), w = sqrt(ab) lam, on the
-    real lam axis for grid's mode: pointwise, with its lam-derivative
-    (_radial_fdf), and over a list (equal value by value: the list's C and
-    C' come from grid.radial, in batches).  Returns (f, fdf, f_grid) for
-    find_real_roots and bracket_real_roots."""
+def _radial_scan_functions(grid, pq):
+    """The real part of F = q C' - p C on the real lam axis for grid's
+    mode: pointwise, with its lam-derivative (_radial_fdf), and over a list
+    as q.real C' - p.real C on grid.radial's arrays (equal up to the sign of
+    a zero, by _pykernels' complex-by-real rule).  Returns (f, fdf, f_grid)
+    for find_real_roots and bracket_real_roots."""
     mode, params = grid.mode, grid.params
+    p, q = pq
 
     def fdf(lam):
-        value, deriv = _radial_fdf(mode, lam, params, char)
+        value, deriv = _radial_fdf(mode, lam, params, pq)
         return value.real, deriv.real
 
     def f(lam):
@@ -136,18 +147,16 @@ def _radial_scan_functions(grid, char):
 
     def f_grid(lams):
         values, derivs = grid.radial(lams)
-        return [char(lam, v, d).real for lam, v, d
-                in zip(lams, values, derivs)]
+        return q.real * derivs - p.real * values
 
     return f, fdf, f_grid
 
 
-def _real_axis_roots(grid, char):
-    """find_real_roots on the real part of char(lam, C(w), C'(w)) over
-    grid's window, at the interlacing-scale resolution, with the grid read
-    from `grid` and each bracket refined by Newton steps on the exact
-    derivative."""
-    f, fdf, f_grid = _radial_scan_functions(grid, char)
+def _real_axis_roots(grid, pq):
+    """find_real_roots on the real part of q C' - p C over grid's window,
+    with the grid read from `grid` and each bracket refined by Newton steps
+    on the exact derivative."""
+    f, fdf, f_grid = _radial_scan_functions(grid, pq)
     return find_real_roots(f, grid.window, min_spacing=grid.min_spacing,
                            f_grid=f_grid, fdf=fdf)
 
@@ -223,25 +232,23 @@ def secular_value(mode: int, zeta, lam, params: MaterialParams) -> complex:
     divided by lam.  At zeta = 0 the zeros are Neumann eigenvalues; as
     |zeta| -> infinity they approach Dirichlet eigenvalues.
     """
-    lam = complex(lam)
-    w = params.wave_factor * lam
-    ev = _radial(mode, w, params)
-    return _secular(params, zeta, ev.value, ev.derivative)
+    ev = _radial(mode, params.wave_factor * complex(lam), params)
+    p, q = _secular(params, zeta)
+    return q * ev.derivative - p * ev.value
 
 
-def _secular(params, zeta, value, derivative):
-    return (math.sqrt(params.b / params.a) * derivative
-            - 1j * complex(zeta) * value)
+def _secular(params, zeta):
+    """The secular function's (p, q) pair: F = q C' - p C."""
+    return 1j * complex(zeta), math.sqrt(params.b / params.a)
 
 
-def _neumann_char(params):
-    return lambda lam, v, d: _secular(params, 0.0, v, d)
+_DIRICHLET = (-1.0, 0.0)  # F = C
 
 
 def neumann_eigenvalues(mode: int, params: MaterialParams, window):
     """Real zeros of C'(sqrt(ab) lam) in the window."""
     return _real_axis_roots(_RadialGrid(mode, params, window),
-                            _neumann_char(params)).roots
+                            _secular(params, 0.0)).roots
 
 
 def _interlacing_count(grid):
@@ -249,7 +256,7 @@ def _interlacing_count(grid):
     bracketing stage alone: the brackets of the zeta = 0 scan plus its exact
     zeros, each of which find_real_roots turns into one root.  Refines
     nothing and calls no fdf."""
-    f, _, f_grid = _radial_scan_functions(grid, _neumann_char(grid.params))
+    f, _, f_grid = _radial_scan_functions(grid, _secular(grid.params, 0.0))
     return bracket_real_roots(f, grid.window, min_spacing=grid.min_spacing,
                               f_grid=f_grid).count
 
@@ -257,7 +264,7 @@ def _interlacing_count(grid):
 def dirichlet_eigenvalues(mode: int, params: MaterialParams, window):
     """Real zeros of C(sqrt(ab) lam) in the window."""
     return _real_axis_roots(_RadialGrid(mode, params, window),
-                            lambda lam, v, d: v).roots
+                            _DIRICHLET).roots
 
 
 @dataclass
@@ -368,19 +375,13 @@ def solve_mode_eigenvalues(mode: int, zeta, params: MaterialParams,
     zeta = complex(zeta)
     if zeta.real < -ACCRETIVE_TOL:
         raise DiskModelError("Re zeta < 0: not accretive")
-    lo, hi = float(window[0]), float(window[1])
-    if not 0.0 < lo < hi:
-        raise DiskModelError("window must satisfy 0 < lo < hi")
-    grid = _RadialGrid(mode, params, (lo, hi))
+    grid = _RadialGrid(mode, params, window)
     expected = _interlacing_count(grid)
-
-    def char(zz):
-        return lambda lam, v, d: _secular(params, zz, v, d)
-
     eigs, search, stalled, drifted = _window_roots(
-        lambda zz: _real_axis_roots(grid, char(zz)),
-        lambda zz, lam: _radial_fdf(mode, complex(lam), params, char(zz)),
-        zeta, (lo, hi), math.pi / params.wave_factor)
+        lambda zz: _real_axis_roots(grid, _secular(params, zz)),
+        lambda zz, lam: _radial_fdf(mode, complex(lam), params,
+                                    _secular(params, zz)),
+        zeta, grid.window, grid.min_spacing)
     bracketed = abs(zeta.real) <= ACCRETIVE_TOL
     warnings = []
     if bracketed and search.suspected_double:
@@ -408,21 +409,14 @@ def _dedupe(values, tol):
     return out
 
 
-def _fd_char(params, m_nodes, zz, lam, edge, normalize=False):
+def _fd_char(params, m_nodes, zz, lam, edge):
     """Discrete characteristic function of the FD pencil from the shooting
-    edge values (u_{M-1}, u_M, u_{M+1}).
-
-    Raw, it is entire in lam (the shooting recurrence is polynomial): safe
-    for complex Newton polishing.  Normalized, it is divided by a positive
-    scale for bracketing: same zeros and signs.
-    """
+    edge values (u_{M-1}, u_M, u_{M+1}); entire in lam (the shooting
+    recurrence is polynomial), so safe for complex Newton polishing."""
     um1, u_m, up1 = edge
     h = 1.0 / m_nodes
     du = (up1 - um1) / (2.0 * h)
-    value = (du / params.a) - 1j * complex(lam) * zz * u_m
-    if not normalize:
-        return value
-    return value / (abs(u_m) + abs(du) / (1.0 + abs(params.wave_factor * lam)))
+    return (du / params.a) - 1j * complex(lam) * zz * u_m
 
 
 def _fd_fdf(params, mode, m_nodes, zz, lam):
@@ -443,16 +437,15 @@ def _fd_fdf(params, mode, m_nodes, zz, lam):
 
 
 def _fd_scan_functions(mode, zz, params, m_nodes):
-    """The real part of the normalized FD characteristic function on the
-    real lam axis, pointwise and over a list (equal value by value: a list
-    goes through the lam-batched shooting kernel, whatever its length), and
-    the real part of the raw one with its derivative (same sign).  Returns
-    (f, fdf, f_grid) for find_real_roots."""
+    """The real part of _fd_char on the real lam axis, pointwise and over
+    a list (equal value by value: a list goes through the lam-batched
+    shooting kernel, whatever its length), and that of _fd_fdf, of the same
+    sign at lam > 0.  Returns (f, fdf, f_grid) for find_real_roots."""
     ab = params.a * params.b
 
     def f(lam):
         edge = fd_radial_edge(params.dim, mode, lam, ab, m_nodes)[0]
-        return _fd_char(params, m_nodes, zz, lam, edge, True).real
+        return _fd_char(params, m_nodes, zz, lam, edge).real
 
     def fdf(lam):
         value, deriv = _fd_fdf(params, mode, m_nodes, zz, lam)
@@ -461,7 +454,7 @@ def _fd_scan_functions(mode, zz, params, m_nodes):
     def f_grid(lams):
         edges = zip(*(e.tolist() for e in fd_radial_edge_batch(
             params.dim, mode, lams, ab, m_nodes)))
-        return [_fd_char(params, m_nodes, zz, lam, edge, True).real
+        return [_fd_char(params, m_nodes, zz, lam, edge).real
                 for lam, edge in zip(lams, edges)]
 
     return f, fdf, f_grid
@@ -492,7 +485,7 @@ def fd_oracle(mode: int, zeta, params: MaterialParams, grid=1024,
     spacing = math.pi / params.wave_factor
     if window is None:
         window = (0.2 * spacing, (mode + 16.0) / params.wave_factor)
-    lo, hi = window
+    lo, hi = _positive_window(window)
     tol = 1e-8 * max(1.0, hi)
 
     coarse_nodes = grid // 2
@@ -552,27 +545,25 @@ def contraction_route_residual(mode: int, zeta, lam,
     return abs(normalized - impedance_form) / (1.0 + abs(impedance_form))
 
 
-def _contraction(params, mode, zz, lam, value, derivative):
-    """The raw contraction form (K+I) V^-1 gamma0(p) - (K-I) V* gamma_n of
-    the boundary condition, from C(w) and C'(w) at w = sqrt(ab) lam."""
+def _contraction(params, mode, zeta):
+    """The (p, q) pair of the contraction form (K+I) V^-1 gamma0(p)
+    - (K-I) V* gamma_n over lam: gamma0(p) = -i lam C, gamma_n =
+    sqrt(b/a) lam C', xi the Cayley entry, V acting as (1+mu)^(-1/4)."""
     mu = mode_mu(params, mode)
     s = math.sqrt(1.0 + mu)
-    gamma0_p = -1j * lam * value
-    gamma_n = math.sqrt(params.b / params.a) * lam * derivative
-    xi_s = cayley_zeta_to_xi(zz, mu)
-    return ((xi_s + 1.0) * s ** 0.5 * gamma0_p
-            - (xi_s - 1.0) * s ** -0.5 * gamma_n)
+    xi = cayley_zeta_to_xi(zeta, mu)
+    return (1j * (xi + 1.0) * s ** 0.5,
+            -(xi - 1.0) * s ** -0.5 * math.sqrt(params.b / params.a))
 
 
 def _normalized_contraction(mode, zeta, lam, params):
-    """The contraction form at lam (Cayley entry xi, V acting as
-    (1+mu)^(-1/4)) over its exact proportionality factor to the secular
-    function, 2 sqrt(s) lam / (zeta + s), s = sqrt(1 + mu)."""
+    """The contraction form over lam at lam, divided by its exact factor to
+    the secular function, 2 sqrt(s) / (zeta + s), s = sqrt(1 + mu)."""
     s = math.sqrt(1.0 + mode_mu(params, mode))
     ev = _radial(mode, params.wave_factor * lam, params)
-    factor = 2.0 * math.sqrt(s) * lam / (zeta + s)
-    return _contraction(params, mode, zeta, lam, ev.value,
-                        ev.derivative) / factor
+    p, q = _contraction(params, mode, zeta)
+    factor = 2.0 * math.sqrt(s) / (zeta + s)
+    return (q * ev.derivative - p * ev.value) / factor
 
 
 def route_equivalence_report(mode: int, zeta, params: MaterialParams,
@@ -584,26 +575,20 @@ def route_equivalence_report(mode: int, zeta, params: MaterialParams,
     """
     zeta = complex(zeta)
     xi = cayley_zeta_to_xi(zeta, mode_mu(params, mode))
-
-    def contraction_over_lam(zz):
-        # written as the raw contraction form, solved independently
-        return lambda lam, v, d: _contraction(params, mode, zz, lam, v, d) / lam
-
     sec = solve_mode_eigenvalues(mode, zeta, params, window)
+    grid = _RadialGrid(mode, params, window)
     con_roots, _, stalled, _ = _window_roots(
-        lambda zz: _real_axis_roots(_RadialGrid(mode, params, window),
-                                    contraction_over_lam(zz)),
+        lambda zz: _real_axis_roots(grid, _contraction(params, mode, zz)),
         lambda zz, lam: _radial_fdf(mode, complex(lam), params,
-                                    contraction_over_lam(zz)),
-        zeta, window, math.pi / params.wave_factor)
+                                    _contraction(params, mode, zz)),
+        zeta, grid.window, grid.min_spacing)
     if stalled:
         raise ConvergenceError(
             f"contraction-form continuation failed for mode {mode}, "
             f"zeta {zeta}: {stalled}")
 
     def sec_scale(lam):
-        _, d = _radial_fdf(mode, complex(lam), params,
-                           lambda lam, v, d: _secular(params, zeta, v, d))
+        _, d = _radial_fdf(mode, complex(lam), params, _secular(params, zeta))
         return max(abs(d) * max(1.0, abs(lam)), 1e-300)
 
     cross = 0.0

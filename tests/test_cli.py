@@ -231,13 +231,15 @@ def test_transition_empty_grid_rejected(tmp_path):
      "prefixes = 10, 100, 1000\n[distribution]\nkind = pareto_imaginary\n"
      "a = nan", "[distribution] a"),
     ("disk-spectrum", "z0 = 0", "z0 = nan", "[distribution] z0"),
+    ("disk-spectrum", "a = 1.0\nb = 1.0\n", "a = 1000.5\nb = 1000.5\n",
+     "window"),
 ], ids=["negative-prefix", "prefix-past-spectrum", "criteria-mu_max",
         "transition-mu_max", "mu_max-not-a-number", "mu_max-complex",
         "threads-not-a-number", "n_values-item-not-a-number", "trials-inf",
         "negative-oracle_spot_checks", "negative-s_min",
         "transition-negative-deltas", "modes-not-integral", "a-nan",
         "misspelt-key", "repeated-key", "negative-seed",
-        "distribution-a-nan", "distribution-z0-nan"])
+        "distribution-a-nan", "distribution-z0-nan", "bessel-argument"])
 def test_bad_spectrum_inputs_are_config_errors(tmp_path, capsys, sub, old, new,
                                                key):
     text = {"criteria": CRITERIA, "transition": TRANSITION_SMALL,
@@ -247,6 +249,15 @@ def test_bad_spectrum_inputs_are_config_errors(tmp_path, capsys, sub, old, new,
     assert cli.main([sub, cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
+
+
+def test_bessel_argument_edge_is_accepted(tmp_path):
+    # sqrt(ab) * hi = 1e4 is the kernels' validated |x| itself; the
+    # bessel-argument case above rejects sqrt(ab) * hi = 10,005
+    cfg = write_config(tmp_path, DISK_NEUMANN.replace(
+        "a = 1.0\nb = 1.0\n", "a = 100.0\nb = 100.0\n").replace(
+        "modes = 5\nwindow = 1.0, 10.0", "modes = 0\nwindow = 1.0, 100.0"))
+    assert cli.main(["disk-spectrum", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 def test_transition_thread_invariance_bytes(tmp_path):

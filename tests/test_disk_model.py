@@ -260,9 +260,8 @@ def test_continuation_budget_reports_stalled_seed():
     # budget plus at most one polish (1 + 12 * 100 calls)
     params = MaterialParams(a=1.3, b=0.8)
     zeta, window = 2.0 + 1.0j, (0.5, 6.0)
-    seeds = dm._real_axis_roots(
-        dm._RadialGrid(0, params, window),
-        lambda lam, v, d: dm._secular(params, 1.0j, v, d)).roots
+    seeds = dm._real_axis_roots(dm._RadialGrid(0, params, window),
+                                dm._secular(params, 1.0j)).roots
     assert len(seeds) == 2
     spacing = math.pi / params.wave_factor
     limit = dm.CONTINUATION_MAX_EVALS + 1 + 12 * 100
@@ -271,9 +270,8 @@ def test_continuation_budget_reports_stalled_seed():
         def char(zz, lam):
             calls.append(lam)
             assert len(calls) <= limit
-            f, d = dm._radial_fdf(
-                0, complex(lam), params,
-                lambda lam, v, d: dm._secular(params, zz, v, d))
+            f, d = dm._radial_fdf(0, complex(lam), params,
+                                  dm._secular(params, zz))
             return f, scale * d
         return char
 
@@ -379,7 +377,7 @@ def test_interlacing_count_is_the_bracket_count(monkeypatch, dim):
         grid = dm._RadialGrid(mode, params, window)
         assert dm._interlacing_count(grid) == n_roots, (mode, window)
     f, _, f_grid = dm._radial_scan_functions(
-        dm._RadialGrid(1, params, windows[-1]), dm._neumann_char(params))
+        dm._RadialGrid(1, params, windows[-1]), dm._secular(params, 0.0))
     scan = specfun.bracket_real_roots(f, windows[-1], f_grid=f_grid)
     assert scan.zeros == [zero] and len(scan.brackets) >= 5
 
@@ -444,18 +442,15 @@ def test_fd_grid_scan_batched_equals_pointwise():
                                     m_nodes), window, math.pi, 3)
              for m_nodes in (512, 1024)]
     # secular scans on the disk and the ball, a != b, over all J_k branches:
-    # zeta = 0, imaginary zeta and the contraction form
+    # zeta = 0, imaginary zeta, the contraction form and Dirichlet
     for dim in (2, 3):
         params = MaterialParams(a=1.3, b=0.8, dim=dim)
         for mode in (0, 3):
-            chars = (
-                lambda lam, v, d, p=params: dm._secular(p, 0.0, v, d),
-                lambda lam, v, d, p=params: dm._secular(p, 2.5j, v, d),
-                lambda lam, v, d, p=params, k=mode:
-                    dm._contraction(p, k, 0.7j, lam, v, d) / lam)
-            for char in chars:
+            pairs = (dm._secular(params, 0.0), dm._secular(params, 2.5j),
+                     dm._contraction(params, mode, 0.7j), dm._DIRICHLET)
+            for pq in pairs:
                 grid = dm._RadialGrid(mode, params, (0.3, 60.0))
-                scans.append((dm._radial_scan_functions(grid, char),
+                scans.append((dm._radial_scan_functions(grid, pq),
                               grid.window, grid.min_spacing, 10))
     for (f, fdf, f_grid), window, spacing, n_roots in scans:
         pointwise = find_real_roots(f, window, min_spacing=spacing, fdf=fdf)
@@ -466,6 +461,146 @@ def test_fd_grid_scan_batched_equals_pointwise():
         assert batched.brackets == pointwise.brackets
         assert batched.suspected_double == pointwise.suspected_double
         assert batched.n_evals == pointwise.n_evals
+
+
+# float.hex of both parts of _radial_fdf, (dim, mode, lam, zeta) -> "re im"
+# of F and of dF/dlam at a = 1.3, b = 0.8: the values of the secular
+# expression sqrt(b/a) C' - (i zeta) C (zeta = 0: Neumann) and of C itself
+# (None: Dirichlet), so the (p, q) form must keep their order of operations
+CHAR_PINS = {
+    (2, 0, 3.7, 0.0): (
+        "-0x1.30a42ae11d803p-6 0x0.0p+0",
+        "0x1.4e853e3c0b424p-2 0x0.0p+0"),
+    (2, 0, 3.7, 2.5j): (
+        "-0x1.061577c07ba6bp+0 0x0.0p+0",
+        "0x1.10a3e58651443p-2 0x0.0p+0"),
+    (2, 0, 3.7, (0.8+1.2j)): (
+        "-0x1.008d096b296cap-1 0x1.495fe01ad600ep-2",
+        "0x1.30d16592e52ebp-2 0x1.3cd3b1b6eb7b1p-6"),
+    (2, 0, 3.7, None): (
+        "-0x1.9bb7d8218b811p-2 0x0.0p+0",
+        "-0x1.8c089e24a659dp-6 0x0.0p+0"),
+    (2, 0, (3.7-0.4j), 0.0): (
+        "-0x1.a5ba4dff1b6dap-7 -0x1.119b32f21c8eep-3",
+        "0x1.65164d2598db0p-2 0x1.dd051bbfd7e05p-6"),
+    (2, 0, (3.7-0.4j), 2.5j): (
+        "-0x1.1a9aedbcab75cp+0 -0x1.ca4b049dfa874p-4",
+        "0x1.3a416139b011ep-2 -0x1.9ecbe10d70ea3p-2"),
+    (2, 0, (3.7-0.4j), (0.8+1.2j)): (
+        "-0x1.0f2bb5c52f99dp-1 0x1.cec4e74970884p-3",
+        "0x1.848159dd90b23p-3 -0x1.53c933bca6d2bp-3"),
+    (2, 0, (3.7-0.4j), None): (
+        "-0x1.bee58e9aaecb0p-2 0x1.1c8ad0e0c847ep-7",
+        "-0x1.121f7f7f6b6dap-6 -0x1.63b028a125202p-3"),
+    (2, 3, 3.7, 0.0): (
+        "0x1.0def7fb01011ep-4 0x0.0p+0",
+        "-0x1.1f1d66088b759p-3 -0x0.0p+0"),
+    (2, 3, 3.7, 2.5j): (
+        "0x1.1b02c04887163p+0 0x0.0p+0",
+        "0x1.2f0f92eb1d4efp-4 0x0.0p+0"),
+    (2, 3, 3.7, (0.8+1.2j)): (
+        "0x1.213c72cfca686p-1 -0x1.54a8ae77b5dd9p-2",
+        "-0x1.3242ad9676947p-5 -0x1.18bba383e7c0bp-4"),
+    (2, 3, 3.7, None): (
+        "0x1.a9d2da15a354fp-2 0x0.0p+0",
+        "0x1.5eea8c64e1b0dp-4 0x0.0p+0"),
+    (2, 3, (3.7-0.4j), 0.0): (
+        "0x1.2df3ac4b41c86p-4 0x1.d4596caf4eda8p-5",
+        "-0x1.300143cac0110p-3 0x1.452fef8837317p-5"),
+    (2, 3, (3.7-0.4j), 2.5j): (
+        "0x1.266f1014c2771p+0 -0x1.050e94acf8b80p-5",
+        "0x1.7555685f15a93p-4 0x1.cdd4a4307dddep-3"),
+    (2, 3, (3.7-0.4j), (0.8+1.2j)): (
+        "0x1.1fb1fa9c18693p-1 -0x1.51f09bdb370cfp-2",
+        "0x1.aa4e7bf67b687p-6 0x1.abc0991be1b25p-5"),
+    (2, 3, (3.7-0.4j), None): (
+        "0x1.b8e62219b090ep-2 -0x1.23c333be83076p-5",
+        "0x1.8889932ea2514p-4 0x1.306d5371f3414p-4"),
+    (3, 0, 3.7, 0.0): (
+        "-0x1.14fc86b0f29a5p-3 0x0.0p+0",
+        "0x1.96202b0deee30p-3 0x0.0p+0"),
+    (3, 0, 3.7, 2.5j): (
+        "-0x1.0d8fc8b319b1fp-1 0x0.0p+0",
+        "-0x1.ee148ab125928p-3 0x0.0p+0"),
+    (3, 0, 3.7, (0.8+1.2j)): (
+        "-0x1.4acbb07dc8625p-2 0x1.00673c31bec6fp-3",
+        "-0x1.9f921f1a00db8p-7 0x1.2010ddffb4a07p-3"),
+    (3, 0, 3.7, None): (
+        "-0x1.40810b3e2e78ap-3 0x0.0p+0",
+        "-0x1.6815157fa1c89p-3 0x0.0p+0"),
+    (3, 0, (3.7-0.4j), 0.0): (
+        "-0x1.173347f5c0a77p-3 -0x1.4b46a3f954da9p-4",
+        "0x1.ae21c0610881cp-3 -0x1.5d10fa0e9fb74p-8"),
+    (3, 0, (3.7-0.4j), 2.5j): (
+        "-0x1.28c5925e01fb5p-1 0x1.86d18f9db5867p-4",
+        "-0x1.dd44e97da99e6p-3 -0x1.129da922cf706p-2"),
+    (3, 0, (3.7-0.4j), (0.8+1.2j)): (
+        "-0x1.2bb9b4b1e65cbp-2 0x1.2a303fff5a644p-3",
+        "-0x1.635e47baddc12p-4 0x1.510950b5dfbbfp-7"),
+    (3, 0, (3.7-0.4j), None): (
+        "-0x1.6b279a341c825p-3 0x1.20d67b09375a0p-4",
+        "-0x1.6af5dd8c47401p-3 -0x1.aea8a1f754b5bp-4"),
+    (3, 3, 3.7, 0.0): (
+        "0x1.9af58a54ee784p-5 0x0.0p+0",
+        "-0x1.bd3d257de72cfp-5 -0x0.0p+0"),
+    (3, 3, 3.7, 2.5j): (
+        "0x1.2ef0fb51664c2p-1 0x0.0p+0",
+        "0x1.bd306e0b0fecep-4 0x0.0p+0"),
+    (3, 3, 3.7, (0.8+1.2j)): (
+        "0x1.3d8938fa106d0p-2 -0x1.62e35f9498d2cp-3",
+        "0x1.87b6fe3623ea2p-6 -0x1.ab65c310a616bp-5"),
+    (3, 3, 3.7, None): (
+        "0x1.bb9c3779bf076p-3 0x0.0p+0",
+        "0x1.0b1f99ea67ce3p-4 0x0.0p+0"),
+    (3, 3, (3.7-0.4j), 0.0): (
+        "0x1.bc750b526329ap-5 0x1.69f4e3530a486p-6",
+        "-0x1.d2f3dbae100a4p-5 0x1.536d9b2b9900cp-6"),
+    (3, 3, (3.7-0.4j), 2.5j): (
+        "0x1.38541a3abc4bap-1 -0x1.6fb521eca4001p-5",
+        "0x1.e8c4448ed91e7p-4 0x1.7af25f7e5e9b0p-4"),
+    (3, 3, (3.7-0.4j), (0.8+1.2j)): (
+        "0x1.32c7154aef52cp-2 -0x1.80d25885d46aap-3",
+        "0x1.9e9e3b8d00a3ep-5 -0x1.463fb0877226bp-10"),
+    (3, 3, (3.7-0.4j), None): (
+        "0x1.c747a8d5bcf4cp-3 -0x1.b6f2dc7820e9cp-6",
+        "0x1.20e5adc25a0e4p-4 0x1.d68b27858d5e2p-6"),
+}
+
+
+def _hex_equal(z, pin):
+    # every nonzero part by its float.hex; a zero part may change sign
+    return all(x.hex() == h or x == 0.0 == float.fromhex(h)
+               for x, h in zip((z.real, z.imag), pin.split()))
+
+
+def test_characteristic_pairs_bits_pinned():
+    for (dim, mode, lam, zeta), (f_pin, d_pin) in CHAR_PINS.items():
+        params = MaterialParams(a=1.3, b=0.8, dim=dim)
+        pq = dm._DIRICHLET if zeta is None else dm._secular(params, zeta)
+        f, d = dm._radial_fdf(mode, complex(lam), params, pq)
+        assert _hex_equal(f, f_pin), (dim, mode, lam, zeta)
+        assert _hex_equal(d, d_pin), (dim, mode, lam, zeta)
+        if zeta is not None:
+            sv = dm.secular_value(mode, zeta, lam, params)
+            assert _hex_equal(sv, f_pin), (dim, mode, lam, zeta)
+
+
+def test_windows_reaching_lam_zero_are_model_errors():
+    # every scan reads C and C' at w > 0 or divides by lam, so a window
+    # with lo <= 0 is refused before any scan: no false underflow error at
+    # w = 0 (mode 2), no ZeroDivisionError, and no scan of mode 1, where
+    # C'(0) != 0 lets one run through lam = 0
+    calls = [(dm.neumann_eigenvalues, 2), (dm.dirichlet_eigenvalues, 2),
+             (dm.neumann_eigenvalues, 1)]
+    for window in ((0.0, 10.0), (-5.0, 10.0)):
+        for solve, mode in calls:
+            with pytest.raises(dm.DiskModelError, match="0 < lo < hi"):
+                solve(mode, UNIT, window)
+        for mode in (0, 1):
+            with pytest.raises(dm.DiskModelError, match="0 < lo < hi"):
+                dm.fd_oracle(mode, 0.5j, UNIT, window=window)
+        with pytest.raises(dm.DiskModelError, match="0 < lo < hi"):
+            dm.route_equivalence_report(1, 0.5j, UNIT, window)
 
 
 # float.hex of (Re, Im) of each eigenvalue.  SOLVE_PINS: solve_mode_eigenvalues

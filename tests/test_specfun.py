@@ -113,7 +113,7 @@ def test_order_guard_and_range_guard():
         params = dm.MaterialParams(a=2.0, b=2.0, dim=dim)
         for mode, window in ((201, (1.0, 10.0)), (0, (4000.0, 6000.0))):
             f, _, f_grid = dm._radial_scan_functions(
-                dm._RadialGrid(mode, params, window), lambda lam, v, d: d)
+                dm._RadialGrid(mode, params, window), (0.0, 1.0))
             with pytest.raises(specfun.SpecFunError) as pointwise:
                 specfun.find_real_roots(f, window, n_grid=8)
             with pytest.raises(specfun.SpecFunError) as batched:
@@ -708,9 +708,8 @@ def test_secular_derivative_matches_mpmath():
             # and below 1e-300 at w = 3 + 0.5i
             for w in (ws if k < 200 else ws[1:5] + ws[6:]):
                 lam = w / sab
-                _, got = dm._radial_fdf(
-                    k, complex(lam), params,
-                    lambda lam, v, d: dm._secular(params, zeta, v, d))
+                _, got = dm._radial_fdf(k, complex(lam), params,
+                                        dm._secular(params, zeta))
                 with mpmath.workdps(40):
                     lm = mpmath.mpc(lam)
                     h = mpmath.mpf("1e-12") * max(1, abs(lm))
@@ -929,7 +928,7 @@ def test_bessel_scan_subdivision_is_batched(dim):
     for mode in (0, 3):
         f, fdf, f_grid = dm._radial_scan_functions(
             dm._RadialGrid(mode, params, (0.3, 60.0)),
-            lambda lam, v, d: dm._secular(params, 2.5j, v, d))
+            dm._secular(params, 2.5j))
         counted_f, f_calls = _counted(f)
         counted_grid, grid_calls = _counted(f_grid)
         res = specfun.find_real_roots(
