@@ -265,6 +265,24 @@ def _spherical_series_batch(l, x):
                         -(x * x / 2.0), 2)
 
 
+def _miller_start_batch(order, ax):
+    """_miller_start at each point of the array ax, with no pow per point:
+    ceil(7 ax^(1/3)) is the least n with n^3 >= 343 ax.  Where 343 ax lies
+    within 1e-12 (relative) of a cube, libm's pow may round 7 ax^(1/3) to
+    the other side of the integer, so those points take the scalar
+    _miller_start."""
+    top = np.arange(int(7.0 * float(ax.max()) ** (1.0 / 3.0)) + 3.0)
+    cubes = top * top * top
+    scaled = 343.0 * ax
+    n = np.searchsorted(cubes, scaled)
+    n_start = order + np.ceil(ax).astype(int) + 20 + n
+    for i in np.flatnonzero(
+            (np.abs(scaled - cubes[n]) <= 1e-12 * scaled)
+            | (np.abs(scaled - cubes[n - 1]) <= 1e-12 * scaled)).tolist():
+        n_start[i] = _miller_start(order, ax[i].item())
+    return n_start
+
+
 def _backward_batch(order, x, n_start, c, d, norm):
     """_backward at each real x > 0, each point from its own n_start and
     rescaled on its own.  The points are sorted by n_start, so step m
@@ -301,7 +319,7 @@ def _backward_batch(order, x, n_start, c, d, norm):
 
 
 def _bessel_miller_batch(k, x):
-    n_start = np.array([_miller_start(k, ax) for ax in x.tolist()])
+    n_start = _miller_start_batch(k, x)
     n_start += n_start % 2
     _, jc, out_k, out_k1, norm = _backward_batch(k, x, n_start, 2, 0, True)
     norm = norm + jc
@@ -311,8 +329,8 @@ def _bessel_miller_batch(k, x):
 
 def _spherical_miller_batch(l, x):
     xl = x.tolist()
-    n_start = np.array([_miller_start(l, ax) for ax in xl])
-    jp, jc, out_l, out_l1, _ = _backward_batch(l, x, n_start, 2, 1, False)
+    jp, jc, out_l, out_l1, _ = _backward_batch(
+        l, x, _miller_start_batch(l, x), 2, 1, False)
     sin = np.array([math.sin(v) for v in xl])
     cos = np.array([math.cos(v) for v in xl])
     j0e = sin / x

@@ -19,9 +19,9 @@ import numpy as np
 from randbc._pykernels import fd_radial_edge, fd_radial_edge_batch
 from randbc.impedance import ACCRETIVE_TOL, cayley_zeta_to_xi
 from randbc.specfun import (BesselEval, bessel_j, bessel_j_grid,
-                            bracket_real_roots, complex_root_polish,
-                            find_real_roots, scan_grid, spherical_j,
-                            spherical_j_grid)
+                            complex_root_polish, find_real_roots,
+                            ratio_root_count, ratio_roots, scan_grid,
+                            spherical_j, spherical_j_grid)
 
 
 class DiskModelError(ValueError):
@@ -131,34 +131,64 @@ class _RadialGrid:
 
 def _radial_scan_functions(grid, pq):
     """The real part of F = q C' - p C on the real lam axis for grid's
-    mode: pointwise, with its lam-derivative (_radial_fdf), and over a list
-    as q.real C' - p.real C on grid.radial's arrays (equal up to the sign of
-    a zero, by _pykernels' complex-by-real rule).  Returns (f, fdf, f_grid)
-    for find_real_roots and bracket_real_roots."""
+    mode, a function of the real pair (p.real, q.real): pointwise, with its
+    lam-derivative (_radial_fdf), and over a list as q.real C' - p.real C
+    on grid.radial's arrays (equal up to the sign of a zero, by _pykernels'
+    complex-by-real rule), next to C there.  Returns (fdf, fc) for
+    specfun.ratio_roots.
+
+    G = F / C = q h - p, h = C'/C, is strictly decreasing between the
+    zeros of C for q > 0 (h is, by J_nu'/J_nu = nu/w - sum_n 2w /
+    (j_{nu,n}^2 - w^2), DLMF 10.21, and j_l'/j_l = J_nu'/J_nu - 1/(2w)),
+    and the positive constant -p for q = 0 > p (Dirichlet).  For the other
+    real pairs fc returns -C in place of C, which makes -G of F / (-C) so.
+    """
     mode, params = grid.mode, grid.params
     p, q = pq
+    sign = 1.0 if q.real > 0.0 or (q.real == 0.0 and p.real < 0.0) else -1.0
 
     def fdf(lam):
         value, deriv = _radial_fdf(mode, lam, params, pq)
         return value.real, deriv.real
 
-    def f(lam):
-        return fdf(lam)[0]
-
-    def f_grid(lams):
+    def fc(lams):
         values, derivs = grid.radial(lams)
-        return q.real * derivs - p.real * values
+        return q.real * derivs - p.real * values, sign * values
 
-    return f, fdf, f_grid
+    return fdf, fc
+
+
+def _certified_count(grid, pq):
+    """The number of real roots of the real part of q C' - p C in grid's
+    window, lo included and hi not, from grid's C and C' alone
+    (specfun.ratio_root_count).
+
+    It is exact: the zeros of C (the Dirichlet zeros) are at least 3.115
+    apart in w (j_{0,2} - j_{0,1}, the smallest gap of J_nu's zeros; at
+    least pi for nu >= 1/2), and scan_grid's cells are at most pi/4 wide in
+    w, so the sign changes of C on the grid count them.
+    """
+    _, fc = _radial_scan_functions(grid, pq)
+    return ratio_root_count(*fc(grid.lams))
 
 
 def _real_axis_roots(grid, pq):
-    """find_real_roots on the real part of q C' - p C over grid's window,
-    with the grid read from `grid` and each bracket refined by Newton steps
-    on the exact derivative."""
-    f, fdf, f_grid = _radial_scan_functions(grid, pq)
-    return find_real_roots(f, grid.window, min_spacing=grid.min_spacing,
-                           f_grid=f_grid, fdf=fdf)
+    """The real roots of the real part of q C' - p C in grid's window, by
+    specfun.ratio_roots on grid's C and C': each grid cell where F changes
+    sign holds exactly one root and is a bracket as it stands, refined by
+    Newton steps on the exact derivative; only a cell that holds two roots
+    (C changes sign in it and G(x_i) > 0 > G(x_{i+1})), or one next to an
+    exact zero of F at its end, is subdivided.  Every root is simple, so
+    suspected_double stays empty.  ConvergenceError unless as many roots
+    come back as _certified_count counts."""
+    fdf, fc = _radial_scan_functions(grid, pq)
+    result = ratio_roots(fc, grid.lams, fdf)
+    count = _certified_count(grid, pq)
+    if len(result.roots) != count:
+        raise ConvergenceError(
+            f"mode {grid.mode}: {len(result.roots)} roots found on "
+            f"{grid.window} where the certified count is {count}")
+    return result
 
 
 @dataclass(frozen=True)
@@ -251,16 +281,6 @@ def neumann_eigenvalues(mode: int, params: MaterialParams, window):
                             _secular(params, 0.0)).roots
 
 
-def _interlacing_count(grid):
-    """len(neumann_eigenvalues(...)) on grid's mode and window, from the
-    bracketing stage alone: the brackets of the zeta = 0 scan plus its exact
-    zeros, each of which find_real_roots turns into one root.  Refines
-    nothing and calls no fdf."""
-    f, _, f_grid = _radial_scan_functions(grid, _secular(grid.params, 0.0))
-    return bracket_real_roots(f, grid.window, min_spacing=grid.min_spacing,
-                              f_grid=f_grid).count
-
-
 def dirichlet_eigenvalues(mode: int, params: MaterialParams, window):
     """Real zeros of C(sqrt(ab) lam) in the window."""
     return _real_axis_roots(_RadialGrid(mode, params, window),
@@ -301,7 +321,7 @@ def _window_roots(scan, char_of_zeta, zeta, window, spacing):
     """The roots with Re lambda in window of one mode's characteristic
     function at impedance zeta: the one search of every route.
 
-    scan(zz) is the real-axis root search (a find_real_roots result) at
+    scan(zz) is the real-axis root search (a RootSearchResult) at
     impedance zz; char_of_zeta(zz, lam) is the function and its exact
     lam-derivative, as complex_root_polish takes them.  Re zeta = 0: the
     spectrum is real and scan(zeta) gives the roots.  Re zeta > 0: the
@@ -363,38 +383,44 @@ def solve_mode_eigenvalues(mode: int, zeta, params: MaterialParams,
                            window) -> ModeEigenvalues:
     """Eigenvalues of the mode under impedance zeta with Re lambda in window.
 
-    One _window_roots search on the secular function, bracketed at the
-    Neumann/Dirichlet-interlacing-scale resolution.  Suspected double roots
-    (Re zeta = 0), stalled seeds, drifted roots and a mismatch with the
-    zeta = 0 interlacing count (the brackets and exact zeros of the
-    zeta = 0 scan, unrefined) are reported in warnings, never silently
-    accepted.  The count scan and the real-axis scan share one _RadialGrid:
-    one batched Bessel evaluation of the uniform grid per call.  A scan
-    point where C and C' both underflow to 0.0 raises ConvergenceError.
+    One _window_roots search on the secular function over one _RadialGrid,
+    so one batched Bessel evaluation of the uniform grid per call.  Its
+    real-axis scan (at zeta when Re zeta = 0, else at i Im zeta for the
+    continuation's seeds) is certified: _real_axis_roots returns as many
+    roots as _certified_count reads from the grid's C and C', or raises
+    ConvergenceError.  expected_count is that count.  Re zeta = 0: the
+    eigenvalues are the scan's roots, and fewer (roots merged) raise
+    ConvergenceError.  Re zeta > 0: stalled seeds, drifted roots and seeds
+    whose continued roots merged are reported in warnings, never silently
+    accepted.  A scan point where C and C' both underflow to 0.0 raises
+    ConvergenceError.
     """
     zeta = complex(zeta)
     if zeta.real < -ACCRETIVE_TOL:
         raise DiskModelError("Re zeta < 0: not accretive")
     grid = _RadialGrid(mode, params, window)
-    expected = _interlacing_count(grid)
     eigs, search, stalled, drifted = _window_roots(
         lambda zz: _real_axis_roots(grid, _secular(params, zz)),
         lambda zz, lam: _radial_fdf(mode, complex(lam), params,
                                     _secular(params, zz)),
         zeta, grid.window, grid.min_spacing)
+    expected = len(search.roots)
     bracketed = abs(zeta.real) <= ACCRETIVE_TOL
+    if bracketed and len(eigs) != expected:
+        raise ConvergenceError(
+            f"mode {mode}: {expected} certified roots on {grid.window} "
+            f"merged into {len(eigs)}")
     warnings = []
-    if bracketed and search.suspected_double:
-        warnings.append(f"suspected double roots at {search.suspected_double}")
     for seed, s in stalled:
         warnings.append(
             f"continuation from seed {seed:.6g} stalled at Re zeta={s:.3g}")
     for r in drifted:
         warnings.append(f"root {r:.6g} drifted out of the window")
-    if len(eigs) != expected:
+    merged = expected - len(stalled) - len(drifted) - len(eigs)
+    if merged:
         warnings.append(
-            f"count {len(eigs)} differs from zeta=0 interlacing count "
-            f"{expected}: possible lost or migrated root")
+            f"{merged} of the {expected} certified seeds at i Im zeta "
+            f"continued onto another seed's root: possible lost root")
     return ModeEigenvalues(mode=mode, zeta=zeta, params=params,
                            eigenvalues=eigs,
                            method="bracketed" if bracketed else "continuation",

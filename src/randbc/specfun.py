@@ -98,10 +98,11 @@ def spherical_j_grid(l: int, xs):
 
 
 def _opposite_signs(a, b):
-    """a and b are of strictly opposite signs (0 is of neither sign).  A
-    product test a * b < 0 would read two values below about 1e-162 in
-    magnitude as 0, their product having underflowed."""
-    return a < 0.0 < b or b < 0.0 < a
+    """a and b are of strictly opposite signs (0 is of neither sign),
+    elementwise over arrays.  A product test a * b < 0 would read two
+    values below about 1e-162 in magnitude as 0, their product having
+    underflowed."""
+    return ((a < 0.0) & (b > 0.0)) | ((a > 0.0) & (b < 0.0))
 
 
 @dataclass(frozen=True)
@@ -207,12 +208,6 @@ class RootBrackets:
     zeros: list = field(default_factory=list)
     n_evals: int = 0
 
-    @property
-    def count(self):
-        """The number of roots find_real_roots returns: one per bracket
-        plus the exact zeros (suspected double roots not included)."""
-        return len(self.brackets) + len(self.zeros)
-
 
 # subdivision levels below a grid cell with a sign change
 SUBDIVISION_LEVELS = 2
@@ -290,12 +285,12 @@ def find_real_roots(f, window, n_grid=1024, min_spacing=None, f_grid=None,
 
     `fdf(x)` returns (g(x), g'(x)) for a function g with f's sign at every
     x, such as f itself or f times a positive factor; only the refinement
-    calls it.  The double-root search always calls `f`.  Every real-axis
-    scan in disk_model passes f_grid and fdf (the FD oracle's and the
-    secular and contraction-form scans), built on kernels that equal the
-    scalar ones bit for bit, so the roots do not depend on which of f and
-    f_grid evaluated a point.  `n_evals` counts every evaluation of f,
-    f_grid's points and fdf.
+    calls it.  The double-root search always calls `f`.  The FD oracle's
+    scans pass f_grid and fdf, built on kernels that equal the scalar ones
+    bit for bit, so the roots do not depend on which of f and f_grid
+    evaluated a point; the Bessel-route scans, whose roots are certified
+    simple, go through ratio_roots instead.  `n_evals` counts every
+    evaluation of f, f_grid's points and fdf.
     """
     scan = bracket_real_roots(f, window, n_grid, min_spacing, f_grid)
     a, b = scan.window
@@ -334,6 +329,106 @@ def find_real_roots(f, window, n_grid=1024, min_spacing=None, f_grid=None,
                 if not near_root:
                     result.suspected_double.append(x_min)
 
+    result.roots.sort()
+    return result
+
+
+def ratio_root_count(fs, cs):
+    """The number of roots of F in [xs[0], xs[-1]) from F and C on the
+    points xs of a grid, as two arrays fs and cs, where G = F / C is
+    strictly decreasing between consecutive zeros of C (the poles of G), or
+    a positive constant, and a cell of the grid holds at most one zero of C.
+
+    With m the sign changes of C on the grid (a point of xs[:-1] where C is
+    exactly 0.0 counts once), the count is m - 1 + [G(lo) >= 0] +
+    [G(hi) < 0] for m >= 1 and [G(lo) >= 0 > G(hi)] for m = 0: one root
+    between consecutive poles, one before the first pole when G(lo) >= 0,
+    one after the last when G(hi) < 0.  At an end where C is 0.0, G(lo)
+    stands for its right limit (+inf, or the constant when F is 0.0 there
+    too) and G(hi) for its left limit (-inf, or the constant).  Only signs
+    are compared, so no product underflows.
+    """
+    m = (int(np.count_nonzero(_opposite_signs(cs[:-1], cs[1:])))
+         + int(np.count_nonzero(cs[:-1] == 0.0)))
+    f_lo, c_lo, f_hi, c_hi = (float(v) for v in (fs[0], cs[0], fs[-1], cs[-1]))
+    at_lo = not _opposite_signs(f_lo, c_lo) if c_lo != 0.0 else f_lo == 0.0
+    at_hi = _opposite_signs(f_hi, c_hi) if c_hi != 0.0 else f_hi != 0.0
+    if m == 0:
+        return int(at_lo and at_hi)
+    return m - 1 + at_lo + at_hi
+
+
+def _ratio_cells(fs, cs):
+    """The cells of one level of ratio_roots that are brackets as they
+    stand (F changes sign: one root, also with a pole inside) and those to
+    subdivide (a pole inside, F of one sign or 0.0 at an end, and
+    G(x_i) > 0 or G(x_{i+1}) < 0), as two boolean arrays."""
+    bracket = _opposite_signs(fs[:-1], fs[1:])
+    split = (_opposite_signs(cs[:-1], cs[1:]) & ~bracket
+             & (_opposite_signs(fs[:-1], -cs[:-1])
+                | _opposite_signs(fs[1:], cs[1:])))
+    return bracket, split
+
+
+# subdivision levels after which ratio_roots gives up on a cell: 16^-14 of
+# a cell is below the rounding of its points
+RATIO_LEVELS = 14
+
+
+def ratio_roots(fc, xs, fdf) -> RootSearchResult:
+    """The roots of F in [xs[0], xs[-1]) on the ascending grid xs, where
+    ratio_root_count's conditions hold, refined like find_real_roots'.
+
+    `fc(points)` returns F and C at the points of a list as two arrays;
+    `fdf(x)` returns (g(x), g'(x)) for a g with F's sign at every x (see
+    find_real_roots).  A cell holds one pole of G at most, so two roots at
+    most, one on either side of it; as G decreases, a cell without a pole
+    holds one root exactly when F changes sign in it, and a cell with one
+    holds [G(x_i) > 0] + [G(x_{i+1}) < 0].  A cell holding one root with a
+    strict sign change of F is a bracket as it stands.  Any other cell
+    holding a root (two roots, or one next to an exact zero of F at an
+    end) is subdivided into 16, all such cells pooled into one fc call per
+    level, and the same rule applies to the subcells.  A point of xs[:-1]
+    or an interior subdivision point where F is exactly 0.0 is a root as
+    it stands.  There are no double roots to look for.  A cell still split
+    after RATIO_LEVELS levels is dropped, which the caller's
+    ratio_root_count check sees.  `n_evals` counts fc's points and fdf's
+    calls.
+    """
+    fs, cs = fc(xs)
+    result = RootSearchResult(
+        roots=[xs[i] for i in np.flatnonzero(fs[:-1] == 0.0).tolist()],
+        n_evals=len(xs))
+    segments = [(xs, fs, cs)]
+    for level in range(RATIO_LEVELS + 1):
+        cells = []
+        for pts, f, c in segments:
+            bracket, split = _ratio_cells(f, c)
+            result.brackets += [RootBracket(pts[i], pts[i + 1], float(f[i]),
+                                            float(f[i + 1]))
+                                for i in np.flatnonzero(bracket).tolist()]
+            cells += [(pts, f, c, i) for i in np.flatnonzero(split).tolist()]
+        if not cells or level == RATIO_LEVELS:
+            break
+        subs = [_subdivision(pts[i], pts[i + 1]) for pts, _, _, i in cells]
+        f_in, c_in = fc([x for sub in subs for x in sub[1:-1]])
+        result.n_evals += len(f_in)
+        m = SUBDIVISIONS - 1
+
+        def spliced(ends, inner, i, k):
+            # cell i's end values around its subdivision's inner values
+            return np.concatenate(([ends[i]], inner[k * m:(k + 1) * m],
+                                   [ends[i + 1]]))
+
+        segments = [(sub, spliced(f, f_in, i, k), spliced(c, c_in, i, k))
+                    for k, (sub, (_, f, c, i)) in enumerate(zip(subs, cells))]
+        result.roots += [x for sub, f, _ in segments
+                         for x, v in zip(sub[1:-1], f[1:-1]) if v == 0.0]
+    for br in result.brackets:
+        root, n = _refine(None, fdf, br.lo, br.hi, br.f_lo)
+        result.n_evals += n
+        result.roots.append(root)
+    result.brackets.sort(key=lambda br: br.lo)
     result.roots.sort()
     return result
 

@@ -318,10 +318,17 @@ def test_disk_spectrum_ball_boundary(tmp_path):
 def test_disk_spectrum_batched_scans_match_pointwise(tmp_path, monkeypatch,
                                                      config):
     # The real-axis scans evaluate their grids through the batched Bessel
-    # kernels; the data files must be the ones per-point scans write.
-    # Without f_grid every scan, the interlacing count included, runs point
-    # by point: the pointwise run makes no batched call at all.
+    # kernels; the data files must be the ones per-point scans write.  With
+    # _RadialGrid.radial reading C and C' point by point through the scalar
+    # kernels, every scan, the certified count included, runs point by
+    # point: the pointwise run makes no batched call at all.
     from randbc import disk_model
+
+    def pointwise_radial(grid, lams):
+        evs = [disk_model._radial(grid.mode, grid.params.wave_factor * lam,
+                                  grid.params) for lam in lams]
+        return (np.array([ev.value.real for ev in evs]),
+                np.array([ev.derivative.real for ev in evs]))
 
     batched_calls = []
 
@@ -338,9 +345,8 @@ def test_disk_spectrum_batched_scans_match_pointwise(tmp_path, monkeypatch,
     files, calls = [], []
     for name in ("batched", "pointwise"):
         if name == "pointwise":
-            scan = disk_model._radial_scan_functions
-            monkeypatch.setattr(disk_model, "_radial_scan_functions",
-                                lambda *args: (*scan(*args)[:2], None))
+            monkeypatch.setattr(disk_model._RadialGrid, "radial",
+                                pointwise_radial)
         out = str(tmp_path / name)
         batched_calls.clear()
         assert cli.main(["disk-spectrum", cfg, "--out", out]) == 0
@@ -350,6 +356,20 @@ def test_disk_spectrum_batched_scans_match_pointwise(tmp_path, monkeypatch,
     assert "eigenvalues.csv" in files[0]
     assert files[0] == files[1]
     assert calls[0] > 0 and calls[1] == 0
+
+
+def test_disk_spectrum_count_mismatch_exits_3(tmp_path, monkeypatch):
+    # at Re zeta = 0 a certified count that disagrees with the roots found
+    # is a numerical failure (exit 3), not a warning in summary.json
+    from randbc import disk_model
+
+    count = disk_model._certified_count
+    monkeypatch.setattr(disk_model, "_certified_count",
+                        lambda grid, pq: count(grid, pq) + 1)
+    cfg = os.path.join(REPO, "configs", "disk_spectrum.ini")
+    out = str(tmp_path / "out")
+    assert cli.main(["disk-spectrum", cfg, "--out", out]) == 3
+    assert not os.path.exists(os.path.join(out, "summary.json"))
 
 
 def test_criteria_with_configured_distribution(tmp_path):
@@ -456,9 +476,9 @@ with open(os.path.join(REPO, "configs", "criteria.ini")) as _fh:
 # change and must be recorded as one.  The two disk-spectrum-* cases reach
 # the paths DISK_GOLDEN does not: the circle to window 60, where J_k takes
 # its asymptotic branch (|x| >= 50 and |x| >= 4k^2), and the ball at
-# Re zeta > 0, where the roots come from the Re-zeta continuation.  Both
-# write count warnings, so their summaries pin the zeta = 0 interlacing
-# counts too.
+# Re zeta > 0, where the roots come from the Re-zeta continuation.  Their
+# summaries pin that neither writes a warning: the real-axis counts are
+# certified, and no continued root stalls, drifts or merges.
 GOLDEN_DIGESTS = {
     "criteria": ("criteria", CRITERIA_GOLDEN, {
         "criteria.csv":
@@ -489,7 +509,7 @@ GOLDEN_DIGESTS = {
         "impedance_sequence.csv":
             "0f5e38ccb6850828dac7a5b7e01666a8a69635bb5c6c77ace7699d57e098858a",
         "summary.json":
-            "01edf3135501286ba828e47b0117470a2b8c9837ff56304ab5c2f5c8b3e6cd1f",
+            "f7f5c797a23ca960517dc5f4e50e51d1e37fa14875f8d211ed9e0be562030831",
     }),
     "disk-spectrum-sphere-continuation": ("disk-spectrum", DISK_BALL.replace(
             "z0 = 0", "z0 = 0.5+0.5j").replace("oracle_spot_checks = 2",
@@ -499,7 +519,7 @@ GOLDEN_DIGESTS = {
         "impedance_sequence.csv":
             "f1f2a5350ccc4bc0d14027f4f38d2fdaa4ab083aa39f973ea284a0f8722594e6",
         "summary.json":
-            "00601c0660490e4faab9cff1217c09eab0288f2721592476702a6ad79e82bec9",
+            "22a96dde1b28638f73553a5d78d5930d68b6ff582473406c820aee2d657de8ce",
     }),
     "lab": ("lab", LAB_SMALL, {
         "lab_report.json":

@@ -2,6 +2,7 @@
 import math
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -246,12 +247,19 @@ def test_route_equivalence_zero_sets():
     assert report["cross_residual"] <= 1e-9
 
 
-def test_lost_root_reported():
-    # a tight window around a migrating root makes counts differ: reported
-    res = dm.solve_mode_eigenvalues(0, 1j * 6.0, UNIT, (3.0, 5.4))
-    counted = dm.solve_mode_eigenvalues(0, 0.0, UNIT, (3.0, 5.4))
-    if len(res.eigenvalues) != len(counted.eigenvalues):
-        assert res.warnings
+def test_lost_root_reported(monkeypatch):
+    # Re zeta > 0: of the 4 certified seeds at i Im zeta, one continues out
+    # of the window; it is reported as drifted and accounted for, so no
+    # root counts as lost.  Continued roots that merge are reported.
+    ball = MaterialParams(dim=3)
+    res = dm.solve_mode_eigenvalues(0, 1.5 + 1.5j, ball, (1.0, 12.0))
+    assert res.expected_count == 4 and len(res.eigenvalues) == 3
+    assert len(res.warnings) == 1 and "drifted" in res.warnings[0]
+    monkeypatch.setattr(dm, "_dedupe", lambda values, tol: values[1:])
+    res = dm.solve_mode_eigenvalues(0, 1.0 + 1.0j, ball, (1.0, 12.0))
+    assert res.warnings == [
+        "1 of the 4 certified seeds at i Im zeta continued onto another "
+        "seed's root: possible lost root"]
 
 
 def test_continuation_budget_reports_stalled_seed():
@@ -353,12 +361,11 @@ EXACT_NEUMANN_ZEROS = {2: 1.8411837813406595, 3: 2.0815759778181007}
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_interlacing_count_is_the_bracket_count(monkeypatch, dim):
-    # solve_mode_eigenvalues compares its roots with the brackets plus exact
-    # zeros of the zeta = 0 scan, unrefined: as many as the refining
-    # scan (neumann_eigenvalues) returns, with no fdf or scalar-kernel call.
-    # The last window starts on an exact zero, so its scan starts on a grid
-    # zero.
+def test_certified_count_is_the_root_count(monkeypatch, dim):
+    # _certified_count reads the grid's C and C' alone, with no scalar-kernel
+    # or fdf call, and counts as many roots as the refining scan
+    # (neumann_eigenvalues) returns.  The last window starts on an exact
+    # zero, so its scan starts on a grid zero, which is a root.
     from randbc import specfun
 
     params = MaterialParams(dim=dim)
@@ -375,20 +382,112 @@ def test_interlacing_count_is_the_bracket_count(monkeypatch, dim):
     monkeypatch.setattr(dm, "_radial_fdf", forbidden)
     for (mode, window), n_roots in want.items():
         grid = dm._RadialGrid(mode, params, window)
-        assert dm._interlacing_count(grid) == n_roots, (mode, window)
-    f, _, f_grid = dm._radial_scan_functions(
-        dm._RadialGrid(1, params, windows[-1]), dm._secular(params, 0.0))
-    scan = specfun.bracket_real_roots(f, windows[-1], f_grid=f_grid)
-    assert scan.zeros == [zero] and len(scan.brackets) >= 5
+        assert dm._certified_count(grid, dm._secular(params, 0.0)) == n_roots
+    monkeypatch.undo()
+    roots = dm.neumann_eigenvalues(1, params, windows[-1])
+    assert roots[0] == zero and len(roots) >= 6
+
+
+def _mp_zero_count(nu, w_lo, w_hi, derivative=0):
+    """The zeros of J_nu (or J_nu') in [w_lo, w_hi), by mpmath."""
+    count, n = 0, 1
+    while True:
+        w = float(mpmath.besseljzero(nu, n, derivative))
+        if w >= w_hi:
+            return count
+        count += w >= w_lo
+        n += 1
+
+
+def _pareto_zeta(rng):
+    # |zeta| Pareto (index 1, from 0.01) on both signs of Im zeta
+    return complex(0.0, rng.choice([-1.0, 1.0]) * 0.01 / rng.uniform())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_certified_count_battery(rng, dim):
+    # the certified count equals the roots returned for the secular, Neumann
+    # and Dirichlet pairs: a and b in [0.5, 2], modes 0-40, windows 0.05 to
+    # 45 wide, and windows with an end on an exact zero of the scan.  On the
+    # first 30 cases the Dirichlet count (and the disk's Neumann count)
+    # also equals mpmath's number of Bessel zeros in the window.
+    cases = []
+    for _ in range(150):
+        params = MaterialParams(a=rng.uniform(0.5, 2.0),
+                                b=rng.uniform(0.5, 2.0), dim=dim)
+        lo = rng.uniform(0.05, 20.0)
+        window = (lo, lo + math.exp(rng.uniform(math.log(0.05),
+                                                math.log(45.0))))
+        cases.append((int(rng.integers(0, 41)), params, window,
+                      _pareto_zeta(rng)))
+    zero = EXACT_NEUMANN_ZEROS[dim]
+    unit = MaterialParams(dim=dim)
+    for window in ((zero, zero + 9.0), (0.5, zero), (zero, 2.0 * zero)):
+        cases += [(1, unit, window, 0j), (1, unit, window, _pareto_zeta(rng))]
+    counted = 0
+    for i, (mode, params, window, zeta) in enumerate(cases):
+        grid = dm._RadialGrid(mode, params, window)
+        if i < 30:
+            nu, w_lo, w_hi = (mode + 0.5 * (dim - 2),
+                              *(params.wave_factor * x for x in window))
+            assert len(dm.dirichlet_eigenvalues(mode, params, window)) == (
+                _mp_zero_count(nu, w_lo, w_hi))
+            if dim == 2:
+                assert len(dm.neumann_eigenvalues(mode, params, window)) == (
+                    _mp_zero_count(nu, w_lo, w_hi, 1))
+        res = dm.solve_mode_eigenvalues(mode, zeta, params, window)
+        want = dm._certified_count(grid, dm._secular(params, zeta))
+        assert len(res.eigenvalues) == res.expected_count == want
+        assert res.warnings == []
+        for roots, pq in (
+                (dm.neumann_eigenvalues(mode, params, window),
+                 dm._secular(params, 0.0)),
+                (dm.dirichlet_eigenvalues(mode, params, window),
+                 dm._DIRICHLET)):
+            assert len(roots) == dm._certified_count(grid, pq)
+            counted += len(roots)
+        counted += len(res.eigenvalues)
+    assert counted >= 500, counted
+
+
+def test_two_root_cell_is_split():
+    # a cell holds two roots when a zero of C lies in it between them: on
+    # a coarse grid, the Neumann roots of mode 0 at j'_{0,1} = j_{1,1} and
+    # j'_{0,2} = j_{1,2} share the cell (3, 7.5) with the pole j_{0,2}.
+    # Their signs at the cell's ends agree; the subdivision finds both.
+    grid = dm._RadialGrid(0, UNIT, (3.0, 8.0))
+    grid.lams = [3.0, 7.5, 8.0]
+    pq = dm._secular(UNIT, 0.0)
+    res = dm._real_axis_roots(grid, pq)
+    assert dm._certified_count(grid, pq) == 2
+    assert [br.lo <= 7.5 for br in res.brackets] == [True, True]
+    for got, want in zip(res.roots, (3.8317059702075125, 7.015586669815619)):
+        assert abs(got - want) <= 1e-13 * want
+
+
+def test_certified_count_mismatch_is_a_convergence_error(monkeypatch):
+    # at Re zeta = 0 a count that disagrees with the roots found is a
+    # failure, never a warning; so is one at a continuation's seed scan,
+    # and roots of the scan that merge into one
+    count = dm._certified_count
+    monkeypatch.setattr(dm, "_certified_count",
+                        lambda grid, pq: count(grid, pq) + 1)
+    for zeta in (2.0j, 0.5 + 2.0j):
+        with pytest.raises(dm.ConvergenceError, match="certified count"):
+            dm.solve_mode_eigenvalues(0, zeta, UNIT, (1.0, 12.0))
+    monkeypatch.undo()
+    monkeypatch.setattr(dm, "_dedupe", lambda values, tol: values[1:])
+    with pytest.raises(dm.ConvergenceError, match="merged into"):
+        dm.solve_mode_eigenvalues(0, 2.0j, UNIT, (1.0, 12.0))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("zeta", [0.8j, 0.5 + 1.0j])
 def test_mode_solve_evaluates_its_grid_once(monkeypatch, dim, zeta):
-    # the count scan and the real-axis scan (of zeta, or of i Im zeta for the
-    # continuation seeds) read one batched evaluation of the uniform grid
-    # (1,025 points or more); only the pooled subdivision points, fewer,
-    # take batches of their own
+    # the real-axis scan (of zeta, or of i Im zeta for the continuation
+    # seeds) and its certified count read one batched evaluation of the
+    # uniform grid (1,025 points or more) and nothing else batched: no
+    # count scan, and no subdivision where no cell holds two roots
     name = "bessel_j_grid" if dim == 2 else "spherical_j_grid"
     kernel = getattr(dm, name)
     sizes = []
@@ -403,8 +502,7 @@ def test_mode_solve_evaluates_its_grid_once(monkeypatch, dim, zeta):
         sizes.clear()
         res = dm.solve_mode_eigenvalues(mode, zeta, params, (1.0, 12.0))
         assert res.eigenvalues
-        assert len([n for n in sizes if n >= 1025]) == 1, (mode, sizes)
-        assert len(sizes) == 3 and max(sizes[1:]) < 1025, (mode, sizes)
+        assert len(sizes) == 1 and sizes[0] >= 1025, (mode, sizes)
 
 
 def test_strict_dissipation_for_positive_re_zeta(rng):
@@ -432,14 +530,15 @@ def test_fd_char_derivative():
                 assert abs(num - deriv) <= 1e-6 * abs(deriv), (dim, mode, zz)
 
 
-def test_fd_grid_scan_batched_equals_pointwise():
+def test_fd_grid_scan_batched_equals_pointwise(radial_find_functions):
     # fd_oracle and the secular solves scan their uniform grids through the
     # batched kernels; the bracketing result must be the one the per-point
-    # scan gives
+    # scan gives, and the certified search's roots (_real_axis_roots) those
+    # of find_real_roots
     mode, zeta = 2, 1.5 + 0.5j
     window = (0.2 * math.pi, mode + 16.0)  # fd_oracle's default, a = b = 1
     scans = [(dm._fd_scan_functions(mode, complex(0.0, zeta.imag), UNIT,
-                                    m_nodes), window, math.pi, 3)
+                                    m_nodes), window, math.pi, 3, None)
              for m_nodes in (512, 1024)]
     # secular scans on the disk and the ball, a != b, over all J_k branches:
     # zeta = 0, imaginary zeta, the contraction form and Dirichlet
@@ -450,9 +549,9 @@ def test_fd_grid_scan_batched_equals_pointwise():
                      dm._contraction(params, mode, 0.7j), dm._DIRICHLET)
             for pq in pairs:
                 grid = dm._RadialGrid(mode, params, (0.3, 60.0))
-                scans.append((dm._radial_scan_functions(grid, pq),
-                              grid.window, grid.min_spacing, 10))
-    for (f, fdf, f_grid), window, spacing, n_roots in scans:
+                scans.append((radial_find_functions(grid, pq), grid.window,
+                              grid.min_spacing, 10, (grid, pq)))
+    for (f, fdf, f_grid), window, spacing, n_roots, radial in scans:
         pointwise = find_real_roots(f, window, min_spacing=spacing, fdf=fdf)
         batched = find_real_roots(f, window, min_spacing=spacing,
                                   f_grid=f_grid, fdf=fdf)
@@ -461,6 +560,8 @@ def test_fd_grid_scan_batched_equals_pointwise():
         assert batched.brackets == pointwise.brackets
         assert batched.suspected_double == pointwise.suspected_double
         assert batched.n_evals == pointwise.n_evals
+        if radial is not None:
+            assert dm._real_axis_roots(*radial).roots == pointwise.roots
 
 
 # float.hex of both parts of _radial_fdf, (dim, mode, lam, zeta) -> "re im"

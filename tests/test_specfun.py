@@ -98,7 +98,7 @@ def test_zero_interlacing():
             assert len(inside) == 1, (k, lo, hi, inside)
 
 
-def test_order_guard_and_range_guard():
+def test_order_guard_and_range_guard(radial_find_functions):
     with pytest.raises(specfun.SpecFunError):
         specfun.bessel_j(201, 1.0)
     with pytest.raises(specfun.SpecFunError):
@@ -112,7 +112,7 @@ def test_order_guard_and_range_guard():
     for dim in (2, 3):
         params = dm.MaterialParams(a=2.0, b=2.0, dim=dim)
         for mode, window in ((201, (1.0, 10.0)), (0, (4000.0, 6000.0))):
-            f, _, f_grid = dm._radial_scan_functions(
+            f, _, f_grid = radial_find_functions(
                 dm._RadialGrid(mode, params, window), (0.0, 1.0))
             with pytest.raises(specfun.SpecFunError) as pointwise:
                 specfun.find_real_roots(f, window, n_grid=8)
@@ -374,6 +374,23 @@ def test_fd_edge_bits_pinned():
                                                                   lam)
         assert (hexes(batch[1][0]), hexes(batch[2][0])) == (u_m, u_next), \
             (dim, mode, lam)
+
+
+def test_miller_start_batch_equals_scalar():
+    # the batch reads ceil(7 x^(1/3)) off a table of cubes, the scalar
+    # kernel from libm's pow: the start indices must be equal everywhere,
+    # also where 7 x^(1/3) is an integer, or an ulp from one
+    from randbc import _pykernels as pk
+
+    rng = np.random.default_rng(11)
+    cubes = (np.arange(1.0, 160.0) / 7.0) ** 3
+    xs = np.concatenate([rng.uniform(0.0, 60.0, 20_000),
+                         rng.uniform(60.0, 1e4, 20_000), cubes,
+                         np.nextafter(cubes, 0.0), np.nextafter(cubes, 1e5)])
+    for order in (0, 7, 200):
+        got = pk._miller_start_batch(order, xs)
+        want = [pk._miller_start(order, x) for x in xs.tolist()]
+        assert got.tolist() == want, order
 
 
 def test_bessel_batch_equals_scalar(monkeypatch):
@@ -898,8 +915,8 @@ def test_pooled_subdivision_without_sign_change():
                          ids=["simple", "touching"])
 def test_exact_zero_at_a_subdivision_point(pooled, roots):
     # 0.25 is the subdivision point 4/16 of the one grid cell (0, 1), where
-    # f is exactly 0: a root as it stands, like a grid zero, counted by
-    # RootBrackets.count, while only the strict sign changes are bracketed.
+    # f is exactly 0: a root as it stands, like a grid zero, while only the
+    # strict sign changes are bracketed.
     # In the touching case f keeps its sign across 0.25 (a double root)
     if len(roots) == 3:
         def g(x):
@@ -911,7 +928,7 @@ def test_exact_zero_at_a_subdivision_point(pooled, roots):
     scan = specfun.bracket_real_roots(g, (0.0, 1.0), n_grid=1,
                                       f_grid=f_grid)
     assert scan.zeros == [0.25]
-    assert scan.count == len(roots) and len(scan.brackets) == len(roots) - 1
+    assert len(scan.brackets) == len(roots) - 1
     res = specfun.find_real_roots(g, (0.0, 1.0), n_grid=1, f_grid=f_grid)
     assert len(res.roots) == len(roots)
     for root, ref in zip(res.roots, roots):
@@ -919,14 +936,14 @@ def test_exact_zero_at_a_subdivision_point(pooled, roots):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_bessel_scan_subdivision_is_batched(dim):
+def test_bessel_scan_subdivision_is_batched(radial_find_functions, dim):
     # a secular scan's subdivision goes through f_grid, one pooled call
     # after the grid, with 15 points per bracket; the scalar f is not called
     from randbc import disk_model as dm
 
     params = dm.MaterialParams(a=1.3, b=0.8, dim=dim)
     for mode in (0, 3):
-        f, fdf, f_grid = dm._radial_scan_functions(
+        f, fdf, f_grid = radial_find_functions(
             dm._RadialGrid(mode, params, (0.3, 60.0)),
             dm._secular(params, 2.5j))
         counted_f, f_calls = _counted(f)
@@ -959,3 +976,63 @@ def test_fd_scan_grid_crossover(monkeypatch):
         lams = [0.5 + 12.0 * i / n for i in range(n)]
         assert f_grid(lams) == [f(lam) for lam in lams]
     assert sizes == [1, 15, 45, 1025]
+
+
+def _ratio_pair(a, c):
+    # G = F / C = 1 / (x - c) - a (x - c) decreases between its poles; its
+    # roots are c -+ 1 / sqrt(a)
+    def fc(xs):
+        x = np.asarray(xs, dtype=float)
+        return 1.0 - a * (x - c) ** 2, x - c
+
+    def fdf(x):
+        return 1.0 - a * (x - c) ** 2, -2.0 * a * (x - c)
+    return fc, fdf
+
+
+def test_ratio_roots_split_until_the_roots_separate():
+    # with a = 1e6 both roots lie in one grid cell and in one of its 16
+    # subcells, next to the pole: the cell is split twice
+    fc, fdf = _ratio_pair(1e6, 0.4567)
+    res = specfun.ratio_roots(fc, [0.0, 1.0], fdf)
+    assert specfun.ratio_root_count(*fc([0.0, 1.0])) == 2
+    assert len(res.roots) == 2 and len(res.brackets) == 2
+    for root, want in zip(res.roots, (0.4557, 0.4577)):
+        assert abs(root - want) <= 1e-12
+    assert res.n_evals - sum(1 for _ in res.roots) >= 2 + 2 * 15
+    assert res.suspected_double == []
+
+
+@pytest.mark.parametrize("pair, xs, want", [
+    # a = 4, c = 0.5: roots 0 and 1 (exact zeros of F), pole 0.5
+    ("ratio", [0.0, 0.25, 0.5, 0.75, 1.0], [0.0]),       # pole on the grid
+    ("ratio", [0.5, 0.75, 1.0, 1.25], [1.0]),            # pole at lo
+    ("ratio", [-0.25, 0.0, 0.25, 0.5], [0.0]),           # pole at hi
+    ("ratio", [-0.3, 0.45, 0.9], [0.0]),                 # root on no point
+    ("ratio", [-0.3, 0.3, 1.0], [0.0]),                  # 2 roots, 1 at hi
+    # one cell holds the pole, a root inside and one at an end: split
+    ("ratio", [0.0, 1.2], [0.0, 1.0]),
+    ("ratio", [-0.2, 1.0], [0.0]),
+    # F = C (G = 1, the Dirichlet pair): the roots are the poles
+    ("constant", [0.0, 0.5, 1.0], [0.5]),
+    ("constant", [0.0, 0.25, 0.5], []),                  # pole at hi
+    ("constant", [0.5, 0.75, 1.0], [0.5]),               # pole at lo
+    ("constant", [0.1, 0.7, 1.0], [0.5]),
+])
+def test_ratio_root_count_at_the_ends(pair, xs, want):
+    # roots in [lo, hi): a zero of C or of F at an end of the grid, or on a
+    # point of it, counts as ratio_roots returns it
+    if pair == "ratio":
+        fc, fdf = _ratio_pair(4.0, 0.5)
+    else:
+        def fc(pts):
+            x = np.asarray(pts, dtype=float) - 0.5
+            return x, x
+
+        def fdf(x):
+            return x - 0.5, 1.0
+    res = specfun.ratio_roots(fc, xs, fdf)
+    assert specfun.ratio_root_count(*fc(xs)) == len(want)
+    assert len(res.roots) == len(want)
+    for root, w in zip(res.roots, want):
+        assert abs(root - w) <= 1e-12
