@@ -299,10 +299,11 @@ class ModeEigenvalues:
 
 
 # char_of_zeta calls one seed's Re-zeta continuation may spend before it is
-# reported as stalled.  Measured per seed: at most 1,716 in the tests (the
-# dissipative disk-spectrum summary), 30 on the benchmark's FD-continuation
-# inputs.  A wrong derivative can otherwise crawl through step halvings
-# without end, at up to 1,201 calls per polish.
+# reported as stalled.  Measured per seed: at most 1,306 in the tests (the FD
+# oracle's tracking grid in the dissipative disk-spectrum summary; 727 for
+# the secular solver), 30 on the benchmark's FD-continuation inputs (seeds
+# 1-20, both routes).  A wrong derivative can otherwise crawl through step
+# halvings without end, at up to 1,201 calls per polish.
 CONTINUATION_MAX_EVALS = 5000
 
 
@@ -486,6 +487,40 @@ def _fd_scan_functions(mode, zz, params, m_nodes):
     return f, fdf, f_grid
 
 
+def _fd_polish(params, mode, zeta, m_nodes, seeds, spacing, tol, stage,
+               source):
+    """Each seed polished once by complex Newton on the m_nodes grid at
+    zeta, then moved by one more Newton step: complex_root_polish returns
+    the first iterate within its tolerance, up to about 1e-10 (relative)
+    from the discrete root, and the step brings it to rounding level.
+    Raises ConvergenceError when a polish fails, a polished root lies more
+    than a quarter of the root spacing from its seed (the two differ by
+    O(h^2)), or two roots coincide.  stage and source name the grid and
+    the seeds' grid in the messages."""
+
+    def fdf(lam):
+        return _fd_fdf(params, mode, m_nodes, zeta, lam)
+
+    roots = []
+    for c in seeds:
+        pol = complex_root_polish(fdf, c)
+        if not pol.converged:
+            raise ConvergenceError(
+                f"FD {stage}-grid polish from {c:.6g} did not converge for "
+                f"mode {mode}, zeta {zeta}")
+        if abs(pol.root - c) > 0.25 * spacing:
+            raise ConvergenceError(
+                f"FD {stage}-grid root {pol.root:.6g} moved from its {source} "
+                f"root {c:.6g} by more than a quarter spacing")
+        value, deriv = fdf(pol.root)
+        roots.append(pol.root - value / deriv if deriv else pol.root)
+    if len(_dedupe(roots, tol)) != len(roots):
+        raise ConvergenceError(
+            f"FD {stage}-grid roots coincide for mode {mode}, zeta {zeta}: "
+            f"{roots}")
+    return roots
+
+
 def fd_oracle(mode: int, zeta, params: MaterialParams, grid=1024,
               window=None, n_values=3):
     """Lowest eigenvalues from the finite-difference pencil, independent of
@@ -493,17 +528,24 @@ def fd_oracle(mode: int, zeta, params: MaterialParams, grid=1024,
 
     The conservative radial scheme plus the ghost-node impedance row define a
     discrete characteristic function (divided by lam, as secular_value is)
-    whose zeros are the eigenvalues of the banded FD pencil.  On the coarse
-    grid (grid // 2 nodes) they come from the secular solver's search,
-    _window_roots: bracketed on the real axis at i Im zeta and, for
-    Re zeta > 0, continued in Re zeta; the lowest n_values in the window
-    are kept.  Each is then polished once on the fine grid (grid nodes) at
-    zeta, and the pair is Richardson-extrapolated, (4 fine - coarse) / 3.
+    whose zeros are the eigenvalues of the banded FD pencil.  They come
+    from the secular solver's search, _window_roots, on a tracking grid of
+    grid // 8 nodes: bracketed on the real axis at i Im zeta and, for
+    Re zeta > 0, continued in Re zeta.  The tracking grid only has to follow
+    each branch, but it must resolve the window: it is raised to
+    2 sqrt(ab) hi nodes, so that one node step spans at most half a radian
+    of the highest wavenumber sqrt(ab) hi, and capped at grid // 2.  Every
+    continued root, in the window or drifted out of it, is polished on the
+    coarse grid (grid // 2 nodes) at zeta, unless the cap makes it a coarse
+    root already, and the lowest n_values of these in the window are kept.
+    Each is then polished on the fine grid (grid nodes) at zeta, and the
+    pair is Richardson-extrapolated, (4 fine - coarse) / 3.  Both polish
+    stages are _fd_polish.
 
     Raises ConvergenceError when the continuation stalls, fewer than
-    n_values roots stay in the window, a fine polish fails, a fine root
-    lies more than a quarter of the root spacing pi / sqrt(ab) from its
-    coarse root (the two differ by O(h^2)), or two fine roots coincide.
+    n_values coarse roots lie in the window, or a polish stage fails: no
+    convergence, a root more than a quarter of the root spacing
+    pi / sqrt(ab) from its seed, or coincident roots.
     """
     if grid < 1000:
         raise DiskModelError("grid must be >= 1e3")
@@ -515,41 +557,37 @@ def fd_oracle(mode: int, zeta, params: MaterialParams, grid=1024,
     tol = 1e-8 * max(1.0, hi)
 
     coarse_nodes = grid // 2
+    track_nodes = min(coarse_nodes, max(
+        grid // 8, math.ceil(2.0 * params.wave_factor * hi)))
 
     def scan(zz):
-        f, fdf, f_grid = _fd_scan_functions(mode, zz, params, coarse_nodes)
+        f, fdf, f_grid = _fd_scan_functions(mode, zz, params, track_nodes)
         return find_real_roots(f, (lo, hi), min_spacing=spacing,
                                f_grid=f_grid, fdf=fdf)
 
-    coarse, _, stalled, _ = _window_roots(
-        scan, lambda zz, lam: _fd_fdf(params, mode, coarse_nodes, zz, lam),
+    tracked, _, stalled, drifted = _window_roots(
+        scan, lambda zz, lam: _fd_fdf(params, mode, track_nodes, zz, lam),
         zeta, (lo, hi), spacing)
     if stalled:
         raise ConvergenceError(
             f"FD continuation failed for mode {mode}, zeta {zeta}: {stalled}")
-    coarse = coarse[:n_values]
+    # No two coarse roots coincide, so the window filter leaves nothing to
+    # dedupe: _fd_polish checks it, and at the cap _window_roots did.  At
+    # the cap the tracking grid is the coarse grid, and a real-axis root is
+    # refined there to rounding level already: complex_root_polish, which
+    # accepts no step that fails to lower |f|, would report it unconverged.
+    coarse = tracked + drifted
+    if track_nodes < coarse_nodes:
+        coarse = _fd_polish(params, mode, zeta, coarse_nodes, coarse,
+                            spacing, tol, "coarse", "tracking")
+    coarse = sorted((c for c in coarse if lo <= c.real <= hi),
+                    key=lambda z: z.real)[:n_values]
     if len(coarse) < n_values:
         raise ConvergenceError(
             f"FD oracle for mode {mode}, zeta {zeta} kept {len(coarse)} "
             f"roots in the window {window}, not {n_values}")
-
-    fine = []
-    for c in coarse:
-        pol = complex_root_polish(
-            lambda lam: _fd_fdf(params, mode, grid, zeta, lam), c)
-        if not pol.converged:
-            raise ConvergenceError(
-                f"FD fine-grid polish from {c:.6g} did not converge for "
-                f"mode {mode}, zeta {zeta}")
-        if abs(pol.root - c) > 0.25 * spacing:
-            raise ConvergenceError(
-                f"FD fine-grid root {pol.root:.6g} moved from its coarse "
-                f"root {c:.6g} by more than a quarter spacing")
-        fine.append(pol.root)
-    if len(_dedupe(fine, tol)) != len(fine):
-        raise ConvergenceError(
-            f"FD fine-grid roots coincide for mode {mode}, zeta {zeta}: "
-            f"{fine}")
+    fine = _fd_polish(params, mode, zeta, grid, coarse, spacing, tol,
+                      "fine", "coarse")
     return [(4.0 * r - c) / 3.0 for c, r in zip(coarse, fine)]
 
 

@@ -1,4 +1,5 @@
 """Disk/ball model: NtD samples, secular equation, eigenvalue solves, FD oracle."""
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -199,24 +200,55 @@ def test_fd_oracle_short_root_list_is_an_error():
         dm.fd_oracle(0, 0.0, UNIT, window=(1.0, 10.0), n_values=3)
 
 
-@pytest.mark.parametrize("name,fake,message", [
-    ("complex_root_polish",
-     lambda fdf, seed: PolishResult(seed, False, 1.0, 100),
-     "did not converge"),
-    ("complex_root_polish",
-     lambda fdf, seed: PolishResult(seed + 0.26 * math.pi, True, 0.0, 1),
-     "quarter spacing"),
-    # a spurious bracket next to a genuine one: both coarse roots polish to
-    # the one fine-grid Neumann root
-    ("find_real_roots",
-     lambda *args, **kwargs: SimpleNamespace(
-         roots=[J0P_ZEROS[0], J0P_ZEROS[0] + 1e-3]),
-     "coincide"),
-], ids=["not-converged", "moved-too-far", "coincident"])
-def test_fd_oracle_fine_root_checks(monkeypatch, name, fake, message):
-    # zeta = 0 has no continuation: complex_root_polish runs only for the
-    # fine-grid roots, seeded from the coarse ones
-    monkeypatch.setattr(dm, name, fake)
+def _not_converged(fdf, seed):
+    return PolishResult(seed, False, 1.0, 100)
+
+
+def _moved_too_far(fdf, seed):
+    return PolishResult(seed + 0.26 * math.pi, True, 0.0, 1)
+
+
+def _unmoved(fdf, seed):
+    return PolishResult(seed, True, 0.0, 1)
+
+
+# a spurious bracket next to a genuine one: both polish to the one Neumann
+# root of the stage's grid
+_TWO_BRACKETS = SimpleNamespace(roots=[J0P_ZEROS[0], J0P_ZEROS[0] + 0.05])
+
+
+@pytest.mark.parametrize("stage,fake,brackets,message", [
+    pytest.param(stage, fake, brackets, f"FD {stage}-grid {message}",
+                 id=f"{prefix}{check}")
+    for stage, source, prefix in (("coarse", "tracking", "coarse-"),
+                                  ("fine", "coarse", ""))
+    for check, fake, brackets, message in (
+        ("not-converged", _not_converged, None,
+         "polish from .* did not converge"),
+        ("moved-too-far", _moved_too_far, None,
+         f"root .* moved from its {source} root .* quarter spacing"),
+        ("coincident", None, _TWO_BRACKETS, "roots coincide"))])
+def test_fd_oracle_fine_root_checks(monkeypatch, stage, fake, brackets,
+                                    message):
+    # zeta = 0 has no continuation: complex_root_polish runs first for the
+    # two tracked roots (the coarse stage), then for the two coarse roots
+    # (the fine stage).  fake stands in for the stage under test, which
+    # polishes for real in the coincident case.
+    real = dm.complex_root_polish
+    calls = []
+
+    def polish(fdf, seed):
+        calls.append(seed)
+        if (len(calls) <= 2) == (stage == "coarse"):
+            return (fake or real)(fdf, seed)
+        # the other stage; before the fine stage's coincident case it
+        # leaves the two brackets apart
+        return _unmoved(fdf, seed) if brackets else real(fdf, seed)
+
+    monkeypatch.setattr(dm, "complex_root_polish", polish)
+    if brackets is not None:
+        monkeypatch.setattr(dm, "find_real_roots",
+                            lambda *args, **kwargs: brackets)
     with pytest.raises(dm.ConvergenceError, match=message):
         dm.fd_oracle(0, 0.0, UNIT, window=(1.0, 10.0), n_values=2)
 
@@ -304,15 +336,16 @@ def test_continuation_budget_reports_stalled_seed():
 
 
 def test_fd_oracle_stalled_continuation_is_an_error(monkeypatch):
-    # a polish that never converges stalls every seed of the coarse-grid
+    # a polish that never converges stalls every seed of the tracking-grid
     # continuation; the error names them, not a shorter root list
     monkeypatch.setattr(dm, "complex_root_polish",
                         lambda fdf, seed: PolishResult(seed, False, 1.0, 100))
     with pytest.raises(dm.ConvergenceError,
                        match="FD continuation failed") as info:
         dm.fd_oracle(0, 1.0 + 1.0j, UNIT, window=(1.0, 10.0))
-    # the seeds: the coarse-grid (512-node) real roots at i Im zeta
-    f, fdf, f_grid = dm._fd_scan_functions(0, 1.0j, UNIT, 512)
+    # the seeds: the tracking-grid (1024 // 8 = 128-node) real roots at
+    # i Im zeta
+    f, fdf, f_grid = dm._fd_scan_functions(0, 1.0j, UNIT, 128)
     seeds = find_real_roots(f, (1.0, 10.0), min_spacing=math.pi,
                             f_grid=f_grid, fdf=fdf).roots
     assert len(seeds) == 3
@@ -708,8 +741,9 @@ def test_windows_reaching_lam_zero_are_model_errors():
 # on window (0.5, 12) with a = 1.3, b = 0.8, from the commit before the exact
 # derivatives and the Newton refiner, whose bisection-plus-polish roots these
 # pin.  FD_PINS: fd_oracle on the unit disk and ball with its default grid
-# and window, from the oracle that continues on the coarse grid only and
-# polishes each fine-grid root once.
+# and window, from the oracle that continues on the tracking grid and
+# polishes each root once on the coarse and once on the fine grid, each
+# polish followed by one Newton step.
 SOLVE_PINS = (
     ('circle', 2.5j, 0, (
         ('0x1.04d8f31199263p+1', '0x0.0p+0'),
@@ -753,14 +787,14 @@ SOLVE_PINS = (
 )
 FD_PINS = (
     (2, 2, (1.5+0.5j), (
-        ('0x1.3990c93b734fdp+2', '-0x1.56ad7fd95494bp-1'),
-        ('0x1.04e2963c4a665p+3', '-0x1.5412f2ee227bbp-1'),
-        ('0x1.6b0a075404314p+3', '-0x1.51825f2edad6dp-1'),
+        ('0x1.3990c93b68f0dp+2', '-0x1.56ad7fd96f2d7p-1'),
+        ('0x1.04e2963c40ac5p+3', '-0x1.5412f2f259751p-1'),
+        ('0x1.6b0a0753fbf20p+3', '-0x1.51825f308ac1bp-1'),
     )),
     (3, 1, (0.7+1.1j), (
-        ('0x1.e381bc6e77e0fp+1', '-0x1.a57529d852938p-2'),
-        ('0x1.c2f48bcdc2df3p+2', '-0x1.5bf4bf825e35dp-2'),
-        ('0x1.47af2995e500cp+3', '-0x1.483fe164be0f7p-2'),
+        ('0x1.e381bc6e473c5p+1', '-0x1.a57529d8d2a45p-2'),
+        ('0x1.c2f48bcdc5598p+2', '-0x1.5bf4bf83170d8p-2'),
+        ('0x1.47af29964878dp+3', '-0x1.483fe16b9447bp-2'),
     )),
 )
 
@@ -772,11 +806,11 @@ def _unhex(pins):
 def test_refiner_golden_pins():
     # Root refinement may move eigenvalue bits in the last places only.  The
     # secular roots hold 1e-12 relative.  The FD oracle's are held to 1e-11:
-    # complex_root_polish stops at |f| <= 1e-10 |f'| |lam|, and the pinned
-    # FD roots sit up to 8.1e-11 (relative) from the tightly polished
-    # discrete Richardson roots they approximate, so any change of the
-    # Newton iterates moves them by more than the secular roots move
-    # (1.45e-12 measured for mode 2).
+    # the pinned FD roots sit up to 6e-13 (relative) from the tightly
+    # polished discrete Richardson roots they approximate, but at small lam,
+    # where the shooting recurrence loses digits, the oracle and that
+    # reference differ by up to 2.3e-11 (the worst case of
+    # test_fd_oracle_tight_root_battery).
     for boundary, zeta, mode, pins in SOLVE_PINS:
         params = MaterialParams(a=1.3, b=0.8, dim=2 if boundary == "circle"
                                 else 3)
@@ -792,3 +826,58 @@ def test_refiner_golden_pins():
         assert len(got) == len(want), (dim, mode, zeta)
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-11 * abs(w), (dim, mode, zeta)
+
+
+def _tight_fd_root(params, mode, zeta, m_nodes, z):
+    """Newton steps on the FD characteristic function of m_nodes nodes from
+    z until a step no longer shrinks: the discrete root to rounding level."""
+    step = math.inf
+    for _ in range(100):
+        f, d = dm._fd_fdf(params, mode, m_nodes, zeta, z)
+        delta = f / d
+        if not abs(delta) < step:
+            return z
+        z, step = z - delta, abs(delta)
+    raise AssertionError(f"Newton steps from {z} did not stall")
+
+
+def _assert_tight_fd_roots(params, mode, zeta, grid, window):
+    """fd_oracle's 3 roots lie within 1e-10 (relative) of the discrete
+    Richardson roots: the roots of both grids polished until the Newton
+    step stalls, then (4 fine - coarse) / 3."""
+    got = dm.fd_oracle(mode, zeta, params, grid=grid, window=window)
+    assert len(got) == 3, (mode, zeta, grid)
+    for g in got:
+        coarse, fine = (_tight_fd_root(params, mode, zeta, m_nodes, g)
+                        for m_nodes in (grid // 2, grid))
+        tight = (4.0 * fine - coarse) / 3.0
+        assert abs(g - tight) <= 1e-10 * abs(tight), (mode, zeta, grid, g)
+
+
+@pytest.mark.parametrize("a,b", ((1.0, 1.0), (1.3, 0.8), (0.5, 2.0)))
+@pytest.mark.parametrize("dim", (2, 3))
+def test_fd_oracle_tight_root_battery(dim, a, b):
+    # grid = 1000 is the smallest allowed (a 125-node tracking grid below
+    # mode 200); at mode 200 the window reaches w = 240, where 3 roots lie
+    # (the default ends at w = 216, after the first), and raises the
+    # tracking grid to 480 nodes.
+    params = MaterialParams(a=a, b=b, dim=dim)
+    cases = itertools.product((0, 10, 30, 200), (1.5j, 1.5 + 0.5j),
+                              (1000, 2048))
+    for mode, zeta, grid in cases:
+        window = None
+        if mode == 200:
+            window = (0.2 * math.pi / params.wave_factor,
+                      240.0 / params.wave_factor)
+        _assert_tight_fd_roots(params, mode, zeta, grid, window)
+
+
+@pytest.mark.parametrize("zeta", (1.5j, 1.5 + 0.5j))
+def test_fd_oracle_tracking_grid_resolves_wide_windows(zeta):
+    # window ends at w = 160 and 260 on the 1000-node grid: the tracking
+    # grid is raised from 125 to 320 nodes (at 125 the coarse roots of mode
+    # 100 moved more than a quarter spacing from the tracked ones), and to
+    # its cap, the 500-node coarse grid, where the tracked roots are coarse
+    # roots already (polished again, the real-axis ones did not converge)
+    for mode, hi in ((100, 160.0), (200, 260.0)):
+        _assert_tight_fd_roots(UNIT, mode, zeta, 1000, (0.2 * math.pi, hi))
