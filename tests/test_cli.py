@@ -521,6 +521,28 @@ GOLDEN_DIGESTS = {
         "summary.json":
             "22a96dde1b28638f73553a5d78d5930d68b6ff582473406c820aee2d657de8ce",
     }),
+    # the two cases above with oracle spot checks: summary.json pins the FD
+    # oracle's rel_disagreement bits, on the circle at Re zeta = 0 and on
+    # the ball through the oracle's Re-zeta continuation
+    "disk-spectrum-oracle": ("disk-spectrum", DISK_GOLDEN.replace(
+            "oracle_spot_checks = 0", "oracle_spot_checks = 2"), {
+        "eigenvalues.csv":
+            "2338afb7b7a3d1d09066e43ddd0c69d2fdeb3d18c5601f7fec6b67cec5b72e25",
+        "impedance_sequence.csv":
+            "0f5e38ccb6850828dac7a5b7e01666a8a69635bb5c6c77ace7699d57e098858a",
+        "summary.json":
+            "05cbc001b2d3ab93607092be00ca44c8d773b22ec9f6108ee9bada964bbb8262",
+    }),
+    "disk-spectrum-sphere-continuation-oracle": ("disk-spectrum",
+                                                 DISK_BALL.replace(
+            "z0 = 0", "z0 = 0.5+0.5j"), {
+        "eigenvalues.csv":
+            "7ce0022ba906a7c3d28d964122743fad82c1bb35242d0f15d5bcb94c7c35ea23",
+        "impedance_sequence.csv":
+            "f1f2a5350ccc4bc0d14027f4f38d2fdaa4ab083aa39f973ea284a0f8722594e6",
+        "summary.json":
+            "f7f124e5943ac84f1595c4e63eb20f242905339b917b34c3e3d555a223592a37",
+    }),
     "lab": ("lab", LAB_SMALL, {
         "lab_report.json":
             "b521633845d7d13bd54e2e3f49a9b0c0ff312a5c8b7747758703887231ccf91e",
