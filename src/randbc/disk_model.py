@@ -9,7 +9,10 @@ secular function whose zeros are the eigenvalues under a diagonal impedance
 boundary condition.  An independent finite-difference shooting oracle guards
 every sign convention; it shoots with one scalar kernel (fd_radial_edge, the
 edge values and their lam-derivatives) for Newton steps and its lam-batched
-twin for every scanned list.
+twin for every scanned list.  Both routes find their real-axis roots by one
+search, specfun.ratio_roots, whose root count is certified (_certified_roots):
+the Bessel route from the grid's C and C', the FD route from the shooting
+kernel's F and discrete Dirichlet value u_M.
 """
 import math
 from dataclasses import dataclass, field
@@ -19,9 +22,10 @@ import numpy as np
 from randbc._pykernels import fd_radial_edge, fd_radial_edge_batch
 from randbc.impedance import ACCRETIVE_TOL, cayley_zeta_to_xi
 from randbc.specfun import (BesselEval, bessel_j, bessel_j_grid,
-                            complex_root_polish, find_real_roots,
-                            ratio_root_count, ratio_roots, scan_grid,
-                            spherical_j, spherical_j_grid)
+                            complex_root_polish, ratio_root_count, ratio_roots,
+                            scan_grid, spherical_j, spherical_j_grid)
+# perfbench's tracer counts the value-only search under this module's name
+from randbc.specfun import find_real_roots  # noqa: F401
 
 
 class DiskModelError(ValueError):
@@ -116,7 +120,7 @@ class _RadialGrid:
         self.mode, self.params = mode, params
         self.window = _positive_window(window)
         self.min_spacing = math.pi / params.wave_factor
-        self.lams = scan_grid(self.window, min_spacing=self.min_spacing)
+        self.lams = scan_grid(self.window, self.min_spacing)
         self._radial = None
 
     def radial(self, lams):
@@ -172,23 +176,26 @@ def _certified_count(grid, pq):
     return ratio_root_count(*fc(grid.lams))
 
 
-def _real_axis_roots(grid, pq):
-    """The real roots of the real part of q C' - p C in grid's window, by
-    specfun.ratio_roots on grid's C and C': each grid cell where F changes
-    sign holds exactly one root and is a bracket as it stands, refined by
-    Newton steps on the exact derivative; only a cell that holds two roots
-    (C changes sign in it and G(x_i) > 0 > G(x_{i+1})), or one next to an
-    exact zero of F at its end, is subdivided.  Every root is simple, so
-    suspected_double stays empty.  ConvergenceError unless as many roots
-    come back as _certified_count counts."""
-    fdf, fc = _radial_scan_functions(grid, pq)
-    result = ratio_roots(fc, grid.lams, fdf)
-    count = _certified_count(grid, pq)
+def _certified_roots(mode, window, fc, lams, fdf, count):
+    """specfun.ratio_roots of fc on the grid lams, refined with fdf: the
+    real-axis search of every route, Bessel and FD.  ConvergenceError
+    unless as many roots come back as count, the route's certified count
+    on the same grid (specfun.ratio_root_count)."""
+    result = ratio_roots(fc, lams, fdf)
     if len(result.roots) != count:
         raise ConvergenceError(
-            f"mode {grid.mode}: {len(result.roots)} roots found on "
-            f"{grid.window} where the certified count is {count}")
+            f"mode {mode}: {len(result.roots)} roots found on {window} "
+            f"where the certified count is {count}")
     return result
+
+
+def _real_axis_roots(grid, pq):
+    """The real roots of the real part of q C' - p C in grid's window:
+    _certified_roots on grid's C and C', checked against
+    _certified_count."""
+    fdf, fc = _radial_scan_functions(grid, pq)
+    return _certified_roots(grid.mode, grid.window, fc, grid.lams, fdf,
+                            _certified_count(grid, pq))
 
 
 @dataclass(frozen=True)
@@ -322,9 +329,10 @@ def _window_roots(scan, char_of_zeta, zeta, window, spacing):
     """The roots with Re lambda in window of one mode's characteristic
     function at impedance zeta: the one search of every route.
 
-    scan(zz) is the real-axis root search (a RootSearchResult) at
-    impedance zz; char_of_zeta(zz, lam) is the function and its exact
-    lam-derivative, as complex_root_polish takes them.  Re zeta = 0: the
+    scan(zz) is the route's certified real-axis search at impedance zz
+    (_certified_roots: a RootSearchResult, or ConvergenceError);
+    char_of_zeta(zz, lam) is the function and its exact lam-derivative, as
+    complex_root_polish takes them.  Re zeta = 0: the
     spectrum is real and scan(zeta) gives the roots.  Re zeta > 0: the
     roots of scan(i Im zeta) seed a homotopy in Re zeta.  A polished step
     is accepted only when the root moves at most half the root spacing,
@@ -463,28 +471,49 @@ def _fd_fdf(params, mode, m_nodes, zz, lam):
     return value / lam, (deriv * lam - value) / (lam * lam)
 
 
-def _fd_scan_functions(mode, zz, params, m_nodes):
-    """The real part of _fd_char on the real lam axis, pointwise and over
-    a list (equal value by value: a list goes through the lam-batched
-    shooting kernel, whatever its length), and that of _fd_fdf, of the same
-    sign at lam > 0.  Returns (f, fdf, f_grid) for find_real_roots."""
+def _fd_real_axis_roots(mode, zz, params, m_nodes, lams, window):
+    """The real roots in window of the real part F of the FD characteristic
+    function _fd_char of m_nodes nodes at an impedance zz with Re zz = 0 (up
+    to ACCRETIVE_TOL): _certified_roots on the grid lams with C = u_M, the
+    discrete Dirichlet value, and fdf the real part of _fd_fdf (F / lam, of
+    F's sign at lam > 0).  Each list goes through fd_radial_edge_batch in
+    one call, and F is _fd_char of its edge values point by point.  The
+    grid is evaluated once, for the search and for its certified count,
+    specfun.ratio_root_count on the grid's F and u_M.
+
+    The count is exact.  With E = ab lam^2 h^2, the recurrence at node M
+    gives the discrete DtN value D = (u_{M+1} - u_{M-1}) / (2 h a u_M) as
+        D(E) = D(0) - beta E - gamma sum_k (w_k / E_k) E / (E_k - E),
+    where beta, gamma and the w_k are positive, the E_k > 0 are the zeros
+    of u_M (the eigenvalues of a Jacobi pencil), and D(0) >= 0, with
+    D(0) = 0 for mode 0 (its static solution is constant).  So every term
+    of D / lam decreases in lam > 0 between consecutive zeros of u_M, and
+    so does G = F / (lam u_M) = D / lam + Im zz, the discrete counterpart
+    of the Bessel route's DLMF 10.21 expansion; lam u_M has u_M's sign, and
+    ratio_root_count reads C's signs only.  A grid cell holds at most one
+    zero of u_M: the cells are at most a quarter of pi / sqrt(ab) wide
+    (scan_grid), and below its cap fd_oracle's tracking grid spends at most
+    half a radian of the highest wavenumber sqrt(ab) hi per node step, so
+    the discrete Dirichlet zeros lie about as far apart as the Bessel zeros
+    that _certified_count's docstring bounds.  Where the cap binds, a step
+    spans more, which limits the oracle's own resolution as much.
+    """
     ab = params.a * params.b
 
-    def f(lam):
-        edge = fd_radial_edge(params.dim, mode, lam, ab, m_nodes)[0]
-        return _fd_char(params, m_nodes, zz, lam, edge).real
+    def fc(pts):
+        edges = fd_radial_edge_batch(params.dim, mode, pts, ab, m_nodes)
+        fs = [_fd_char(params, m_nodes, zz, lam, edge).real
+              for lam, edge in zip(pts, zip(*(e.tolist() for e in edges)))]
+        return np.array(fs), edges[1].real
 
     def fdf(lam):
         value, deriv = _fd_fdf(params, mode, m_nodes, zz, lam)
         return value.real, deriv.real
 
-    def f_grid(lams):
-        edges = zip(*(e.tolist() for e in fd_radial_edge_batch(
-            params.dim, mode, lams, ab, m_nodes)))
-        return [_fd_char(params, m_nodes, zz, lam, edge).real
-                for lam, edge in zip(lams, edges)]
-
-    return f, fdf, f_grid
+    on_grid = fc(lams)
+    return _certified_roots(
+        mode, window, lambda pts: on_grid if pts is lams else fc(pts), lams,
+        fdf, ratio_root_count(*on_grid))
 
 
 def _fd_polish(params, mode, zeta, m_nodes, seeds, spacing, tol, stage,
@@ -530,22 +559,24 @@ def fd_oracle(mode: int, zeta, params: MaterialParams, grid=1024,
     discrete characteristic function (divided by lam, as secular_value is)
     whose zeros are the eigenvalues of the banded FD pencil.  They come
     from the secular solver's search, _window_roots, on a tracking grid of
-    grid // 8 nodes: bracketed on the real axis at i Im zeta and, for
-    Re zeta > 0, continued in Re zeta.  The tracking grid only has to follow
-    each branch, but it must resolve the window: it is raised to
-    2 sqrt(ab) hi nodes, so that one node step spans at most half a radian
-    of the highest wavenumber sqrt(ab) hi, and capped at grid // 2.  Every
-    continued root, in the window or drifted out of it, is polished on the
-    coarse grid (grid // 2 nodes) at zeta, unless the cap makes it a coarse
-    root already, and the lowest n_values of these in the window are kept.
-    Each is then polished on the fine grid (grid nodes) at zeta, and the
-    pair is Richardson-extrapolated, (4 fine - coarse) / 3.  Both polish
-    stages are _fd_polish.
+    grid // 8 nodes: found on the real axis at i Im zeta by the Bessel
+    route's certified search, on the shooting kernel's F and u_M
+    (_fd_real_axis_roots), and, for Re zeta > 0, continued in Re zeta.  The
+    tracking grid only has to follow each branch, but it must resolve the
+    window: it is raised to 2 sqrt(ab) hi nodes, so that one node step
+    spans at most half a radian of the highest wavenumber sqrt(ab) hi, and
+    capped at grid // 2.  Every continued root, in the window or drifted
+    out of it, is polished on the coarse grid (grid // 2 nodes) at zeta,
+    and the lowest n_values of these in the window are kept.  Each is then
+    polished on the fine grid (grid nodes) at zeta, and the pair is
+    Richardson-extrapolated, (4 fine - coarse) / 3.  Both polish stages are
+    _fd_polish.
 
-    Raises ConvergenceError when the continuation stalls, fewer than
-    n_values coarse roots lie in the window, or a polish stage fails: no
-    convergence, a root more than a quarter of the root spacing
-    pi / sqrt(ab) from its seed, or coincident roots.
+    Raises ConvergenceError when the real-axis count check fails, the
+    continuation stalls, fewer than n_values coarse roots lie in the
+    window, or a polish stage fails: no convergence, a root more than a
+    quarter of the root spacing pi / sqrt(ab) from its seed, or coincident
+    roots.
     """
     if grid < 1000:
         raise DiskModelError("grid must be >= 1e3")
@@ -560,26 +591,20 @@ def fd_oracle(mode: int, zeta, params: MaterialParams, grid=1024,
     track_nodes = min(coarse_nodes, max(
         grid // 8, math.ceil(2.0 * params.wave_factor * hi)))
 
-    def scan(zz):
-        f, fdf, f_grid = _fd_scan_functions(mode, zz, params, track_nodes)
-        return find_real_roots(f, (lo, hi), min_spacing=spacing,
-                               f_grid=f_grid, fdf=fdf)
+    lams = scan_grid((lo, hi), spacing)
 
     tracked, _, stalled, drifted = _window_roots(
-        scan, lambda zz, lam: _fd_fdf(params, mode, track_nodes, zz, lam),
+        lambda zz: _fd_real_axis_roots(mode, zz, params, track_nodes, lams,
+                                       (lo, hi)),
+        lambda zz, lam: _fd_fdf(params, mode, track_nodes, zz, lam),
         zeta, (lo, hi), spacing)
     if stalled:
         raise ConvergenceError(
             f"FD continuation failed for mode {mode}, zeta {zeta}: {stalled}")
     # No two coarse roots coincide, so the window filter leaves nothing to
-    # dedupe: _fd_polish checks it, and at the cap _window_roots did.  At
-    # the cap the tracking grid is the coarse grid, and a real-axis root is
-    # refined there to rounding level already: complex_root_polish, which
-    # accepts no step that fails to lower |f|, would report it unconverged.
-    coarse = tracked + drifted
-    if track_nodes < coarse_nodes:
-        coarse = _fd_polish(params, mode, zeta, coarse_nodes, coarse,
-                            spacing, tol, "coarse", "tracking")
+    # dedupe: _fd_polish checks it
+    coarse = _fd_polish(params, mode, zeta, coarse_nodes, tracked + drifted,
+                        spacing, tol, "coarse", "tracking")
     coarse = sorted((c for c in coarse if lo <= c.real <= hi),
                     key=lambda z: z.real)[:n_values]
     if len(coarse) < n_values:

@@ -120,14 +120,14 @@ class RootBracket:
 @dataclass
 class RootSearchResult:
     roots: list = field(default_factory=list)
-    suspected_double: list = field(default_factory=list)
     brackets: list = field(default_factory=list)
     n_evals: int = 0
 
 
-def _refine(f, fdf, lo, hi, f_lo):
+def _refine(fdf, lo, hi, f_lo):
     """Root of a bracket (lo, hi), f_lo = f(lo) != 0 of the other sign than
-    f(hi): safeguarded Newton (rtsafe) with fdf, bisection without.
+    f(hi), from fdf(x) = (f(x), f'(x)): safeguarded Newton (rtsafe), with a
+    bisection step wherever f' is 0.0 (find_real_roots passes 0.0 always).
 
     A Newton step is taken only when it lands strictly inside the bracket
     and is at most half the step before last; otherwise the bracket is
@@ -140,10 +140,7 @@ def _refine(f, fdf, lo, hi, f_lo):
     x = 0.5 * (lo + hi)
     step = step_before = hi - lo
     for _ in range(200):
-        if fdf is None:
-            fx, dfx = f(x), 0.0
-        else:
-            fx, dfx = fdf(x)
+        fx, dfx = fdf(x)
         n += 1
         if fx == 0.0:
             return x, n
@@ -176,159 +173,44 @@ def _subdivision(lo, hi):
     return [lo + (hi - lo) * i / SUBDIVISIONS for i in range(SUBDIVISIONS + 1)]
 
 
-def _batched(f_grid, xs):
-    values = [float(v) for v in f_grid(xs)]
-    if len(values) != len(xs):
-        raise SpecFunError(
-            f"f_grid returned {len(values)} values for {len(xs)} points")
-    return values
+# cells of the uniform scan grid, at least
+SCAN_CELLS = 1024
 
 
-def scan_grid(window, n_grid=1024, min_spacing=None):
-    """The uniform grid that bracket_real_roots scans on the window: n_grid
-    cells, or enough for 4 cells per min_spacing where that is more."""
+def scan_grid(window, min_spacing):
+    """The uniform grid that the real-axis searches scan on the window:
+    SCAN_CELLS cells, or enough for 4 cells per min_spacing where that is
+    more."""
     a, b = float(window[0]), float(window[1])
     if not a < b:
         raise SpecFunError(f"empty window {window!r}")
-    if min_spacing is not None and min_spacing > 0:
-        n_grid = max(n_grid, int(math.ceil(4.0 * (b - a) / min_spacing)))
+    n_grid = max(SCAN_CELLS, int(math.ceil(4.0 * (b - a) / min_spacing)))
     return [a + (b - a) * i / n_grid for i in range(n_grid + 1)]
 
 
-@dataclass
-class RootBrackets:
-    """The bracketing stage of find_real_roots on one window: the scanned
-    grid and f on it, the sign-change brackets, and the points of the grid
-    or of a subdivision where f is exactly 0, in ascending order.
-    `n_evals` counts f's evaluations."""
-    window: tuple
-    xs: list
-    fs: list
-    brackets: list = field(default_factory=list)
-    zeros: list = field(default_factory=list)
-    n_evals: int = 0
+def find_real_roots(f, window, min_spacing) -> RootSearchResult:
+    """The real roots of a scalar function on a window from its values
+    alone: a value-only reference for the certified searches of ratio_roots.
 
-
-# subdivision levels below a grid cell with a sign change
-SUBDIVISION_LEVELS = 2
-
-
-def bracket_real_roots(f, window, n_grid=1024, min_spacing=None,
-                       f_grid=None) -> RootBrackets:
-    """Bracket the real sign changes of a scalar function on a window.
-
-    Scan on the uniform grid of scan_grid and subdivide each cell with a
-    sign change into 16.  A cell whose subdivision shows one root (one
-    strict sign change, or one exact zero) is one bracket.  In a cell that
-    shows more, each exact zero is a root as it stands and each subcell
-    with a strict sign change is subdivided into 16 again, where the same
-    rule makes brackets of the subcells or of their own subcells.  A grid
-    point where f is exactly 0 is a root as it stands too (the window's
-    upper end excepted).  `f_grid(xs)` must return f's values at the
-    points of the list xs, in order; it defaults to `f` point by point.  It
-    evaluates the grid, then at each subdivision level the 15 interior
-    points of every cell split at that level, all cells pooled into one
-    list.  With f_grid given, `f` is never called.  Nothing is refined.
+    f is evaluated at the points of scan_grid(window, min_spacing).  A
+    point where f is exactly 0.0 is a root as it stands (the window's upper
+    end excepted), and each cell where f changes sign is a bracket,
+    bisected to its root (_refine with f' = 0.0).  A cell is taken to hold
+    one root: f must change sign at most once per cell, as it does when its
+    roots lie more than a cell apart.  `n_evals` counts f's evaluations.
     """
-    xs = scan_grid(window, n_grid, min_spacing)
-    if f_grid is None:
-        def f_grid(pts):
-            return [f(x) for x in pts]
-    fs = _batched(f_grid, xs)
-    out = RootBrackets((float(window[0]), float(window[1])), xs, fs,
-                       n_evals=len(xs))
-    out.zeros = [x for x, v in zip(xs[:-1], fs[:-1]) if v == 0.0]
-    # (lo, hi, f_lo, f_hi) of the cells with a strict sign change to split
-    cells = [(xs[i], xs[i + 1], fs[i], fs[i + 1]) for i in range(len(xs) - 1)
-             if _opposite_signs(fs[i], fs[i + 1])]
-    m = SUBDIVISIONS - 1
-    for level in range(SUBDIVISION_LEVELS):
-        if not cells:
-            break
-        subs = [_subdivision(lo, hi) for lo, hi, _, _ in cells]
-        pts = [p for sub_x in subs for p in sub_x[1:-1]]
-        vals = _batched(f_grid, pts)
-        out.n_evals += len(pts)
-        split = []
-        for k, (cell, sub_x) in enumerate(zip(cells, subs)):
-            sub_f = [cell[2], *vals[k * m:(k + 1) * m], cell[3]]
-            zeros = [sub_x[i] for i in range(1, SUBDIVISIONS)
-                     if sub_f[i] == 0.0]
-            changes = [(sub_x[i], sub_x[i + 1], sub_f[i], sub_f[i + 1])
-                       for i in range(SUBDIVISIONS)
-                       if _opposite_signs(sub_f[i], sub_f[i + 1])]
-            if len(changes) + len(zeros) == 1:
-                out.brackets.append(RootBracket(*cell))
-                continue
-            out.zeros += zeros
-            if level == SUBDIVISION_LEVELS - 1:
-                out.brackets += [RootBracket(*c) for c in changes]
-            else:
-                split += changes
-        cells = split
-    # disjoint cells: ascending lo is the grid order
-    out.brackets.sort(key=lambda br: br.lo)
-    out.zeros.sort()
-    return out
-
-
-def find_real_roots(f, window, n_grid=1024, min_spacing=None, f_grid=None,
-                    fdf=None) -> RootSearchResult:
-    """Bracket and refine the real roots of a scalar function on a window.
-
-    bracket_real_roots brackets them (f_grid as there), then one loop
-    refines each bracket: safeguarded Newton steps when `fdf` is given,
-    bisection steps otherwise (see _refine).  The exact zeros of the
-    bracketing stage are roots as they stand.  Grid minima with |f| below
-    1e-8 of the local scale but no sign change are reported as suspected
-    double roots instead of being dropped.
-
-    `fdf(x)` returns (g(x), g'(x)) for a function g with f's sign at every
-    x, such as f itself or f times a positive factor; only the refinement
-    calls it.  The double-root search always calls `f`.  The FD oracle's
-    scans pass f_grid and fdf, built on kernels that equal the scalar ones
-    bit for bit, so the roots do not depend on which of f and f_grid
-    evaluated a point; the Bessel-route scans, whose roots are certified
-    simple, go through ratio_roots instead.  `n_evals` counts every
-    evaluation of f, f_grid's points and fdf.
-    """
-    scan = bracket_real_roots(f, window, n_grid, min_spacing, f_grid)
-    a, b = scan.window
-    xs, fs = scan.xs, scan.fs
-    n_grid = len(xs) - 1
-    result = RootSearchResult(roots=list(scan.zeros),
-                              brackets=scan.brackets, n_evals=scan.n_evals)
-    for br in scan.brackets:
-        root, n = _refine(f, fdf, br.lo, br.hi, br.f_lo)
-        result.n_evals += n
-        result.roots.append(root)
-    scale = max(max(abs(v) for v in fs), 1e-300)
-
-    # suspected double roots: interior |f| minima without a sign change are
-    # refined by ternary search, then tested against 1e-8 * scale; a and b
-    # are of strictly the same sign where a and -b are of opposite signs
-    for i in range(1, n_grid):
-        ai, bi, ci = abs(fs[i - 1]), abs(fs[i]), abs(fs[i + 1])
-        if (bi < ai and bi < ci and _opposite_signs(fs[i - 1], -fs[i])
-                and _opposite_signs(fs[i], -fs[i + 1])):
-            if bi > 1e-3 * scale:
-                continue
-            lo, hi = xs[i - 1], xs[i + 1]
-            for _ in range(60):
-                m1 = lo + (hi - lo) / 3.0
-                m2 = hi - (hi - lo) / 3.0
-                if abs(f(m1)) < abs(f(m2)):
-                    hi = m2
-                else:
-                    lo = m1
-                result.n_evals += 2
-            x_min = 0.5 * (lo + hi)
-            if abs(f(x_min)) <= 1e-8 * scale:
-                near_root = any(abs(x_min - r) < 4 * (b - a) / n_grid
-                                for r in result.roots)
-                if not near_root:
-                    result.suspected_double.append(x_min)
-
+    xs = scan_grid(window, min_spacing)
+    fs = [float(f(x)) for x in xs]
+    result = RootSearchResult(
+        roots=[x for x, v in zip(xs[:-1], fs[:-1]) if v == 0.0],
+        n_evals=len(xs))
+    for i in range(len(xs) - 1):
+        if _opposite_signs(fs[i], fs[i + 1]):
+            br = RootBracket(xs[i], xs[i + 1], fs[i], fs[i + 1])
+            root, n = _refine(lambda x: (f(x), 0.0), br.lo, br.hi, br.f_lo)
+            result.n_evals += n
+            result.brackets.append(br)
+            result.roots.append(root)
     result.roots.sort()
     return result
 
@@ -377,20 +259,23 @@ RATIO_LEVELS = 14
 
 def ratio_roots(fc, xs, fdf) -> RootSearchResult:
     """The roots of F in [xs[0], xs[-1]) on the ascending grid xs, where
-    ratio_root_count's conditions hold, refined like find_real_roots'.
+    ratio_root_count's conditions hold: the real-axis search of every
+    disk_model route, Bessel and FD.
 
-    `fc(points)` returns F and C at the points of a list as two arrays;
-    `fdf(x)` returns (g(x), g'(x)) for a g with F's sign at every x (see
-    find_real_roots).  A cell holds one pole of G at most, so two roots at
-    most, one on either side of it; as G decreases, a cell without a pole
-    holds one root exactly when F changes sign in it, and a cell with one
-    holds [G(x_i) > 0] + [G(x_{i+1}) < 0].  A cell holding one root with a
-    strict sign change of F is a bracket as it stands.  Any other cell
-    holding a root (two roots, or one next to an exact zero of F at an
-    end) is subdivided into 16, all such cells pooled into one fc call per
-    level, and the same rule applies to the subcells.  A point of xs[:-1]
-    or an interior subdivision point where F is exactly 0.0 is a root as
-    it stands.  There are no double roots to look for.  A cell still split
+    `fc(points)` returns F and C at the points of a list as two arrays
+    (only C's signs are read); `fdf(x)` returns (g(x), g'(x)) for a g with
+    F's sign at every x, such as F itself or F times a positive factor.  A
+    cell holds one pole of G at most, so two roots at most, one on either
+    side of it; as G decreases, a cell without a pole holds one root
+    exactly when F changes sign in it, and a cell with one holds
+    [G(x_i) > 0] + [G(x_{i+1}) < 0].  A cell holding one root with a
+    strict sign change of F is a bracket as it stands, refined by
+    safeguarded Newton steps on fdf (_refine).  Any other cell holding a
+    root (two roots, or one next to an exact zero of F at an end) is
+    subdivided into 16, all such cells pooled into one fc call per level,
+    and the same rule applies to the subcells.  A point of xs[:-1] or an
+    interior subdivision point where F is exactly 0.0 is a root as it
+    stands.  There are no double roots to look for.  A cell still split
     after RATIO_LEVELS levels is dropped, which the caller's
     ratio_root_count check sees.  `n_evals` counts fc's points and fdf's
     calls.
@@ -425,7 +310,7 @@ def ratio_roots(fc, xs, fdf) -> RootSearchResult:
         result.roots += [x for sub, f, _ in segments
                          for x, v in zip(sub[1:-1], f[1:-1]) if v == 0.0]
     for br in result.brackets:
-        root, n = _refine(None, fdf, br.lo, br.hi, br.f_lo)
+        root, n = _refine(fdf, br.lo, br.hi, br.f_lo)
         result.n_evals += n
         result.roots.append(root)
     result.brackets.sort(key=lambda br: br.lo)
@@ -441,20 +326,29 @@ class PolishResult:
     iterations: int
 
 
+def _polished(f, deriv, z):
+    """complex_root_polish's tolerance: |f| <= 1e-10 |f'| max(1, |z|)."""
+    return abs(f) <= 1e-10 * max(abs(deriv) * max(1.0, abs(z)), 1e-300)
+
+
 def complex_root_polish(fdf, seed) -> PolishResult:
     """Damped Newton iteration on fdf(z) = (f(z), f'(z)), exact derivative.
 
     Each trial point of the damping line search is one fdf call, and the
     accepted point's derivative gives the next step.  Convergence requires
-    |f(z)| <= 1e-10 |f'| max(1, |z|), f' the derivative of the step, within
-    100 steps; when the iteration stagnates without reaching that (multiple
-    roots flatten f), the flag comes back False and the best point is
-    returned, which may still be accurate to ~|f|^(1/multiplicity).
+    |f(z)| <= 1e-10 |f'| max(1, |z|) (_polished), f' the derivative of the
+    step, within 100 steps.  A seed that meets it with its own derivative
+    comes back as it is, converged after 0 steps and one fdf call.  When
+    the iteration stagnates without reaching that (multiple roots flatten
+    f), the flag comes back False and the best point is returned, which
+    may still be accurate to ~|f|^(1/multiplicity).
     `iterations` counts the Newton steps tried, so an early exit (zero
     derivative, failed line search) reports fewer than 100.
     """
     z = complex(seed)
     fz, deriv = fdf(z)
+    if _polished(fz, deriv, z):
+        return PolishResult(z, True, abs(fz), 0)
     best_z, best_f = z, abs(fz)
     iterations = 0
     for it in range(1, 101):
@@ -474,8 +368,7 @@ def complex_root_polish(fdf, seed) -> PolishResult:
         z, fz = z_new, f_new
         if abs(fz) < best_f:
             best_z, best_f = z, abs(fz)
-        scale = max(abs(deriv) * max(1.0, abs(z)), 1e-300)
-        if abs(fz) <= 1e-10 * scale:
+        if _polished(fz, deriv, z):
             return PolishResult(z, True, abs(fz), it)
         deriv = d_new
     return PolishResult(best_z, False, best_f, iterations)

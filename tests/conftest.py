@@ -32,14 +32,3 @@ def contraction_sampler(rng):
         return impedance.random_contraction(2, rng, boundary=boundary)
     return make
 
-
-@pytest.fixture
-def radial_find_functions():
-    """disk_model._radial_scan_functions(grid, pq) as the (f, fdf, f_grid)
-    triple of specfun.find_real_roots, whose f_grid reads grid.radial."""
-    from randbc import disk_model
-
-    def make(grid, pq):
-        fdf, fc = disk_model._radial_scan_functions(grid, pq)
-        return (lambda lam: fdf(lam)[0]), fdf, (lambda lams: fc(lams)[0])
-    return make

@@ -9,7 +9,7 @@ import pytest
 
 from randbc import disk_model as dm
 from randbc.disk_model import MaterialParams
-from randbc.specfun import PolishResult, find_real_roots
+from randbc.specfun import PolishResult, ratio_root_count, scan_grid
 
 J0_ZEROS = (2.4048255576957728, 5.5200781102863106)
 J0P_ZEROS = (3.8317059702075123, 7.0155866698156188)
@@ -212,8 +212,9 @@ def _unmoved(fdf, seed):
     return PolishResult(seed, True, 0.0, 1)
 
 
-# a spurious bracket next to a genuine one: both polish to the one Neumann
-# root of the stage's grid
+# a spurious root next to a genuine one, as many roots as the certified
+# count of the window: both polish to the one Neumann root of the stage's
+# grid
 _TWO_BRACKETS = SimpleNamespace(roots=[J0P_ZEROS[0], J0P_ZEROS[0] + 0.05])
 
 
@@ -247,8 +248,7 @@ def test_fd_oracle_fine_root_checks(monkeypatch, stage, fake, brackets,
 
     monkeypatch.setattr(dm, "complex_root_polish", polish)
     if brackets is not None:
-        monkeypatch.setattr(dm, "find_real_roots",
-                            lambda *args, **kwargs: brackets)
+        monkeypatch.setattr(dm, "ratio_roots", lambda *args: brackets)
     with pytest.raises(dm.ConvergenceError, match=message):
         dm.fd_oracle(0, 0.0, UNIT, window=(1.0, 10.0), n_values=2)
 
@@ -319,7 +319,7 @@ def test_continuation_budget_reports_stalled_seed():
         # a scan stub that hands back this one seed, at i Im zeta
         def scan(zz):
             assert zz == 1.0j
-            return SimpleNamespace(roots=[seed], suspected_double=[])
+            return SimpleNamespace(roots=[seed])
 
         calls = []
         roots, search, stalled, drifted = dm._window_roots(
@@ -345,9 +345,9 @@ def test_fd_oracle_stalled_continuation_is_an_error(monkeypatch):
         dm.fd_oracle(0, 1.0 + 1.0j, UNIT, window=(1.0, 10.0))
     # the seeds: the tracking-grid (1024 // 8 = 128-node) real roots at
     # i Im zeta
-    f, fdf, f_grid = dm._fd_scan_functions(0, 1.0j, UNIT, 128)
-    seeds = find_real_roots(f, (1.0, 10.0), min_spacing=math.pi,
-                            f_grid=f_grid, fdf=fdf).roots
+    seeds = dm._fd_real_axis_roots(0, 1.0j, UNIT, 128,
+                                   scan_grid((1.0, 10.0), math.pi),
+                                   (1.0, 10.0)).roots
     assert len(seeds) == 3
     for seed in seeds:
         assert f"({seed!r}, " in str(info.value)
@@ -514,6 +514,71 @@ def test_certified_count_mismatch_is_a_convergence_error(monkeypatch):
         dm.solve_mode_eigenvalues(0, 2.0j, UNIT, (1.0, 12.0))
 
 
+def _fd_scan_checked(scan, mode, zz, params, m_nodes, lams, window):
+    """scan (_fd_real_axis_roots) checked against the premise of its count:
+    from the grid's edge values, D / lam (D the discrete DtN value)
+    decreases between consecutive sign changes of u_M, and ratio_root_count
+    on F = D u_M + Im zz lam u_M and u_M counts the roots returned."""
+    res = scan(mode, zz, params, m_nodes, lams, window)
+    um1, u_m, up1 = (e.real for e in dm.fd_radial_edge_batch(
+        params.dim, mode, lams, params.a * params.b, m_nodes))
+    lam = np.asarray(lams)
+    du = (up1 - um1) * (m_nodes / 2.0) / params.a
+    ratio = du / (u_m * lam)
+    same = np.sign(u_m[:-1]) * np.sign(u_m[1:]) > 0
+    assert np.all(ratio[1:][same] < ratio[:-1][same]), (mode, zz, m_nodes)
+    f = du + zz.imag * lam * u_m
+    assert len(res.roots) == ratio_root_count(f, u_m), (mode, zz, m_nodes)
+    return res
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_fd_certified_count_battery(monkeypatch, rng, dim):
+    # the FD real-axis scans on fd_oracle's tracking grid (grid // 8 nodes,
+    # raised to 2 sqrt(ab) hi, capped at grid // 2) and default window, with
+    # a and b in [0.5, 2] and modes up to 200, at imaginary zeta (Re zeta =
+    # 0, the scan at zeta itself, Neumann at zeta = 0); then every scan of
+    # fd_oracle at Re zeta > 0, whose seed scan is at i Im zeta
+    scans = 0
+    for _ in range(30):
+        params = MaterialParams(a=rng.uniform(0.5, 2.0),
+                                b=rng.uniform(0.5, 2.0), dim=dim)
+        mode = int(rng.integers(0, 201))
+        grid = int(rng.choice([1000, 1024, 2048]))
+        spacing = math.pi / params.wave_factor
+        window = (0.2 * spacing, (mode + 16.0) / params.wave_factor)
+        nodes = min(grid // 2, max(grid // 8, math.ceil(
+            2.0 * params.wave_factor * window[1])))
+        lams = scan_grid(window, spacing)
+        for zeta in (0j, complex(0.0, rng.uniform(-4.0, 4.0))):
+            assert _fd_scan_checked(dm._fd_real_axis_roots, mode, zeta,
+                                    params, nodes, lams, window).roots
+            scans += 1
+    seen = []
+
+    def spy(*args, scan=dm._fd_real_axis_roots):
+        seen.append(args[1])
+        return _fd_scan_checked(scan, *args)
+
+    monkeypatch.setattr(dm, "_fd_real_axis_roots", spy)
+    for mode, zeta in ((0, 0.5 + 2.0j), (7, 1.5 - 0.5j), (25, 2.0 + 0.3j)):
+        params = MaterialParams(a=1.6, b=0.9, dim=dim)
+        assert len(dm.fd_oracle(mode, zeta, params)) == 3
+        assert seen[-1] == complex(0.0, zeta.imag)
+    assert scans + len(seen) == 63
+
+
+def test_fd_count_mismatch_is_a_convergence_error(monkeypatch):
+    # a certified count that disagrees with the roots of the FD scan is a
+    # failure, at Re zeta = 0 and at the continuation's seed scan
+    count = dm.ratio_root_count
+    monkeypatch.setattr(dm, "ratio_root_count",
+                        lambda fs, cs: count(fs, cs) + 1)
+    for zeta in (2.0j, 0.5 + 2.0j):
+        with pytest.raises(dm.ConvergenceError, match="certified count"):
+            dm.fd_oracle(0, zeta, UNIT, window=(1.0, 12.0))
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("zeta", [0.8j, 0.5 + 1.0j])
 def test_mode_solve_evaluates_its_grid_once(monkeypatch, dim, zeta):
@@ -563,38 +628,39 @@ def test_fd_char_derivative():
                 assert abs(num - deriv) <= 1e-6 * abs(deriv), (dim, mode, zz)
 
 
-def test_fd_grid_scan_batched_equals_pointwise(radial_find_functions):
-    # fd_oracle and the secular solves scan their uniform grids through the
-    # batched kernels; the bracketing result must be the one the per-point
-    # scan gives, and the certified search's roots (_real_axis_roots) those
-    # of find_real_roots
-    mode, zeta = 2, 1.5 + 0.5j
-    window = (0.2 * math.pi, mode + 16.0)  # fd_oracle's default, a = b = 1
-    scans = [(dm._fd_scan_functions(mode, complex(0.0, zeta.imag), UNIT,
-                                    m_nodes), window, math.pi, 3, None)
-             for m_nodes in (512, 1024)]
-    # secular scans on the disk and the ball, a != b, over all J_k branches:
-    # zeta = 0, imaginary zeta, the contraction form and Dirichlet
-    for dim in (2, 3):
+def test_fd_grid_scan_batched_equals_pointwise(monkeypatch):
+    # fd_oracle's real-axis scans evaluate every list through the
+    # lam-batched shooting kernel; with the scalar kernel point by point in
+    # its place they return the same roots, brackets and evaluation counts.
+    # The coarse grids' first cell holds two roots (around j_{0,2} on the
+    # disk, 2 pi on the ball), so one scan per dim also evaluates a
+    # subdivision list.
+    cases = []
+    for dim, coarse in ((2, [3.0, 7.5, 8.0]), (3, [4.0, 8.0, 8.5])):
         params = MaterialParams(a=1.3, b=0.8, dim=dim)
-        for mode in (0, 3):
-            pairs = (dm._secular(params, 0.0), dm._secular(params, 2.5j),
-                     dm._contraction(params, mode, 0.7j), dm._DIRICHLET)
-            for pq in pairs:
-                grid = dm._RadialGrid(mode, params, (0.3, 60.0))
-                scans.append((radial_find_functions(grid, pq), grid.window,
-                              grid.min_spacing, 10, (grid, pq)))
-    for (f, fdf, f_grid), window, spacing, n_roots, radial in scans:
-        pointwise = find_real_roots(f, window, min_spacing=spacing, fdf=fdf)
-        batched = find_real_roots(f, window, min_spacing=spacing,
-                                  f_grid=f_grid, fdf=fdf)
-        assert len(pointwise.roots) >= n_roots
-        assert batched.roots == pointwise.roots
-        assert batched.brackets == pointwise.brackets
-        assert batched.suspected_double == pointwise.suspected_double
-        assert batched.n_evals == pointwise.n_evals
-        if radial is not None:
-            assert dm._real_axis_roots(*radial).roots == pointwise.roots
+        window = (0.2 * math.pi / params.wave_factor,
+                  16.0 / params.wave_factor)
+        lams = scan_grid(window, math.pi / params.wave_factor)
+        cases += [(0, 0.0, params, 128, lams, window),
+                  (3, 1.5j, params, 128, lams, window),
+                  (0, 0.0, MaterialParams(dim=dim), 128, coarse,
+                   (coarse[0], coarse[-1]))]
+
+    def pointwise(dim, mode, lams, ab, n_grid):
+        edges = [dm.fd_radial_edge(dim, mode, lam, ab, n_grid)[0]
+                 for lam in lams]
+        return tuple(np.array(part, dtype=complex) for part in zip(*edges))
+
+    results = []
+    for kernel in (dm.fd_radial_edge_batch, pointwise):
+        monkeypatch.setattr(dm, "fd_radial_edge_batch", kernel)
+        results.append([dm._fd_real_axis_roots(*case) for case in cases])
+    for batched, scalar in zip(*results):
+        assert batched.roots and batched.roots == scalar.roots
+        assert batched.brackets == scalar.brackets
+        assert batched.n_evals == scalar.n_evals
+    for i in (2, 5):
+        assert results[0][i].n_evals > 3 + 15
 
 
 # float.hex of both parts of _radial_fdf, (dim, mode, lam, zeta) -> "re im"

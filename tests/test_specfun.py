@@ -42,7 +42,7 @@ def test_bessel_at_zero():
 
 def test_first_j0_zero_located_by_own_bisection():
     res = specfun.find_real_roots(lambda x: specfun.bessel_j(0, x).value.real,
-                                  (2.0, 3.0))
+                                  (2.0, 3.0), 1.0)
     assert len(res.roots) == 1
     root = res.roots[0]
     assert abs(specfun.bessel_j(0, root).value) <= 1e-12
@@ -98,26 +98,29 @@ def test_zero_interlacing():
             assert len(inside) == 1, (k, lo, hi, inside)
 
 
-def test_order_guard_and_range_guard(radial_find_functions):
+def test_order_guard_and_range_guard():
     with pytest.raises(specfun.SpecFunError):
         specfun.bessel_j(201, 1.0)
     with pytest.raises(specfun.SpecFunError):
         specfun.bessel_j(0, 2.0e4)
     with pytest.raises(specfun.SpecFunError):
         specfun.bessel_j(-1, 1.0)
-    # the batched grid scans share the guard: a scan of mode 201, or one
-    # reaching sqrt(ab) lam > 1e4, fails with the pointwise scan's error
+    # the batched grid scans share the guard: a certified scan of mode 201,
+    # or one reaching sqrt(ab) lam > 1e4, fails with the error of a
+    # pointwise scan of the same grid
     from randbc import disk_model as dm
 
     for dim in (2, 3):
         params = dm.MaterialParams(a=2.0, b=2.0, dim=dim)
-        for mode, window in ((201, (1.0, 10.0)), (0, (4000.0, 6000.0))):
-            f, _, f_grid = radial_find_functions(
-                dm._RadialGrid(mode, params, window), (0.0, 1.0))
+        for mode, window in ((201, (1.0, 10.0)), (0, (4999.0, 5001.0))):
+            grid = dm._RadialGrid(mode, params, window)
             with pytest.raises(specfun.SpecFunError) as pointwise:
-                specfun.find_real_roots(f, window, n_grid=8)
+                specfun.find_real_roots(
+                    lambda lam: dm._radial_fdf(mode, lam, params,
+                                               (0.0, 1.0))[0].real,
+                    window, grid.min_spacing)
             with pytest.raises(specfun.SpecFunError) as batched:
-                specfun.find_real_roots(f, window, n_grid=8, f_grid=f_grid)
+                dm._real_axis_roots(grid, (0.0, 1.0))
             assert str(batched.value) == str(pointwise.value)
     # the grid's numpy range check still names the first invalid point, not
     # the largest one
@@ -155,14 +158,14 @@ def test_spherical_recurrence_battery(rng):
 
 
 def test_find_real_roots_linear():
-    res = specfun.find_real_roots(lambda x: x - 5.0, (0.0, 10.0))
+    res = specfun.find_real_roots(lambda x: x - 5.0, (0.0, 10.0), 1.0)
     assert len(res.roots) == 1
     assert abs(res.roots[0] - 5.0) <= 1e-12
 
 
 def test_find_real_roots_j0prime():
     res = specfun.find_real_roots(
-        lambda x: specfun.bessel_j(0, x).derivative.real, (1.0, 10.0))
+        lambda x: specfun.bessel_j(0, x).derivative.real, (1.0, 10.0), 1.0)
     assert len(res.roots) == 2
     for root, ref in zip(res.roots, J0P_ZEROS):
         assert abs(root - ref) <= 1e-10 * ref
@@ -170,7 +173,7 @@ def test_find_real_roots_j0prime():
 
 def test_find_real_roots_j0():
     res = specfun.find_real_roots(
-        lambda x: specfun.bessel_j(0, x).value.real, (2.0, 6.0))
+        lambda x: specfun.bessel_j(0, x).value.real, (2.0, 6.0), 1.0)
     assert len(res.roots) == 2
     for root, ref in zip(res.roots, J0_ZEROS):
         assert abs(root - ref) <= 1e-10 * ref
@@ -189,13 +192,6 @@ def test_roots_meet_residual_contract(rng):
             assert abs(f(root)) <= 1e-9 * max(abs(deriv) * max(1.0, root), 1e-12)
 
 
-def test_suspected_double_root_reported():
-    # window chosen so the double root is not a grid point
-    res = specfun.find_real_roots(lambda x: (x - 3.0) ** 2, (1.0, 5.1))
-    assert not res.roots
-    assert any(abs(s - 3.0) < 1e-3 for s in res.suspected_double)
-
-
 def test_bracket_type_rejects_same_sign():
     with pytest.raises(specfun.SpecFunError):
         specfun.RootBracket(0.0, 1.0, 2.0, 3.0)
@@ -209,19 +205,24 @@ def test_sign_changes_between_tiny_values_are_bracketed():
     for f_lo, f_hi in ((0.0, tiny), (-tiny, 0.0), (tiny, tiny)):
         with pytest.raises(specfun.SpecFunError):
             specfun.RootBracket(0.0, 1.0, f_lo, f_hi)
-    res = specfun.find_real_roots(lambda x: tiny * (x - 0.3), (0.0, 1.0),
-                                  n_grid=8)
+    res = specfun.ratio_roots(_over_one(lambda x: tiny * (0.3 - x)),
+                              [i / 8 for i in range(9)],
+                              lambda x: (tiny * (0.3 - x), -tiny))
     assert len(res.brackets) == 1 and abs(res.roots[0] - 0.3) <= 1e-12
-    # three roots in the grid cell (0.25, 0.375), one per 16th of it
-    scan = specfun.bracket_real_roots(
-        lambda x: tiny * (x - 0.3) * (x - 0.31) * (x - 0.32), (0.0, 1.0),
-        n_grid=8)
-    assert [(b.lo, b.hi) for b in scan.brackets] == [
-        (0.296875, 0.3046875), (0.3046875, 0.3125), (0.3125, 0.3203125)]
-    # the double-root search's same-sign tests, at values of about 1e-176
-    res = specfun.find_real_roots(lambda x: tiny * (x - 3.0) ** 2, (1.0, 5.1))
-    assert not res.roots
-    assert any(abs(s - 3.0) < 1e-3 for s in res.suspected_double)
+    # two roots next to a pole in one cell, F and C of about 1e-170 (F C
+    # would underflow): the cell is split until they separate
+    fc, fdf = _ratio_pair(1e6, 0.4567)
+
+    def tiny_fc(xs):
+        f, c = fc(xs)
+        return tiny * f, tiny * c
+
+    res = specfun.ratio_roots(tiny_fc, [0.0, 1.0],
+                              lambda x: tuple(tiny * v for v in fdf(x)))
+    assert specfun.ratio_root_count(*tiny_fc([0.0, 1.0])) == 2
+    assert len(res.brackets) == 2
+    for root, want in zip(res.roots, (0.4557, 0.4577)):
+        assert abs(root - want) <= 1e-12
 
 
 def test_complex_polish_simple():
@@ -264,6 +265,17 @@ def test_complex_polish_early_exit_iterations(fdf, seed, want_iterations,
     assert not res.converged
     assert res.iterations == want_iterations < 100
     assert len(calls) == want_calls
+
+
+def test_complex_polish_accepts_a_converged_seed():
+    # the seed already meets the tolerance, and the Newton step from it
+    # rounds to nothing (1.0 - 1e-17 == 1.0), so no step lowers |f|: the
+    # seed comes back converged, after 0 steps and its one evaluation
+    counted, calls = _counted(lambda z: (1e-17 + (z - 1.0), 1.0))
+    res = specfun.complex_root_polish(counted, 1.0)
+    assert res.converged and res.iterations == 0
+    assert res.root == 1.0 and res.residual == 1e-17
+    assert calls == [1.0]
 
 
 def test_complex_polish_robin_continuation():
@@ -768,24 +780,22 @@ def test_fd_derivative_kernel():
                                    abs(edge[2].imag)) <= 1e200
 
 
-def _counted(fdf):
-    calls = []
-
-    def wrapped(x):
-        calls.append(x)
-        return fdf(x)
-
-    return wrapped, calls
+def _over_one(f):
+    # fc of the pair F = f, C = 1 for ratio_roots: G = f, which must
+    # decrease
+    def fc(xs):
+        return np.array([f(x) for x in xs]), np.ones(len(xs))
+    return fc
 
 
 def test_refiner_newton_step_leaving_bracket_bisects():
-    # one cell (0, 10): from x = 5 the Newton step of atan(x - 3) lands at
+    # one cell (0, 10): from x = 5 the Newton step of atan(3 - x) lands at
     # 5 - 5 atan(2) < 0, outside the bracket (0, 5), so the next iterate is
     # the bisection point 2.5
-    fdf, calls = _counted(lambda x: (math.atan(x - 3.0),
-                                     1.0 / (1.0 + (x - 3.0) ** 2)))
-    res = specfun.find_real_roots(lambda x: math.atan(x - 3.0), (0.0, 10.0),
-                                  n_grid=1, fdf=fdf)
+    fdf, calls = _counted(lambda x: (math.atan(3.0 - x),
+                                     -1.0 / (1.0 + (x - 3.0) ** 2)))
+    res = specfun.ratio_roots(_over_one(lambda x: math.atan(3.0 - x)),
+                              [0.0, 10.0], fdf)
     assert calls[:2] == [5.0, 2.5]
     assert len(res.roots) == 1 and abs(res.roots[0] - 3.0) <= 1e-12
     # a Newton step that points out of the bracket, well under half the
@@ -796,170 +806,154 @@ def test_refiner_newton_step_leaving_bracket_bisects():
 
     fdf, calls = _counted(lambda x: (g(x), 1.0 - 8.0 * (x - 4.5)
                                      * math.exp(-(x - 4.5) ** 2)))
-    root, _ = specfun._refine(g, fdf, 0.0, 10.0, g(0.0))
+    root, _ = specfun._refine(fdf, 0.0, 10.0, g(0.0))
     assert calls[:2] == [5.0, 2.5]
     assert 0.0 < root < 5.0 and abs(g(root)) <= 1e-12
 
 
 def test_refiner_slow_newton_bisects():
-    # Newton on x^9 - 1e-9 shrinks its step by only 8/9 per iteration; a
+    # Newton on 1e-9 - x^9 shrinks its step by only 8/9 per iteration; a
     # step that does not halve the step before last is replaced by a
     # bisection step (23 evaluations without that rule)
-    fdf, calls = _counted(lambda x: (x ** 9 - 1e-9, 9.0 * x ** 8))
-    root, n = specfun._refine(None, fdf, 0.0, 1.5, -1e-9)
-    assert abs(root - 0.1) <= 1e-12 and n == len(calls) <= 15
+    fdf, calls = _counted(lambda x: (1e-9 - x ** 9, -9.0 * x ** 8))
+    res = specfun.ratio_roots(_over_one(lambda x: 1e-9 - x ** 9), [0.0, 1.5],
+                              fdf)
+    assert len(res.roots) == 1 and abs(res.roots[0] - 0.1) <= 1e-12
+    assert res.n_evals == 2 + len(calls) and len(calls) <= 15
 
 
 def test_refiner_zero_derivative_bisects():
     # f'(0.5) = 0 at the first iterate of the cell (0, 1)
     def f(x):
-        return (x - 0.5) ** 3 - 1e-3
+        return 1e-3 - (x - 0.5) ** 3
 
-    fdf, calls = _counted(lambda x: (f(x), 3.0 * (x - 0.5) ** 2))
-    res = specfun.find_real_roots(f, (0.0, 1.0), n_grid=1, fdf=fdf)
+    fdf, calls = _counted(lambda x: (f(x), -3.0 * (x - 0.5) ** 2))
+    res = specfun.ratio_roots(_over_one(f), [0.0, 1.0], fdf)
     assert calls[:2] == [0.5, 0.75]
     assert len(res.roots) == 1 and abs(res.roots[0] - 0.6) <= 1e-12
 
 
 def test_refiner_root_on_grid_point():
-    # on 4 cells both roots are grid points and nothing is refined; on 2
-    # cells each root is the refiner's first iterate, an exact zero
-    def f(x):
-        return (x - 2.5) * (x - 7.5)
-
-    fdf, calls = _counted(lambda x: (f(x), 2.0 * x - 10.0))
-    res = specfun.find_real_roots(f, (0.0, 10.0), n_grid=4, fdf=fdf)
-    assert res.roots == [2.5, 7.5] and calls == []
-    res = specfun.find_real_roots(f, (0.0, 10.0), n_grid=2, fdf=fdf)
-    assert res.roots == [2.5, 7.5] and calls == [2.5, 7.5]
+    # on 4 cells the root is a grid point and nothing is refined; on 2
+    # cells it is the refiner's first iterate, an exact zero
+    fdf, calls = _counted(lambda x: (7.5 - x, -1.0))
+    fc = _over_one(lambda x: 7.5 - x)
+    res = specfun.ratio_roots(fc, [0.0, 2.5, 5.0, 7.5, 10.0], fdf)
+    assert res.roots == [7.5] and calls == []
+    res = specfun.ratio_roots(fc, [0.0, 5.0, 10.0], fdf)
+    assert res.roots == [7.5] and calls == [7.5]
 
 
 def test_refiner_value_only_bisects():
-    fdf, calls = _counted(lambda x: (math.atan(x - 3.0),
-                                     1.0 / (1.0 + (x - 3.0) ** 2)))
-    newton = specfun.find_real_roots(lambda x: math.atan(x - 3.0),
-                                     (0.1, 10.0), fdf=fdf)
-    plain = specfun.find_real_roots(lambda x: math.atan(x - 3.0),
-                                    (0.1, 10.0))
+    # ratio_roots refines by Newton steps on fdf, find_real_roots by
+    # bisection alone, on the same grid
+    window = (0.1, 10.0)
+    xs = specfun.scan_grid(window, 1.0)
+    fdf, calls = _counted(lambda x: (math.atan(3.0 - x),
+                                     -1.0 / (1.0 + (x - 3.0) ** 2)))
+    newton = specfun.ratio_roots(_over_one(lambda x: math.atan(3.0 - x)),
+                                 xs, fdf)
+    plain = specfun.find_real_roots(lambda x: math.atan(3.0 - x), window, 1.0)
     for res in (newton, plain):
         assert len(res.roots) == 1 and abs(res.roots[0] - 3.0) <= 1e-12
-    # both scan and subdivide alike; without fdf the refinement bisects a
-    # grid cell of width 0.0097 down to 1e-13 relative, 30 halvings or more
-    scan_and_subdivision = newton.n_evals - len(calls)
-    assert plain.n_evals - scan_and_subdivision >= 30
+    # without fdf the refinement bisects a grid cell of width 0.0097 down to
+    # 1e-13 relative, 30 halvings or more
+    assert newton.n_evals == len(xs) + len(calls)
+    assert plain.n_evals - len(xs) >= 30
     assert len(calls) <= 5
 
 
-@pytest.mark.parametrize("window, refs, fdf", [
-    ((2.0, 6.0), J0_ZEROS,
+def _j0_fc(xs):
+    # F = J_0 and C = J_1 = -J_0': G = -J_0 / J_0' decreases between the
+    # zeros of J_1, as -1 / h does for h = J_0' / J_0 (DLMF 10.21)
+    values, derivs = specfun.bessel_j_grid(0, xs)
+    return values, -derivs
+
+
+def _j0prime_fc(xs):
+    # F = J_0' and C = J_0: G = J_0' / J_0 decreases between the zeros of J_0
+    values, derivs = specfun.bessel_j_grid(0, xs)
+    return derivs, values
+
+
+@pytest.mark.parametrize("window, refs, fc, fdf", [
+    ((2.0, 6.0), J0_ZEROS, _j0_fc,
      lambda x: (specfun.bessel_j(0, x).value.real,
                 specfun.bessel_j(0, x).derivative.real)),
-    ((1.0, 10.0), J0P_ZEROS,
+    ((1.0, 10.0), J0P_ZEROS, _j0prime_fc,
      # J_0'' = -J_0'/x - J_0
      lambda x: (specfun.bessel_j(0, x).derivative.real,
                 (-specfun.bessel_j(0, x).derivative / x
                  - specfun.bessel_j(0, x).value).real)),
 ], ids=["j0", "j0prime"])
-def test_refiner_newton_evaluations_per_bracket(window, refs, fdf):
-    # only the refinement calls fdf: the grid and the subdivision call f
+def test_refiner_newton_evaluations_per_bracket(window, refs, fc, fdf):
+    # only the refinement calls fdf: fc evaluates the grid
     counted, calls = _counted(fdf)
-    res = specfun.find_real_roots(lambda x: fdf(x)[0], window, fdf=counted)
+    xs = specfun.scan_grid(window, 1.0)
+    res = specfun.ratio_roots(fc, xs, counted)
     assert len(res.roots) == len(refs) == len(res.brackets)
+    assert specfun.ratio_root_count(*fc(xs)) == len(refs)
     for root, ref in zip(res.roots, refs):
         assert abs(root - ref) <= 1e-12 * ref
     assert len(calls) <= 12 * len(res.brackets), calls
 
 
-def test_pooled_subdivision_matches_pointwise():
-    # roots 0.1, 0.2 and 0.3 share the grid cell (0, 0.5): its pooled
-    # subdivision shows three sign changes, and each of those subcells is
-    # subdivided again, in one more pooled call; the cell (0.5, 1) holds the
-    # one root 0.7.  With f_grid given, `f` is never called
-    def g(x):
-        return (x - 0.1) * (x - 0.2) * (x - 0.3) * (x - 0.7)
-
-    def dg(x):
-        return ((x - 0.2) * (x - 0.3) * (x - 0.7) + (x - 0.1) * (x - 0.3)
-                * (x - 0.7) + (x - 0.1) * (x - 0.2) * (x - 0.7)
-                + (x - 0.1) * (x - 0.2) * (x - 0.3))
-
-    f, f_calls = _counted(g)
-    f_grid, grid_calls = _counted(lambda xs: [g(x) for x in xs])
-    fdf = lambda x: (g(x), dg(x))
-    pooled = specfun.find_real_roots(f, (0.0, 1.0), n_grid=2, f_grid=f_grid,
-                                     fdf=fdf)
-    assert [len(xs) for xs in grid_calls] == [3, 2 * 15, 3 * 15]
-    assert f_calls == []
-    pointwise = specfun.find_real_roots(g, (0.0, 1.0), n_grid=2, fdf=fdf)
-    assert pooled.roots == pointwise.roots
-    assert pooled.brackets == pointwise.brackets
-    assert pooled.suspected_double == pointwise.suspected_double
-    assert pooled.n_evals == pointwise.n_evals
-    assert len(pooled.brackets) == 4
-    for root, ref in zip(pooled.roots, (0.1, 0.2, 0.3, 0.7)):
-        assert abs(root - ref) <= 1e-12
-
-
 def test_pooled_subdivision_without_sign_change():
-    # no cell to subdivide: f_grid sees the grid only, never an empty list
-    f, f_calls = _counted(lambda x: x * x + 1.0)
-    f_grid, grid_calls = _counted(lambda xs: [x * x + 1.0 for x in xs])
-    res = specfun.find_real_roots(f, (-1.0, 1.0), n_grid=8, f_grid=f_grid)
+    # no cell to subdivide: fc sees the grid only, never an empty list.
+    # G = 1 / x has a pole in the cell (-0.2, 0.05) and no root there
+    fc, grid_calls = _counted(
+        lambda xs: (np.ones(len(xs)), np.asarray(xs, dtype=float)))
+    fdf, calls = _counted(lambda x: (1.0, 0.0))
+    res = specfun.ratio_roots(fc, [-0.95 + 0.25 * i for i in range(9)], fdf)
     assert [len(xs) for xs in grid_calls] == [9]
-    assert not res.roots and not res.brackets and f_calls == []
+    assert not res.roots and not res.brackets and calls == []
     assert res.n_evals == 9
 
 
-@pytest.mark.parametrize("pooled", [False, True])
-@pytest.mark.parametrize("roots", [(0.25, 0.53, 0.9), (0.25, 0.6)],
-                         ids=["simple", "touching"])
-def test_exact_zero_at_a_subdivision_point(pooled, roots):
-    # 0.25 is the subdivision point 4/16 of the one grid cell (0, 1), where
-    # f is exactly 0: a root as it stands, like a grid zero, while only the
-    # strict sign changes are bracketed.
-    # In the touching case f keeps its sign across 0.25 (a double root)
-    if len(roots) == 3:
-        def g(x):
-            return (x - 0.25) * (x - 0.53) * (x - 0.9)
-    else:
-        def g(x):
-            return (x - 0.25) ** 2 * (x - 0.6)
-    f_grid = (lambda xs: [g(x) for x in xs]) if pooled else None
-    scan = specfun.bracket_real_roots(g, (0.0, 1.0), n_grid=1,
-                                      f_grid=f_grid)
-    assert scan.zeros == [0.25]
-    assert len(scan.brackets) == len(roots) - 1
-    res = specfun.find_real_roots(g, (0.0, 1.0), n_grid=1, f_grid=f_grid)
-    assert len(res.roots) == len(roots)
-    for root, ref in zip(res.roots, roots):
-        assert abs(root - ref) <= 1e-12, (root, ref)
+def test_exact_zero_at_a_subdivision_point():
+    # the roots 0.25 and 0.75 share the one grid cell (0, 1) with the pole
+    # 0.5; they are the subdivision points 4/16 and 12/16, where F is
+    # exactly 0: roots as they stand, with nothing to refine
+    fc, fdf = _ratio_pair(16.0, 0.5)
+    counted_fc, grid_calls = _counted(fc)
+    counted_fdf, calls = _counted(fdf)
+    res = specfun.ratio_roots(counted_fc, [0.0, 1.0], counted_fdf)
+    assert specfun.ratio_root_count(*fc([0.0, 1.0])) == 2
+    assert res.roots == [0.25, 0.75] and not res.brackets and calls == []
+    assert [len(xs) for xs in grid_calls] == [2, 15]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_bessel_scan_subdivision_is_batched(radial_find_functions, dim):
-    # a secular scan's subdivision goes through f_grid, one pooled call
-    # after the grid, with 15 points per bracket; the scalar f is not called
+def test_bessel_scan_subdivision_is_batched(monkeypatch, dim):
+    # two cells of a coarse Neumann scan of mode 0 hold two roots each,
+    # around a zero of C (j_{0,2} and j_{0,4} on the disk, 2 pi and 4 pi on
+    # the ball): their subdivisions go through one batched call after the
+    # grid's, with 15 points per cell
     from randbc import disk_model as dm
 
-    params = dm.MaterialParams(a=1.3, b=0.8, dim=dim)
-    for mode in (0, 3):
-        f, fdf, f_grid = radial_find_functions(
-            dm._RadialGrid(mode, params, (0.3, 60.0)),
-            dm._secular(params, 2.5j))
-        counted_f, f_calls = _counted(f)
-        counted_grid, grid_calls = _counted(f_grid)
-        res = specfun.find_real_roots(
-            counted_f, (0.3, 60.0), min_spacing=math.pi / params.wave_factor,
-            f_grid=counted_grid, fdf=fdf)
-        assert len(res.brackets) >= 10
-        assert f_calls == []
-        assert len(grid_calls) == 2
-        assert len(grid_calls[1]) == 15 * len(res.brackets)
+    name = "bessel_j_grid" if dim == 2 else "spherical_j_grid"
+    kernel = getattr(dm, name)
+    sizes = []
+
+    def counted(k, xs):
+        sizes.append(len(xs))
+        return kernel(k, xs)
+
+    monkeypatch.setattr(dm, name, counted)
+    params = dm.MaterialParams(dim=dim)
+    lams = [3.0, 7.5, 9.5, 13.5] if dim == 2 else [4.0, 8.0, 10.5, 14.5]
+    grid = dm._RadialGrid(0, params, (lams[0], lams[-1]))
+    grid.lams = lams
+    res = dm._real_axis_roots(grid, dm._secular(params, 0.0))
+    assert sizes == [4, 2 * 15]
+    assert len(res.roots) == len(res.brackets) == 4
 
 
 def test_fd_scan_grid_crossover(monkeypatch):
-    # the FD f_grid evaluates every list, however short, in one call of the
-    # batched kernel, equal value by value to the pointwise f
+    # the FD scan sends every list, however short, to the batched kernel in
+    # one call: the grid, which its certified count reads too, and each
+    # level's pooled subdivision points (15 for the one cell of the coarse
+    # grid that holds two roots, around j_{0,2})
     from randbc import disk_model as dm
 
     batch = dm.fd_radial_edge_batch
@@ -971,11 +965,14 @@ def test_fd_scan_grid_crossover(monkeypatch):
 
     monkeypatch.setattr(dm, "fd_radial_edge_batch", counted_batch)
     params = dm.MaterialParams(a=1.3, b=0.8, dim=2)
-    f, _, f_grid = dm._fd_scan_functions(2, 0.5j, params, 256)
-    for n in (1, 15, 45, 1025):
-        lams = [0.5 + 12.0 * i / n for i in range(n)]
-        assert f_grid(lams) == [f(lam) for lam in lams]
-    assert sizes == [1, 15, 45, 1025]
+    window = (0.5, 12.5)
+    lams = specfun.scan_grid(window, math.pi / params.wave_factor)
+    res = dm._fd_real_axis_roots(2, 0.5j, params, 256, lams, window)
+    assert sizes == [1025] and len(res.roots) >= 3
+    sizes.clear()
+    res = dm._fd_real_axis_roots(0, 0.0, dm.MaterialParams(), 256,
+                                 [3.0, 7.5, 8.0], (3.0, 8.0))
+    assert sizes == [3, 15] and len(res.roots) == 2
 
 
 def _ratio_pair(a, c):
@@ -1000,7 +997,6 @@ def test_ratio_roots_split_until_the_roots_separate():
     for root, want in zip(res.roots, (0.4557, 0.4577)):
         assert abs(root - want) <= 1e-12
     assert res.n_evals - sum(1 for _ in res.roots) >= 2 + 2 * 15
-    assert res.suspected_double == []
 
 
 @pytest.mark.parametrize("pair, xs, want", [
