@@ -910,17 +910,39 @@ def test_pooled_subdivision_without_sign_change():
     assert res.n_evals == 9
 
 
-def test_exact_zero_at_a_subdivision_point():
-    # the roots 0.25 and 0.75 share the one grid cell (0, 1) with the pole
-    # 0.5; they are the subdivision points 4/16 and 12/16, where F is
-    # exactly 0: roots as they stand, with nothing to refine
-    fc, fdf = _ratio_pair(16.0, 0.5)
+@pytest.mark.parametrize("pooled", [False, True])
+@pytest.mark.parametrize("roots, pole", [((0.25, 0.75), 0.5),
+                                         ((0.25, 0.3125), 0.28125)],
+                         ids=["simple", "touching"])
+def test_exact_zero_at_a_subdivision_point(pooled, roots, pole):
+    # two roots share the grid cell (0, 1) with a pole between them; they
+    # are subdivision points k / 16, where F is exactly 0: roots as they
+    # stand, with nothing to refine.  In the touching case they are the two
+    # ends of the pole's subcell, which is not split again.  Pooled, the
+    # cell (2, 3) holds the same pattern shifted by 2, a pole at 1.5 sits
+    # alone in the cell (1, 2), and both split cells share one fc call.
+    # F = -prod (x - r) and C = prod (x - p) interlace, so G decreases
+    # between its poles
+    shift = (0.0, 2.0) if pooled else (0.0,)
+    zeros = [r + s for s in shift for r in roots]
+    poles = [pole] + ([1.5, pole + 2.0] if pooled else [])
+
+    def fc(xs):
+        x = np.asarray(xs, dtype=float)
+        return (-np.prod([x - r for r in zeros], axis=0),
+                np.prod([x - p for p in poles], axis=0))
+
+    def fdf(x):
+        raise AssertionError("no bracket to refine")
+
+    xs = [0.0, 1.0, 2.0, 3.0] if pooled else [0.0, 1.0]
     counted_fc, grid_calls = _counted(fc)
     counted_fdf, calls = _counted(fdf)
-    res = specfun.ratio_roots(counted_fc, [0.0, 1.0], counted_fdf)
-    assert specfun.ratio_root_count(*fc([0.0, 1.0])) == 2
-    assert res.roots == [0.25, 0.75] and not res.brackets and calls == []
-    assert [len(xs) for xs in grid_calls] == [2, 15]
+    res = specfun.ratio_roots(counted_fc, xs, counted_fdf)
+    assert specfun.ratio_root_count(*fc(xs)) == len(zeros)
+    assert res.roots == zeros and not res.brackets and calls == []
+    assert [len(pts) for pts in grid_calls] == [len(xs), 15 * len(shift)]
+    assert res.n_evals == len(xs) + 15 * len(shift)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
