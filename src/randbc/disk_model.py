@@ -655,48 +655,6 @@ def _normalized_contraction(mode, zeta, lam, params):
     return (q * ev.derivative - p * ev.value) / factor
 
 
-def route_equivalence_report(mode: int, zeta, params: MaterialParams,
-                             window) -> dict:
-    """Cross-evaluate the two boundary-condition forms at each other's roots.
-
-    The contraction form's roots come from its own _window_roots search;
-    raises ConvergenceError when a seed of its continuation stalls.
-    """
-    zeta = complex(zeta)
-    xi = cayley_zeta_to_xi(zeta, mode_mu(params, mode))
-    sec = solve_mode_eigenvalues(mode, zeta, params, window)
-    grid = _RadialGrid(mode, params, window)
-    con_roots, _, stalled, _ = _window_roots(
-        lambda zz: _real_axis_roots(grid, _contraction(params, mode, zz)),
-        lambda zz, lam: _radial_fdf(mode, complex(lam), params,
-                                    _contraction(params, mode, zz)),
-        zeta, grid.window, grid.min_spacing)
-    if stalled:
-        raise ConvergenceError(
-            f"contraction-form continuation failed for mode {mode}, "
-            f"zeta {zeta}: {stalled}")
-
-    def sec_scale(lam):
-        _, d = _radial_fdf(mode, complex(lam), params, _secular(params, zeta))
-        return max(abs(d) * max(1.0, abs(lam)), 1e-300)
-
-    cross = 0.0
-    for r in con_roots:
-        cross = max(cross, abs(secular_value(mode, zeta, r, params))
-                    / sec_scale(r))
-    for r in sec.eigenvalues:
-        cross = max(cross, abs(_normalized_contraction(mode, zeta, r, params))
-                    / sec_scale(r))
-    return {
-        "mode": mode,
-        "zeta": zeta,
-        "xi": xi,
-        "secular_roots": sec.eigenvalues,
-        "contraction_roots": con_roots,
-        "cross_residual": cross,
-    }
-
-
 def eigenvalue_rows(result: ModeEigenvalues):
     """CSV rows: mode, mu, Re zeta, Im zeta, Re lambda, Im lambda, method,
     residual |F(lambda)| of the secular function."""

@@ -299,17 +299,6 @@ def defect_basis(model: TripleModel, z):
     return np.array(cols).T
 
 
-def defect_basis_svd(model: TripleModel, z):
-    """Independent defect-space computation: SVD nullspace of the interior rows."""
-    p = model.interior_projector()
-    shoot = p @ model.astar - z * p
-    basis = null_space(shoot)
-    if basis.shape[1] != model.boundary_dim:
-        raise SpectralPointError(
-            f"defect dimension {basis.shape[1]} != m = {model.boundary_dim}")
-    return basis
-
-
 @dataclass(frozen=True)
 class WeylSample:
     """Weyl function value M_W(z) on the 2-dim boundary space."""

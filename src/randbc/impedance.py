@@ -66,9 +66,9 @@ class ImpedanceDistribution:
 
     survival_abs(s) = P{|zeta| >= s} is the primitive used by the compactness
     criteria (it is what the series sum_k mult 1-F(delta sqrt(mu_k)) needs,
-    atoms included); cdf_abs is the ordinary right-continuous P{|zeta| <= s}.
-    survival_abs takes a float or an array of them: the criteria evaluate a
-    whole spectrum in one call, s = 0 (the mode mu = 0) included.
+    atoms included).  survival_abs takes a float or an array of them: the
+    criteria evaluate a whole spectrum in one call, s = 0 (the mode mu = 0)
+    included.
     """
     kind = "abstract"
 
@@ -83,9 +83,6 @@ class ImpedanceDistribution:
     abs_quantile = None
 
     def survival_abs(self, s) -> float:
-        raise NotImplementedError
-
-    def cdf_abs(self, s) -> float:
         raise NotImplementedError
 
     def abs_moment(self, p) -> float:
@@ -119,9 +116,6 @@ class PointMass(ImpedanceDistribution):
     @_elementwise
     def survival_abs(self, s):
         return np.where(s <= abs(self.z0), 1.0, 0.0)
-
-    def cdf_abs(self, s):
-        return 1.0 if s >= abs(self.z0) else 0.0
 
     def abs_moment(self, p):
         return abs(self.z0) ** p
@@ -180,9 +174,6 @@ class UniformDisc(ImpedanceDistribution):
     def survival_abs(self, s):
         return 1.0 - self._abs_cdf_exact(s)
 
-    def cdf_abs(self, s):
-        return self._abs_cdf_exact(s)
-
     def abs_moment(self, p):
         if p == 2.0:
             return abs(self.center) ** 2 + self.radius ** 2 / 2.0
@@ -217,24 +208,12 @@ class UniformImagSegment(ImpedanceDistribution):
     def sample(self, n, rng):
         return 1j * rng.uniform(self.c_lo, self.c_hi, size=n)
 
-    def _cdf(self, s):
-        # P{|c| <= s}, c uniform on the segment
-        if s < 0:
-            return 0.0
-        lo, hi = self.c_lo, self.c_hi
-        length = hi - lo
-        covered = max(0.0, min(hi, s) - max(lo, -s))
-        return min(1.0, covered / length)
-
     @_elementwise
     def survival_abs(self, s):
         lo, hi = self.c_lo, self.c_hi
         # the length of {|c| < s}; the law has no atoms
         covered = np.maximum(0.0, np.minimum(hi, s) - np.maximum(lo, -s))
         return np.maximum(0.0, 1.0 - covered / (hi - lo))
-
-    def cdf_abs(self, s):
-        return self._cdf(s)
 
     def abs_moment(self, p):
         lo, hi = self.c_lo, self.c_hi
@@ -271,9 +250,6 @@ class ParetoImag(ImpedanceDistribution):
         return np.where(s <= self.s_min, 1.0,
                         (self.s_min / np.maximum(s, self.s_min)) ** self.a)
 
-    def cdf_abs(self, s):
-        return 1.0 - self.survival_abs(s) if s >= self.s_min else 0.0
-
     def abs_moment(self, p):
         if p >= self.a:
             return math.inf
@@ -301,9 +277,6 @@ class HalfNormalReal(ImpedanceDistribution):
         # s <= 0
         x = np.maximum(s, 0.0) / (self.sigma * math.sqrt(2.0))
         return np.fromiter(map(math.erfc, x.tolist()), float, x.size)
-
-    def cdf_abs(self, s):
-        return 1.0 - self.survival_abs(s)
 
     def abs_moment(self, p):
         return (self.sigma ** p * 2.0 ** (p / 2.0)
@@ -340,13 +313,6 @@ class BoundedCustom(ImpedanceDistribution):
 
     def abs_quantile(self, u):
         return np.interp(u * self.f_table[-1], self.f_table, self.s_table)
-
-    def cdf_abs(self, s):
-        if s < self.s_table[0]:
-            return 0.0
-        if s >= self.s_table[-1]:
-            return float(self.f_table[-1])
-        return float(np.interp(s, self.s_table, self.f_table))
 
     @_elementwise
     def survival_abs(self, s):
@@ -405,81 +371,6 @@ def cayley_zeta_to_xi(zeta, mu):
         raise ValueError("mu must be >= 0")
     s = math.sqrt(1.0 + mu)
     return (zeta - s) / (zeta + s)
-
-
-def cayley_xi_to_zeta(xi, mu):
-    """Inverse Cayley map, defined for xi != 1."""
-    xi = complex(xi)
-    if xi == 1.0:
-        raise ValueError("xi = 1 has no finite impedance preimage")
-    s = math.sqrt(1.0 + mu)
-    return s * (1.0 + xi) / (1.0 - xi)
-
-
-@dataclass
-class DiagonalContraction:
-    """Diagonal contraction entries xi_j (|xi_j| <= 1)."""
-    xi: np.ndarray
-
-    def __post_init__(self):
-        self.xi = np.asarray(self.xi, dtype=complex)
-        worst = float(np.abs(self.xi).max()) if self.xi.size else 0.0
-        if worst > 1.0 + ACCRETIVE_TOL:
-            raise ValueError(f"sup |xi_j| = {worst:.15g} exceeds 1")
-
-
-def diagonal_contraction_from_impedance(dist, mus, stream) -> DiagonalContraction:
-    """Sample zeta_j and push through the mode-level Cayley transform."""
-    mus = np.asarray(mus, dtype=float)
-    zetas = sample_sequence(dist, mus.size, stream)
-    s = np.sqrt(1.0 + mus)
-    return DiagonalContraction((zetas - s) / (zetas + s))
-
-
-@dataclass(frozen=True)
-class CompactnessProxy:
-    """Tail statistics of |xi_j + 1| over the trailing window fraction.
-
-    One sample only evidences the a.s. limit; Monte Carlo aggregation over
-    trials and truncations happens in randbc.weyl.
-    """
-    n: int
-    window: float
-    tail_max: float
-    tail_mean: float
-    loglog_slope: float
-
-
-def compactness_proxy(contraction: DiagonalContraction,
-                      window=0.5) -> CompactnessProxy:
-    xi = contraction.xi
-    n = xi.size
-    if n < 100:
-        raise ValueError("need at least 100 entries for tail statistics")
-    if not 0.0 < window <= 1.0:
-        raise ValueError("window must be a fraction in (0, 1]")
-    start = int(math.floor(n * (1.0 - window)))
-    tail = np.abs(xi[start:] + 1.0)
-    tail_max = float(tail.max())
-    tail_mean = float(tail.mean())
-    # dyadic block maxima of |xi+1| against the mode index, log-log slope
-    slope = math.nan
-    idx = np.arange(start, n) + 1
-    n_blocks = 8
-    edges = np.unique(np.geomspace(idx[0], idx[-1] + 1, n_blocks + 1).astype(int))
-    xs, ys = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sel = (idx >= lo) & (idx < hi)
-        if not np.any(sel):
-            continue
-        block_max = tail[sel].max()
-        if block_max > 0:
-            xs.append(math.log(0.5 * (lo + hi)))
-            ys.append(math.log(block_max))
-    if len(xs) >= 3:
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    return CompactnessProxy(n=n, window=window, tail_max=tail_max,
-                            tail_mean=tail_mean, loglog_slope=slope)
 
 
 @dataclass(frozen=True)

@@ -272,13 +272,6 @@ def test_route_equivalence_pointwise(rng):
     assert worst <= 1e-9
 
 
-def test_route_equivalence_zero_sets():
-    report = dm.route_equivalence_report(1, 2.0 + 1.0j, UNIT, (1.0, 10.0))
-    assert report["secular_roots"]
-    assert len(report["secular_roots"]) == len(report["contraction_roots"])
-    assert report["cross_residual"] <= 1e-9
-
-
 def test_lost_root_reported(monkeypatch):
     # Re zeta > 0: of the 4 certified seeds at i Im zeta, one continues out
     # of the window; it is reported as drifted and accounted for, so no
@@ -351,14 +344,6 @@ def test_fd_oracle_stalled_continuation_is_an_error(monkeypatch):
     assert len(seeds) == 3
     for seed in seeds:
         assert f"({seed!r}, " in str(info.value)
-
-
-def test_route_equivalence_stalled_continuation_is_an_error(monkeypatch):
-    monkeypatch.setattr(dm, "complex_root_polish",
-                        lambda fdf, seed: PolishResult(seed, False, 1.0, 100))
-    with pytest.raises(dm.ConvergenceError,
-                       match="contraction-form continuation failed"):
-        dm.route_equivalence_report(1, 2.0 + 1.0j, UNIT, (1.0, 10.0))
 
 
 def test_underflow_is_a_convergence_error():
@@ -799,8 +784,6 @@ def test_windows_reaching_lam_zero_are_model_errors():
         for mode in (0, 1):
             with pytest.raises(dm.DiskModelError, match="0 < lo < hi"):
                 dm.fd_oracle(mode, 0.5j, UNIT, window=window)
-        with pytest.raises(dm.DiskModelError, match="0 < lo < hi"):
-            dm.route_equivalence_report(1, 0.5j, UNIT, window)
 
 
 # float.hex of (Re, Im) of each eigenvalue.  SOLVE_PINS: solve_mode_eigenvalues
