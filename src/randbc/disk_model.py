@@ -22,8 +22,8 @@ import numpy as np
 from randbc._pykernels import fd_radial_edge, fd_radial_edge_batch
 from randbc.impedance import ACCRETIVE_TOL, cayley_zeta_to_xi
 from randbc.specfun import (BesselEval, bessel_j, bessel_j_grid,
-                            complex_root_polish, ratio_root_count, ratio_roots,
-                            scan_grid, spherical_j, spherical_j_grid)
+                            complex_root_polish, ratio_roots, scan_grid,
+                            spherical_j, spherical_j_grid)
 # perfbench's tracer counts the value-only search under this module's name
 from randbc.specfun import find_real_roots  # noqa: F401
 
@@ -110,35 +110,22 @@ def _radial_fdf(mode, lam, params, pq):
 
 class _RadialGrid:
     """The uniform lam grid that the real-axis scans of one mode scan on a
-    window at the interlacing-scale resolution pi / sqrt(ab) (scan_grid),
-    with C(w) and C'(w) there, evaluated in one batch on first use.  Every
-    scan of the mode on the window reads the same values, whatever its
-    (p, q) pair; an instance lives as long as the call that made it.  The
-    window must satisfy 0 < lo < hi."""
+    window at the interlacing-scale resolution pi / sqrt(ab) (scan_grid).
+    The window must satisfy 0 < lo < hi."""
 
     def __init__(self, mode, params, window):
         self.mode, self.params = mode, params
         self.window = _positive_window(window)
         self.min_spacing = math.pi / params.wave_factor
         self.lams = scan_grid(self.window, self.min_spacing)
-        self._radial = None
-
-    def radial(self, lams):
-        """C and C' at the points of lams, as two arrays: the grid's own
-        values when lams is the grid, else a batch of their own."""
-        if lams != self.lams:
-            return _radial_grid(self.mode, lams, self.params)
-        if self._radial is None:
-            self._radial = _radial_grid(self.mode, lams, self.params)
-        return self._radial
 
 
 def _radial_scan_functions(grid, pq):
     """The real part of F = q C' - p C on the real lam axis for grid's
     mode, a function of the real pair (p.real, q.real): pointwise, with its
     lam-derivative (_radial_fdf), and over a list as q.real C' - p.real C
-    on grid.radial's arrays (equal up to the sign of a zero, by _pykernels'
-    complex-by-real rule), next to C there.  Returns (fdf, fc) for
+    on _radial_grid's arrays (equal up to the sign of a zero, by
+    _pykernels' complex-by-real rule), next to C there.  Returns (fdf, fc) for
     specfun.ratio_roots.
 
     G = F / C = q h - p, h = C'/C, is strictly decreasing between the
@@ -156,46 +143,36 @@ def _radial_scan_functions(grid, pq):
         return value.real, deriv.real
 
     def fc(lams):
-        values, derivs = grid.radial(lams)
+        values, derivs = _radial_grid(mode, lams, params)
         return q.real * derivs - p.real * values, sign * values
 
     return fdf, fc
 
 
-def _certified_count(grid, pq):
-    """The number of real roots of the real part of q C' - p C in grid's
-    window, lo included and hi not, from grid's C and C' alone
-    (specfun.ratio_root_count).
-
-    It is exact: the zeros of C (the Dirichlet zeros) are at least 3.115
-    apart in w (j_{0,2} - j_{0,1}, the smallest gap of J_nu's zeros; at
-    least pi for nu >= 1/2), and scan_grid's cells are at most pi/4 wide in
-    w, so the sign changes of C on the grid count them.
-    """
-    _, fc = _radial_scan_functions(grid, pq)
-    return ratio_root_count(*fc(grid.lams))
-
-
-def _certified_roots(mode, window, fc, lams, fdf, count):
+def _certified_roots(mode, window, fc, lams, fdf):
     """specfun.ratio_roots of fc on the grid lams, refined with fdf: the
     real-axis search of every route, Bessel and FD.  ConvergenceError
-    unless as many roots come back as count, the route's certified count
-    on the same grid (specfun.ratio_root_count)."""
+    unless as many roots come back as the search's certified count on the
+    same grid (RootSearchResult.count, specfun.ratio_root_count)."""
     result = ratio_roots(fc, lams, fdf)
-    if len(result.roots) != count:
+    if len(result.roots) != result.count:
         raise ConvergenceError(
             f"mode {mode}: {len(result.roots)} roots found on {window} "
-            f"where the certified count is {count}")
+            f"where the certified count is {result.count}")
     return result
 
 
 def _real_axis_roots(grid, pq):
-    """The real roots of the real part of q C' - p C in grid's window:
-    _certified_roots on grid's C and C', checked against
-    _certified_count."""
+    """The real roots of the real part of q C' - p C in grid's window, lo
+    included and hi not: _certified_roots on grid's C and C'.
+
+    The count it checks is exact: the zeros of C (the Dirichlet zeros) are
+    at least 3.115 apart in w (j_{0,2} - j_{0,1}, the smallest gap of
+    J_nu's zeros; at least pi for nu >= 1/2), and scan_grid's cells are at
+    most pi/4 wide in w, so the sign changes of C on the grid count them.
+    """
     fdf, fc = _radial_scan_functions(grid, pq)
-    return _certified_roots(grid.mode, grid.window, fc, grid.lams, fdf,
-                            _certified_count(grid, pq))
+    return _certified_roots(grid.mode, grid.window, fc, grid.lams, fdf)
 
 
 @dataclass(frozen=True)
@@ -396,8 +373,8 @@ def solve_mode_eigenvalues(mode: int, zeta, params: MaterialParams,
     so one batched Bessel evaluation of the uniform grid per call.  Its
     real-axis scan (at zeta when Re zeta = 0, else at i Im zeta for the
     continuation's seeds) is certified: _real_axis_roots returns as many
-    roots as _certified_count reads from the grid's C and C', or raises
-    ConvergenceError.  expected_count is that count.  Re zeta = 0: the
+    roots as the count ratio_roots reads from the grid's C and C', or
+    raises ConvergenceError.  expected_count is that count.  Re zeta = 0: the
     eigenvalues are the scan's roots, and fewer (roots merged) raise
     ConvergenceError.  Re zeta > 0: stalled seeds, drifted roots and seeds
     whose continued roots merged are reported in warnings, never silently
@@ -477,9 +454,9 @@ def _fd_real_axis_roots(mode, zz, params, m_nodes, lams, window):
     to ACCRETIVE_TOL): _certified_roots on the grid lams with C = u_M, the
     discrete Dirichlet value, and fdf the real part of _fd_fdf (F / lam, of
     F's sign at lam > 0).  Each list goes through fd_radial_edge_batch in
-    one call, and F is _fd_char of its edge values point by point.  The
-    grid is evaluated once, for the search and for its certified count,
-    specfun.ratio_root_count on the grid's F and u_M.
+    one call, and F is _fd_char of its edge values point by point; the
+    search's certified count is specfun.ratio_root_count on the grid's F
+    and u_M.
 
     The count is exact.  With E = ab lam^2 h^2, the recurrence at node M
     gives the discrete DtN value D = (u_{M+1} - u_{M-1}) / (2 h a u_M) as
@@ -495,7 +472,7 @@ def _fd_real_axis_roots(mode, zz, params, m_nodes, lams, window):
     (scan_grid), and below its cap fd_oracle's tracking grid spends at most
     half a radian of the highest wavenumber sqrt(ab) hi per node step, so
     the discrete Dirichlet zeros lie about as far apart as the Bessel zeros
-    that _certified_count's docstring bounds.  Where the cap binds, a step
+    that _real_axis_roots' docstring bounds.  Where the cap binds, a step
     spans more, which limits the oracle's own resolution as much.
     """
     ab = params.a * params.b
@@ -510,10 +487,7 @@ def _fd_real_axis_roots(mode, zz, params, m_nodes, lams, window):
         value, deriv = _fd_fdf(params, mode, m_nodes, zz, lam)
         return value.real, deriv.real
 
-    on_grid = fc(lams)
-    return _certified_roots(
-        mode, window, lambda pts: on_grid if pts is lams else fc(pts), lams,
-        fdf, ratio_root_count(*on_grid))
+    return _certified_roots(mode, window, fc, lams, fdf)
 
 
 def _fd_polish(params, mode, zeta, m_nodes, seeds, spacing, tol, stage,

@@ -122,6 +122,7 @@ class RootSearchResult:
     roots: list = field(default_factory=list)
     brackets: list = field(default_factory=list)
     n_evals: int = 0
+    count: int | None = None
 
 
 def _refine(fdf, lo, hi, f_lo):
@@ -276,14 +277,15 @@ def ratio_roots(fc, xs, fdf) -> RootSearchResult:
     and the same rule applies to the subcells.  A point of xs[:-1] or an
     interior subdivision point where F is exactly 0.0 is a root as it
     stands.  There are no double roots to look for.  A cell still split
-    after RATIO_LEVELS levels is dropped, which the caller's
-    ratio_root_count check sees.  `n_evals` counts fc's points and fdf's
-    calls.
+    after RATIO_LEVELS levels is dropped.  `count` is ratio_root_count on
+    the grid's F and C, from the same fc call: a caller that compares it
+    with the roots returned sees a dropped cell.  `n_evals` counts fc's
+    points and fdf's calls.
     """
     fs, cs = fc(xs)
     result = RootSearchResult(
         roots=[xs[i] for i in np.flatnonzero(fs[:-1] == 0.0).tolist()],
-        n_evals=len(xs))
+        n_evals=len(xs), count=ratio_root_count(fs, cs))
     segments = [(xs, fs, cs)]
     for level in range(RATIO_LEVELS + 1):
         cells = []

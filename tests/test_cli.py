@@ -319,14 +319,14 @@ def test_disk_spectrum_batched_scans_match_pointwise(tmp_path, monkeypatch,
                                                      config):
     # The real-axis scans evaluate their grids through the batched Bessel
     # kernels; the data files must be the ones per-point scans write.  With
-    # _RadialGrid.radial reading C and C' point by point through the scalar
+    # _radial_grid reading C and C' point by point through the scalar
     # kernels, every scan, the certified count included, runs point by
     # point: the pointwise run makes no batched call at all.
     from randbc import disk_model
 
-    def pointwise_radial(grid, lams):
-        evs = [disk_model._radial(grid.mode, grid.params.wave_factor * lam,
-                                  grid.params) for lam in lams]
+    def pointwise_radial(mode, lams, params):
+        evs = [disk_model._radial(mode, params.wave_factor * lam, params)
+               for lam in lams]
         return (np.array([ev.value.real for ev in evs]),
                 np.array([ev.derivative.real for ev in evs]))
 
@@ -345,7 +345,7 @@ def test_disk_spectrum_batched_scans_match_pointwise(tmp_path, monkeypatch,
     files, calls = [], []
     for name in ("batched", "pointwise"):
         if name == "pointwise":
-            monkeypatch.setattr(disk_model._RadialGrid, "radial",
+            monkeypatch.setattr(disk_model, "_radial_grid",
                                 pointwise_radial)
         out = str(tmp_path / name)
         batched_calls.clear()
@@ -361,11 +361,11 @@ def test_disk_spectrum_batched_scans_match_pointwise(tmp_path, monkeypatch,
 def test_disk_spectrum_count_mismatch_exits_3(tmp_path, monkeypatch):
     # at Re zeta = 0 a certified count that disagrees with the roots found
     # is a numerical failure (exit 3), not a warning in summary.json
-    from randbc import disk_model
+    from randbc import specfun
 
-    count = disk_model._certified_count
-    monkeypatch.setattr(disk_model, "_certified_count",
-                        lambda grid, pq: count(grid, pq) + 1)
+    count = specfun.ratio_root_count
+    monkeypatch.setattr(specfun, "ratio_root_count",
+                        lambda fs, cs: count(fs, cs) + 1)
     cfg = os.path.join(REPO, "configs", "disk_spectrum.ini")
     out = str(tmp_path / "out")
     assert cli.main(["disk-spectrum", cfg, "--out", out]) == 3

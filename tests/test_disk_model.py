@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from randbc import disk_model as dm
+from randbc import specfun
 from randbc.disk_model import MaterialParams
 from randbc.specfun import PolishResult, ratio_root_count, scan_grid
 
@@ -215,7 +216,8 @@ def _unmoved(fdf, seed):
 # a spurious root next to a genuine one, as many roots as the certified
 # count of the window: both polish to the one Neumann root of the stage's
 # grid
-_TWO_BRACKETS = SimpleNamespace(roots=[J0P_ZEROS[0], J0P_ZEROS[0] + 0.05])
+_TWO_BRACKETS = SimpleNamespace(roots=[J0P_ZEROS[0], J0P_ZEROS[0] + 0.05],
+                                count=2)
 
 
 @pytest.mark.parametrize("stage,fake,brackets,message", [
@@ -380,12 +382,10 @@ EXACT_NEUMANN_ZEROS = {2: 1.8411837813406595, 3: 2.0815759778181007}
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_certified_count_is_the_root_count(monkeypatch, dim):
-    # _certified_count reads the grid's C and C' alone, with no scalar-kernel
-    # or fdf call, and counts as many roots as the refining scan
-    # (neumann_eigenvalues) returns.  The last window starts on an exact
+    # the certified count reads the grid's C and C' alone, with no
+    # scalar-kernel or fdf call, and counts as many roots as the refining
+    # scan (neumann_eigenvalues) returns.  The last window starts on an exact
     # zero, so its scan starts on a grid zero, which is a root.
-    from randbc import specfun
-
     params = MaterialParams(dim=dim)
     zero = EXACT_NEUMANN_ZEROS[dim]
     windows = [(0.3, 12.0), (1.0, 60.0), (5.5, 31.0), (zero, zero + 20.0)]
@@ -400,10 +400,16 @@ def test_certified_count_is_the_root_count(monkeypatch, dim):
     monkeypatch.setattr(dm, "_radial_fdf", forbidden)
     for (mode, window), n_roots in want.items():
         grid = dm._RadialGrid(mode, params, window)
-        assert dm._certified_count(grid, dm._secular(params, 0.0)) == n_roots
+        assert _grid_count(grid, dm._secular(params, 0.0)) == n_roots
     monkeypatch.undo()
     roots = dm.neumann_eigenvalues(1, params, windows[-1])
     assert roots[0] == zero and len(roots) >= 6
+
+
+def _grid_count(grid, pq):
+    """ratio_root_count on the scan function's F and C at grid's points."""
+    _, fc = dm._radial_scan_functions(grid, pq)
+    return ratio_root_count(*fc(grid.lams))
 
 
 def _mp_zero_count(nu, w_lo, w_hi, derivative=0):
@@ -454,7 +460,7 @@ def test_certified_count_battery(rng, dim):
                 assert len(dm.neumann_eigenvalues(mode, params, window)) == (
                     _mp_zero_count(nu, w_lo, w_hi, 1))
         res = dm.solve_mode_eigenvalues(mode, zeta, params, window)
-        want = dm._certified_count(grid, dm._secular(params, zeta))
+        want = _grid_count(grid, dm._secular(params, zeta))
         assert len(res.eigenvalues) == res.expected_count == want
         assert res.warnings == []
         for roots, pq in (
@@ -462,7 +468,7 @@ def test_certified_count_battery(rng, dim):
                  dm._secular(params, 0.0)),
                 (dm.dirichlet_eigenvalues(mode, params, window),
                  dm._DIRICHLET)):
-            assert len(roots) == dm._certified_count(grid, pq)
+            assert len(roots) == _grid_count(grid, pq)
             counted += len(roots)
         counted += len(res.eigenvalues)
     assert counted >= 500, counted
@@ -477,7 +483,7 @@ def test_two_root_cell_is_split():
     grid.lams = [3.0, 7.5, 8.0]
     pq = dm._secular(UNIT, 0.0)
     res = dm._real_axis_roots(grid, pq)
-    assert dm._certified_count(grid, pq) == 2
+    assert _grid_count(grid, pq) == res.count == 2
     assert [br.lo <= 7.5 for br in res.brackets] == [True, True]
     for got, want in zip(res.roots, (3.8317059702075125, 7.015586669815619)):
         assert abs(got - want) <= 1e-13 * want
@@ -487,9 +493,9 @@ def test_certified_count_mismatch_is_a_convergence_error(monkeypatch):
     # at Re zeta = 0 a count that disagrees with the roots found is a
     # failure, never a warning; so is one at a continuation's seed scan,
     # and roots of the scan that merge into one
-    count = dm._certified_count
-    monkeypatch.setattr(dm, "_certified_count",
-                        lambda grid, pq: count(grid, pq) + 1)
+    count = specfun.ratio_root_count
+    monkeypatch.setattr(specfun, "ratio_root_count",
+                        lambda fs, cs: count(fs, cs) + 1)
     for zeta in (2.0j, 0.5 + 2.0j):
         with pytest.raises(dm.ConvergenceError, match="certified count"):
             dm.solve_mode_eigenvalues(0, zeta, UNIT, (1.0, 12.0))
@@ -556,8 +562,8 @@ def test_fd_certified_count_battery(monkeypatch, rng, dim):
 def test_fd_count_mismatch_is_a_convergence_error(monkeypatch):
     # a certified count that disagrees with the roots of the FD scan is a
     # failure, at Re zeta = 0 and at the continuation's seed scan
-    count = dm.ratio_root_count
-    monkeypatch.setattr(dm, "ratio_root_count",
+    count = specfun.ratio_root_count
+    monkeypatch.setattr(specfun, "ratio_root_count",
                         lambda fs, cs: count(fs, cs) + 1)
     for zeta in (2.0j, 0.5 + 2.0j):
         with pytest.raises(dm.ConvergenceError, match="certified count"):
