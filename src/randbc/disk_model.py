@@ -493,13 +493,11 @@ def _fd_real_axis_roots(mode, zz, params, m_nodes, lams, window):
 def _fd_polish(params, mode, zeta, m_nodes, seeds, spacing, tol, stage,
                source):
     """Each seed polished once by complex Newton on the m_nodes grid at
-    zeta, then moved by one more Newton step: complex_root_polish returns
-    the first iterate within its tolerance, up to about 1e-10 (relative)
-    from the discrete root, and the step brings it to rounding level.
-    Raises ConvergenceError when a polish fails, a polished root lies more
-    than a quarter of the root spacing from its seed (the two differ by
-    O(h^2)), or two roots coincide.  stage and source name the grid and
-    the seeds' grid in the messages."""
+    zeta (complex_root_polish, whose final Newton step brings the root to
+    rounding level).  Raises ConvergenceError when a polish fails, a
+    polished root lies more than a quarter of the root spacing from its
+    seed (the two differ by O(h^2)), or two roots coincide.  stage and
+    source name the grid and the seeds' grid in the messages."""
 
     def fdf(lam):
         return _fd_fdf(params, mode, m_nodes, zeta, lam)
@@ -515,8 +513,7 @@ def _fd_polish(params, mode, zeta, m_nodes, seeds, spacing, tol, stage,
             raise ConvergenceError(
                 f"FD {stage}-grid root {pol.root:.6g} moved from its {source} "
                 f"root {c:.6g} by more than a quarter spacing")
-        value, deriv = fdf(pol.root)
-        roots.append(pol.root - value / deriv if deriv else pol.root)
+        roots.append(pol.root)
     if len(_dedupe(roots, tol)) != len(roots):
         raise ConvergenceError(
             f"FD {stage}-grid roots coincide for mode {mode}, zeta {zeta}: "

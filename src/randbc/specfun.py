@@ -333,24 +333,34 @@ def _polished(f, deriv, z):
     return abs(f) <= 1e-10 * max(abs(deriv) * max(1.0, abs(z)), 1e-300)
 
 
+def _newton_step(z, fz, deriv):
+    """z - f(z) / f'(z), or z where f'(z) is 0."""
+    return z - fz / deriv if deriv else z
+
+
 def complex_root_polish(fdf, seed) -> PolishResult:
     """Damped Newton iteration on fdf(z) = (f(z), f'(z)), exact derivative.
 
     Each trial point of the damping line search is one fdf call, and the
     accepted point's derivative gives the next step.  Convergence requires
     |f(z)| <= 1e-10 |f'| max(1, |z|) (_polished), f' the derivative of the
-    step, within 100 steps.  A seed that meets it with its own derivative
-    comes back as it is, converged after 0 steps and one fdf call.  When
-    the iteration stagnates without reaching that (multiple roots flatten
-    f), the flag comes back False and the best point is returned, which
-    may still be accurate to ~|f|^(1/multiplicity).
+    step, within 100 steps.  The converged point z, up to about 1e-10
+    (relative) from the root, is returned after one more Newton step,
+    z - f(z) / f'(z), from the derivative fdf returned at z (z itself where
+    that is 0): the step brings a simple root to rounding level at no
+    further fdf call.  `residual` is |f(z)| before that step.  A seed that
+    meets the tolerance with its own derivative is accepted after 0 steps
+    and one fdf call, and comes back after that final step.  When the
+    iteration stagnates without converging (multiple roots flatten f), the
+    flag comes back False and the best point is returned, which may still
+    be accurate to ~|f|^(1/multiplicity).
     `iterations` counts the Newton steps tried, so an early exit (zero
     derivative, failed line search) reports fewer than 100.
     """
     z = complex(seed)
     fz, deriv = fdf(z)
     if _polished(fz, deriv, z):
-        return PolishResult(z, True, abs(fz), 0)
+        return PolishResult(_newton_step(z, fz, deriv), True, abs(fz), 0)
     best_z, best_f = z, abs(fz)
     iterations = 0
     for it in range(1, 101):
@@ -371,6 +381,7 @@ def complex_root_polish(fdf, seed) -> PolishResult:
         if abs(fz) < best_f:
             best_z, best_f = z, abs(fz)
         if _polished(fz, deriv, z):
-            return PolishResult(z, True, abs(fz), it)
+            return PolishResult(_newton_step(z, fz, d_new), True, abs(fz),
+                                it)
         deriv = d_new
     return PolishResult(best_z, False, best_f, iterations)

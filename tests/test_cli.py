@@ -515,11 +515,11 @@ GOLDEN_DIGESTS = {
             "z0 = 0", "z0 = 0.5+0.5j").replace("oracle_spot_checks = 2",
                                                "oracle_spot_checks = 0"), {
         "eigenvalues.csv":
-            "7ce0022ba906a7c3d28d964122743fad82c1bb35242d0f15d5bcb94c7c35ea23",
+            "9a2c1ce0c718eed5fba7731c4a334772b08959e3d792a65a89f22af1eb5540ad",
         "impedance_sequence.csv":
             "f1f2a5350ccc4bc0d14027f4f38d2fdaa4ab083aa39f973ea284a0f8722594e6",
         "summary.json":
-            "22a96dde1b28638f73553a5d78d5930d68b6ff582473406c820aee2d657de8ce",
+            "616af45f1e3f7a2d43238194452626c073e1f6354f7ea1d172db47842dc6672b",
     }),
     # the two cases above with oracle spot checks: summary.json pins the FD
     # oracle's rel_disagreement bits, on the circle at Re zeta = 0 and on
@@ -537,11 +537,11 @@ GOLDEN_DIGESTS = {
                                                  DISK_BALL.replace(
             "z0 = 0", "z0 = 0.5+0.5j"), {
         "eigenvalues.csv":
-            "7ce0022ba906a7c3d28d964122743fad82c1bb35242d0f15d5bcb94c7c35ea23",
+            "9a2c1ce0c718eed5fba7731c4a334772b08959e3d792a65a89f22af1eb5540ad",
         "impedance_sequence.csv":
             "f1f2a5350ccc4bc0d14027f4f38d2fdaa4ab083aa39f973ea284a0f8722594e6",
         "summary.json":
-            "f7f124e5943ac84f1595c4e63eb20f242905339b917b34c3e3d555a223592a37",
+            "2a301c799a94be6c1e65952ddd451127f4a75bb7c193af84efc68e265ae68e68",
     }),
     "lab": ("lab", LAB_SMALL, {
         "lab_report.json":
