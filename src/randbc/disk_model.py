@@ -10,9 +10,13 @@ boundary condition.  An independent finite-difference shooting oracle guards
 every sign convention; it shoots with one scalar kernel (fd_radial_edge, the
 edge values and their lam-derivatives) for Newton steps and its lam-batched
 twin for every scanned list.  Both routes find their real-axis roots by one
-search, specfun.ratio_roots, whose root count is certified (_certified_roots):
-the Bessel route from the grid's C and C', the FD route from the shooting
-kernel's F and discrete Dirichlet value u_M.
+search, specfun.ratio_roots, which reads their certified count from the same
+grid values (checked by _certified_roots): the Bessel route's C and C', the
+FD route's shooting-kernel F and discrete Dirichlet value u_M.  Both continue
+them in Re zeta by one search, _window_roots, whose polishes end at rounding
+level (specfun.complex_root_polish).  The contraction form of the boundary
+condition is the secular function times a nonzero factor, checked pointwise
+(contraction_route_residual).
 """
 import math
 from dataclasses import dataclass, field
@@ -304,14 +308,16 @@ def _re_zeta_schedule(re_part):
 
 def _window_roots(scan, char_of_zeta, zeta, window, spacing):
     """The roots with Re lambda in window of one mode's characteristic
-    function at impedance zeta: the one search of every route.
+    function at impedance zeta: the one search of both routes, the secular
+    solver and the FD oracle's tracking grid.
 
     scan(zz) is the route's certified real-axis search at impedance zz
     (_certified_roots: a RootSearchResult, or ConvergenceError);
     char_of_zeta(zz, lam) is the function and its exact lam-derivative, as
-    complex_root_polish takes them.  Re zeta = 0: the
-    spectrum is real and scan(zeta) gives the roots.  Re zeta > 0: the
-    roots of scan(i Im zeta) seed a homotopy in Re zeta.  A polished step
+    complex_root_polish takes them.  Re zeta = 0: the spectrum is real and
+    scan(zeta) gives the roots.  Re zeta > 0: the roots of scan(i Im zeta)
+    seed a homotopy in Re zeta, each step a complex_root_polish, whose
+    final Newton step leaves the root at rounding level.  A polished step
     is accepted only when the root moves at most half the root spacing,
     else the Re-zeta step is bisected, so the iteration tracks one branch.
     A seed stalls when its Re-zeta step falls below 1e-6 or it has spent

@@ -610,10 +610,10 @@ def test_continuation_roots_at_rounding_level(rng, dim):
     # complex_root_polish ends with a Newton step from the derivative it
     # holds, so each continued secular root lies at rounding level, not
     # anywhere inside the polish tolerance (|F| <= 1e-10 |F'| max(1, |lam|),
-    # which the roots reached without that step).  The bound is 1e-12, not
-    # 1e-13: where the J_k series branch (|w| <= 12) loses digits, roots at
-    # rounding level read up to 2e-13, and a further Newton step moves them
-    # by noise.
+    # which the roots reached without that step).  The bound is 1e-12
+    # because where the J_k series branch (|w| <= 12) loses digits, roots
+    # at rounding level read up to 2e-13, and a further Newton step moves
+    # them by noise.
     worst, roots = 0.0, 0
     for _ in range(12):
         params = MaterialParams(a=rng.uniform(0.5, 2.0),
