@@ -196,10 +196,15 @@ def _adjoint(a):
     return np.swapaxes(a.conj(), -1, -2)
 
 
+def _shifted(t, z):
+    """t - z, broadcast over a stack of matrices t and an array of z."""
+    z = np.asarray(z, dtype=complex)[..., None, None]
+    return t - z * np.eye(t.shape[-1])
+
+
 def _resolvent(t, z):
     """(t - z)^-1, broadcast over a stack of matrices t and an array of z."""
-    z = np.asarray(z, dtype=complex)[..., None, None]
-    return np.linalg.inv(t - z * np.eye(t.shape[-1]))
+    return np.linalg.inv(_shifted(t, z))
 
 
 @dataclass
@@ -285,50 +290,73 @@ def dirichlet_matrix(model: TripleModel):
 
 
 def defect_basis(model: TripleModel, z):
-    """Basis of ker(A* - z): propagate the interior recurrence from (f0, f1)."""
-    n, h = model.n, model.h
-    big_n = model.total_dim
-    pot = model.potential
-    cols = []
-    for init in ((1.0, 0.0), (0.0, 1.0)):
-        f = np.zeros(big_n, dtype=complex)
-        f[0], f[1] = init
-        for j in range(1, n + 1):
-            f[j + 1] = 2.0 * f[j] - f[j - 1] - h * h * (z - pot[j - 1]) * f[j]
-        cols.append(f)
-    return np.array(cols).T
+    """Basis of ker(A* - z): propagate the interior recurrence
+    f_{j+1} = 2 f_j - f_{j-1} - h^2 (z - V_j) f_j from (f_0, f_1) = (1, 0)
+    and (0, 1).  An array of z gives the stack of bases.
+
+    The recurrence runs on float64 real and imaginary parts by the rule of
+    the _pykernels docstring: h^2 (z - V_j) scales each part by h^2, and the
+    product with f_j is split.  Each item equals the complex scalar
+    recurrence bit for bit; numpy's vectorized complex arithmetic need not.
+    """
+    z = np.asarray(z, dtype=complex)
+    n, hh = model.n, model.h * model.h
+    a_re = hh * (z.real[..., None] - model.potential)
+    a_im = hh * z.imag[..., None]
+    # parts of the two columns, column axis before the node axis
+    re = np.zeros(z.shape + (2, n + 2))
+    im = np.zeros(z.shape + (2, n + 2))
+    re[..., 0, 0] = re[..., 1, 1] = 1.0
+    for j in range(1, n + 1):
+        f_re, f_im = re[..., j], im[..., j]
+        ar = a_re[..., j - 1:j]
+        re[..., j + 1] = (2.0 * f_re - re[..., j - 1]) - (ar * f_re
+                                                          - a_im * f_im)
+        im[..., j + 1] = (2.0 * f_im - im[..., j - 1]) - (ar * f_im
+                                                          + a_im * f_re)
+    basis = np.empty(re.shape, dtype=complex)
+    basis.real, basis.imag = re, im
+    return np.swapaxes(basis, -1, -2)
 
 
 @dataclass(frozen=True)
 class WeylSample:
-    """Weyl function value M_W(z) on the 2-dim boundary space."""
+    """Weyl function value M_W(z) on the 2-dim boundary space; an array of z
+    carries the stack of values."""
     z: complex
     m: np.ndarray
 
     def herglotz_defect(self) -> float:
         """Most negative eigenvalue of (Im z) Im M (>= -tol for Nevanlinna)."""
-        im_m = (self.m - self.m.conj().T) / 2j
-        return float(np.min(np.linalg.eigvalsh(np.imag(self.z) * im_m)))
+        im_m = (self.m - _adjoint(self.m)) / 2j
+        im_z = np.imag(self.z)
+        if np.ndim(im_z):
+            im_z = im_z[..., None, None]
+        return _item(np.min(np.linalg.eigvalsh(im_z * im_m), axis=-1))
 
 
 def weyl_function(model: TripleModel, z, weight=None) -> WeylSample:
-    """M_W(z) = (W* Gamma1 F) (W^-1 Gamma0 F)^-1 on a defect basis F."""
-    z = complex(z)
+    """M_W(z) = (W* Gamma1 F) (W^-1 Gamma0 F)^-1 on a defect basis F; an
+    array of z gives the stack of values, each from the same LAPACK and
+    BLAS calls as its own single call."""
+    z = np.asarray(z, dtype=complex)
     if weight is None:
         weight = np.eye(model.boundary_dim, dtype=complex)
     weight = np.asarray(weight, dtype=complex)
     basis = defect_basis(model, z)
-    if basis.shape[1] != model.boundary_dim:
+    if basis.shape[-1] != model.boundary_dim:
         raise SpectralPointError(
-            f"defect dimension {basis.shape[1]} != m = {model.boundary_dim}")
+            f"defect dimension {basis.shape[-1]} != m = {model.boundary_dim}")
     g0b = np.linalg.inv(weight) @ (model.gamma0 @ basis)
     g1b = weight.conj().T @ (model.gamma1 @ basis)
-    cond = np.linalg.cond(g0b)
-    if not np.isfinite(cond) or cond > 1e12:
+    cond = np.ravel(np.linalg.cond(g0b))
+    bad = np.flatnonzero(~np.isfinite(cond) | (cond > 1e12))
+    if bad.size:
         raise SpectralPointError(
-            f"z={z} is numerically in the spectrum of the Gamma0-reference "
-            "extension (Gamma0 restricted to the defect space is singular)")
-    return WeylSample(z=z, m=g1b @ np.linalg.inv(g0b))
+            f"z={z.flat[bad[0]]} is numerically in the spectrum of the "
+            "Gamma0-reference extension (Gamma0 restricted to the defect "
+            "space is singular)")
+    return WeylSample(z=_item(z), m=g1b @ np.linalg.inv(g0b))
 
 
 def _gamma1_interior(model, v):
@@ -385,9 +413,7 @@ def krein_residual(model: TripleModel, contraction: ContractionOp, z) -> float:
     eye = np.eye(contraction.m)
     e0 = contraction.k + eye
     e1 = 1j * (contraction.k - eye)
-    m_val = np.reshape([weyl_function(model, zi).m for zi in z.flat],
-                       z.shape + (2, 2))
-    gram = e0 + e1 @ m_val
+    gram = e0 + e1 @ weyl_function(model, z).m
     cond = np.ravel(np.linalg.cond(gram))
     bad = np.flatnonzero(~np.isfinite(cond) | (cond > 1e12))
     if bad.size:

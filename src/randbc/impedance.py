@@ -427,15 +427,18 @@ def haar_unitary(m, rng) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_contraction(m, rng, boundary=False) -> ContractionOp:
-    """Random contraction; boundary=True renormalizes to ||K|| = 1 exactly."""
+def random_contraction(m, rng, boundary=False) -> np.ndarray:
+    """Random contraction matrix U diag(s) V* from the SVD of a complex
+    Ginibre matrix, with s uniform on [0, 1); boundary=True keeps its
+    singular values scaled to s[0] = 1, so ||K|| = 1 up to rounding.  The
+    caller checks the norm, by wrapping K in a ContractionOp."""
     g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     u, s, vh = np.linalg.svd(g)
     if boundary:
         s = s / s[0]
     else:
         s = rng.random(m)
-    return ContractionOp(u @ np.diag(s.astype(complex)) @ vh)
+    return u @ np.diag(s.astype(complex)) @ vh
 
 
 def sample_shifted_hs(k0, weights, stream: SeededStream) -> ContractionOp:

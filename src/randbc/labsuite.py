@@ -13,6 +13,9 @@ GAP_TOL = 1e-6
 CONVERSE_UNITARY_TOL = 1e-6
 # samples per model in one window of a stacked battery
 _LAB_BLOCK = 16
+# the resolvent bound's points z, on a line across the upper half-plane
+Z_GRID = [complex(re, im) for re, im in
+          zip(np.linspace(-2.0, 2.0, 10), np.linspace(0.4, 3.0, 10))]
 
 
 def _models(n_values, rng):
@@ -24,15 +27,17 @@ def _models(n_values, rng):
 
 
 def _sample_contraction(rng, m=2, idx=0):
-    # cycle strict / boundary-norm / unitary cases
+    """One contraction matrix; idx cycles strict, boundary-norm and unitary
+    cases.  Its norm is checked once, by _stack."""
     if idx % 5 == 4:
-        return lab.ContractionOp(impedance.haar_unitary(m, rng))
+        return impedance.haar_unitary(m, rng)
     return impedance.random_contraction(m, rng, boundary=(idx % 5 == 3))
 
 
-def _stack(cons):
-    """One ContractionOp holding the stack of the given contractions."""
-    return lab.ContractionOp(np.array([c.k for c in cons]))
+def _stack(ks):
+    """One ContractionOp holding the stack of the given matrices; its
+    stacked SVD checks every norm."""
+    return lab.ContractionOp(np.array(ks))
 
 
 def _windowed(models, count, draw, check):
@@ -67,11 +72,12 @@ def run_invariant_suite(seed=20240, n_values=(8, 12, 16), green_pairs=1000,
     battery.  No draw depends on a computed result.  Every battery but the
     Weyl one draws one window at a time, _LAB_BLOCK samples per model, and
     evaluates each model's part of the window with one stacked call per
-    linear-algebra step; resolvents are inverted one z at a time over the
-    stack.  So memory is bounded by a window whatever the counts: only the
-    running worst values and the violations outlive it.  Worst values and
-    violations are taken in index order, so the report does not depend on
-    the window size.
+    linear-algebra step.  Resolvents are inverted one z at a time over the
+    stack, and the Krein battery evaluates the Weyl function at all of a
+    stack's z at once.  So memory is bounded by a
+    window whatever the counts: only the running worst values and the
+    violations outlive it.  Worst values and violations are taken in index
+    order, so the report does not depend on the window size.
     """
     rng = np.random.default_rng(seed)
     models = _models(n_values, rng)
@@ -115,14 +121,11 @@ def run_invariant_suite(seed=20240, n_values=(8, 12, 16), green_pairs=1000,
                                      "residual": core_worst})
 
     # dissipativity, resolvent bound, unitary <-> selfadjoint
-    z_grid = [complex(re, im) for re, im in
-              zip(np.linspace(-2.0, 2.0, 10), np.linspace(0.4, 3.0, 10))]
-
     def contraction_checks(model, cons):
         ext = lab.extension_from_contraction(model, _stack(cons))
         eig_im = ext.eigenvalues().imag.max(axis=-1)
         norms = np.array([np.linalg.svd(ext.resolvent(z), compute_uv=False)
-                          [:, 0] for z in z_grid]).T
+                          [:, 0] for z in Z_GRID]).T
         sym = np.linalg.norm(ext.t - np.swapaxes(ext.t.conj(), -1, -2), 2,
                              axis=(-2, -1))
         return list(zip(eig_im.tolist(), norms.tolist(), sym.tolist(),
@@ -137,27 +140,27 @@ def run_invariant_suite(seed=20240, n_values=(8, 12, 16), green_pairs=1000,
         worst_im = max(worst_im, eig_im)
         if eig_im > EIG_IM_TOL:
             report["violations"].append(
-                {"invariant": "eig_lower_halfplane", "k": con.k.tolist(),
+                {"invariant": "eig_lower_halfplane", "k": con.tolist(),
                  "n": model.n, "max_imag": eig_im})
-        for z, nrm in zip(z_grid, norms):
+        for z, nrm in zip(Z_GRID, norms):
             bound = (1.0 + RESOLVENT_SLACK) / z.imag
             worst_res = max(worst_res, nrm * z.imag)
             if nrm > bound:
                 report["violations"].append(
-                    {"invariant": "resolvent_bound", "k": con.k.tolist(),
+                    {"invariant": "resolvent_bound", "k": con.tolist(),
                      "z": [z.real, z.imag], "norm": nrm})
         if unitary:
             worst_sym = max(worst_sym, sym)
             if sym > SELFADJOINT_TOL:
                 report["violations"].append(
-                    {"invariant": "unitary_selfadjoint", "k": con.k.tolist(),
+                    {"invariant": "unitary_selfadjoint", "k": con.tolist(),
                      "residual": sym})
         elif sym <= SELFADJOINT_TOL:
             worst_conv = max(worst_conv, defect)
             if defect > CONVERSE_UNITARY_TOL:
                 report["violations"].append(
                     {"invariant": "selfadjoint_implies_unitary",
-                     "k": con.k.tolist(), "defect": defect})
+                     "k": con.tolist(), "defect": defect})
     record("eig_lower_halfplane", worst_im, EIG_IM_TOL,
            {"samples": contractions})
     record("resolvent_bound_scaled", worst_res, 1.0 + RESOLVENT_SLACK)
@@ -200,7 +203,7 @@ def run_invariant_suite(seed=20240, n_values=(8, 12, 16), green_pairs=1000,
         worst_krein = max(worst_krein, res)
         if res > KREIN_TOL:
             report["violations"].append(
-                {"invariant": "krein_formula", "k": con.k.tolist(),
+                {"invariant": "krein_formula", "k": con.tolist(),
                  "z": [z.real, z.imag], "residual": res})
     record("krein_formula", worst_krein, KREIN_TOL,
            {"triples": krein_triples})
@@ -211,12 +214,12 @@ def run_invariant_suite(seed=20240, n_values=(8, 12, 16), green_pairs=1000,
         if i % 3 == 0:
             # rank-one perturbation staying contractive; shrink the base
             # first so the perturbation has a healthy scale
-            k1 = lab.ContractionOp(0.7 * k1.k)
+            k1 = 0.7 * k1
             u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             pert = np.outer(u, v.conj())
             pert *= 0.1 / np.linalg.norm(pert, 2)
-            k2 = lab.ContractionOp(k1.k + pert)
+            k2 = k1 + pert
         else:
             k2 = _sample_contraction(rng, 2, i + 1)
         return k1, k2, complex(rng.uniform(-1, 1), rng.uniform(0.7, 2.5))
@@ -233,8 +236,8 @@ def run_invariant_suite(seed=20240, n_values=(8, 12, 16), green_pairs=1000,
         if got != want:
             failures += 1
             report["violations"].append(
-                {"invariant": "rank_law", "k1": k1.k.tolist(),
-                 "k2": k2.k.tolist(), "got": got, "want": want})
+                {"invariant": "rank_law", "k1": k1.tolist(),
+                 "k2": k2.tolist(), "got": got, "want": want})
     report["invariants"]["rank_law"] = {"pairs": rank_pairs,
                                         "failures": failures, "tolerance": 0}
 
@@ -254,8 +257,8 @@ def run_invariant_suite(seed=20240, n_values=(8, 12, 16), green_pairs=1000,
         if gap is not None and gap < GAP_TOL:
             worst_gap_violation = max(worst_gap_violation, GAP_TOL - gap)
             report["violations"].append(
-                {"invariant": "injectivity", "k1": k1.k.tolist(),
-                 "k2": k2.k.tolist(), "gap": gap})
+                {"invariant": "injectivity", "k1": k1.tolist(),
+                 "k2": k2.tolist(), "gap": gap})
     report["invariants"]["injectivity"] = {
         "pairs": injectivity_pairs, "tolerance": GAP_TOL,
         "max_violation": worst_gap_violation}

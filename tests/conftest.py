@@ -29,6 +29,7 @@ def contraction_sampler(rng):
     def make(boundary=False, unitary=False):
         if unitary:
             return lab.ContractionOp(impedance.haar_unitary(2, rng))
-        return impedance.random_contraction(2, rng, boundary=boundary)
+        return lab.ContractionOp(
+            impedance.random_contraction(2, rng, boundary=boundary))
     return make
 

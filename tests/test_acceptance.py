@@ -42,7 +42,8 @@ def test_acceptance_01_krein_formula():
         n = int(rng.integers(6, 33))
         pot = rng.standard_normal(n) if i % 2 else None
         model = lab.build_discrete_triple(n, h=0.2, potential=pot)
-        con = imp.random_contraction(2, rng, boundary=(i % 4 == 0))
+        con = lab.ContractionOp(
+            imp.random_contraction(2, rng, boundary=(i % 4 == 0)))
         z = complex(rng.uniform(-2, 2), rng.uniform(0.4, 3.0))
         worst = max(worst, lab.krein_residual(model, con, z))
     elapsed = time.perf_counter() - t0
@@ -61,7 +62,8 @@ def test_acceptance_02_m_dissipativity():
     worst_im, worst_scaled = -np.inf, 0.0
     for i in range(500):
         model = models[i % 3]
-        con = imp.random_contraction(2, rng, boundary=(i % 3 == 0))
+        con = lab.ContractionOp(
+            imp.random_contraction(2, rng, boundary=(i % 3 == 0)))
         ext = lab.extension_from_contraction(model, con)
         worst_im = max(worst_im, float(ext.eigenvalues().imag.max()))
         for z in z_grid:
@@ -90,7 +92,7 @@ def test_acceptance_03_rank_law():
     failures = 0
     for i in range(100):
         model = models[i % 3]
-        k1 = imp.random_contraction(2, rng)
+        k1 = lab.ContractionOp(imp.random_contraction(2, rng))
         if i % 3 == 0:
             base = lab.ContractionOp(0.7 * k1.k)
             u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -102,7 +104,7 @@ def test_acceptance_03_rank_law():
             k1 = lab.ContractionOp(np.eye(2, dtype=complex))
             k2 = lab.ContractionOp(-np.eye(2, dtype=complex))
         else:
-            k2 = imp.random_contraction(2, rng)
+            k2 = lab.ContractionOp(imp.random_contraction(2, rng))
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.5, 2.5))
         if lab.resolvent_difference_rank(model, k1, k2, z) != \
                 lab.matrix_rank(k2.k - k1.k):

@@ -129,8 +129,10 @@ def test_stack_slices_equal_single_calls(n, potential):
         "norm": k1.norm, "unitary_defect": k1.unitary_defect,
         "is_unitary": k1.is_unitary,
         "bc_residual": ext.boundary_condition_residual(),
+        "weyl": lab.weyl_function(model, zs).m,
     }
-    for j, (con, other, z) in enumerate(zip(cons, others, zs)):
+    for j, (k, k_other, z) in enumerate(zip(cons, others, zs)):
+        con, other = lab.ContractionOp(k), lab.ContractionOp(k_other)
         one = lab.extension_from_contraction(model, con)
         single = {
             "t": one.t, "basis": one.basis, "eigenvalues": one.eigenvalues(),
@@ -144,6 +146,7 @@ def test_stack_slices_equal_single_calls(n, potential):
             "norm": con.norm, "unitary_defect": con.unitary_defect,
             "is_unitary": con.is_unitary,
             "bc_residual": one.boundary_condition_residual(),
+            "weyl": lab.weyl_function(model, z).m,
         }
         for name, value in single.items():
             assert np.array_equal(stacked[name][j], value), (name, j)
@@ -307,7 +310,7 @@ def test_krein_requires_upper_half_plane(chain8):
 
 
 def test_rank_law_examples(chain12, rng):
-    k1 = impedance.random_contraction(2, rng)
+    k1 = lab.ContractionOp(impedance.random_contraction(2, rng))
     assert lab.resolvent_difference_rank(chain12, k1, k1, 1j) == 0
     # rank-one perturbation staying contractive
     u = random_vector(rng, 2)
@@ -341,7 +344,7 @@ def test_weight_invariance_of_weyl_and_extension(chain12, rng):
     recovered = np.linalg.inv(w.conj().T) @ m_w @ np.linalg.inv(w)
     assert np.linalg.norm(recovered - m_plain, 2) <= 1e-10 * np.linalg.norm(m_plain, 2)
 
-    con = impedance.random_contraction(2, rng)
+    con = lab.ContractionOp(impedance.random_contraction(2, rng))
     ext_w = lab.extension_from_contraction(chain12, con, weight=w)
     theta = lab.boundary_relation_basis(chain12, ext_w)
     k_plain = lab.contraction_from_boundary_relation(theta)
@@ -373,7 +376,7 @@ def test_extension_eigenvalues_match_generalized_pencil(chain12, rng):
     n, big_n = chain12.n, chain12.total_dim
     p = chain12.interior_projector()
     for _ in range(10):
-        con = impedance.random_contraction(2, rng)
+        con = lab.ContractionOp(impedance.random_contraction(2, rng))
         ext = lab.extension_from_contraction(chain12, con)
         a_full = np.zeros((big_n, big_n), dtype=complex)
         b_full = np.zeros((big_n, big_n), dtype=complex)
