@@ -231,6 +231,12 @@ class ExtensionOp:
         and an array of z: one z for every T, or one z per T."""
         return _resolvent(self.t, z)
 
+    def resolvent_norm(self, z):
+        """||(T - z)^-1|| = 1 / sigma_min(T - z), broadcast as resolvent:
+        one SVD of T - z and no inverse."""
+        s = np.linalg.svd(_shifted(self.t, z), compute_uv=False)
+        return _item(1.0 / s[..., -1])
+
     def boundary_condition_residual(self):
         c = _constraint_matrix(self.model, self.contraction.k, self.weight)
         return _item(np.linalg.norm(c @ self.basis, 2, axis=(-2, -1)))

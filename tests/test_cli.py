@@ -545,7 +545,7 @@ GOLDEN_DIGESTS = {
     }),
     "lab": ("lab", LAB_SMALL, {
         "lab_report.json":
-            "b521633845d7d13bd54e2e3f49a9b0c0ff312a5c8b7747758703887231ccf91e",
+            "543f03c7ad5348c3a7119221a81acaa757fb0a39786738d5c84de36a758d27bb",
     }),
 }
 
@@ -579,11 +579,11 @@ injectivity_pairs = 37
 LAB_GOLDEN = {
     "full-12345": ("lab.ini", 12345, 0, {
         "lab_report.json":
-            "09569249c53e32699775e98dfc00c8aad895ea2ae59743b1e6c396661f3f16d3",
+            "c2560d22b521491d5cfd04197406c135d2027d7ff9996506d1a5381ee87f5773",
     }),
     "full-15": ("lab.ini", 15, 2, {
         "lab_report.json":
-            "8a2cf1d5db079ebe49c618af286950b1dc45976d54f1f6e8e6491a954a7242de",
+            "c7face566c3760f78e5b7f34c11a53dd8f7afdbb9945757288ef115b15ff7a9d",
         "failing_case.json":
             "18898da73683a7cd508a519bef0de205403dccbe339de3bb163ca2f822677bf5",
         "failing_contraction.txt":
@@ -591,7 +591,7 @@ LAB_GOLDEN = {
     }),
     "odd-4242": (None, 4242, 0, {
         "lab_report.json":
-            "357628f267bf0a0f55bd9c0ac874261b4ff89c52b49622b8fa5242998377e4a2",
+            "8067d20ee519cac847dc78e82071f86bb4c13b09c52d861c5b1d073320daab19",
     }),
 }
 

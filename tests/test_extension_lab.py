@@ -2,6 +2,7 @@
 import json
 import os
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -238,6 +239,30 @@ def test_dissipativity_and_resolvent_bound(chain12, contraction_sampler):
         for z in (0.5 + 0.3j, 2j, -1.0 + 1.5j):
             nrm = np.linalg.norm(ext.resolvent(z), 2)
             assert nrm <= (1.0 + 1e-8) / z.imag
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_resolvent_norm_against_mpmath(n):
+    # the lab's resolvent bound, 1 / sigma_min(T - z), on one window of
+    # samples of a model (each sample at one point of the lab's z grid, in
+    # turn), against a 40-digit SVD of the same T - z
+    rng = np.random.default_rng(300 + n)
+    model = lab.build_discrete_triple(n, h=0.2,
+                                      potential=rng.standard_normal(n))
+    ks = [labsuite._sample_contraction(rng, 2, i)
+          for i in range(labsuite._LAB_BLOCK)]
+    ext = lab.extension_from_contraction(model, labsuite._stack(ks))
+    norms = np.array([ext.resolvent_norm(z) for z in labsuite.Z_GRID]).T
+    worst = 0.0
+    with mpmath.workdps(40):
+        for i, t in enumerate(ext.t):
+            j = i % len(labsuite.Z_GRID)
+            shifted = t - labsuite.Z_GRID[j] * np.eye(n)
+            s = mpmath.svd_c(mpmath.matrix(shifted.tolist()),
+                             compute_uv=False)
+            want = 1 / min(s)
+            worst = max(worst, float(abs(norms[i, j] - want) / want))
+    assert worst <= 1e-13
 
 
 def test_basis_columns_satisfy_boundary_condition(chain12, contraction_sampler):
