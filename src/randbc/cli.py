@@ -122,8 +122,13 @@ def run_disk_spectrum(cfg, p, out_dir, manifest) -> int:
             low = sorted(res.eigenvalues, key=lambda z: z.real)[:3]
             if not low:
                 continue
-            oracle = disk_model.fd_oracle(mode, res.zeta, params,
-                                          grid=2048, n_values=len(low))
+            # the oracle's default window, raised past the highest root it
+            # is asked for when that root lies beyond it
+            spot_window = disk_model.oracle_window(mode, params, window[0],
+                                                   low[-1].real)
+            oracle = disk_model.fd_oracle(mode, res.zeta, params, grid=2048,
+                                          window=spot_window,
+                                          n_values=len(low))
             rel = max(abs(a - b) / abs(a) for a, b in zip(low, oracle))
             spot.append({"mode": mode, "rel_disagreement": rel})
     files = {}

@@ -527,6 +527,24 @@ def _fd_polish(params, mode, zeta, m_nodes, seeds, spacing, tol, stage,
     return roots
 
 
+def oracle_window(mode: int, params: MaterialParams, lo=None, reach=None):
+    """fd_oracle's default window on the lam axis: from a fifth of the root
+    spacing pi / sqrt(ab) to (mode + 16) / sqrt(ab), so w = sqrt(ab) lam
+    runs from 0.2 pi to mode + 16.
+
+    For a window from lo that starts below that end and holds roots up to
+    reach at or above it, the end is raised to reach plus one spacing, so
+    that the oracle's lowest roots reach the window's.  A window starting
+    at or above the default end keeps it: the mode's roots below lo come
+    first in any window from 0.2 pi.
+    """
+    spacing = math.pi / params.wave_factor
+    hi = (mode + 16.0) / params.wave_factor
+    if reach is not None and lo < hi <= reach:
+        hi = reach + spacing
+    return 0.2 * spacing, hi
+
+
 def fd_oracle(mode: int, zeta, params: MaterialParams, grid=1024,
               window=None, n_values=3):
     """Lowest eigenvalues from the finite-difference pencil, independent of
@@ -560,7 +578,7 @@ def fd_oracle(mode: int, zeta, params: MaterialParams, grid=1024,
     zeta = complex(zeta)
     spacing = math.pi / params.wave_factor
     if window is None:
-        window = (0.2 * spacing, (mode + 16.0) / params.wave_factor)
+        window = oracle_window(mode, params)
     lo, hi = _positive_window(window)
     tol = 1e-8 * max(1.0, hi)
 

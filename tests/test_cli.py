@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, seed, settings, strategies as st
 
-from randbc import cli
+from randbc import cli, disk_model
 from randbc.config import ConfigError, load_config, validate_config, config_roundtrip
+from randbc.disk_model import MaterialParams
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -305,6 +307,35 @@ def test_disk_spectrum_ball_boundary(tmp_path):
     # mu column is l(l+1)
     mu1 = {float(r[1]) for r in data if r[0] == "1"}
     assert mu1 == {2.0}
+
+
+# on the ball at zeta = 20i the third-lowest root of modes 32-34 lies above
+# w = mode + 16, where the FD oracle's default window ends; seed 3 spot-checks
+# modes 12 and 32
+DISK_BALL_HIGH_ROOTS = (
+    DISK_BALL.replace("seed = 7", "seed = 3").replace("z0 = 0", "z0 = 20j")
+    .replace("modes = 5", "modes = 34")
+    .replace("window = 1.0, 10.0", "window = 0.6283185307179586, 52.0"))
+
+
+def test_spot_check_window_reaches_the_roots(tmp_path):
+    # the spot check widens the oracle's window past the highest root it
+    # asks for; with the default window mode 32 kept 2 roots, not 3 (exit 3)
+    params = MaterialParams(a=1.0, b=1.0, dim=3)
+    default = (0.2 * math.pi, 48.0)
+    assert disk_model.oracle_window(32, params) == default
+    assert disk_model.oracle_window(32, params, 1.0, 47.9) == default
+    assert disk_model.oracle_window(32, params, 1.0, 48.2) == (
+        0.2 * math.pi, 48.2 + math.pi)
+    # a window from above the default end keeps it
+    assert disk_model.oracle_window(32, params, 48.0, 50.0) == default
+    cfg = write_config(tmp_path, DISK_BALL_HIGH_ROOTS)
+    out = str(tmp_path / "out")
+    assert cli.main(["disk-spectrum", cfg, "--out", out]) == 0
+    spot = json.load(open(os.path.join(out, "summary.json")))[
+        "oracle_spot_checks"]
+    assert [c["mode"] for c in spot] == [12, 32]
+    assert all(c["rel_disagreement"] <= 1e-4 for c in spot), spot
 
 
 @pytest.mark.parametrize("config", [
