@@ -335,9 +335,7 @@ class WeylSample:
     def herglotz_defect(self) -> float:
         """Most negative eigenvalue of (Im z) Im M (>= -tol for Nevanlinna)."""
         im_m = (self.m - _adjoint(self.m)) / 2j
-        im_z = np.imag(self.z)
-        if np.ndim(im_z):
-            im_z = im_z[..., None, None]
+        im_z = np.imag(np.asarray(self.z))[..., None, None]
         return _item(np.min(np.linalg.eigvalsh(im_z * im_m), axis=-1))
 
 

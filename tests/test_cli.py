@@ -353,7 +353,6 @@ def test_disk_spectrum_batched_scans_match_pointwise(tmp_path, monkeypatch,
     # _radial_grid reading C and C' point by point through the scalar
     # kernels, every scan, the certified count included, runs point by
     # point: the pointwise run makes no batched call at all.
-    from randbc import disk_model
 
     def pointwise_radial(mode, lams, params):
         evs = [disk_model._radial(mode, params.wave_factor * lam, params)
