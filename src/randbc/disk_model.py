@@ -382,10 +382,10 @@ def solve_mode_eigenvalues(mode: int, zeta, params: MaterialParams,
     roots as the count ratio_roots reads from the grid's C and C', or
     raises ConvergenceError.  expected_count is that count.  Re zeta = 0: the
     eigenvalues are the scan's roots, and fewer (roots merged) raise
-    ConvergenceError.  Re zeta > 0: stalled seeds, drifted roots and seeds
-    whose continued roots merged are reported in warnings, never silently
-    accepted.  A scan point where C and C' both underflow to 0.0 raises
-    ConvergenceError.
+    ConvergenceError.  Re zeta > 0: a stalled seed raises ConvergenceError;
+    drifted roots and seeds whose continued roots merged are reported in
+    warnings, never silently accepted.  A scan point where C and C' both
+    underflow to 0.0 raises ConvergenceError.
     """
     zeta = complex(zeta)
     if zeta.real < -ACCRETIVE_TOL:
@@ -402,13 +402,13 @@ def solve_mode_eigenvalues(mode: int, zeta, params: MaterialParams,
         raise ConvergenceError(
             f"mode {mode}: {expected} certified roots on {grid.window} "
             f"merged into {len(eigs)}")
-    warnings = []
-    for seed, s in stalled:
-        warnings.append(
-            f"continuation from seed {seed:.6g} stalled at Re zeta={s:.3g}")
-    for r in drifted:
-        warnings.append(f"root {r:.6g} drifted out of the window")
-    merged = expected - len(stalled) - len(drifted) - len(eigs)
+    if stalled:
+        raise ConvergenceError(
+            f"mode {mode}, zeta {zeta}: continuation from seed "
+            + ", ".join(f"{seed:.6g} stalled at Re zeta={s:.3g}"
+                        for seed, s in stalled))
+    warnings = [f"root {r:.6g} drifted out of the window" for r in drifted]
+    merged = expected - len(drifted) - len(eigs)
     if merged:
         warnings.append(
             f"{merged} of the {expected} certified seeds at i Im zeta "

@@ -7,10 +7,13 @@ parallel scheduling cannot perturb statistics.
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from randbc.extension_lab import ContractionOp
+if TYPE_CHECKING:
+    # only the matrix samplers return one, and they import it when called
+    from randbc.extension_lab import ContractionOp
 
 ACCRETIVE_TOL = 1e-12
 _STREAM_STRIDE = 0x9E3779B97F4A7C15  # odd 64-bit mix constant
@@ -28,21 +31,26 @@ class SeededStream:
 
     def key(self) -> np.ndarray:
         """The 128-bit Philox key of this stream."""
-        return np.array([self.seed % 2**64, self.stream % 2**64],
-                        dtype=np.uint64)
+        return np.array(self._key_words(), dtype=np.uint64)
+
+    def _key_words(self) -> list:
+        return [self.seed % 2**64, self.stream % 2**64]
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self.key()))
 
-    def rekey(self, bitgen: np.random.Philox) -> None:
-        """Reset `bitgen` to the state generator()'s Philox starts in.
+    def rekey(self, bitgen: np.random.Philox, counter: int) -> None:
+        """Reset `bitgen` to the state generator()'s Philox reaches after
+        `counter` counter steps (4 uint64, so 4 uniforms, each).
 
         Cheaper than a new Philox, whose constructor draws OS entropy
-        before the key replaces it; for loops over many streams."""
+        before the key replaces it, and than advance(counter); for loops
+        over many streams.  The state is given as Python ints: numpy arrays
+        of them take longer to build than the rest of the call."""
         bitgen.state = {"bit_generator": "Philox",
-                        "state": {"counter": np.zeros(4, np.uint64),
-                                  "key": self.key()},
-                        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                        "state": {"counter": [counter, 0, 0, 0],
+                                  "key": self._key_words()},
+                        "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                         "has_uint32": 0, "uinteger": 0}
 
     def child(self, index: int) -> "SeededStream":
@@ -441,7 +449,7 @@ def random_contraction(m, rng, boundary=False) -> np.ndarray:
     return u @ np.diag(s.astype(complex)) @ vh
 
 
-def sample_shifted_hs(k0, weights, stream: SeededStream) -> ContractionOp:
+def sample_shifted_hs(k0, weights, stream: SeededStream) -> "ContractionOp":
     """K = K0 + sum xi_jk e_j x e_k with |xi_jk| <= r_jk uniform on the disc.
 
     Requires ||K0|| + sqrt(sum r_jk^2) <= 1.
@@ -460,7 +468,7 @@ def sample_shifted_hs(k0, weights, stream: SeededStream) -> ContractionOp:
 
 
 def sample_quasi_uniform(k0, amplitudes, directions,
-                         stream: SeededStream) -> ContractionOp:
+                         stream: SeededStream) -> "ContractionOp":
     """K = K0 + sum xi_j D_j, xi_j uniform on |z| < a_j, D_j contractions.
 
     Requires ||K0|| + sum a_j <= 1.
@@ -484,7 +492,7 @@ def sample_quasi_uniform(k0, amplitudes, directions,
 
 
 def sample_admissible_mix(budgets, directions,
-                          stream: SeededStream) -> ContractionOp:
+                          stream: SeededStream) -> "ContractionOp":
     """K = -I + sum b_j xi_j D_j with xi_j uniform on [0, c_max(D_j)].
 
     Requires sum b_j <= 1 and every D_j admissible from -I.
@@ -508,7 +516,9 @@ def sample_admissible_mix(budgets, directions,
     return _checked_contraction(k)
 
 
-def _checked_contraction(k) -> ContractionOp:
+def _checked_contraction(k) -> "ContractionOp":
+    from randbc.extension_lab import ContractionOp
+
     norm = np.linalg.norm(k, 2)
     if norm > 1.0 + 1e-10:
         raise BudgetError(f"sampled matrix has norm {norm:.15g} > 1: "
@@ -517,7 +527,7 @@ def _checked_contraction(k) -> ContractionOp:
 
 
 def sample_matrix_contraction(kind, m, stream: SeededStream,
-                              **params) -> ContractionOp:
+                              **params) -> "ContractionOp":
     """Dispatcher over the three random-contraction constructions."""
     if kind == "shifted_hs":
         k0 = params.get("k0")

@@ -470,54 +470,74 @@ _BLOCK_UNIFORMS = 2**16
 _SCREEN_COLUMNS = 50
 
 
-def _window_records(u, starts, width=_SCREEN_COLUMNS):
-    """The running-max records of each row of u inside each window
-    [starts[w], starts[w + 1]) (the last window ends with the row), ties
-    kept: (rows, cols) sorted by row, then column, and where each (row,
-    window) begins in that list (a window's first element is a record).
+@dataclass(frozen=True)
+class _RecordsPlan:
+    """The column blocks of the records screen on rows of n uniforms, cut
+    into windows at `starts`; fixed for a Monte Carlo call."""
+    n: int
+    starts: np.ndarray
+    first: np.ndarray   # each block's first column
+    spans: list         # (first block, block count) of each window
+    cols: np.ndarray    # (blocks, width): each block's columns, padded past
+    #                     its end with the row's last column
+    inside: np.ndarray  # (blocks, width): which of cols lie in the block
 
-    Each window is cut into column blocks of `width`; only a block whose
-    max reaches the max of the window's earlier blocks can hold a record,
-    and only those blocks are scanned."""
-    n = u.shape[1]
+
+def _records_plan(starts, n, width=_SCREEN_COLUMNS) -> _RecordsPlan:
+    """Cut each window [starts[w], starts[w + 1]) of a row of n (the last
+    window ends with the row) into column blocks of `width`."""
     edges = [*starts, n]
     blocks = [np.arange(a, b, width) for a, b in zip(edges, edges[1:])]
     first = np.concatenate(blocks)
-    size = np.diff(first, append=n)
-    block_max = np.maximum.reduceat(u, first, axis=1)
+    step = np.arange(width)
+    spans, j = [], 0
+    for b in blocks:
+        spans.append((j, len(b)))
+        j += len(b)
+    return _RecordsPlan(n=n, starts=np.asarray(starts), first=first,
+                        spans=spans,
+                        cols=np.minimum(first[:, None] + step, n - 1),
+                        inside=step < np.diff(first, append=n)[:, None])
+
+
+def _window_records(u, plan: _RecordsPlan):
+    """The running-max records of each row of u inside each window of
+    `plan`, ties kept: (rows, cols) sorted by row, then column, and where
+    each (row, window) begins in that list (a window's first element is a
+    record).
+
+    Only a column block whose max reaches the max of the window's earlier
+    blocks can hold a record, and only those blocks are scanned."""
+    n = plan.n
+    block_max = np.maximum.reduceat(u, plan.first, axis=1)
     # the max of the window's earlier blocks, -inf before its first
     before = np.full_like(block_max, -np.inf)
-    j = 0
-    for b in blocks:
-        np.maximum.accumulate(block_max[:, j:j + len(b) - 1], axis=1,
-                              out=before[:, j + 1:j + len(b)])
-        j += len(b)
+    for j, count in plan.spans:
+        np.maximum.accumulate(block_max[:, j:j + count - 1], axis=1,
+                              out=before[:, j + 1:j + count])
     rows, cand = np.nonzero(block_max >= before)
-    # the candidate blocks' flat positions in u, one block per column and
-    # padded past its end to `width` rows
-    step = np.arange(width)[:, None]
-    pos = np.minimum(rows * n + first[cand] + step, u.size - 1)
+    # the candidate blocks' flat positions in u, one block per row, so the
+    # records come out sorted by position
+    pos = rows[:, None] * n + plan.cols[cand]
     vals = u.ravel()[pos]
-    is_record = ((step < size[cand]) & (vals >= before[rows, cand])
-                 & (vals == np.maximum.accumulate(vals)))
-    # transposed, the records come out sorted by position
-    pos = pos.T[is_record.T]
-    window_first = (np.arange(len(u))[:, None] * n + starts).ravel()
+    is_record = (plan.inside[cand] & (vals >= before[rows, cand][:, None])
+                 & (vals == np.maximum.accumulate(vals, axis=1)))
+    pos = pos[is_record]
+    window_first = (np.arange(len(u))[:, None] * n + plan.starts).ravel()
     return *np.divmod(pos, n), np.searchsorted(pos, window_first)
 
 
-def _draw_uniforms(stream, t0, t1, lo, m_modes):
+def _draw_uniforms(rng, stream, t0, t1, lo, m_modes):
     """Row t - t0 is stream.child(t).generator().random(m_modes)[lo:], for
-    t in [t0, t1), drawn by one Philox re-keyed for each trial; its counter
-    skips the first lo uniforms."""
+    t in [t0, t1), drawn by the Philox Generator `rng`, re-keyed for each
+    trial with its counter set past the first lo uniforms."""
     u = np.empty((t1 - t0, m_modes - lo))
-    bitgen = np.random.Philox()
-    rng = np.random.Generator(bitgen)
+    bitgen = rng.bit_generator
     for row, t in enumerate(range(t0, t1)):
-        stream.child(t).rekey(bitgen)
         # one counter step gives 4 uint64, so 4 uniforms
-        bitgen.advance(lo // 4)
-        rng.random(lo % 4)
+        stream.child(t).rekey(bitgen, lo // 4)
+        if lo % 4:
+            rng.random(lo % 4)
         rng.random(out=u[row])
     return u
 
@@ -542,9 +562,11 @@ def monte_carlo_transition(dists, model: str, trials: int, m_modes: int,
 
     Trials run in blocks of max(1, 2**16 // (m_modes - M/8)) (7 at the
     example's 10,000 modes): one (block, m_modes - M/8) float64 buffer of
-    at most 512 KiB, unless one trial needs more, one Philox re-keyed for
-    each trial, one records screen and one abs_quantile call per law.  The
-    blocks depend on the trial index only; `threads` workers share them out.
+    at most 512 KiB, unless one trial needs more, one records screen and
+    one abs_quantile call per law.  The blocks depend on the trial index
+    only.  Each of the `threads` workers takes every threads-th block and
+    builds one Philox, re-keyed for each of its trials; the records screen's
+    column blocks are planned once per call.
 
     Only the running-max records of each window's uniforms are mapped: in a
     window mu_j is nondecreasing, so when abs_quantile is nondecreasing in u
@@ -572,25 +594,29 @@ def monte_carlo_transition(dists, model: str, trials: int, m_modes: int,
     sqrt_mu = np.sqrt(spectrum_by_mode_count(model, m_modes)[lo:])
     stats = np.empty((len(dists), len(truncations), trials))
     block = max(1, _BLOCK_UNIFORMS // (m_modes - lo))
+    plan = _records_plan(starts, m_modes - lo)
 
-    def run_block(t0):
-        u = _draw_uniforms(stream, t0, min(t0 + block, trials), lo, m_modes)
-        rows, cols, offsets = _window_records(u, starts)
-        u, root = u[rows, cols], sqrt_mu[cols]
-        for i, (_, dist) in enumerate(dists):
-            ratio = dist.abs_quantile(u) / root
-            stats[i, :, t0:t0 + block] = np.maximum.reduceat(
-                ratio, offsets).reshape(-1, len(starts)).T
+    def run_blocks(t0s):
+        rng = np.random.Generator(np.random.Philox(0))
+        for t0 in t0s:
+            u = _draw_uniforms(rng, stream, t0, min(t0 + block, trials), lo,
+                               m_modes)
+            rows, cols, offsets = _window_records(u, plan)
+            u, root = u[rows, cols], sqrt_mu[cols]
+            for i, (_, dist) in enumerate(dists):
+                ratio = dist.abs_quantile(u) / root
+                stats[i, :, t0:t0 + block] = np.maximum.reduceat(
+                    ratio, offsets).reshape(-1, len(starts)).T
 
     blocks = range(0, trials, block)
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, blocks))
+            list(pool.map(run_blocks,
+                          [blocks[i::threads] for i in range(threads)]))
     else:
-        for t0 in blocks:
-            run_block(t0)
+        run_blocks(blocks)
     entries = []
     for (label, _), law_stats in zip(dists, stats):
         cells = [TransitionCell(eps=eps, truncation=mt,

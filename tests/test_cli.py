@@ -451,6 +451,14 @@ def _python(code, *args):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def test_impedance_does_not_import_the_lab():
+    # the transition path (impedance, weyl) loads no extension_lab; only the
+    # matrix samplers import its ContractionOp, when called
+    loaded = _python("import json, sys, randbc.weyl; print(json.dumps("
+                     "'randbc.extension_lab' in sys.modules))")
+    assert loaded is False
+
+
 def test_runtime_without_scipy(tmp_path):
     loaded = _python("import json, sys, randbc.cli; print(json.dumps(sorted("
                      "m for m in sys.modules if m.split('.')[0] == 'scipy')))")

@@ -289,6 +289,21 @@ def test_lost_root_reported(monkeypatch):
         "seed's root: possible lost root"]
 
 
+def test_stalled_seed_raises(monkeypatch):
+    # a seed whose Re-zeta continuation stalls loses its root: exit 3, not
+    # a shorter list with a warning
+    ball = MaterialParams(dim=3)
+    window_roots = dm._window_roots
+
+    def stall_first(*args):
+        roots, search, stalled, drifted = window_roots(*args)
+        return roots[1:], search, [(roots[0], 0.5)], drifted
+
+    monkeypatch.setattr(dm, "_window_roots", stall_first)
+    with pytest.raises(dm.ConvergenceError, match="stalled at Re zeta=0.5"):
+        dm.solve_mode_eigenvalues(0, 1.5 + 1.5j, ball, (1.0, 12.0))
+
+
 def test_continuation_budget_reports_stalled_seed():
     # a derivative 20x too large makes every polish crawl and every Re-zeta
     # step halve without end; each seed must come back stalled after the

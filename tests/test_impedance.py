@@ -38,6 +38,20 @@ def test_child_streams_disjoint():
     assert np.array_equal(a, a2)
 
 
+@pytest.mark.parametrize("counter", [0, 1, 7, 312])
+def test_rekey_sets_the_counter(counter):
+    # one reused Philox, re-keyed with its counter set, continues each
+    # stream's generator() after 4 uniforms per counter step; a key word of
+    # 2**64 - 1 and a used buffer do not leak into the next stream
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    for s in (stream(3, 0).child(5), imp.SeededStream(2**64 - 1, -1)):
+        rng.random(3)
+        s.rekey(bitgen, counter)
+        want = s.generator().random(4 * counter + 9)[4 * counter:]
+        assert rng.random(9).tobytes() == want.tobytes()
+
+
 def test_pareto_mean_monte_carlo_and_quadrature():
     # analytic mean a s_min / (a-1) = 2.0 for a=2, s_min=1
     dist = imp.ParetoImag(2.0, 1.0)

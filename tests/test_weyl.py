@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import os
+import sys
 
 import mpmath
 import numpy as np
@@ -424,7 +425,8 @@ def test_window_records_max_equals_brute_force(model, m_modes):
              imp.BoundedCustom([0.0, 1.0, 2.0, 3.0, 9.0],
                                [0.0, 0.25, 0.25, 0.5, 1.0])]
     for width in (1, 13, 50):
-        rows, cols, offsets = weyl._window_records(u, starts, width)
+        plan = weyl._records_plan(starts, n, width)
+        rows, cols, offsets = weyl._window_records(u, plan)
         want_rows, want_cols = np.nonzero(want)
         assert rows.tolist() == want_rows.tolist(), width
         assert cols.tolist() == want_cols.tolist(), width
@@ -442,9 +444,10 @@ def test_window_records_max_equals_brute_force(model, m_modes):
 @pytest.mark.parametrize("trials", [1, 7, 8, 15])
 @pytest.mark.parametrize("m_modes", [8, 16, 24, 32])
 def test_blocked_draw_equals_trial_generator(monkeypatch, m_modes, trials):
-    # the Monte Carlo draws its trials in blocks, from one Philox re-keyed
-    # per trial whose counter skips the first lo uniforms (lo % 4 = 1, 2,
-    # 3, 0 here); 7-trial blocks leave a short last block for 8 and 15
+    # the Monte Carlo draws its trials in blocks, from one Philox per worker
+    # re-keyed per trial whose counter skips the first lo uniforms (lo % 4 =
+    # 1, 2, 3, 0 here); 7-trial blocks leave a short last block for 8 and
+    # 15, and 4 threads share at most 3 blocks, so some workers get none
     lo = m_modes // 4 // 2
     stream = imp.SeededStream(4, 9)
     kwargs = dict(dists=[("a=2", imp.ParetoImag(2.0)),
@@ -457,21 +460,48 @@ def test_blocked_draw_equals_trial_generator(monkeypatch, m_modes, trials):
     drawn = {}
     draw = weyl._draw_uniforms
 
-    def spy(parent, t0, t1, *rest):
-        u = draw(parent, t0, t1, *rest)
+    def spy(rng, parent, t0, t1, *rest):
+        u = draw(rng, parent, t0, t1, *rest)
         drawn.update((t0 + row, u[row].copy()) for row in range(len(u)))
         assert t1 - t0 == min(7, trials - t0)
         return u
 
     monkeypatch.setattr(weyl, "_draw_uniforms", spy)
-    for threads in (1, 3):
+    # switch threads often, so that workers interleave within a block
+    interval = sys.getswitchinterval()
+    for threads in (1, 3, 4):
         drawn.clear()
-        got = weyl.monte_carlo_transition(threads=threads, **kwargs)
+        sys.setswitchinterval(1e-6)
+        try:
+            got = weyl.monte_carlo_transition(threads=threads, **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
         assert got == one_block, threads
         assert sorted(drawn) == list(range(trials))
         for t, row in drawn.items():
             want = stream.child(t).generator().random(m_modes)[lo:]
             assert row.tobytes() == want.tobytes(), (t, threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_one_philox_per_worker(monkeypatch, threads):
+    # 2-trial blocks: 30 blocks of 60 trials, and still at most one bit
+    # generator per worker thread, whatever the number of blocks
+    m_modes = 64
+    monkeypatch.setattr(weyl, "_BLOCK_UNIFORMS", 2 * (m_modes - m_modes // 8))
+    built = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    weyl.monte_carlo_transition([("a=1", imp.ParetoImag(1.0))], "sphere",
+                                trials=60, m_modes=m_modes,
+                                stream=imp.SeededStream(2, 5),
+                                threads=threads)
+    assert 1 <= len(built) <= threads
 
 
 def test_sample_goes_through_abs_quantile():
