@@ -126,6 +126,14 @@ def run_disk_spectrum(cfg, p, out_dir, manifest) -> int:
             # is asked for when that root lies beyond it
             spot_window = disk_model.oracle_window(mode, params, window[0],
                                                    low[-1].real)
+            if window[0] >= spot_window[1]:
+                # the oracle's lowest roots all lie below the config window,
+                # so pairing them by rank with the secular roots would
+                # compare different roots
+                spot.append({"mode": mode, "skipped": (
+                    f"window starts at lam = {window[0]:.6g}, at or above "
+                    f"the FD oracle's window end {spot_window[1]:.6g}")})
+                continue
             oracle = disk_model.fd_oracle(mode, res.zeta, params, grid=2048,
                                           window=spot_window,
                                           n_values=len(low))

@@ -29,6 +29,40 @@ class WeylError(ValueError):
     pass
 
 
+def _mu(dim, idx):
+    """The eigenvalue at the distinct mode index idx (k on the circle, l on
+    the sphere): k^2 or l(l+1).  idx is an int or an array."""
+    return idx * idx if dim == 2 else idx * (idx + 1)
+
+
+def _modes_between(dim, a, b):
+    """The number of eigenvalues, counting multiplicity, at the distinct mode
+    indices a <= j < b: (b - a)(b + a) on the sphere (2l + 1 each), 2 (b - a)
+    on the circle less one for k = 0.  a and b are ints or arrays."""
+    if dim == 3:
+        return (b - a) * (b + a)
+    return 2 * (b - a) - ((a == 0) & (b > 0))
+
+
+def _last_index(ok):
+    """The largest integer j >= 0 with ok(j), for ok true at 0 and false
+    from some j on: a doubling search, then bisection."""
+    lo, hi = 0, 1
+    while ok(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
+
+
+def _dim(model: str) -> int:
+    """The dimension d of the circle (2) or the sphere (3)."""
+    if model not in ("circle", "sphere"):
+        raise WeylError(f"unknown model boundary {model!r}")
+    return 2 if model == "circle" else 3
+
+
 @dataclass(frozen=True)
 class BoundarySpectrum:
     """Sorted Laplace-Beltrami eigenvalues with multiplicities."""
@@ -54,61 +88,38 @@ class BoundarySpectrum:
 
     def tail_mode_index(self):
         """Largest distinct mode index present (k or l)."""
-        if self.dim == 2:
-            return int(round(math.sqrt(self.mu[-1])))
-        return int(round((-1.0 + math.sqrt(1.0 + 4.0 * self.mu[-1])) / 2.0))
+        return _last_index(lambda j: _mu(self.dim, j) <= self.mu[-1])
 
 
 def boundary_spectrum(model: str, mu_max: float) -> BoundarySpectrum:
     """Exact closed-form boundary spectrum up to mu_max."""
     if mu_max < 1:
         raise WeylError("mu_max must be >= 1")
-    if model == "circle":
-        k_max = int(math.floor(math.sqrt(mu_max)))
-        mu = np.array([float(k * k) for k in range(k_max + 1)])
-        mult = np.array([1] + [2] * k_max, dtype=np.int64)
-        return BoundarySpectrum(dim=2, mu=mu, mult=mult, mu_max=float(mu_max))
-    if model == "sphere":
-        ls = []
-        l = 0
-        while l * (l + 1) <= mu_max:
-            ls.append(l)
-            l += 1
-        mu = np.array([float(l * (l + 1)) for l in ls])
-        mult = np.array([2 * l + 1 for l in ls], dtype=np.int64)
-        return BoundarySpectrum(dim=3, mu=mu, mult=mult, mu_max=float(mu_max))
-    raise WeylError(f"unknown model boundary {model!r}")
+    dim = _dim(model)
+    idx = np.arange(_last_index(lambda j: _mu(dim, j) <= mu_max) + 1)
+    return BoundarySpectrum(dim=dim, mu=_mu(dim, idx).astype(float),
+                            mult=_modes_between(dim, idx, idx + 1),
+                            mu_max=float(mu_max))
 
 
 def spectrum_by_mode_count(model: str, n_modes: int) -> np.ndarray:
-    """First n_modes entries of the multiplicity-expanded spectrum."""
-    if model == "circle":
-        k_max = n_modes // 2 + 1
-        mu = np.repeat(np.arange(k_max + 1, dtype=float) ** 2,
-                       [1] + [2] * k_max)
-        return mu[:n_modes]
-    if model == "sphere":
-        l_max = int(math.isqrt(n_modes)) + 1
-        ls = np.arange(l_max + 1, dtype=float)
-        mu = np.repeat(ls * (ls + 1), (2 * ls + 1).astype(int))
-        return mu[:n_modes]
-    raise WeylError(f"unknown model boundary {model!r}")
+    """First n_modes entries of the multiplicity-expanded spectrum: the
+    expansion of boundary_spectrum up to the n_modes-th eigenvalue's index."""
+    dim = _dim(model)
+    last = _last_index(lambda j: _modes_between(dim, 0, j) < n_modes)
+    return boundary_spectrum(model, max(1, _mu(dim, last))).expanded(n_modes)
 
 
 def drop_prefix(spectrum: BoundarySpectrum, n: int) -> BoundarySpectrum:
     """Remove the first n boundary eigenvalues counting multiplicity."""
     if n < 0:
         raise WeylError("prefix length must be >= 0")
-    mult = spectrum.mult.copy()
-    remaining = n
-    start = 0
-    while start < mult.size and remaining >= mult[start]:
-        remaining -= mult[start]
-        start += 1
-    if start >= mult.size:
+    cum = np.cumsum(spectrum.mult)
+    start = int(np.searchsorted(cum, n, side="right"))
+    if start >= cum.size:
         raise WeylError("prefix removes the whole enumerated spectrum")
-    mult = mult[start:].copy()
-    mult[0] -= remaining
+    mult = spectrum.mult[start:].copy()
+    mult[0] = cum[start] - n
     return BoundarySpectrum(dim=spectrum.dim, mu=spectrum.mu[start:].copy(),
                             mult=mult, mu_max=spectrum.mu_max)
 
@@ -193,110 +204,96 @@ def hurwitz_zeta(s: float, q: float) -> float:
     return math.fsum(terms)
 
 
-def _tail_terms(dist, dim, delta, idx):
-    """Series terms at the distinct mode indices idx (an int array) beyond
-    the enumeration."""
-    if dim == 2:
-        return 2.0 * dist.survival_abs(delta * idx)
-    return (2 * idx + 1) * dist.survival_abs(delta * np.sqrt(idx * (idx + 1)))
+# _block_sum halves a block while its bounds differ by more than this
+# fraction of the sum's lower bound
+_SPLIT_WIDTH = 2.0 ** -20
 
 
-def _index_blocks(start, stop):
-    """The indices start + 1 .. stop as consecutive int64 arrays of 64,
-    128, ... and at most 2**16 indices."""
-    lo, n = start + 1, 64
-    while lo <= stop:
-        yield np.arange(lo, min(lo + n, stop + 1))
-        lo, n = lo + n, min(2 * n, 2**16)
+def _s_at(dim, delta, idx):
+    """delta sqrt(mu) at the distinct mode indices idx, as float64: the
+    argument of S in the series terms, rounded as over the spectrum."""
+    return delta * np.sqrt(_mu(dim, np.asarray(idx, dtype=float)))
 
 
-def _running_sums(total, terms):
-    """total + terms[0], total + terms[0] + terms[1], ...: summed left to
-    right (np.cumsum), as a loop over the terms would."""
-    return np.cumsum(np.concatenate(([total], terms)))[1:]
+def _block_sum(dist, dim, delta, start, remainder):
+    """Bounds (lo, hi) on the sum of mult_j S(delta sqrt(mu_j)) over the
+    distinct indices j > start, remainder(J) bounding the terms past J;
+    None once an index reaches 2^52 (float64 indices are exact below 2^53).
+
+    The blocks [a, b] hold 1, 2, 4, ... indices from start + 1.  S is
+    nonincreasing and mu increasing, so a block's terms sum to within
+    [M S(s_b), M S(s_a)], M = _modes_between(a, b + 1).  Each pass halves
+    the blocks wider than _SPLIT_WIDTH times the lower bound and, while the
+    remainder is that wide, adds the next block: one survival_abs call at
+    the new ends.  That width also pads the bounds against rounding.
+    """
+    ends = np.array([start + 1.0, start + 1.0])   # a, b of each block
+    surv = dist.survival_abs(_s_at(dim, delta, ends))
+    while ends[-1] < 2.0 ** 52:
+        a, b = ends[::2], ends[1::2]
+        m = _modes_between(dim, a, b + 1.0)
+        lo, hi = math.fsum(m * surv[1::2]), math.fsum(m * surv[::2])
+        rest, cut = remainder(float(b[-1])), _SPLIT_WIDTH * lo
+        wide = (m * (surv[::2] - surv[1::2]) > cut) & (b > a)
+        if not (wide.any() or rest > cut):
+            return lo - cut, hi + rest + cut
+        mid = np.floor((a[wide] + b[wide] + 1.0) / 2.0)
+        new = np.concatenate([mid - 1.0, mid] + (
+            [[b[-1] + 1.0, 2.0 * b[-1] + 1.0 - start]] if rest > cut else []))
+        pos = np.searchsorted(ends, new)
+        ends = np.insert(ends, pos, new)
+        surv = np.insert(surv, pos, dist.survival_abs(_s_at(dim, delta, new)))
+    return None
 
 
 def _analytic_tail(dist: ImpedanceDistribution, dim: int, delta: float,
                    start: int):
-    """Bounds (lo, hi) on sum of series terms at distinct indices > start.
-
-    Returns (lo, hi, certified); hi = inf means certified divergence, and an
-    uncertified tail comes back (0, inf, False) -> inconclusive.  The terms
-    are evaluated in blocks of indices (_index_blocks) and summed left to
-    right.
+    """Certified bounds (lo, hi, certified) on the sum of the series terms
+    mult_j S(delta sqrt(mu_j)) at the distinct mode indices j > start, from
+    O(log(1/delta)) survival values; hi = inf is certified divergence and
+    (0, inf, False) uncertified -> inconclusive.  A bounded law's terms end
+    where delta sqrt(mu) passes abs_bound; ParetoImag counts its head, where
+    S = 1, and adds a Hurwitz zeta, exact on the circle and bracketed on the
+    sphere.  A tail whose indices reach 2^52, or whose bounds overflow, is
+    uncertified, so that no float overflow reads as divergence.
     """
+    uncertified = 0.0, math.inf, False
     bound = dist.abs_bound()
     if bound is not None:
-        # finitely many nonzero terms: sum them directly
-        idx_stop = int(math.ceil(bound / delta)) + 2
-        total = 0.0
-        for idx in _index_blocks(start, max(start + 1, idx_stop)):
-            total = float(_running_sums(
-                total, _tail_terms(dist, dim, delta, idx))[-1])
-        return total, total, True
-    if isinstance(dist, ParetoImag):
+        sums = _block_sum(dist, dim, delta, start, lambda j: (
+            0.0 if _s_at(dim, delta, j) > bound else math.inf))
+    elif isinstance(dist, ParetoImag):
         a, s_min = dist.a, dist.s_min
-        # advance until the survival is in its power-law regime: the head
-        # is the indices with s <= s_min (1 + 1e-12), a run from start + 1
-        idx0 = start
-        head = 0.0
-        for block in _index_blocks(start, start + 10_000_001):
-            s = delta * (block if dim == 2 else np.sqrt(block * (block + 1)))
-            idx = block[s <= s_min * (1 + 1e-12)]
-            if idx.size:
-                head = float(_running_sums(
-                    head, _tail_terms(dist, dim, delta, idx))[-1])
-            idx0 += idx.size
-            if idx.size < block.size:
-                break
-        else:
-            return 0.0, math.inf, False
-        ratio = (s_min / delta) ** a
-        if dim == 2:
-            if a <= 1.0:
-                return math.inf, math.inf, True
-            z = hurwitz_zeta(a, idx0 + 1)
-            val = head + 2.0 * ratio * z
-            return val, val, True
-        if a <= 2.0:
+        if a <= dim - 1:
             return math.inf, math.inf, True
-        hi = head + ratio * (2.0 * hurwitz_zeta(a - 1.0, idx0 + 1)
-                             + hurwitz_zeta(a, idx0 + 1))
-        lo = head + ratio * (2.0 * hurwitz_zeta(a - 1.0, idx0 + 2)
-                             - hurwitz_zeta(a, idx0 + 2))
-        return max(lo, 0.0), hi, True
-    if isinstance(dist, HalfNormalReal):
-        # gaussian decay: direct summation with a certified cutoff, the
-        # first index whose envelope is negligible against the sum so far
-        total = 0.0
+        if s_min / delta >= 2.0 ** 52:
+            return uncertified
+        head = max(start, _last_index(lambda j: _s_at(dim, delta, j) <= s_min))
+        count = float(_modes_between(dim, start + 1, head + 1))
+        try:
+            ratio, z = (s_min / delta) ** a, hurwitz_zeta
+        except OverflowError:
+            return uncertified
+        if dim == 2:
+            sums = (count + ratio * (2.0 * z(a, head + 1)),) * 2
+        else:  # l < sqrt(l(l+1)) < l + 1
+            sums = (max(count + ratio * (2 * z(a - 1, head + 2)
+                                         - z(a, head + 2)), 0.0),
+                    count + ratio * (2 * z(a - 1, head + 1) + z(a, head + 1)))
+    elif isinstance(dist, HalfNormalReal):
+        # erfc(x) <= exp(-x^2), sqrt(mu_j) >= j and mult_j <= 2j + 1: past J
+        # the terms are at most (2j + 1) exp(-c j^2), which decreases once
+        # c J (2J + 1) >= 1, and sum to at most its integral from J
         c = delta * delta / (2.0 * dist.sigma ** 2)
-        for idx in _index_blocks(start, start + 50_000_001):
-            totals = _running_sums(total, _tail_terms(dist, dim, delta, idx))
-            envelope = (2 * idx + 1) * np.exp(-c * idx * idx)
-            done = ((envelope < 1e-18 * np.maximum(totals, 1e-12))
-                    | (envelope < 1e-280))
-            if done.any():
-                total = float(totals[np.argmax(done)])
-                return total, total, True
-            total = float(totals[-1])
-        return 0.0, math.inf, False
-    # any other law, such as a BoundedCustom table that does not reach F = 1
-    return 0.0, math.inf, False
-
-
-def _tails(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
-           deltas) -> dict:
-    """{delta: _analytic_tail(...)} beyond the spectrum's last mode.
-
-    The verdicts are decided by these alone; the finite partial sums only
-    feed `evidence`.  drop_prefix keeps mu[-1], so the tail index and the
-    tails are those of the full spectrum for every dropped prefix: the
-    criteria's prefix check (prefix_stable_verdicts) cannot report a
-    change.
-    """
-    start = spectrum.tail_mode_index()
-    return {delta: _analytic_tail(dist, spectrum.dim, delta, start)
-            for delta in deltas}
+        sums = _block_sum(dist, dim, delta, start, lambda j: (
+            math.exp(-c * j * j) * (1.0 + 0.5 / j) / c
+            if c * j * (2.0 * j + 1.0) >= 1.0 else math.inf))
+    else:  # any other law, such as a BoundedCustom table short of F = 1
+        return uncertified
+    # None: an index reached 2^52; not finite: a float overflow
+    if sums is None or not math.isfinite(sums[1]):
+        return uncertified
+    return (*sums, True)
 
 
 def _tail_criterion(name, deltas, partials, tails) -> CriterionVerdict:
@@ -308,11 +305,11 @@ def _tail_criterion(name, deltas, partials, tails) -> CriterionVerdict:
         partial = partials[delta]
         lo, hi, certified = tails[delta]
         finite = certified and math.isfinite(hi)
-        infinite = certified and math.isinf(lo)
         evidence[delta] = {"partial": partial, "tail_lo": lo, "tail_hi": hi,
                            "certified": certified,
                            "value": partial + hi if finite else math.inf}
-        finite_flags.append(None if not certified else (not infinite and finite))
+        # None: uncertified; a certified tail is finite or divergent
+        finite_flags.append(finite if certified else None)
     if all(f is True for f in finite_flags):
         verdict = COMPACT
     elif any(f is False for f in finite_flags):
@@ -320,15 +317,6 @@ def _tail_criterion(name, deltas, partials, tails) -> CriterionVerdict:
     else:
         verdict = INCONCLUSIVE
     return CriterionVerdict(name, verdict, tuple(deltas), evidence)
-
-
-def _survivals(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
-               deltas) -> dict:
-    """{delta: 1 - F(delta sqrt(mu)) as an array over the enumerated mu},
-    one survival_abs call per delta; the series and expectation criteria
-    both sum it."""
-    roots = np.sqrt(spectrum.mu)
-    return {delta: dist.survival_abs(delta * roots) for delta in deltas}
 
 
 def _series_verdict(spectrum, deltas, survivals, tails,
@@ -357,9 +345,7 @@ def _expectation_verdict(spectrum, deltas, survivals, tails,
 def series_criterion(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
                      deltas=DEFAULT_DELTAS) -> CriterionVerdict:
     """Convergence of sum_k mult_k (1 - F(delta sqrt(mu_k))) over the delta grid."""
-    return _series_verdict(spectrum, deltas,
-                           _survivals(dist, spectrum, deltas),
-                           _tails(dist, spectrum, deltas))
+    return standard_verdicts(dist, spectrum, deltas)[0]
 
 
 def expectation_criterion(dist: ImpedanceDistribution,
@@ -371,9 +357,7 @@ def expectation_criterion(dist: ImpedanceDistribution,
     (N_i [F(s_{i+1}) - F(s_i)] summed, plus the boundary term), the analytic
     per-kind tail bounds what lies beyond the enumeration.
     """
-    return _expectation_verdict(spectrum, deltas,
-                                _survivals(dist, spectrum, deltas),
-                                _tails(dist, spectrum, deltas))
+    return standard_verdicts(dist, spectrum, deltas)[1]
 
 
 def moment_criterion(dist: ImpedanceDistribution, d: int) -> CriterionVerdict:
@@ -400,17 +384,24 @@ def standard_verdicts(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
 def prefix_verdicts(dist: ImpedanceDistribution, spectrum: BoundarySpectrum,
                     deltas, prefixes) -> list:
     """[standard_verdicts(dist, drop_prefix(spectrum, p), deltas) for p in
-    prefixes], from one survival pass over the whole spectrum and one
-    analytic tail per delta.
+    prefixes], from one survival pass over the whole spectrum, 1 - F(delta
+    sqrt(mu)) in one survival_abs call per delta that the series and the
+    expectation criteria both sum, and one analytic tail per delta beyond
+    the last mode, the interval that alone decides the verdicts (the
+    partial sums only feed `evidence`).
 
     A dropped spectrum's mu is the trailing slice spectrum.mu[cut:], the same
     floats, so each dropped spectrum sums the shared survival arrays from
     offset cut and gets the same bits as its own pass would; it also keeps
-    mu[-1], and with it the tails.  The moment criterion does not depend on
-    the spectrum's modes: every prefix shares one verdict.
+    mu[-1], and with it the tails, so prefix_stable_verdicts cannot report
+    a change.  The moment criterion does not depend on the spectrum's
+    modes: every prefix shares one verdict.
     """
-    survivals = _survivals(dist, spectrum, deltas)
-    tails = _tails(dist, spectrum, deltas)
+    roots = np.sqrt(spectrum.mu)
+    survivals = {delta: dist.survival_abs(delta * roots) for delta in deltas}
+    start = spectrum.tail_mode_index()
+    tails = {delta: _analytic_tail(dist, spectrum.dim, delta, start)
+             for delta in deltas}
     moment = moment_criterion(dist, spectrum.dim)
     out = []
     for prefix in prefixes:

@@ -255,11 +255,19 @@ def test_bad_spectrum_inputs_are_config_errors(tmp_path, capsys, sub, old, new,
 
 def test_bessel_argument_edge_is_accepted(tmp_path):
     # sqrt(ab) * hi = 1e4 is the kernels' validated |x| itself; the
-    # bessel-argument case above rejects sqrt(ab) * hi = 10,005
+    # bessel-argument case above rejects sqrt(ab) * hi = 10,005.  The window
+    # starts at lam = 1, above the FD oracle's window end (mode + 16) /
+    # sqrt(ab) = 0.16, so the spot check records a skip instead of pairing
+    # the oracle's roots below w = 16 with the secular roots above w = 100
     cfg = write_config(tmp_path, DISK_NEUMANN.replace(
         "a = 1.0\nb = 1.0\n", "a = 100.0\nb = 100.0\n").replace(
         "modes = 5\nwindow = 1.0, 10.0", "modes = 0\nwindow = 1.0, 100.0"))
-    assert cli.main(["disk-spectrum", cfg, "--out", str(tmp_path / "o")]) == 0
+    out = str(tmp_path / "o")
+    assert cli.main(["disk-spectrum", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "summary.json")) as fh:
+        spot = json.load(fh)["oracle_spot_checks"]
+    assert spot == [{"mode": 0, "skipped": "window starts at lam = 1, at or "
+                     "above the FD oracle's window end 0.16"}]
 
 
 def test_transition_thread_invariance_bytes(tmp_path):

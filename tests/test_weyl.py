@@ -260,58 +260,90 @@ def test_series_partial_sums_against_fsum(model):
             assert abs(got - want) <= 1e-14 * want, (label, delta)
 
 
-def _tail_by_loop(dist, dim, delta, start):
-    """_analytic_tail one index at a time, summed left to right."""
-    def term(idx):
-        return float(weyl._tail_terms(dist, dim, delta, np.array([idx]))[0])
+_TAIL_CASES = list(itertools.product(
+    [imp.PointMass(1.0), imp.UniformDisc(1.0, 1.5),
+     imp.UniformImagSegment(-1.0, 3.0),
+     imp.BoundedCustom([0.0, 2.0, 5.0], [0.0, 0.5, 1.0]),
+     imp.ParetoImag(3.5, 1.0), imp.ParetoImag(2.5, 2.0),
+     imp.HalfNormalReal(1.0), imp.HalfNormalReal(0.05)],
+    (0.001, 0.01, 0.3, 10.0), (0, 7, 500, 3162)))
 
-    def s_at(idx):
-        return delta * (idx if dim == 2 else math.sqrt(idx * (idx + 1)))
 
-    if dist.abs_bound() is not None:
-        total = 0.0
-        stop = max(start + 1, math.ceil(dist.abs_bound() / delta) + 2)
-        for idx in range(start + 1, stop + 1):
-            total += term(idx)
-        return total, total, True
-    if isinstance(dist, imp.ParetoImag):
-        a, idx0, head = dist.a, start, 0.0
-        while s_at(idx0 + 1) <= dist.s_min * (1 + 1e-12):
-            idx0 += 1
-            head += term(idx0)
-        ratio, z = (dist.s_min / delta) ** a, weyl.hurwitz_zeta
-        if dim == 2:
-            val = head + 2.0 * ratio * z(a, idx0 + 1)
-            return val, val, True
-        return (max(head + ratio * (2.0 * z(a - 1, idx0 + 2) - z(a, idx0 + 2)),
-                    0.0),
-                head + ratio * (2.0 * z(a - 1, idx0 + 1) + z(a, idx0 + 1)),
-                True)
-    total, idx = 0.0, start
-    c = delta * delta / (2.0 * dist.sigma ** 2)
-    while True:
-        idx += 1
-        total += term(idx)
-        envelope = (2 * idx + 1) * float(np.exp(-c * idx * idx))
-        if envelope < 1e-18 * max(total, 1e-12) or envelope < 1e-280:
-            return total, total, True
+def _terms(dist, dim, delta, first, last):
+    """The series terms mult_j S(delta sqrt(mu_j)) at j = first..last."""
+    j = np.arange(first, last + 1, dtype=float)
+    mult, mu = (2.0, j * j) if dim == 2 else (2 * j + 1, j * (j + 1))
+    return mult * dist.survival_abs(delta * np.sqrt(mu))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_analytic_tail_blocks_equal_one_index_at_a_time(dim):
-    # the deltas put the bounded sums' ends, the Pareto heads' ends and the
-    # half-normal cutoffs past the first blocks of 64, 128, ... indices
-    laws = [imp.PointMass(1.0), imp.UniformDisc(1.0, 1.5),
-            imp.UniformImagSegment(-1.0, 3.0),
-            imp.BoundedCustom([0.0, 2.0, 5.0], [0.0, 0.5, 1.0]),
-            imp.ParetoImag(3.5, 1.0), imp.ParetoImag(2.5, 2.0),
-            imp.HalfNormalReal(1.0), imp.HalfNormalReal(0.05)]
-    for dist in laws:
-        for delta in (0.001, 0.01, 0.3, 10.0):
-            for start in (0, 7, 500, 3162):
-                want = _tail_by_loop(dist, dim, delta, start)
-                got = weyl._analytic_tail(dist, dim, delta, start)
-                assert _bits(got) == _bits(want), (dist.label(), delta, start)
+def test_analytic_tail_contains_the_summed_terms(dim):
+    # the bounded and half-normal terms vanish from some index n on (erfc
+    # underflows past 27).  Pareto: the terms up to n, then mpmath's
+    # Hurwitz zeta, exact on the circle (to rounding) and bracketed on the
+    # sphere by l < sqrt(l(l+1)) < l + 1
+    for dist, delta, start in _TAIL_CASES:
+        lo, hi, certified = weyl._analytic_tail(dist, dim, delta, start)
+        pareto = isinstance(dist, imp.ParetoImag)
+        scale = dist.s_min if pareto else dist.abs_bound() or 40 * dist.sigma
+        n = start + math.ceil(scale / delta) + 99
+        terms = _terms(dist, dim, delta, start + 1, n)
+        rest = (0.0, 0.0)
+        if pareto:
+            a, ratio = dist.a, (mpmath.mpf(dist.s_min) / delta) ** dist.a
+
+            def z(s, q):
+                return float(ratio * mpmath.zeta(s, q))
+
+            rest = ((2 * z(a, n + 1),) * 2 if dim == 2 else
+                    (2 * z(a - 1, n + 2) - z(a, n + 2),
+                     2 * z(a - 1, n + 1) + z(a, n + 1)))
+            lo, hi = lo * (1 - 1e-12), hi * (1 + 1e-12)
+        else:
+            assert terms[-1] == 0.0
+        head = math.fsum(terms)
+        assert certified and lo <= head + rest[0] <= head + rest[1] <= hi, (
+            dist.label(), delta, start, lo, hi, head, rest)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_analytic_tail_from_an_earlier_start(dim):
+    # the tail from start - m and the terms on (start - m, start] plus the
+    # tail from start bound the same sum, so the intervals overlap (the
+    # Pareto circle's tails are points, equal to rounding)
+    laws = [d for d, _, _ in _TAIL_CASES[::16]] + [
+        d for _, d in cli.builtin_distribution_family()]
+    for dist, delta, (start, m) in itertools.product(
+            laws, (0.001, 0.01, 0.3, 10.0),
+            ((7, 7), (500, 3), (500, 493), (3162, 162))):
+        lo, hi, _ = weyl._analytic_tail(dist, dim, delta, start)
+        early_lo, early_hi, _ = weyl._analytic_tail(dist, dim, delta,
+                                                    start - m)
+        enum = math.fsum(_terms(dist, dim, delta, start - m + 1, start))
+        slack = 1e-12 * early_hi
+        assert early_lo <= enum + hi + slack, (dist.label(), delta, start, m)
+        assert enum + lo <= early_hi + slack, (dist.label(), delta, start, m)
+
+
+@pytest.mark.parametrize("model", ["circle", "sphere"])
+def test_criteria_at_tiny_delta(model):
+    # at delta = 1e-12 every built-in law keeps its delta = 0.01 verdict.
+    # At 1e-300 the tails' indices pass 2^52, where the multiplicity sums
+    # are no longer exact: each tail is uncertified, never a divergence read
+    # from a float overflow (Pareto a = 0.5 diverges whatever delta is);
+    # so is a tail whose Pareto ratio overflows
+    spec = weyl.boundary_spectrum(model, 1e6)
+    for label, dist in cli.builtin_distribution_family():
+        for criterion in (weyl.series_criterion, weyl.expectation_criterion):
+            assert (criterion(dist, spec, (1e-12,)).verdict
+                    == criterion(dist, spec, (0.01,)).verdict), label
+        assert weyl._analytic_tail(
+            dist, spec.dim, 1e-300, spec.tail_mode_index()) == (
+            (math.inf, math.inf, True) if label == "pareto(a=0.5)"
+            else (0.0, math.inf, False)), label
+    # (s_min / delta)^a overflows float64 at a = 40, delta = 1e-10
+    assert weyl._analytic_tail(imp.ParetoImag(40.0), spec.dim, 1e-10, 0) == (
+        0.0, math.inf, False)
 
 
 def test_drop_prefix_counts():
