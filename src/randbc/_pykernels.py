@@ -1,7 +1,7 @@
 """Pure-python numerical kernels, the only kernel implementation in randbc.
 
-Hot paths: Bessel J_k / spherical j_l of complex argument, and the radial
-finite-difference shooting recurrence.  specfun and disk_model import them by
+Hot paths: Bessel J_k / spherical j_l of real or complex argument, and the
+radial finite-difference shooting recurrence.  specfun and disk_model import them by
 name.
 
 J_k and j_l share one code path per branch.  Their ascending series divide
@@ -28,6 +28,15 @@ complex-by-complex products.  That is exact unless a part is itself a zero
 whose sign the added term flips: on the FD route, only the sign of a zero
 imaginary part, at real lam with lam sqrt(ab) / n_grid above about sqrt(2),
 a grid that resolves no oscillation.
+
+The same rule lets the scalar Bessel kernels keep a real argument real.  A
+float x runs the same code as a complex one, branch for branch, in float
+arithmetic, with math's sin, cos and sqrt where a complex x takes cmath's
+(and _sqrt's); a complex x, complex(x, 0.0) included, stays complex.  On
+the real axis every complex operation of that code only adds signed-zero
+terms to the float one, and cmath's functions have libm's real part there,
+so the float results equal the complex path's real parts bit for bit, and
+the batches equal both.
 """
 import cmath
 import functools
@@ -39,8 +48,17 @@ _RESCALE = 1e250
 _TINY_SEED = 1e-30
 
 
-def _csqrt(z):
-    # cmath.sqrt rounds differently
+def _lib(x):
+    # cmath for a complex x, math for a float: on the real axis cmath's exp,
+    # sin and cos have libm's value as their real part
+    return cmath if isinstance(x, complex) else math
+
+
+def _sqrt(z):
+    # cmath.sqrt rounds differently; at a float z this is _sqrt(complex(z))'s
+    # real part
+    if not isinstance(z, complex):
+        return math.sqrt(z)
     r = abs(z)
     if r == 0.0:
         return 0j
@@ -84,51 +102,65 @@ def _miller_start(order, ax):
             + int(math.ceil(7.0 * ax ** (1.0 / 3.0))))
 
 
+def _norm_weights(x, n_start):
+    """The weights of J_k's normalization sum by m % 4, n = m - 1 the index
+    of c_n: 2 on even n on the real axis, else 2 (-i)^n, formed as the
+    running phase _IPOW[n_start % 4] * 1j per step forms them (that
+    sequence repeats with period 4, signed zeros included)."""
+    if x.imag == 0.0:
+        return (0.0, 2.0, 0.0, 2.0)
+    phase = _IPOW[n_start % 4]
+    weights = [0j] * 4
+    for m in range(n_start, n_start - 4, -1):
+        phase *= 1j
+        weights[m % 4] = 2.0 * phase
+    return tuple(weights)
+
+
 def _backward(order, x, n_start, c, d, norm):
     """Miller's backward recurrence c_{m-1} = ((c m + d) / x) c_m - c_{m+1}
     from (c_{n_start+1}, c_{n_start}) = (0, _TINY_SEED), every carried value
-    divided by _RESCALE when a part of c_{m-1} exceeds it.  Returns c_1, c_0,
-    c_order, c_{order+1} and, if norm, J_k's normalization sum (else 0):
-    2 sum_{m >= 1} c_{2m} on the real axis, 2 sum_{n >= 1} (-i)^n c_n off
-    it (x in the first quadrant)."""
-    real_axis = x.imag == 0.0
-    jp = 0.0 + 0j
-    jc = _TINY_SEED + 0j
-    total = 0.0 + 0j
-    out_k = out_k1 = 0j
-    phase = _IPOW[n_start % 4]
-    for m in range(n_start, 0, -1):
-        jm = ((c * m + d) / x) * jc - jp
-        jp = jc
-        jc = jm
-        if m - 1 == order:
-            out_k = jc
-        if m - 1 == order + 1:
-            out_k1 = jc
-        if norm:
-            phase *= 1j
-            if m - 1 > 0:
-                if not real_axis:
-                    total += 2.0 * phase * jc
-                elif (m - 1) % 2 == 0:
-                    total += 2.0 * jc
-        # |jc| >= max(|Re jc|, |Im jc|), so the first test only screens out
-        # the steps that cannot need a rescale (as in fd_radial_edge)
-        if not abs(jc) <= _RESCALE and (
-                max(abs(jc.real), abs(jc.imag)) > _RESCALE):
-            jp /= _RESCALE
-            jc /= _RESCALE
-            total /= _RESCALE
-            out_k /= _RESCALE
-            out_k1 /= _RESCALE
+    divided by _RESCALE when a part of c_{m-1} exceeds it, in x's own
+    arithmetic (float or complex).  Returns c_1, c_0, c_order, c_{order+1}
+    and, if norm, J_k's normalization sum (else 0): 2 sum_{m >= 1} c_{2m}
+    on the real axis, 2 sum_{n >= 1} (-i)^n c_n off it (x in the first
+    quadrant).
+
+    The loop runs down to c_order and then on to c_0, so c_order and
+    c_{order+1} are the carried pair between the two, and the sum reads one
+    weight per step from a table of _norm_weights (0 at n = 0)."""
+    jp, jc = 0.0, _TINY_SEED
+    total = out_k = out_k1 = 0.0
+    if norm:
+        weights = list(_norm_weights(x, n_start)) * (n_start // 4 + 1)
+        weights[1] = 0.0
+    for top, stop in ((n_start, order), (order, 0)):
+        for m in range(top, stop, -1):
+            jp, jc = jc, ((c * m + d) / x) * jc - jp
+            if norm:
+                w = weights[m]
+                if w:
+                    total += w * jc
+            # |jc| >= max(|Re jc|, |Im jc|), so the first test only screens
+            # out the steps that cannot need a rescale (as in fd_radial_edge)
+            if not abs(jc) <= _RESCALE and (
+                    max(abs(jc.real), abs(jc.imag)) > _RESCALE):
+                jp /= _RESCALE
+                jc /= _RESCALE
+                total /= _RESCALE
+                out_k /= _RESCALE
+                out_k1 /= _RESCALE
+        if top == n_start:
+            out_k, out_k1 = jc, jp
     return jp, jc, out_k, out_k1, total
 
 
 def _reflected(branches, d1, order, x):
     """branches(order, x) with x reflected into Re x >= 0, Im x >= 0: J_n
     and j_n have the parity of n and are real on the real axis.  x = 0 by
-    its closed form, whose derivative is d1 at order 1 and 0 above."""
-    x = complex(x)
+    its closed form, whose derivative is d1 at order 1 and 0 above.  A
+    complex x is evaluated in complex arithmetic, any other x as a float."""
+    x = complex(x) if isinstance(x, complex) else float(x)
     if x.real < 0.0:
         v, d = _reflected(branches, d1, order, -x)
         s = -1.0 if order % 2 else 1.0
@@ -137,9 +169,10 @@ def _reflected(branches, d1, order, x):
         v, d = _reflected(branches, d1, order, x.conjugate())
         return v.conjugate(), d.conjugate()
     if x == 0.0:
+        kind = type(x)
         if order == 0:
-            return 1.0 + 0j, 0.0 + 0j
-        return 0.0 + 0j, (complex(d1) if order == 1 else 0.0 + 0j)
+            return kind(1.0), kind(0.0)
+        return kind(0.0), kind(d1 if order == 1 else 0.0)
     return branches(order, x)
 
 
@@ -161,9 +194,8 @@ def _bessel_asym_one(k, x):
     # Hankel large-argument expansion; caller guarantees |x| >= max(50, 4k^2).
     mu = 4.0 * k * k
     chi = x - (0.5 * k + 0.25) * math.pi
-    p = 1.0 + 0j
-    q = 0.0 + 0j
-    term = 1.0 + 0j
+    p = term = 1.0
+    q = 0.0
     prev = 1e300
     for j in range(1, 40):
         term *= (mu - (2 * j - 1) ** 2) / (8.0 * j * x)
@@ -177,8 +209,9 @@ def _bessel_asym_one(k, x):
             p += term if j % 4 == 0 else -term
         if t < 1e-17:
             break
-    amp = _csqrt(2.0 / (math.pi * x))
-    return amp * (p * cmath.cos(chi) - q * cmath.sin(chi))
+    lib = _lib(x)
+    amp = _sqrt(2.0 / (math.pi * x))
+    return amp * (p * lib.cos(chi) - q * lib.sin(chi))
 
 
 def _bessel_asym_pair(k, x):
@@ -193,7 +226,7 @@ def _bessel_branches(k, x):
     ax = abs(x)
     if ax <= 12.0 or ax * ax <= 2.0 * (k + 1):
         half = x / 2.0
-        return _series_pair(_series, 1.0 + 0j, k, x, half, -(half * half), 1)
+        return _series_pair(_series, 1.0, k, x, half, -(half * half), 1)
     if ax >= 50.0 and ax >= 4.0 * k * k:
         return _bessel_asym_pair(k, x)
     return _bessel_miller(k, x)
@@ -207,9 +240,10 @@ def bessel_jk(k, x):
 def _spherical_miller(l, x):
     jp, jc, out_l, out_l1, _ = _backward(l, x, _miller_start(l, abs(x)),
                                          2, 1, False)
-    sin = cmath.sin(x)
+    lib = _lib(x)
+    sin = lib.sin(x)
     j0e = sin / x
-    j1e = sin / (x * x) - cmath.cos(x) / x
+    j1e = sin / (x * x) - lib.cos(x) / x
     scale = j0e / jc if abs(j0e) >= abs(j1e) else j1e / jp
     jl = out_l * scale
     return jl, (l / x) * jl - out_l1 * scale
@@ -217,7 +251,7 @@ def _spherical_miller(l, x):
 
 def _spherical_branches(l, x):
     if abs(x) <= 0.5:
-        return _series_pair(_series, 1.0 + 0j, l, x, x, -(x * x / 2.0), 2)
+        return _series_pair(_series, 1.0, l, x, x, -(x * x / 2.0), 2)
     return _spherical_miller(l, x)
 
 
@@ -389,8 +423,7 @@ def _real_batch(scalar, order, x, ax, pointwise, branches):
         if mask.any():
             value[mask], deriv[mask] = kernel(order, ax[mask])
     for i in np.flatnonzero(pointwise).tolist():
-        v, d = scalar(order, ax[i].item())
-        value[i], deriv[i] = v.real, d.real
+        value[i], deriv[i] = scalar(order, ax[i].item())
     s = -1.0 if order % 2 else 1.0
     neg = x < 0.0
     return np.where(neg, s * value, value), np.where(neg, -s * deriv, deriv)

@@ -127,10 +127,11 @@ class _RadialGrid:
 def _radial_scan_functions(grid, pq):
     """The real part of F = q C' - p C on the real lam axis for grid's
     mode, a function of the real pair (p.real, q.real): pointwise, with its
-    lam-derivative (_radial_fdf), and over a list as q.real C' - p.real C
-    on _radial_grid's arrays (equal up to the sign of a zero, by
-    _pykernels' complex-by-real rule), next to C there.  Returns (fdf, fc) for
-    specfun.ratio_roots.
+    lam-derivative, as _radial_fdf of that pair at a float lam (the
+    kernels' float arithmetic), and over a list as q.real C' - p.real C on
+    _radial_grid's arrays, next to C there.  Both equal the real part of
+    the complex F up to the sign of a zero, by _pykernels' complex-by-real
+    rule.  Returns (fdf, fc) for specfun.ratio_roots.
 
     G = F / C = q h - p, h = C'/C, is strictly decreasing between the
     zeros of C for q > 0 (h is, by J_nu'/J_nu = nu/w - sum_n 2w /
@@ -139,16 +140,15 @@ def _radial_scan_functions(grid, pq):
     real pairs fc returns -C in place of C, which makes -G of F / (-C) so.
     """
     mode, params = grid.mode, grid.params
-    p, q = pq
-    sign = 1.0 if q.real > 0.0 or (q.real == 0.0 and p.real < 0.0) else -1.0
+    p, q = pq[0].real, pq[1].real
+    sign = 1.0 if q > 0.0 or (q == 0.0 and p < 0.0) else -1.0
 
     def fdf(lam):
-        value, deriv = _radial_fdf(mode, lam, params, pq)
-        return value.real, deriv.real
+        return _radial_fdf(mode, lam, params, (p, q))
 
     def fc(lams):
         values, derivs = _radial_grid(mode, lams, params)
-        return q.real * derivs - p.real * values, sign * values
+        return q * derivs - p * values, sign * values
 
     return fdf, fc
 
@@ -248,9 +248,12 @@ def secular_value(mode: int, zeta, lam, params: MaterialParams) -> complex:
     Zeros are the mode eigenvalues of the impedance operator: the boundary
     condition zeta gamma0(p) = -gamma_n(alpha^-1 grad u) with p = -i lam u
     divided by lam.  At zeta = 0 the zeros are Neumann eigenvalues; as
-    |zeta| -> infinity they approach Dirichlet eigenvalues.
+    |zeta| -> infinity they approach Dirichlet eigenvalues.  A real lam
+    (Im lam = 0) is evaluated as a float, in the kernels' float arithmetic.
     """
-    ev = _radial(mode, params.wave_factor * complex(lam), params)
+    lam = complex(lam)
+    ev = _radial(mode, params.wave_factor * (lam if lam.imag else lam.real),
+                 params)
     p, q = _secular(params, zeta)
     return q * ev.derivative - p * ev.value
 

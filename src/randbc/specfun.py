@@ -22,11 +22,14 @@ class SpecFunError(ValueError):
 
 @dataclass(frozen=True)
 class BesselEval:
-    """One evaluation J_k(x) (or spherical j_l(x)) with its derivative."""
+    """One evaluation J_k(x) (or spherical j_l(x)) with its derivative.
+
+    The argument, value and derivative are floats for a real argument (the
+    kernels run in float arithmetic) and complex for a complex one."""
     order: int
-    argument: complex
-    value: complex
-    derivative: complex
+    argument: float | complex
+    value: float | complex
+    derivative: float | complex
 
 
 def _check_arguments(order, xs, name):
@@ -48,12 +51,17 @@ def _check_arguments(order, xs, name):
             and np.abs(xs).max() <= MAX_ABS_ARGUMENT):
         return
     for x in xs:
-        x = complex(x)
         if abs(x) > MAX_ABS_ARGUMENT:
             raise SpecFunError(f"|x|={abs(x):.3g} outside validated range")
         if abs(x.imag) > 600.0:
             raise SpecFunError(
                 f"Im x too large: {name} would overflow double range")
+
+
+def _scalar(x):
+    """x as a Python complex if it is complex, else as a float: the type
+    the kernels evaluate it in."""
+    return complex(x) if isinstance(x, complex) else float(x)
 
 
 def bessel_j(k: int, x) -> BesselEval:
@@ -64,7 +72,7 @@ def bessel_j(k: int, x) -> BesselEval:
     honest).
     """
     _check_arguments(k, (x,), "J_k")
-    x = complex(x)
+    x = _scalar(x)
     v, d = bessel_jk(int(k), x)
     return BesselEval(int(k), x, v, d)
 
@@ -72,7 +80,7 @@ def bessel_j(k: int, x) -> BesselEval:
 def spherical_j(l: int, x) -> BesselEval:
     """Evaluate spherical j_l(x) and j_l'(x) for integer order l >= 0."""
     _check_arguments(l, (x,), "j_l")
-    x = complex(x)
+    x = _scalar(x)
     v, d = spherical_jl(int(l), x)
     return BesselEval(int(l), x, v, d)
 

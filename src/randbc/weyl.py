@@ -179,23 +179,26 @@ _EM_COEFFS = tuple(b / math.factorial(2 * j) for j, b in enumerate(
      -3617 / 510, 43867 / 798), start=1))
 
 
-def hurwitz_zeta(s: float, q: float) -> float:
-    """zeta(s, q) = sum_{k >= 0} (q + k)^-s for s > 1, q > 0.
+def hurwitz_zeta(s: float, q: float, r: float = 1.0) -> float:
+    """r^s zeta(s, q) = sum_{k >= 0} (r / (q + k))^s for s > 1, q > 0,
+    r > 0 (zeta(s, q) itself at r = 1).
 
     Euler-Maclaurin at x = q + n after n = 12 + int(2s) head terms: the
-    integral x^(1-s)/(s-1), the half term x^-s/2 and the B_2..B_18
+    integral r^s x^(1-s)/(s-1), the half term r^s x^-s/2 and the B_2..B_18
     corrections.  The first omitted correction is below 1e-22 of the sum
-    for s <= 20, so the result is the rounded sum of its terms.
+    for s <= 20, so the result is the rounded sum of its terms.  Each term
+    is formed from a power of (q + k) / r or x / r, never from r^s, which
+    may overflow: for q >= r the head terms are at most 1.
     """
     if not (s > 1.0 and q > 0.0):
         raise WeylError(f"hurwitz_zeta needs s > 1 and q > 0, got ({s}, {q})")
     n = 12 + int(2 * s)
     x = q + n
-    terms = [(q + k) ** -s for k in range(n)]
-    terms.append(x ** (1.0 - s) / (s - 1.0))
-    terms.append(0.5 * x ** -s)
+    terms = [((q + k) / r) ** -s for k in range(n)]
+    terms.append(r * (x / r) ** (1.0 - s) / (s - 1.0))
+    terms.append(0.5 * (x / r) ** -s)
     rising = s                      # s (s+1) ... (s+2j-2)
-    power = x ** (-s - 1.0)         # x^(-s-2j+1)
+    power = (x / r) ** (-s - 1.0) / r   # r^s x^(-s-2j+1)
     inv_x2 = 1.0 / (x * x)
     for j, coeff in enumerate(_EM_COEFFS, start=1):
         terms.append(coeff * rising * power)
@@ -270,16 +273,23 @@ def _analytic_tail(dist: ImpedanceDistribution, dim: int, delta: float,
             return uncertified
         head = max(start, _last_index(lambda j: _s_at(dim, delta, j) <= s_min))
         count = float(_modes_between(dim, start + 1, head + 1))
+        # ratio^s zeta(s, q) with ratio = s_min / delta inside each term,
+        # where ratio^a alone may overflow
+        ratio = s_min / delta
+
+        def z(s, q):
+            return hurwitz_zeta(s, q, ratio)
+
         try:
-            ratio, z = (s_min / delta) ** a, hurwitz_zeta
+            if dim == 2:
+                sums = (count + 2.0 * z(a, head + 1),) * 2
+            else:  # l < sqrt(l(l+1)) < l + 1
+                sums = (max(count + (2 * ratio * z(a - 1, head + 2)
+                                     - z(a, head + 2)), 0.0),
+                        count + (2 * ratio * z(a - 1, head + 1)
+                                 + z(a, head + 1)))
         except OverflowError:
             return uncertified
-        if dim == 2:
-            sums = (count + ratio * (2.0 * z(a, head + 1)),) * 2
-        else:  # l < sqrt(l(l+1)) < l + 1
-            sums = (max(count + ratio * (2 * z(a - 1, head + 2)
-                                         - z(a, head + 2)), 0.0),
-                    count + ratio * (2 * z(a - 1, head + 1) + z(a, head + 1)))
     elif isinstance(dist, HalfNormalReal):
         # erfc(x) <= exp(-x^2), sqrt(mu_j) >= j and mult_j <= 2j + 1: past J
         # the terms are at most (2j + 1) exp(-c j^2), which decreases once

@@ -557,6 +557,18 @@ GOLDEN_DIGESTS = {
         "summary.json":
             "f7f5c797a23ca960517dc5f4e50e51d1e37fa14875f8d211ed9e0be562030831",
     }),
+    # the ball at imaginary zeta: its roots come from the real-axis search,
+    # whose refinement runs j_l's series and Miller branches in float
+    # arithmetic, and its residual column from j_l at a float lam
+    "disk-spectrum-sphere-imaginary": ("disk-spectrum", DISK_GOLDEN.replace(
+            "boundary = circle", "boundary = sphere"), {
+        "eigenvalues.csv":
+            "a22bfee0ea5c67676437dec3bb9ec18a66686d5140d002fc010a7d873233789d",
+        "impedance_sequence.csv":
+            "e2ad1cba49681cb80da48868610ff6441f1ff3142b60f48a2c72092e1c79e742",
+        "summary.json":
+            "f02c8932614932b07a47f2d1b6d00f5d55b269e1c98e38c3758575e2fe1279de",
+    }),
     "disk-spectrum-sphere-continuation": ("disk-spectrum", DISK_BALL.replace(
             "z0 = 0", "z0 = 0.5+0.5j").replace("oracle_spot_checks = 2",
                                                "oracle_spot_checks = 0"), {

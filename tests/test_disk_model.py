@@ -609,6 +609,27 @@ def test_mode_solve_evaluates_its_grid_once(monkeypatch, dim, zeta):
         assert len(sizes) == 1 and sizes[0] >= 1025, (mode, sizes)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_real_axis_search_evaluates_in_floats(monkeypatch, dim):
+    # at Re zeta = 0 the refinement's steps and the residual column pass the
+    # scalar kernels a float: a complex argument would give the same bits
+    # on the slower complex path, so only this count would see it
+    args = []
+    for name in ("bessel_jk", "spherical_jl"):
+        def counted(k, x, kernel=getattr(specfun, name)):
+            args.append(x)
+            return kernel(k, x)
+
+        monkeypatch.setattr(specfun, name, counted)
+    for params in (MaterialParams(dim=dim), MaterialParams(1.6, 0.9, dim)):
+        for mode, zeta in itertools.product(range(4), (0.0, 2.0j, -1.5j)):
+            res = dm.solve_mode_eigenvalues(mode, zeta, params, (1.0, 12.0))
+            rows = dm.eigenvalue_rows(res)
+            assert rows and res.method == "bracketed", (mode, zeta)
+    assert len(args) > 100
+    assert not [x for x in args if isinstance(x, complex)]
+
+
 def test_strict_dissipation_for_positive_re_zeta(rng):
     # Re zeta >= 0.1 pushes every eigenvalue strictly below the real axis
     for _ in range(15):

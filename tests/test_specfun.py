@@ -407,15 +407,30 @@ def test_miller_start_batch_equals_scalar():
 
 def test_bessel_batch_equals_scalar(monkeypatch):
     # The real-axis grid scans evaluate J_k / j_l through the batch kernels
-    # and bisect with the scalar ones, so the two must agree exactly.
+    # and refine with the scalar ones at a float x, so the two must agree
+    # exactly, as floats, through specfun too.  The scalar kernel at
+    # complex(x, 0.0), the complex path, must give the same real parts and
+    # zero imaginary parts.
     from randbc import _pykernels as pk
 
-    def check(k, xs, kernels=((pk.bessel_jk_batch, pk.bessel_jk),
-                              (pk.spherical_jl_batch, pk.spherical_jl))):
-        for batch, scalar in kernels:
+    def check(k, xs, kernels=(
+            (pk.bessel_jk_batch, pk.bessel_jk, specfun.bessel_j),
+            (pk.spherical_jl_batch, pk.spherical_jl, specfun.spherical_j))):
+        for batch, scalar, evaluate in kernels:
             values, derivs = batch(k, xs)
             for x, v, d in zip(xs, values.tolist(), derivs.tolist()):
-                assert (v, d) == scalar(k, x), (scalar.__name__, k, x)
+                got = scalar(k, x)
+                assert got == (v, d), (scalar.__name__, k, x)
+                assert all(type(g) is float for g in got), (k, x)
+                if (k <= specfun.MAX_ORDER
+                        and abs(x) <= specfun.MAX_ABS_ARGUMENT):
+                    ev = evaluate(k, x)
+                    assert (ev.value, ev.derivative) == got, (k, x)
+                    assert all(type(g) is float for g in (
+                        ev.argument, ev.value, ev.derivative)), (k, x)
+                on_axis = scalar(k, complex(x))
+                assert [z.real for z in on_axis] == [v, d], (k, x)
+                assert all(z.imag == 0.0 for z in on_axis), (k, x)
 
     rng = np.random.default_rng(5)
     for k in list(range(12)) + [25, 50, 120, 199, 200]:
@@ -440,7 +455,7 @@ def test_bessel_batch_equals_scalar(monkeypatch):
         xs = (np.linspace(lo, lo + 30.0, 41).tolist()
               + rng.uniform(lo, 1e4, 40).tolist())
         check(k, xs + [-x for x in xs[::4]],
-              ((pk.bessel_jk_batch, pk.bessel_jk),))
+              ((pk.bessel_jk_batch, pk.bessel_jk, specfun.bessel_j),))
 
     # The Hankel series stops at the first term that grows, or after the
     # first one below 1e-17.  On the branch every point stops by the second

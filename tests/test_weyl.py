@@ -140,6 +140,33 @@ def test_hurwitz_zeta_against_mpmath(s):
             assert abs((mpmath.mpf(got) - want) / want) <= 1e-15, (s, q)
 
 
+def test_scaled_hurwitz_zeta_against_mpmath():
+    # r^s zeta(s, q) with r inside each term, also where r^s overflows
+    with mpmath.workdps(50):
+        for s, q, r in ((2.5, 101, 100.0), (8.0, 3163, 3000.5),
+                        (40.0, 1e10 + 1, 1e10), (20.0, 2.0 ** 52, 2.0 ** 52)):
+            want = mpmath.mpf(r) ** s * mpmath.zeta(s, q)
+            got = weyl.hurwitz_zeta(s, q, r)
+            assert abs((mpmath.mpf(got) - want) / want) <= 1e-14, (s, q, r)
+
+
+def test_pareto_verdicts_where_the_ratio_power_overflows():
+    # (s_min / delta)^a = 1e400 at a = 40, delta = 1e-10: the tail past the
+    # head is finite, so all four series and expectation verdicts are
+    # compact; on the circle the tail is the head's 2 * 10^10 modes plus
+    # 2 sum_{j > 10^10} (10^10 / j)^40
+    dist = imp.ParetoImag(40.0, 1.0)
+    for model in ("circle", "sphere"):
+        spec = weyl.boundary_spectrum(model, 50.0)
+        series, expectation, _ = weyl.standard_verdicts(dist, spec, (1e-10,))
+        assert series.verdict == expectation.verdict == weyl.COMPACT, model
+    lo, hi, certified = weyl._analytic_tail(dist, 2, 1e-10, 0)
+    with mpmath.workdps(30):
+        want = 2e10 + 2 * mpmath.mpf(1e10) ** 40 * mpmath.zeta(40, 1e10 + 1)
+    assert certified and lo == hi
+    assert abs((mpmath.mpf(hi) - want) / want) <= 1e-14
+
+
 def test_hurwitz_zeta_domain():
     for s, q in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.0)):
         with pytest.raises(weyl.WeylError):
@@ -341,9 +368,11 @@ def test_criteria_at_tiny_delta(model):
             dist, spec.dim, 1e-300, spec.tail_mode_index()) == (
             (math.inf, math.inf, True) if label == "pareto(a=0.5)"
             else (0.0, math.inf, False)), label
-    # (s_min / delta)^a overflows float64 at a = 40, delta = 1e-10
-    assert weyl._analytic_tail(imp.ParetoImag(40.0), spec.dim, 1e-10, 0) == (
-        0.0, math.inf, False)
+    # (s_min / delta)^a overflows float64 at a = 40, delta = 1e-10, but the
+    # tail is finite and certified: the ratio sits inside each Hurwitz term
+    lo, hi, certified = weyl._analytic_tail(imp.ParetoImag(40.0), spec.dim,
+                                            1e-10, 0)
+    assert certified and 0.0 < lo <= hi < math.inf
 
 
 def test_drop_prefix_counts():
