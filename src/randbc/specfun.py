@@ -133,20 +133,26 @@ class RootSearchResult:
     count: int | None = None
 
 
-def _refine(fdf, lo, hi, f_lo):
-    """Root of a bracket (lo, hi), f_lo = f(lo) != 0 of the other sign than
-    f(hi), from fdf(x) = (f(x), f'(x)): safeguarded Newton (rtsafe), with a
-    bisection step wherever f' is 0.0 (find_real_roots passes 0.0 always).
+def _refine(fdf, bracket):
+    """Root of a RootBracket from fdf(x) = (f(x), f'(x)): safeguarded Newton
+    (rtsafe), with a bisection step wherever f' is 0.0 (find_real_roots
+    passes 0.0 always).
 
-    A Newton step is taken only when it lands strictly inside the bracket
-    and is at most half the step before last; otherwise the bracket is
-    bisected.  Every iterate shrinks the bracket by its sign.  Stops on an
-    exact zero, on a Newton step of at most 1e-13 relative (returning its
-    end point, so a step that rounds to nothing ends the search), or when
-    the bracket is 1e-13 relative wide.  Returns (root, evaluations).
+    The first iterate is the secant point of the bracket's end values, the
+    root of the line through (lo, f_lo) and (hi, f_hi), or the midpoint
+    where that point is not finite or not strictly inside.  A Newton step
+    is taken only when it lands strictly inside the bracket and is at most
+    half the step before last; otherwise the bracket is bisected.  Every
+    iterate shrinks the bracket by its sign.  Stops on an exact zero, on a
+    Newton step of at most 1e-13 relative (returning its end point, so a
+    step that rounds to nothing ends the search), or when the bracket is
+    1e-13 relative wide.  Returns (root, evaluations).
     """
+    lo, hi, f_lo = bracket.lo, bracket.hi, bracket.f_lo
     n = 0
-    x = 0.5 * (lo + hi)
+    x = lo + (hi - lo) * (f_lo / (f_lo - bracket.f_hi))
+    if not (math.isfinite(x) and lo < x < hi):
+        x = 0.5 * (lo + hi)
     step = step_before = hi - lo
     for _ in range(200):
         fx, dfx = fdf(x)
@@ -182,33 +188,48 @@ def _subdivision(lo, hi):
     return [lo + (hi - lo) * i / SUBDIVISIONS for i in range(SUBDIVISIONS + 1)]
 
 
-# cells of the uniform scan grid, at least
-SCAN_CELLS = 1024
-
-
-def scan_grid(window, min_spacing):
-    """The uniform grid that the real-axis searches scan on the window:
-    SCAN_CELLS cells, or enough for 4 cells per min_spacing where that is
-    more."""
+def _uniform_grid(window, n_cells):
+    """The n_cells + 1 equally spaced points of the window, ends included."""
     a, b = float(window[0]), float(window[1])
     if not a < b:
         raise SpecFunError(f"empty window {window!r}")
-    n_grid = max(SCAN_CELLS, int(math.ceil(4.0 * (b - a) / min_spacing)))
-    return [a + (b - a) * i / n_grid for i in range(n_grid + 1)]
+    return [a + (b - a) * i / n_cells for i in range(n_cells + 1)]
+
+
+def _cells(window, min_spacing):
+    """4 cells per min_spacing on the window, rounded up."""
+    return int(math.ceil(4.0 * (float(window[1]) - float(window[0]))
+                         / min_spacing))
+
+
+def scan_grid(window, min_spacing):
+    """The uniform grid that ratio_roots scans on the window, at the
+    resolution its certificate needs: ceil(4 (hi - lo) / min_spacing)
+    cells, each at most a quarter of min_spacing wide.  With min_spacing
+    pi / sqrt(ab), a cell spans at most pi/4 in w and so holds at most one
+    zero of C (DLMF 10.21 interlacing); a window of one cell or less is one
+    cell."""
+    return _uniform_grid(window, max(1, _cells(window, min_spacing)))
+
+
+# cells of find_real_roots' value-only grid, at least
+VALUE_SCAN_CELLS = 1024
 
 
 def find_real_roots(f, window, min_spacing) -> RootSearchResult:
     """The real roots of a scalar function on a window from its values
     alone: a value-only reference for the certified searches of ratio_roots.
 
-    f is evaluated at the points of scan_grid(window, min_spacing).  A
-    point where f is exactly 0.0 is a root as it stands (the window's upper
-    end excepted), and each cell where f changes sign is a bracket,
-    bisected to its root (_refine with f' = 0.0).  A cell is taken to hold
-    one root: f must change sign at most once per cell, as it does when its
-    roots lie more than a cell apart.  `n_evals` counts f's evaluations.
+    f is evaluated on a uniform grid of VALUE_SCAN_CELLS cells, or of
+    scan_grid's cell count where that is more.  A point where f is exactly
+    0.0 is a root as it stands (the window's upper end excepted), and each
+    cell where f changes sign is a bracket, bisected to its root (_refine
+    with f' = 0.0).  A cell is taken to hold one root: f must change sign
+    at most once per cell, as it does when its roots lie more than a cell
+    apart, so the grid is kept fine.  `n_evals` counts f's evaluations.
     """
-    xs = scan_grid(window, min_spacing)
+    xs = _uniform_grid(window, max(VALUE_SCAN_CELLS,
+                                   _cells(window, min_spacing)))
     fs = [float(f(x)) for x in xs]
     result = RootSearchResult(
         roots=[x for x, v in zip(xs[:-1], fs[:-1]) if v == 0.0],
@@ -216,7 +237,7 @@ def find_real_roots(f, window, min_spacing) -> RootSearchResult:
     for i in range(len(xs) - 1):
         if _opposite_signs(fs[i], fs[i + 1]):
             br = RootBracket(xs[i], xs[i + 1], fs[i], fs[i + 1])
-            root, n = _refine(lambda x: (f(x), 0.0), br.lo, br.hi, br.f_lo)
+            root, n = _refine(lambda x: (f(x), 0.0), br)
             result.n_evals += n
             result.brackets.append(br)
             result.roots.append(root)
@@ -269,7 +290,8 @@ RATIO_LEVELS = 14
 def ratio_roots(fc, xs, fdf) -> RootSearchResult:
     """The roots of F in [xs[0], xs[-1]) on the ascending grid xs, where
     ratio_root_count's conditions hold: the real-axis search of every
-    disk_model route, Bessel and FD.
+    disk_model route, Bessel and FD, on scan_grid's grid: its cells need
+    only hold one zero of C each, so 4 cells per root spacing suffice.
 
     `fc(points)` returns F and C at the points of a list as two arrays
     (only C's signs are read); `fdf(x)` returns (g(x), g'(x)) for a g with
@@ -279,16 +301,16 @@ def ratio_roots(fc, xs, fdf) -> RootSearchResult:
     exactly when F changes sign in it, and a cell with one holds
     [G(x_i) > 0] + [G(x_{i+1}) < 0].  A cell holding one root with a
     strict sign change of F is a bracket as it stands, refined by
-    safeguarded Newton steps on fdf (_refine).  Any other cell holding a
-    root (two roots, or one next to an exact zero of F at an end) is
-    subdivided into 16, all such cells pooled into one fc call per level,
-    and the same rule applies to the subcells.  A point of xs[:-1] or an
-    interior subdivision point where F is exactly 0.0 is a root as it
-    stands.  There are no double roots to look for.  A cell still split
-    after RATIO_LEVELS levels is dropped.  `count` is ratio_root_count on
-    the grid's F and C, from the same fc call: a caller that compares it
-    with the roots returned sees a dropped cell.  `n_evals` counts fc's
-    points and fdf's calls.
+    safeguarded Newton steps on fdf from the secant point of its end
+    values (_refine).  Any other cell holding a root (two roots, or one
+    next to an exact zero of F at an end) is subdivided into 16, all such
+    cells pooled into one fc call per level, and the same rule applies to
+    the subcells.  A point of xs[:-1] or an interior subdivision point
+    where F is exactly 0.0 is a root as it stands.  There are no double
+    roots to look for.  A cell still split after RATIO_LEVELS levels is
+    dropped.  `count` is ratio_root_count on the grid's F and C, from the
+    same fc call: a caller that compares it with the roots returned sees a
+    dropped cell.  `n_evals` counts fc's points and fdf's calls.
     """
     fs, cs = fc(xs)
     result = RootSearchResult(
@@ -320,7 +342,7 @@ def ratio_roots(fc, xs, fdf) -> RootSearchResult:
         result.roots += [x for sub, f, _ in segments
                          for x, v in zip(sub[1:-1], f[1:-1]) if v == 0.0]
     for br in result.brackets:
-        root, n = _refine(fdf, br.lo, br.hi, br.f_lo)
+        root, n = _refine(fdf, br)
         result.n_evals += n
         result.roots.append(root)
     result.brackets.sort(key=lambda br: br.lo)

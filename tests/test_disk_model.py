@@ -590,8 +590,9 @@ def test_fd_count_mismatch_is_a_convergence_error(monkeypatch):
 def test_mode_solve_evaluates_its_grid_once(monkeypatch, dim, zeta):
     # the real-axis scan (of zeta, or of i Im zeta for the continuation
     # seeds) and its certified count read one batched evaluation of the
-    # uniform grid (1,025 points or more) and nothing else batched: no
-    # count scan, and no subdivision where no cell holds two roots
+    # uniform grid (scan_grid's 16 points on this window) and nothing else
+    # batched: no count scan, and no subdivision where no cell holds two
+    # roots
     name = "bessel_j_grid" if dim == 2 else "spherical_j_grid"
     kernel = getattr(dm, name)
     sizes = []
@@ -606,7 +607,49 @@ def test_mode_solve_evaluates_its_grid_once(monkeypatch, dim, zeta):
         sizes.clear()
         res = dm.solve_mode_eigenvalues(mode, zeta, params, (1.0, 12.0))
         assert res.eigenvalues
-        assert len(sizes) == 1 and sizes[0] >= 1025, (mode, sizes)
+        assert sizes == [len(scan_grid((1.0, 12.0), math.pi))], (mode, sizes)
+
+
+def _scan_roots(route, mode, params, zeta, lams, window):
+    # the certified real-axis search of either route on the grid lams: the
+    # secular function's, or the FD oracle's on its tracking grid
+    if route == "bessel":
+        grid = dm._RadialGrid(mode, params, window)
+        grid.lams = lams
+        return dm._real_axis_roots(grid, dm._secular(params, zeta)).roots
+    nodes = min(512, max(128, math.ceil(2.0 * params.wave_factor * window[1])))
+    return dm._fd_real_axis_roots(mode, zeta, params, nodes, lams,
+                                  window).roots
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("route, stride", [("bessel", 6), ("fd", 26)])
+def test_certified_scan_coarse_against_fine(route, stride, dim):
+    # scan_grid's 4 cells per root spacing find the roots a 1,024-cell grid
+    # of the same window finds, up to the refiner's 1e-13 relative stop:
+    # on a window from 0.25 mode + 1 (where C does not underflow) to
+    # mode + 30, and on windows of one cell, one off the roots and one
+    # around the lowest root, for modes 0-156
+    params = MaterialParams(dim=dim)
+    spacing = math.pi / params.wave_factor
+    for mode, zeta in itertools.product(range(0, 157, stride),
+                                        (0.0, 0.8j, 5.0j)):
+        wide = (0.25 * mode + 1.0, mode + 30.0)
+        lowest = _scan_roots(route, mode, params, zeta,
+                             scan_grid(wide, spacing), wide)[:1]
+        windows = [wide, (mode + 2.0, mode + 2.7)]
+        windows += [(r - 0.35, r + 0.35) for r in lowest]
+        assert [len(scan_grid(w, spacing)) for w in windows[1:]] == (
+            [2] * len(windows[1:]))
+        for window in windows:
+            coarse = _scan_roots(route, mode, params, zeta,
+                                 scan_grid(window, spacing), window)
+            fine = _scan_roots(route, mode, params, zeta,
+                               [window[0] + (window[1] - window[0]) * i / 1024
+                                for i in range(1025)], window)
+            assert len(coarse) == len(fine), (mode, zeta, window)
+            for a, b in zip(coarse, fine):
+                assert abs(a - b) <= 1e-13 * b, (mode, zeta, window)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -804,25 +804,32 @@ def _over_one(f):
 
 
 def test_refiner_newton_step_leaving_bracket_bisects():
-    # one cell (0, 10): from x = 5 the Newton step of atan(3 - x) lands at
-    # 5 - 5 atan(2) < 0, outside the bracket (0, 5), so the next iterate is
-    # the bisection point 2.5
+    # one cell (0, 20): the first iterate is the secant point 9.05 of the
+    # end values of atan(3 - x), whose Newton step lands near -43.8,
+    # outside the bracket (0, 9.05), so the next iterate is its bisection
+    # point
     fdf, calls = _counted(lambda x: (math.atan(3.0 - x),
                                      -1.0 / (1.0 + (x - 3.0) ** 2)))
     res = specfun.ratio_roots(_over_one(lambda x: math.atan(3.0 - x)),
-                              [0.0, 10.0], fdf)
-    assert calls[:2] == [5.0, 2.5]
+                              [0.0, 20.0], fdf)
+    secant = 20.0 * math.atan(3.0) / (math.atan(3.0) - math.atan(-17.0))
+    assert calls[0] == pytest.approx(secant, rel=1e-15)
+    assert calls[1] == 0.5 * calls[0]
     assert len(res.roots) == 1 and abs(res.roots[0] - 3.0) <= 1e-12
     # a Newton step that points out of the bracket, well under half the
-    # step before last: f(5) > 0 makes the bracket (0, 5), and f' < 0 there
-    # sends Newton to 5.054, next to another root of f outside it
+    # step before last: on (0, 5) the secant point is 4.93, where g > 0
+    # makes the bracket (0, 4.93), and g' < 0 there sends Newton to 5.07,
+    # next to another root of g outside it
     def g(x):
         return x - 8.0 + 4.0 * math.exp(-(x - 4.5) ** 2)
 
     fdf, calls = _counted(lambda x: (g(x), 1.0 - 8.0 * (x - 4.5)
                                      * math.exp(-(x - 4.5) ** 2)))
-    root, _ = specfun._refine(fdf, 0.0, 10.0, g(0.0))
-    assert calls[:2] == [5.0, 2.5]
+    root, _ = specfun._refine(fdf, specfun.RootBracket(0.0, 5.0, g(0.0),
+                                                       g(5.0)))
+    assert calls[0] == pytest.approx(5.0 * g(0.0) / (g(0.0) - g(5.0)),
+                                     rel=1e-15)
+    assert g(calls[0]) > 0.0 and calls[1] == 0.5 * calls[0]
     assert 0.0 < root < 5.0 and abs(g(root)) <= 1e-12
 
 
@@ -838,13 +845,15 @@ def test_refiner_slow_newton_bisects():
 
 
 def test_refiner_zero_derivative_bisects():
-    # f'(0.5) = 0 at the first iterate of the cell (0, 1)
+    # f' = 0 on x <= 0.5, so at the first iterate of the cell (0, 1), its
+    # secant point 0.008: the next iterate bisects (0.008, 1)
     def f(x):
-        return 1e-3 - (x - 0.5) ** 3
+        return 1e-3 - max(x - 0.5, 0.0) ** 3
 
-    fdf, calls = _counted(lambda x: (f(x), -3.0 * (x - 0.5) ** 2))
+    fdf, calls = _counted(lambda x: (f(x), -3.0 * max(x - 0.5, 0.0) ** 2))
     res = specfun.ratio_roots(_over_one(f), [0.0, 1.0], fdf)
-    assert calls[:2] == [0.5, 0.75]
+    assert calls[0] == pytest.approx(0.008, rel=1e-15)
+    assert calls[1] == 0.5 * (calls[0] + 1.0)
     assert len(res.roots) == 1 and abs(res.roots[0] - 0.6) <= 1e-12
 
 
@@ -988,9 +997,9 @@ def test_bessel_scan_subdivision_is_batched(monkeypatch, dim):
 
 def test_fd_scan_grid_crossover(monkeypatch):
     # the FD scan sends every list, however short, to the batched kernel in
-    # one call: the grid, which its certified count reads too, and each
-    # level's pooled subdivision points (15 for the one cell of the coarse
-    # grid that holds two roots, around j_{0,2})
+    # one call: the grid, which its certified count reads too (17 points
+    # here), and each level's pooled subdivision points (15 for the one
+    # cell of the coarse grid that holds two roots, around j_{0,2})
     from randbc import disk_model as dm
 
     batch = dm.fd_radial_edge_batch
@@ -1005,7 +1014,7 @@ def test_fd_scan_grid_crossover(monkeypatch):
     window = (0.5, 12.5)
     lams = specfun.scan_grid(window, math.pi / params.wave_factor)
     res = dm._fd_real_axis_roots(2, 0.5j, params, 256, lams, window)
-    assert sizes == [1025] and len(res.roots) >= 3
+    assert sizes == [len(lams)] and len(res.roots) >= 3
     sizes.clear()
     res = dm._fd_real_axis_roots(0, 0.0, dm.MaterialParams(), 256,
                                  [3.0, 7.5, 8.0], (3.0, 8.0))
