@@ -542,7 +542,7 @@ GOLDEN_DIGESTS = {
     }),
     "disk-spectrum": ("disk-spectrum", DISK_GOLDEN, {
         "eigenvalues.csv":
-            "2338afb7b7a3d1d09066e43ddd0c69d2fdeb3d18c5601f7fec6b67cec5b72e25",
+            "ded5242bac0784e441dabb61c5621bb44affbd5c8fdf91d7a667d57d72e10f6d",
         "impedance_sequence.csv":
             "0f5e38ccb6850828dac7a5b7e01666a8a69635bb5c6c77ace7699d57e098858a",
         "summary.json":
@@ -551,7 +551,7 @@ GOLDEN_DIGESTS = {
     "disk-spectrum-circle-wide": ("disk-spectrum", DISK_GOLDEN.replace(
             "window = 1.0, 30.0", "window = 1.0, 60.0"), {
         "eigenvalues.csv":
-            "60fcaa5ebcfd240328c46d9378208c60209171f81154972111c95a7ab59a8416",
+            "48507a77ef80e02c85092b76560930332fc0f36448c0c289ef191e138537a1fe",
         "impedance_sequence.csv":
             "0f5e38ccb6850828dac7a5b7e01666a8a69635bb5c6c77ace7699d57e098858a",
         "summary.json":
@@ -563,7 +563,7 @@ GOLDEN_DIGESTS = {
     "disk-spectrum-sphere-imaginary": ("disk-spectrum", DISK_GOLDEN.replace(
             "boundary = circle", "boundary = sphere"), {
         "eigenvalues.csv":
-            "a22bfee0ea5c67676437dec3bb9ec18a66686d5140d002fc010a7d873233789d",
+            "70cd004ddd819851544aeb2132d6f1c1e177f577a5d0df21e643a4a48af2435c",
         "impedance_sequence.csv":
             "e2ad1cba49681cb80da48868610ff6441f1ff3142b60f48a2c72092e1c79e742",
         "summary.json":
@@ -585,11 +585,11 @@ GOLDEN_DIGESTS = {
     "disk-spectrum-oracle": ("disk-spectrum", DISK_GOLDEN.replace(
             "oracle_spot_checks = 0", "oracle_spot_checks = 2"), {
         "eigenvalues.csv":
-            "2338afb7b7a3d1d09066e43ddd0c69d2fdeb3d18c5601f7fec6b67cec5b72e25",
+            "ded5242bac0784e441dabb61c5621bb44affbd5c8fdf91d7a667d57d72e10f6d",
         "impedance_sequence.csv":
             "0f5e38ccb6850828dac7a5b7e01666a8a69635bb5c6c77ace7699d57e098858a",
         "summary.json":
-            "05cbc001b2d3ab93607092be00ca44c8d773b22ec9f6108ee9bada964bbb8262",
+            "f2dd91d2ea728dd7a30fe4c3d49a80c575d7795b87e84edfdd233b5520f44228",
     }),
     "disk-spectrum-sphere-continuation-oracle": ("disk-spectrum",
                                                  DISK_BALL.replace(
@@ -599,7 +599,7 @@ GOLDEN_DIGESTS = {
         "impedance_sequence.csv":
             "f1f2a5350ccc4bc0d14027f4f38d2fdaa4ab083aa39f973ea284a0f8722594e6",
         "summary.json":
-            "2a301c799a94be6c1e65952ddd451127f4a75bb7c193af84efc68e265ae68e68",
+            "918b7069a90205bc9660920e11067ac955a67ba6cabc7b3b76a1dc5977eff482",
     }),
     "lab": ("lab", LAB_SMALL, {
         "lab_report.json":
