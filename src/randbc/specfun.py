@@ -198,8 +198,7 @@ def _uniform_grid(window, n_cells):
 
 def _cells(window, min_spacing):
     """4 cells per min_spacing on the window, rounded up."""
-    return int(math.ceil(4.0 * (float(window[1]) - float(window[0]))
-                         / min_spacing))
+    return math.ceil(4.0 * (float(window[1]) - float(window[0])) / min_spacing)
 
 
 def scan_grid(window, min_spacing):

@@ -612,7 +612,8 @@ def test_mode_solve_evaluates_its_grid_once(monkeypatch, dim, zeta):
 
 def _scan_roots(route, mode, params, zeta, lams, window):
     # the certified real-axis search of either route on the grid lams: the
-    # secular function's, or the FD oracle's on its tracking grid
+    # secular function's, or the FD oracle's on the tracking grid that
+    # fd_oracle's default grid of 1,024 nodes gives
     if route == "bessel":
         grid = dm._RadialGrid(mode, params, window)
         grid.lams = lams
@@ -626,10 +627,11 @@ def _scan_roots(route, mode, params, zeta, lams, window):
 @pytest.mark.parametrize("route, stride", [("bessel", 6), ("fd", 26)])
 def test_certified_scan_coarse_against_fine(route, stride, dim):
     # scan_grid's 4 cells per root spacing find the roots a 1,024-cell grid
-    # of the same window finds, up to the refiner's 1e-13 relative stop:
-    # on a window from 0.25 mode + 1 (where C does not underflow) to
-    # mode + 30, and on windows of one cell, one off the roots and one
-    # around the lowest root, for modes 0-156
+    # of the same window finds, within 1e-13 relative (wider brackets move
+    # a root within the kernels' rounding): on a window from 0.25 mode + 1
+    # (where C does not underflow) to mode + 30, and on windows of one
+    # cell, one off the roots and one around the lowest root, for modes
+    # 0-156
     params = MaterialParams(dim=dim)
     spacing = math.pi / params.wave_factor
     for mode, zeta in itertools.product(range(0, 157, stride),

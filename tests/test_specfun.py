@@ -833,6 +833,20 @@ def test_refiner_newton_step_leaving_bracket_bisects():
     assert 0.0 < root < 5.0 and abs(g(root)) <= 1e-12
 
 
+@pytest.mark.parametrize("f_lo, f_hi", [
+    (1e308, -1e308),     # f_lo - f_hi overflows: the secant point is lo
+    (1e-300, -1e300),    # f_lo / (f_lo - f_hi) underflows: lo
+    (1e300, -1e-300),    # the ratio rounds to 1: hi
+    (math.inf, -1.0),    # not finite
+])
+def test_refiner_secant_start_falls_back_to_the_midpoint(f_lo, f_hi):
+    # a secant point that is not finite or not strictly inside the bracket
+    # (0, 1) gives way to the midpoint, where this f changes sign
+    fdf, calls = _counted(lambda x: (0.5 - x, -1.0))
+    root, n = specfun._refine(fdf, specfun.RootBracket(0.0, 1.0, f_lo, f_hi))
+    assert calls == [0.5] and (root, n) == (0.5, 1)
+
+
 def test_refiner_slow_newton_bisects():
     # Newton on 1e-9 - x^9 shrinks its step by only 8/9 per iteration; a
     # step that does not halve the step before last is replaced by a
