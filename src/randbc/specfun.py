@@ -208,7 +208,7 @@ def scan_grid(window, min_spacing):
     pi / sqrt(ab), a cell spans at most pi/4 in w and so holds at most one
     zero of C (DLMF 10.21 interlacing); a window of one cell or less is one
     cell."""
-    return _uniform_grid(window, max(1, _cells(window, min_spacing)))
+    return _uniform_grid(window, _cells(window, min_spacing))
 
 
 # cells of find_real_roots' value-only grid, at least

@@ -883,8 +883,8 @@ def test_refiner_root_on_grid_point():
 
 
 def test_refiner_value_only_bisects():
-    # ratio_roots refines by Newton steps on fdf, find_real_roots by
-    # bisection alone, on the same grid
+    # ratio_roots refines by Newton steps on fdf, on scan_grid's 40 cells;
+    # find_real_roots by bisection alone, on its own grid of 1,024 cells
     window = (0.1, 10.0)
     xs = specfun.scan_grid(window, 1.0)
     fdf, calls = _counted(lambda x: (math.atan(3.0 - x),
@@ -894,10 +894,10 @@ def test_refiner_value_only_bisects():
     plain = specfun.find_real_roots(lambda x: math.atan(3.0 - x), window, 1.0)
     for res in (newton, plain):
         assert len(res.roots) == 1 and abs(res.roots[0] - 3.0) <= 1e-12
-    # without fdf the refinement bisects a grid cell of width 0.0097 down to
-    # 1e-13 relative, 30 halvings or more
+    # without fdf the refinement bisects a cell of width 0.0097 of its
+    # 1,024-cell grid down to 1e-13 relative, 30 halvings or more
     assert newton.n_evals == len(xs) + len(calls)
-    assert plain.n_evals - len(xs) >= 30
+    assert plain.n_evals - (specfun.VALUE_SCAN_CELLS + 1) >= 30
     assert len(calls) <= 5
 
 
