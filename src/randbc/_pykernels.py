@@ -12,9 +12,11 @@ Hankel expansion at large |x|.  Both kernels reduce x to the first quadrant
 by symmetry, and x = 0 to its closed form, in one wrapper (_reflected).
 
 Each kernel has a numpy twin that equals it bit for bit: bessel_jk_batch and
-spherical_jl_batch over real arguments, whose _series_batch and
-_backward_batch take the same (c, d) (every branch batched; only x = 0 goes
-through the scalar kernel), and fd_radial_edge_batch over lam for the edge
+spherical_jl_batch over (order, x) pairs of real x, the order one int or an
+integer array broadcast per point, so that one call serves many modes.
+Their _series_batch and _backward_batch take the same (c, d) and read each
+point's own order at every step (every branch batched; only x = 0 goes
+through the scalar kernel).  fd_radial_edge_batch runs over lam for the edge
 values of fd_radial_edge, which also returns their lam-derivatives for Newton
 steps.  The FD recurrence runs off a cached table of its lam-independent
 coefficients.
@@ -79,17 +81,23 @@ def _series(head, x2, c, d):
     return total
 
 
-def _series_pair(series, head, order, x, y, x2, c):
-    """f_order and (order / x) f_order - f_{order+1}, where f_n = series(
-    head prod_{i <= n} y / (c i + c - 1), x2, c, c n + c - 1) and head is
-    the empty product (a scalar or an array).  c = 1, y = x / 2 and
-    x2 = -y^2 give J_n; c = 2, y = x and x2 = -x^2 / 2 give j_n."""
-    d = c - 1
+def _series_head(order, y, c):
+    # prod_{i <= order} y / (c i + c - 1) and c order + c - 1
+    d, head = c - 1, 1.0
     for _ in range(order):
         d += c
         head = head * (y / d)
+    return head, d
+
+
+def _series_pair(series, head, d, order, x, y, x2, c):
+    """f_order and (order / x) f_order - f_{order+1}, where f_n = series(
+    prod_{i <= n} y / (c i + c - 1), x2, c, c n + c - 1), from that
+    product and c n + c - 1 at n = order (head and d, from _series_head or
+    _series_head_batch).  c = 1, y = x / 2 and x2 = -y^2 give J_n; c = 2,
+    y = x and x2 = -x^2 / 2 give j_n."""
     f = series(head, x2, c, d)
-    d += c
+    d = d + c
     return f, (order / x) * f - series(head * (y / d), x2, c, d)
 
 
@@ -226,7 +234,8 @@ def _bessel_branches(k, x):
     ax = abs(x)
     if ax <= 12.0 or ax * ax <= 2.0 * (k + 1):
         half = x / 2.0
-        return _series_pair(_series, 1.0, k, x, half, -(half * half), 1)
+        return _series_pair(_series, *_series_head(k, half, 1), k, x, half,
+                            -(half * half), 1)
     if ax >= 50.0 and ax >= 4.0 * k * k:
         return _bessel_asym_pair(k, x)
     return _bessel_miller(k, x)
@@ -251,7 +260,8 @@ def _spherical_miller(l, x):
 
 def _spherical_branches(l, x):
     if abs(x) <= 0.5:
-        return _series_pair(_series, 1.0, l, x, x, -(x * x / 2.0), 2)
+        return _series_pair(_series, *_series_head(l, x, 2), l, x, x,
+                            -(x * x / 2.0), 2)
     return _spherical_miller(l, x)
 
 
@@ -265,14 +275,33 @@ def spherical_jl(l, x):
     return _reflected(_spherical_branches, 1.0 / 3.0, l, x)
 
 
-# Real-axis batches of bessel_jk / spherical_jl.  On the real axis every
-# complex operation of the scalar recurrences reduces exactly to its real
-# part (a product or quotient with a zero imaginary part rounds like the real
-# one), so float64 arrays reproduce them bit for bit.  Transcendentals stay on
+# Real-axis batches of bessel_jk / spherical_jl over (order, x) pairs.  On
+# the real axis every complex operation of the scalar recurrences reduces
+# exactly to its real part (a product or quotient with a zero imaginary part
+# rounds like the real one), so float64 arrays reproduce them bit for bit.
+# Every step reads each point's own order from an int64 array of orders
+# (_orders), so one batch serves many modes.  Transcendentals stay on
 # math.*: numpy's SIMD sin/cos/pow need not round like libm.
 
+def _orders(order, x):
+    # one order per point of x: an int, or an integer array, broadcast
+    return np.broadcast_to(np.asarray(order, dtype=np.int64), x.shape)
+
+
+def _series_head_batch(order, y, c):
+    # _series_head at each point, to its own order; d as a float64 array
+    # (its integer values are exact, and the scalar divisions convert them)
+    d, head = np.full(y.shape, c - 1.0), np.ones(y.shape)
+    for i in range(int(order.max(initial=0))):
+        live = order > i
+        d[live] += c
+        head[live] *= y[live] / d[live]
+    return head, d
+
+
 def _series_batch(head, x2, c, d):
-    # _series at each point, each stopped where the scalar loop stops
+    # _series at each point, with its own d, each stopped where the scalar
+    # loop stops
     out = head.copy()
     idx = np.arange(head.size)
     term = total = head
@@ -282,7 +311,8 @@ def _series_batch(head, x2, c, d):
         out[idx] = total
         keep = ~(np.abs(term) <= 1e-18 * np.abs(total) + 1e-305)
         if not keep.all():
-            idx, term, total, x2 = idx[keep], term[keep], total[keep], x2[keep]
+            idx, term, total, x2, d = (idx[keep], term[keep], total[keep],
+                                       x2[keep], d[keep])
             if not idx.size:
                 break
     return out
@@ -290,21 +320,22 @@ def _series_batch(head, x2, c, d):
 
 def _bessel_series_batch(k, x):
     half = x / 2.0
-    return _series_pair(_series_batch, np.ones(x.shape), k, x, half,
-                        -(half * half), 1)
+    return _series_pair(_series_batch, *_series_head_batch(k, half, 1), k, x,
+                        half, -(half * half), 1)
 
 
 def _spherical_series_batch(l, x):
-    return _series_pair(_series_batch, np.ones(x.shape), l, x, x,
+    return _series_pair(_series_batch, *_series_head_batch(l, x, 2), l, x, x,
                         -(x * x / 2.0), 2)
 
 
 def _miller_start_batch(order, ax):
-    """_miller_start at each point of the array ax, with no pow per point:
-    ceil(7 ax^(1/3)) is the least n with n^3 >= 343 ax.  Where 343 ax lies
-    within 1e-12 (relative) of a cube, libm's pow may round 7 ax^(1/3) to
-    the other side of the integer, so those points take the scalar
-    _miller_start."""
+    """_miller_start at each point of the array ax, to its own order (an
+    int or an array), with no pow per point: ceil(7 ax^(1/3)) is the least
+    n with n^3 >= 343 ax.  Where 343 ax lies within 1e-12 (relative) of a
+    cube, libm's pow may round 7 ax^(1/3) to the other side of the integer,
+    so those points take the scalar _miller_start."""
+    order = _orders(order, ax)
     top = np.arange(int(7.0 * float(ax.max()) ** (1.0 / 3.0)) + 3.0)
     cubes = top * top * top
     scaled = 343.0 * ax
@@ -313,20 +344,26 @@ def _miller_start_batch(order, ax):
     for i in np.flatnonzero(
             (np.abs(scaled - cubes[n]) <= 1e-12 * scaled)
             | (np.abs(scaled - cubes[n - 1]) <= 1e-12 * scaled)).tolist():
-        n_start[i] = _miller_start(order, ax[i].item())
+        n_start[i] = _miller_start(order[i].item(), ax[i].item())
     return n_start
 
 
 def _backward_batch(order, x, n_start, c, d, norm):
-    """_backward at each real x > 0, each point from its own n_start and
-    rescaled on its own.  The points are sorted by n_start, so step m
-    updates only the prefix that has started.  Returns c_1, c_0, c_order,
-    c_{order+1} and, if norm, 2 * sum_{m >= 1} c_{2m} (zeros otherwise)."""
+    """_backward at each real x > 0, each point from its own n_start and to
+    its own order, rescaled on its own.  The points are sorted by n_start,
+    so step m updates only the prefix that has started; c_order and
+    c_{order+1} are read at the steps m - 1 of some point's order or
+    order + 1.  Returns c_1, c_0, c_order, c_{order+1} and, if norm,
+    2 * sum_{m >= 1} c_{2m} (zeros otherwise)."""
     perm = np.argsort(-n_start, kind="stable")
-    xs = x[perm]
+    xs, orders = x[perm], order[perm]
     starts = n_start[perm].tolist()
     jp, jc = np.zeros(xs.shape), np.full(xs.shape, _TINY_SEED)
     total, out_k, out_k1 = (np.zeros(xs.shape) for _ in range(3))
+    reads = {}  # step m -> the (output, order) pairs read at m
+    for k in set(orders.tolist()):
+        reads.setdefault(k + 1, []).append((out_k, k))
+        reads.setdefault(k + 2, []).append((out_k1, k))
     active = 0
     for m in range(starts[0], 0, -1):
         while active < len(starts) and starts[active] >= m:
@@ -334,10 +371,9 @@ def _backward_batch(order, x, n_start, c, d, norm):
         jm = ((c * m + d) / xs[:active]) * jc[:active] - jp[:active]
         jp[:active] = jc[:active]
         jc[:active] = jm
-        if m - 1 == order:
-            out_k[:active] = jm
-        if m - 1 == order + 1:
-            out_k1[:active] = jm
+        for dest, k in reads.get(m, ()):
+            hit = orders[:active] == k
+            dest[:active][hit] = jm[hit]
         if norm and m - 1 > 0 and (m - 1) % 2 == 0:
             total[:active] += 2.0 * jm
         big = np.abs(jm) > _RESCALE
@@ -378,10 +414,11 @@ def _spherical_miller_batch(l, x):
 
 
 def _hankel_batch(k, x):
-    # _bessel_asym_one at real x > 0: with a zero imaginary part every complex
-    # operation rounds like its real part, and the amplitude is
-    # sqrt(2 / (pi x)).  Each point's series stops where the scalar loop
-    # stops: before a term that grows, or after one below 1e-17.
+    # _bessel_asym_one at real x > 0, each point to its own order k: with a
+    # zero imaginary part every complex operation rounds like its real part,
+    # and the amplitude is sqrt(2 / (pi x)).  Each point's series stops where
+    # the scalar loop stops: before a term that grows, or after one below
+    # 1e-17.
     mu = 4.0 * k * k
     p, q = np.ones(x.shape), np.zeros(x.shape)
     idx = np.arange(x.size)
@@ -397,7 +434,8 @@ def _hankel_batch(k, x):
             p[idx[add]] += signed
         keep = add & ~(t < 1e-17)
         if not keep.all():
-            idx, xs, term, t = idx[keep], xs[keep], term[keep], t[keep]
+            idx, xs, term, t, mu = (idx[keep], xs[keep], term[keep],
+                                    t[keep], mu[keep])
             if not idx.size:
                 break
         prev = t
@@ -408,35 +446,40 @@ def _hankel_batch(k, x):
 
 
 def _bessel_asym_batch(k, x):
+    # _bessel_asym_pair at each point: J_0' = -J_1, else J_{k-1} - (k/x) J_k
+    k = _orders(k, x)
     jk = _hankel_batch(k, x)
-    if k == 0:
-        return jk, -_hankel_batch(1, x)
-    return jk, _hankel_batch(k - 1, x) - (k / x) * jk
+    zero = k == 0
+    below = _hankel_batch(np.where(zero, 1, k - 1), x)
+    return jk, np.where(zero, -below, below - (k / x) * jk)
 
 
 def _real_batch(scalar, order, x, ax, pointwise, branches):
     # Each (mask, kernel) branch evaluates its points at ax = |x| in one
-    # batch, the pointwise ones go through the scalar kernel; negative x by
-    # reflection, as in the scalar kernel.
+    # batch, each to its own order, the pointwise ones go through the scalar
+    # kernel; negative x by reflection, as in the scalar kernel.
     value, deriv = np.empty(x.shape), np.empty(x.shape)
     for mask, kernel in branches:
         if mask.any():
-            value[mask], deriv[mask] = kernel(order, ax[mask])
+            value[mask], deriv[mask] = kernel(order[mask], ax[mask])
     for i in np.flatnonzero(pointwise).tolist():
-        value[i], deriv[i] = scalar(order, ax[i].item())
-    s = -1.0 if order % 2 else 1.0
+        value[i], deriv[i] = scalar(order[i].item(), ax[i].item())
+    s = np.where(order % 2 == 1, -1.0, 1.0)
     neg = x < 0.0
     return np.where(neg, s * value, value), np.where(neg, -s * deriv, deriv)
 
 
 def bessel_jk_batch(k, xs):
-    """bessel_jk over a sequence of real x, as two float64 arrays.
+    """bessel_jk over a sequence of real x, as two float64 arrays; k is one
+    order for every x, or an integer array of one order per x (broadcast
+    against xs).
 
-    Value and derivative equal (==) the scalar kernel's at every point: the
-    series, Miller and asymptotic branches run batched, x = 0 calls the
-    scalar kernel.
+    Value and derivative equal (==) the scalar kernel's at every (k, x)
+    pair: the series, Miller and asymptotic branches run batched across
+    orders, x = 0 calls the scalar kernel.
     """
     x = np.asarray(xs, dtype=float)
+    k = _orders(k, x)
     ax = np.abs(x)
     series = (ax <= 12.0) | (ax * ax <= 2.0 * (k + 1))
     asym = ~series & (ax >= 50.0) & (ax >= 4.0 * k * k)
@@ -448,12 +491,15 @@ def bessel_jk_batch(k, xs):
 
 
 def spherical_jl_batch(l, xs):
-    """spherical_jl over a sequence of real x, as two float64 arrays.
+    """spherical_jl over a sequence of real x, as two float64 arrays; l is
+    one order or one per x, as in bessel_jk_batch.
 
-    Value and derivative equal (==) the scalar kernel's at every point: the
-    series and Miller branches run batched, x = 0 calls the scalar kernel.
+    Value and derivative equal (==) the scalar kernel's at every (l, x)
+    pair: the series and Miller branches run batched across orders, x = 0
+    calls the scalar kernel.
     """
     x = np.asarray(xs, dtype=float)
+    l = _orders(l, x)
     ax = np.abs(x)
     zero = ax == 0.0
     series = ax <= 0.5

@@ -106,9 +106,12 @@ def run_disk_spectrum(cfg, p, out_dir, manifest) -> int:
     rows, warnings, results = [], [], []
     with timer.stage("solve_modes"):
         zetas = impedance.sample_sequence(dist, modes + 1, stream)
-        for mode in range(modes + 1):
+        # every mode scans the same lam grid: C and C' of all modes in one
+        # batched kernel call
+        grids = disk_model.radial_grids(range(modes + 1), params, window)
+        for mode, grid in enumerate(grids):
             res = disk_model.solve_mode_eigenvalues(
-                mode, zetas[mode], params, window)
+                mode, zetas[mode], params, window, grid)
             results.append(res)
             rows.extend(disk_model.eigenvalue_rows(res))
             warnings.extend(f"mode {mode}: {w}" for w in res.warnings)

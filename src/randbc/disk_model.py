@@ -71,19 +71,25 @@ def _radial(mode, w, params) -> BesselEval:
     return spherical_j(mode, w)
 
 
-def _radial_grid(mode, lams, params):
-    """C(w) and C'(w), w = sqrt(ab) lam, at the points of lams, as two
-    float64 arrays.  C and C' have no common zero at w > 0, so a point where
-    both are 0.0 has underflowed: ConvergenceError, not a root."""
-    wave_factor = params.wave_factor
-    ws = [wave_factor * lam for lam in lams]
+def _radial_grid(modes, lams, params):
+    """C(w) and C'(w), w = sqrt(ab) lam, of each mode of modes at the
+    points of lams, as two float64 arrays of shape (len(modes), len(lams)),
+    from one batched kernel call over the (mode, w) pairs.  C and C' have
+    no common zero at w > 0, so a point where both are 0.0 has underflowed:
+    ConvergenceError for the first such mode, in the order of modes, not a
+    root."""
+    ws = params.wave_factor * np.asarray(lams, dtype=float)
     grid = bessel_j_grid if params.dim == 2 else spherical_j_grid
-    values, derivs = grid(mode, ws)
-    lost = np.flatnonzero((values == 0.0) & (derivs == 0.0))
-    if lost.size:
-        raise ConvergenceError(
-            f"mode {mode}: C(w) and C'(w) underflow to 0 at "
-            f"lam = {lams[lost[0]]:.6g}, w = {ws[lost[0]]:.6g}")
+    shape = (len(modes), len(ws))
+    values, derivs = (a.reshape(shape) for a in grid(
+        np.repeat(np.asarray(modes, dtype=np.int64), len(ws)),
+        np.tile(ws, len(modes))))
+    for mode, v, d in zip(modes, values, derivs):
+        lost = np.flatnonzero((v == 0.0) & (d == 0.0))
+        if lost.size:
+            raise ConvergenceError(
+                f"mode {mode}: C(w) and C'(w) underflow to 0 at "
+                f"lam = {lams[lost[0]]:.6g}, w = {ws[lost[0]]:.6g}")
     return values, derivs
 
 
@@ -114,14 +120,39 @@ def _radial_fdf(mode, lam, params, pq):
 
 class _RadialGrid:
     """The uniform lam grid that the real-axis scans of one mode scan on a
-    window at the interlacing-scale resolution pi / sqrt(ab) (scan_grid).
-    The window must satisfy 0 < lo < hi."""
+    window at the interlacing-scale resolution pi / sqrt(ab) (scan_grid),
+    and C and C' there (values).  The window must satisfy 0 < lo < hi."""
 
     def __init__(self, mode, params, window):
         self.mode, self.params = mode, params
         self.window = _positive_window(window)
         self.min_spacing = math.pi / params.wave_factor
         self.lams = scan_grid(self.window, self.min_spacing)
+        self.radial = None
+
+    def values(self):
+        """C and C' at lams, as two float64 arrays: radial_grids' batched
+        values, else evaluated by _radial_grid on first use."""
+        if self.radial is None:
+            self.radial = tuple(
+                a[0] for a in _radial_grid((self.mode,), self.lams,
+                                           self.params))
+        return self.radial
+
+
+def radial_grids(modes, params, window):
+    """The _RadialGrid of each mode of modes on the window, their C and C'
+    on the shared lam grid from one batched kernel call (_radial_grid).
+    In the order of modes, as one mode solve after another would, it
+    raises SpecFunError at the first invalid (mode, w) pair (all pairs are
+    checked before any is evaluated), and then ConvergenceError at the
+    first mode whose C and C' underflow together."""
+    grids = [_RadialGrid(mode, params, window) for mode in modes]
+    if grids:
+        values, derivs = _radial_grid(modes, grids[0].lams, params)
+        for grid, v, d in zip(grids, values, derivs):
+            grid.radial = v, d
+    return grids
 
 
 def _radial_scan_functions(grid, pq):
@@ -129,7 +160,8 @@ def _radial_scan_functions(grid, pq):
     mode, a function of the real pair (p.real, q.real): pointwise, with its
     lam-derivative, as _radial_fdf of that pair at a float lam (the
     kernels' float arithmetic), and over a list as q.real C' - p.real C on
-    _radial_grid's arrays, next to C there.  Both equal the real part of
+    grid's arrays (or _radial_grid's at other points, such as ratio_roots'
+    subdivisions), next to C there.  Both equal the real part of
     the complex F up to the sign of a zero, by _pykernels' complex-by-real
     rule.  Returns (fdf, fc) for specfun.ratio_roots.
 
@@ -147,7 +179,11 @@ def _radial_scan_functions(grid, pq):
         return _radial_fdf(mode, lam, params, (p, q))
 
     def fc(lams):
-        values, derivs = _radial_grid(mode, lams, params)
+        if lams is grid.lams:
+            values, derivs = grid.values()
+        else:
+            values, derivs = (a[0] for a in _radial_grid((mode,), lams,
+                                                         params))
         return q * derivs - p * values, sign * values
 
     return fdf, fc
@@ -268,13 +304,13 @@ _DIRICHLET = (-1.0, 0.0)  # F = C
 
 def neumann_eigenvalues(mode: int, params: MaterialParams, window):
     """Real zeros of C'(sqrt(ab) lam) in the window."""
-    return _real_axis_roots(_RadialGrid(mode, params, window),
+    return _real_axis_roots(radial_grids((mode,), params, window)[0],
                             _secular(params, 0.0)).roots
 
 
 def dirichlet_eigenvalues(mode: int, params: MaterialParams, window):
     """Real zeros of C(sqrt(ab) lam) in the window."""
-    return _real_axis_roots(_RadialGrid(mode, params, window),
+    return _real_axis_roots(radial_grids((mode,), params, window)[0],
                             _DIRICHLET).roots
 
 
@@ -375,25 +411,27 @@ def _window_roots(scan, char_of_zeta, zeta, window, spacing):
 
 
 def solve_mode_eigenvalues(mode: int, zeta, params: MaterialParams,
-                           window) -> ModeEigenvalues:
+                           window, grid=None) -> ModeEigenvalues:
     """Eigenvalues of the mode under impedance zeta with Re lambda in window.
 
-    One _window_roots search on the secular function over one _RadialGrid,
-    so one batched Bessel evaluation of the uniform grid per call.  Its
-    real-axis scan (at zeta when Re zeta = 0, else at i Im zeta for the
-    continuation's seeds) is certified: _real_axis_roots returns as many
-    roots as the count ratio_roots reads from the grid's C and C', or
-    raises ConvergenceError.  expected_count is that count.  Re zeta = 0: the
-    eigenvalues are the scan's roots, and fewer (roots merged) raise
-    ConvergenceError.  Re zeta > 0: a stalled seed raises ConvergenceError;
-    drifted roots and seeds whose continued roots merged are reported in
-    warnings, never silently accepted.  A scan point where C and C' both
-    underflow to 0.0 raises ConvergenceError.
+    One _window_roots search on the secular function over the mode's
+    _RadialGrid on window: grid, as radial_grids builds it for many modes
+    in one batched Bessel evaluation, or else radial_grids' grid of this
+    mode alone.  Its real-axis scan (at zeta when Re zeta = 0, else at
+    i Im zeta for the continuation's seeds) is certified: _real_axis_roots
+    returns as many roots as the count ratio_roots reads from the grid's C
+    and C', or raises ConvergenceError.  expected_count is that count.
+    Re zeta = 0: the eigenvalues are the scan's roots, and fewer (roots
+    merged) raise ConvergenceError.  Re zeta > 0: a stalled seed raises
+    ConvergenceError; drifted roots and seeds whose continued roots merged
+    are reported in warnings, never silently accepted.  A scan point where
+    C and C' both underflow to 0.0 raises ConvergenceError.
     """
     zeta = complex(zeta)
     if zeta.real < -ACCRETIVE_TOL:
         raise DiskModelError("Re zeta < 0: not accretive")
-    grid = _RadialGrid(mode, params, window)
+    if grid is None:
+        grid = radial_grids((mode,), params, window)[0]
     eigs, search, stalled, drifted = _window_roots(
         lambda zz: _real_axis_roots(grid, _secular(params, zz)),
         lambda zz, lam: _radial_fdf(mode, complex(lam), params,

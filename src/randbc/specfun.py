@@ -32,30 +32,51 @@ class BesselEval:
     derivative: float | complex
 
 
-def _check_arguments(order, xs, name):
-    """Raise SpecFunError unless order is an integer in [0, MAX_ORDER] and
-    each x of xs is inside the validated range, checked in the order of xs.
-
-    The pointwise evaluations and the grid evaluations share this check, so
-    a grid scan fails where its first invalid point would.  A real array
-    passes in one numpy pass when its largest |x| is in range; only
-    otherwise does the loop look for the first invalid point.
-    """
+def _check_order(order):
     if order < 0 or order != int(order):
         raise SpecFunError(
             f"order must be a nonnegative integer, got {order!r}")
     if order > MAX_ORDER:
         raise SpecFunError(
             f"order {order} exceeds the validated maximum {MAX_ORDER}")
+
+
+def _check_x(x, name):
+    if abs(x) > MAX_ABS_ARGUMENT:
+        raise SpecFunError(f"|x|={abs(x):.3g} outside validated range")
+    if abs(x.imag) > 600.0:
+        raise SpecFunError(
+            f"Im x too large: {name} would overflow double range")
+
+
+def _check_arguments(order, xs, name):
+    """Raise SpecFunError unless every (order, x) pair of a grid is valid:
+    the order an integer in [0, MAX_ORDER] (_check_order) and x inside the
+    validated range (_check_x).  order is one order for every x of xs,
+    checked first, or an array of one order per x; the pairs are checked
+    in the order of xs, each order before its x.
+
+    The pointwise evaluations make the same two checks, so a grid scan
+    fails where its first invalid point would, and a scan of many modes
+    where the first of them, in their order, would.  An integer order
+    array and a real array pass in one numpy pass each when their extremes
+    are in range; only otherwise does the loop look for the first invalid
+    pair.
+    """
+    orders = np.asarray(order)
+    if orders.ndim == 0:
+        _check_order(order)
+    elif not (orders.dtype.kind in "iu" and (not orders.size or (
+            orders.min() >= 0 and orders.max() <= MAX_ORDER))):
+        # not an integer array in range: pair by pair, to the first bad one
+        for k, x in zip(np.broadcast_to(orders, np.shape(xs)).tolist(), xs):
+            _check_order(k)
+            _check_x(x, name)
     if (isinstance(xs, np.ndarray) and xs.dtype.kind == "f" and xs.size
             and np.abs(xs).max() <= MAX_ABS_ARGUMENT):
         return
     for x in xs:
-        if abs(x) > MAX_ABS_ARGUMENT:
-            raise SpecFunError(f"|x|={abs(x):.3g} outside validated range")
-        if abs(x.imag) > 600.0:
-            raise SpecFunError(
-                f"Im x too large: {name} would overflow double range")
+        _check_x(x, name)
 
 
 def _scalar(x):
@@ -71,7 +92,8 @@ def bessel_j(k: int, x) -> BesselEval:
     recurrence scales overflow well before that, this keeps the contract
     honest).
     """
-    _check_arguments(k, (x,), "J_k")
+    _check_order(k)
+    _check_x(x, "J_k")
     x = _scalar(x)
     v, d = bessel_jk(int(k), x)
     return BesselEval(int(k), x, v, d)
@@ -79,30 +101,33 @@ def bessel_j(k: int, x) -> BesselEval:
 
 def spherical_j(l: int, x) -> BesselEval:
     """Evaluate spherical j_l(x) and j_l'(x) for integer order l >= 0."""
-    _check_arguments(l, (x,), "j_l")
+    _check_order(l)
+    _check_x(x, "j_l")
     x = _scalar(x)
     v, d = spherical_jl(int(l), x)
     return BesselEval(int(l), x, v, d)
 
 
-def bessel_j_grid(k: int, xs):
-    """J_k and J_k' at each real x of xs, as two float64 arrays.
+def bessel_j_grid(k, xs):
+    """J_k and J_k' at each real x of xs, as two float64 arrays, where k
+    is one order for every x or an integer array of one order per x: the
+    (order, x) pairs of many modes' scans go through one call.
 
-    Equal (==) to bessel_j's value and derivative point by point, in one
+    Equal (==) to bessel_j's value and derivative pair by pair, in one
     batched kernel call; raises the SpecFunError bessel_j raises at the
-    first invalid point.
+    first invalid pair, in the order of xs.
     """
     xs = np.asarray(xs)
     _check_arguments(k, xs, "J_k")
-    return bessel_jk_batch(int(k), xs)
+    return bessel_jk_batch(k, xs)
 
 
-def spherical_j_grid(l: int, xs):
-    """spherical_j's value and derivative at each real x of xs, batched
-    like bessel_j_grid."""
+def spherical_j_grid(l, xs):
+    """spherical_j's value and derivative at each real x of xs, to one
+    order l or to one order per x, batched like bessel_j_grid."""
     xs = np.asarray(xs)
     _check_arguments(l, xs, "j_l")
-    return spherical_jl_batch(int(l), xs)
+    return spherical_jl_batch(l, xs)
 
 
 def _opposite_signs(a, b):

@@ -346,39 +346,51 @@ def test_spot_check_window_reaches_the_roots(tmp_path):
     assert all(c["rel_disagreement"] <= 1e-4 for c in spot), spot
 
 
-@pytest.mark.parametrize("config", [
+DISK_SCAN_CONFIGS = [
     DISK_NEUMANN.replace("kind = point_mass\nz0 = 0",
                          "kind = pareto_imaginary\na = 3.0\ns_min = 1.0")
     .replace("window = 1.0, 10.0", "window = 1.0, 55.0")
     .replace("oracle_spot_checks = 2", "oracle_spot_checks = 0"),
     DISK_BALL.replace("z0 = 0", "z0 = 0.5+0.5j")
     .replace("oracle_spot_checks = 2", "oracle_spot_checks = 0"),
-], ids=["circle", "sphere"])
-def test_disk_spectrum_batched_scans_match_pointwise(tmp_path, monkeypatch,
-                                                     config):
-    # The real-axis scans evaluate their grids through the batched Bessel
-    # kernels; the data files must be the ones per-point scans write.  With
-    # _radial_grid reading C and C' point by point through the scalar
-    # kernels, every scan, the certified count included, runs point by
-    # point: the pointwise run makes no batched call at all.
+]
 
-    def pointwise_radial(mode, lams, params):
-        evs = [disk_model._radial(mode, params.wave_factor * lam, params)
-               for lam in lams]
-        return (np.array([ev.value.real for ev in evs]),
-                np.array([ev.derivative.real for ev in evs]))
 
-    batched_calls = []
+def _counted_grid_calls(monkeypatch):
+    """The (orders, points) of every batched grid call disk_model makes,
+    the orders broadcast to one per point."""
+    calls = []
 
     def counted(kernel):
         def call(k, xs):
-            batched_calls.append(len(xs))
+            xs = np.asarray(xs)
+            calls.append((np.broadcast_to(k, xs.shape).tolist(), xs.tolist()))
             return kernel(k, xs)
         return call
 
     for name in ("bessel_j_grid", "spherical_j_grid"):
         monkeypatch.setattr(disk_model, name,
                             counted(getattr(disk_model, name)))
+    return calls
+
+
+@pytest.mark.parametrize("config", DISK_SCAN_CONFIGS, ids=["circle", "sphere"])
+def test_disk_spectrum_batched_scans_match_pointwise(tmp_path, monkeypatch,
+                                                     config):
+    # The real-axis scans evaluate their grids through the batched Bessel
+    # kernels; the data files must be the ones per-point scans write.  With
+    # _radial_grid reading C and C' point by point through the scalar
+    # kernels, every scan, the grid of all modes, the certified count and
+    # the subdivisions included, runs point by point: the pointwise run
+    # makes no batched call at all.
+
+    def pointwise_radial(modes, lams, params):
+        evs = [[disk_model._radial(mode, params.wave_factor * lam, params)
+                for lam in lams] for mode in modes]
+        return (np.array([[ev.value.real for ev in row] for row in evs]),
+                np.array([[ev.derivative.real for ev in row] for row in evs]))
+
+    batched_calls = _counted_grid_calls(monkeypatch)
     cfg = write_config(tmp_path, config)
     files, calls = [], []
     for name in ("batched", "pointwise"):
@@ -394,6 +406,70 @@ def test_disk_spectrum_batched_scans_match_pointwise(tmp_path, monkeypatch,
     assert "eigenvalues.csv" in files[0]
     assert files[0] == files[1]
     assert calls[0] > 0 and calls[1] == 0
+
+
+@pytest.mark.parametrize("config, coarse", [
+    (DISK_SCAN_CONFIGS[0], None), (DISK_SCAN_CONFIGS[1], None),
+    (DISK_NEUMANN.replace("oracle_spot_checks = 2", "oracle_spot_checks = 0")
+     .replace("modes = 5", "modes = 0")
+     .replace("window = 1.0, 10.0", "window = 3.0, 13.5"),
+     [3.0, 7.5, 9.5, 13.5])], ids=["circle", "sphere", "subdivided"])
+def test_disk_spectrum_one_batched_grid_call(tmp_path, monkeypatch, config,
+                                             coarse):
+    # A run of N modes evaluates C and C' of every mode on the shared scan
+    # grid in one batched call of (N + 1) x len(scan_grid) (mode, w) pairs,
+    # mode by mode; every later batched call holds the interior points of
+    # ratio_roots' subdivisions, of one mode.  On the coarse grid two cells
+    # of mode 0's Neumann scan hold two roots each, around j_{0,2} and
+    # j_{0,4} (as in test_bessel_scan_subdivision_is_batched).
+    from randbc import specfun
+
+    calls = _counted_grid_calls(monkeypatch)
+    subdivided = []
+    subdivision = specfun._subdivision
+
+    def recorded(lo, hi):
+        points = subdivision(lo, hi)
+        subdivided.append(points[1:-1])
+        return points
+
+    monkeypatch.setattr(specfun, "_subdivision", recorded)
+    if coarse:
+        monkeypatch.setattr(disk_model, "scan_grid",
+                            lambda window, spacing: list(coarse))
+    cfg = write_config(tmp_path, config)
+    assert cli.main(["disk-spectrum", cfg, "--out",
+                     str(tmp_path / "out")]) == 0
+    p = validate_config(load_config(cfg, "disk-spectrum"))
+    params = MaterialParams(a=p["a"], b=p["b"],
+                            dim=2 if p["boundary"] == "circle" else 3)
+    ws = [params.wave_factor * lam for lam in disk_model.scan_grid(
+        p["window"], math.pi / params.wave_factor)]
+    modes = range(p["modes"] + 1)
+    assert calls[0] == ([mode for mode in modes for _ in ws],
+                        ws * len(modes))
+    for orders, _ in calls[1:]:
+        assert len(set(orders)) == 1, orders
+    assert [x for _, xs in calls[1:] for x in xs] == [
+        params.wave_factor * x for sub in subdivided for x in sub]
+    if coarse:
+        assert [len(xs) for _, xs in calls] == [len(ws), 2 * 15]
+
+
+def test_disk_spectrum_underflow_message(tmp_path, capsys):
+    # CI's modes-200 copy of the example: J_k and J_k' underflow to 0.0
+    # together from mode 157 on at lam = 1, which the one batched grid
+    # reports for the lowest such mode, as mode-by-mode solves did
+    text = open(os.path.join(REPO, "configs", "disk_spectrum.ini")).read()
+    text = text.replace("modes = 8", "modes = 200").replace(
+        "oracle_spot_checks = 5", "oracle_spot_checks = 0")
+    cfg = write_config(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert cli.main(["disk-spectrum", cfg, "--out", out]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: mode 157: C(w) and C'(w) underflow to 0 at "
+        "lam = 1, w = 1\n")
+    assert not os.path.exists(os.path.join(out, "eigenvalues.csv"))
 
 
 def test_disk_spectrum_count_mismatch_exits_3(tmp_path, monkeypatch):

@@ -134,6 +134,35 @@ def test_order_guard_and_range_guard():
             "|x|=2e+04 outside validated range"
 
 
+def test_grid_of_many_modes_fails_where_mode_solves_would():
+    # radial_grids checks every (mode, w) pair of its one batched call in
+    # mode order, each order before its points, so it raises the
+    # SpecFunError that solving the modes one after another would: at the
+    # first invalid order, or at mode 0's first point beyond 1e4.  (It
+    # checks before it evaluates, so on a window where mode 199 underflows
+    # it would still name mode 201, where the solves would stop at 199; the
+    # CLI takes at most 200 modes.)
+    from randbc import disk_model as dm
+
+    for dim in (2, 3):
+        params = dm.MaterialParams(a=2.0, b=2.0, dim=dim)
+        for modes, window in (((199, 200, 201, 202), (5.0, 10.0)),
+                              ((0, 1, 201), (4999.0, 5001.0)),
+                              ((201, 0), (4999.0, 5001.0))):
+            with pytest.raises(specfun.SpecFunError) as batched:
+                dm.radial_grids(modes, params, window)
+            with pytest.raises(specfun.SpecFunError) as per_mode:
+                for mode in modes:
+                    dm.solve_mode_eigenvalues(mode, 1.0j, params, window)
+            assert str(batched.value) == str(per_mode.value), (dim, modes)
+        grid = dm.radial_grids((0, 5, 9), params, (1.0, 10.0))
+        assert [g.mode for g in grid] == [0, 5, 9]
+        for g in grid:
+            alone = dm._RadialGrid(g.mode, params, (1.0, 10.0)).values()
+            assert [a.tobytes() for a in g.values()] == [
+                a.tobytes() for a in alone]
+
+
 def test_spherical_closed_forms():
     x = 1.37
     ev = specfun.spherical_j(0, x)
@@ -510,6 +539,50 @@ def test_bessel_batch_equals_scalar(monkeypatch):
         for x, want in zip(xs, plain[k]):
             got = pk.bessel_jk(k, x) if k > 200 else pk.spherical_jl(k, x)
             assert got != want, (k, x)  # so the rescale did run
+
+
+def test_bessel_batch_per_point_orders():
+    # The batch kernels take one order per point, so one call serves the
+    # scans of many modes.  Each (order, x) pair must equal the scalar
+    # kernel's value and derivative bit for bit (float.hex: signed zeros
+    # included), with the orders mixed in one call: random pairs of orders
+    # 0-200 and x in [-80, 80], x = 0, and every branch edge of every order
+    # with both neighbours and both signs: |x| = 0.5, 12, 50,
+    # x^2 = 2(k+1) and |x| = 4k^2 (up to 1e4; every other order from 4 to
+    # 50, where it lies above 50).
+    from randbc import _pykernels as pk
+
+    rng = np.random.default_rng(30)
+    ks = rng.integers(0, 201, 3000).tolist()
+    xs = rng.uniform(-80.0, 80.0, 3000).tolist()
+    for k in range(201):
+        edges = [0.5, 12.0, 50.0, math.sqrt(2.0 * (k + 1))]
+        if 4 <= k <= 50 and k % 2 == 0:
+            edges.append(4.0 * k * k)
+        near = [0.0, -0.0] + [y for e in edges for y in (
+            math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))]
+        near += [-y for y in near[2:]]
+        ks += [k] * len(near)
+        xs += near
+    order = rng.permutation(len(xs))
+    ks = [ks[i] for i in order]
+    xs = [xs[i] for i in order]
+
+    def hexes(*values):
+        return tuple(float.hex(v) for v in values)
+
+    for batch, scalar in ((pk.bessel_jk_batch, pk.bessel_jk),
+                          (pk.spherical_jl_batch, pk.spherical_jl)):
+        values, derivs = batch(np.array(ks), xs)
+        for k, x, v, d in zip(ks, xs, values.tolist(), derivs.tolist()):
+            assert hexes(v, d) == hexes(*scalar(k, x)), (
+                scalar.__name__, k, x)
+        # an int order gives the arrays of the equal order array
+        for k in (0, 3, 57, 200):
+            one = batch(k, xs)
+            many = batch(np.full(len(xs), k), xs)
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(one, many)), (scalar.__name__, k)
 
 
 # float.hex of Re/Im of the value and the derivative, pinned from the plain
