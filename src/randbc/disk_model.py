@@ -326,11 +326,12 @@ class ModeEigenvalues:
 
 
 # char_of_zeta calls one seed's Re-zeta continuation may spend before it is
-# reported as stalled.  Measured per seed: at most 1,306 in the tests (the FD
-# oracle's tracking grid in the dissipative disk-spectrum summary; 727 for
-# the secular solver), 30 on the benchmark's FD-continuation inputs (seeds
-# 1-20, both routes).  A wrong derivative can otherwise crawl through step
-# halvings without end, at up to 1,201 calls per polish.
+# reported as stalled.  Measured per seed: at most 1,360 in the tests (the FD
+# oracle's tracking grids of 40-320 nodes in the dissipative disk-spectrum
+# summary; 1,492 for the secular solver, in the rounding-level continuation
+# test), 31 on the benchmark's FD-continuation inputs (seeds 1-40, both
+# routes).  A wrong derivative can otherwise crawl through step halvings
+# without end, at up to 1,201 calls per polish.
 CONTINUATION_MAX_EVALS = 5000
 
 
@@ -586,6 +587,20 @@ def oracle_window(mode: int, params: MaterialParams, lo=None, reach=None):
     return 0.2 * spacing, hi
 
 
+def _tracking_nodes(grid, params, hi):
+    """fd_oracle's first tracking grid for a window ending at hi, capped at
+    the coarse grid's grid // 2 nodes.  With W = sqrt(ab) hi it is the
+    larger of 2 W nodes, so that a node step spans at most half a radian of
+    the highest wavenumber (the resolution _fd_real_axis_roots' count
+    assumes), and sqrt(W^3 / (3 pi)) nodes, so that the FD phase error at
+    w = W, about W^3 h^2 / 24 with h = 1 / nodes, stays within pi / 8: an
+    eighth of the root spacing, half the quarter spacing by which
+    _fd_polish lets a coarse root move from its tracked one."""
+    w = params.wave_factor * hi
+    return min(grid // 2, max(math.ceil(2.0 * w),
+                              math.ceil(math.sqrt(w ** 3 / (3.0 * math.pi)))))
+
+
 def fd_oracle(mode: int, zeta, params: MaterialParams, grid=1024,
               window=None, n_values=3):
     """Lowest eigenvalues from the finite-difference pencil, independent of
@@ -594,25 +609,29 @@ def fd_oracle(mode: int, zeta, params: MaterialParams, grid=1024,
     The conservative radial scheme plus the ghost-node impedance row define a
     discrete characteristic function (divided by lam, as secular_value is)
     whose zeros are the eigenvalues of the banded FD pencil.  They come
-    from the secular solver's search, _window_roots, on a tracking grid of
-    grid // 8 nodes: found on the real axis at i Im zeta by the Bessel
-    route's certified search, on the shooting kernel's F and u_M
-    (_fd_real_axis_roots), and, for Re zeta > 0, continued in Re zeta.  The
-    tracking grid only has to follow each branch, but it must resolve the
-    window: it is raised to 2 sqrt(ab) hi nodes, so that one node step
-    spans at most half a radian of the highest wavenumber sqrt(ab) hi, and
-    capped at grid // 2.  Every continued root, in the window or drifted
-    out of it, is polished on the coarse grid (grid // 2 nodes) at zeta,
-    and the lowest n_values of these in the window are kept.  Each is then
-    polished on the fine grid (grid nodes) at zeta, and the pair is
+    from the secular solver's search, _window_roots, on a tracking grid:
+    found on the real axis at i Im zeta by the Bessel route's certified
+    search, on the shooting kernel's F and u_M (_fd_real_axis_roots), and,
+    for Re zeta > 0, continued in Re zeta.  The tracking grid only has to
+    follow each branch, but it must resolve the window: it starts at
+    _tracking_nodes, the larger of 2 W and sqrt(W^3 / (3 pi)) nodes with
+    W = sqrt(ab) hi, capped at grid // 2.  Every continued root, in the
+    window or drifted out of it, is polished on the coarse grid (grid // 2
+    nodes) at zeta.  A root continued far below the real axis can outrun
+    that grid; so when the search, the continuation or this coarse polish
+    raises ConvergenceError, all three are redone on twice the tracking
+    nodes, up to the cap, where the error is raised as it is.  The lowest
+    n_values coarse roots in the window are kept.  Each is then polished on
+    the fine grid (grid nodes) at zeta, and the pair is
     Richardson-extrapolated, (4 fine - coarse) / 3.  Both polish stages are
     _fd_polish.
 
-    Raises ConvergenceError when the real-axis count check fails, the
-    continuation stalls, fewer than n_values coarse roots lie in the
-    window, or a polish stage fails: no convergence, a root more than a
-    quarter of the root spacing pi / sqrt(ab) from its seed, or coincident
-    roots.
+    Raises ConvergenceError when, on the capped tracking grid, the
+    real-axis count check fails, the continuation stalls or the coarse
+    polish fails; when fewer than n_values coarse roots lie in the window;
+    or when the fine polish fails.  A polish fails by no convergence, a
+    root more than a quarter of the root spacing pi / sqrt(ab) from its
+    seed, or coincident roots.
     """
     if grid < 1000:
         raise DiskModelError("grid must be >= 1e3")
@@ -624,23 +643,29 @@ def fd_oracle(mode: int, zeta, params: MaterialParams, grid=1024,
     tol = 1e-8 * max(1.0, hi)
 
     coarse_nodes = grid // 2
-    track_nodes = min(coarse_nodes, max(
-        grid // 8, math.ceil(2.0 * params.wave_factor * hi)))
-
+    track_nodes = _tracking_nodes(grid, params, hi)
     lams = scan_grid((lo, hi), spacing)
-
-    tracked, _, stalled, drifted = _window_roots(
-        lambda zz: _fd_real_axis_roots(mode, zz, params, track_nodes, lams,
-                                       (lo, hi)),
-        lambda zz, lam: _fd_fdf(params, mode, track_nodes, zz, lam),
-        zeta, (lo, hi), spacing)
-    if stalled:
-        raise ConvergenceError(
-            f"FD continuation failed for mode {mode}, zeta {zeta}: {stalled}")
-    # No two coarse roots coincide, so the window filter leaves nothing to
-    # dedupe: _fd_polish checks it
-    coarse = _fd_polish(params, mode, zeta, coarse_nodes, tracked + drifted,
-                        spacing, tol, "coarse", "tracking")
+    while True:
+        try:
+            tracked, _, stalled, drifted = _window_roots(
+                lambda zz: _fd_real_axis_roots(mode, zz, params, track_nodes,
+                                               lams, (lo, hi)),
+                lambda zz, lam: _fd_fdf(params, mode, track_nodes, zz, lam),
+                zeta, (lo, hi), spacing)
+            if stalled:
+                raise ConvergenceError(
+                    f"FD continuation failed for mode {mode}, zeta {zeta}: "
+                    f"{stalled}")
+            # No two coarse roots coincide, so the window filter leaves
+            # nothing to dedupe: _fd_polish checks it
+            coarse = _fd_polish(params, mode, zeta, coarse_nodes,
+                                tracked + drifted, spacing, tol, "coarse",
+                                "tracking")
+            break
+        except ConvergenceError:
+            if track_nodes >= coarse_nodes:
+                raise
+            track_nodes = min(coarse_nodes, 2 * track_nodes)
     coarse = sorted((c for c in coarse if lo <= c.real <= hi),
                     key=lambda z: z.real)[:n_values]
     if len(coarse) < n_values:

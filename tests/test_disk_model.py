@@ -233,26 +233,42 @@ _TWO_BRACKETS = SimpleNamespace(roots=[J0P_ZEROS[0], J0P_ZEROS[0] + 0.05],
         ("coincident", None, _TWO_BRACKETS, "roots coincide"))])
 def test_fd_oracle_fine_root_checks(monkeypatch, stage, fake, brackets,
                                     message):
-    # zeta = 0 has no continuation: complex_root_polish runs first for the
-    # two tracked roots (the coarse stage), then for the two coarse roots
-    # (the fine stage).  fake stands in for the stage under test, which
-    # polishes for real in the coincident case.
-    real = dm.complex_root_polish
-    calls = []
+    # zeta = 0 has no continuation: complex_root_polish runs only in the
+    # two _fd_polish stages, told apart by their stage argument.  fake
+    # stands in for the stage under test, which polishes for real in the
+    # coincident case.  A coarse-stage failure redoes the tracking search on
+    # twice the nodes up to the cap, 1024 // 2, and is raised from there;
+    # the fine stage runs once, after the tracking grid of the rule.
+    real, real_stage = dm.complex_root_polish, dm._fd_polish
+    scan = dm._fd_real_axis_roots
+    nodes = []
 
-    def polish(fdf, seed):
-        calls.append(seed)
-        if (len(calls) <= 2) == (stage == "coarse"):
-            return (fake or real)(fdf, seed)
-        # the other stage; before the fine stage's coincident case it
-        # leaves the two brackets apart
-        return _unmoved(fdf, seed) if brackets else real(fdf, seed)
+    def fd_polish(params, mode, zeta, m_nodes, seeds, spacing, tol, this,
+                  source):
+        if this == stage:
+            polish = fake or real
+        else:
+            # the other stage; before the fine stage's coincident case it
+            # leaves the two brackets apart
+            polish = _unmoved if brackets else real
+        monkeypatch.setattr(dm, "complex_root_polish", polish)
+        return real_stage(params, mode, zeta, m_nodes, seeds, spacing, tol,
+                          this, source)
 
-    monkeypatch.setattr(dm, "complex_root_polish", polish)
+    def scan_spy(mode, zz, params, m_nodes, *rest):
+        nodes.append(m_nodes)
+        return scan(mode, zz, params, m_nodes, *rest)
+
+    monkeypatch.setattr(dm, "_fd_polish", fd_polish)
+    monkeypatch.setattr(dm, "_fd_real_axis_roots", scan_spy)
     if brackets is not None:
         monkeypatch.setattr(dm, "ratio_roots", lambda *args: brackets)
     with pytest.raises(dm.ConvergenceError, match=message):
         dm.fd_oracle(0, 0.0, UNIT, window=(1.0, 10.0), n_values=2)
+    want = [dm._tracking_nodes(1024, UNIT, 10.0)]
+    while stage == "coarse" and want[-1] < 512:
+        want.append(min(512, 2 * want[-1]))
+    assert nodes == want
 
 
 def test_cayley_endpoint_values():
@@ -353,9 +369,10 @@ def test_fd_oracle_stalled_continuation_is_an_error(monkeypatch):
     with pytest.raises(dm.ConvergenceError,
                        match="FD continuation failed") as info:
         dm.fd_oracle(0, 1.0 + 1.0j, UNIT, window=(1.0, 10.0))
-    # the seeds: the tracking-grid (1024 // 8 = 128-node) real roots at
-    # i Im zeta
-    seeds = dm._fd_real_axis_roots(0, 1.0j, UNIT, 128,
+    # the seeds: the real roots at i Im zeta on the tracking grid's cap,
+    # 1024 // 2 = 512 nodes, where the doubling ends and the error is
+    # raised
+    seeds = dm._fd_real_axis_roots(0, 1.0j, UNIT, 512,
                                    scan_grid((1.0, 10.0), math.pi),
                                    (1.0, 10.0)).roots
     assert len(seeds) == 3
@@ -540,8 +557,9 @@ def _fd_scan_checked(scan, mode, zz, params, m_nodes, lams, window):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_fd_certified_count_battery(monkeypatch, rng, dim):
-    # the FD real-axis scans on fd_oracle's tracking grid (grid // 8 nodes,
-    # raised to 2 sqrt(ab) hi, capped at grid // 2) and default window, with
+    # the FD real-axis scans on fd_oracle's first tracking grid
+    # (_tracking_nodes: the phase rule, capped at grid // 2) and default
+    # window, with
     # a and b in [0.5, 2] and modes up to 200, at imaginary zeta (Re zeta =
     # 0, the scan at zeta itself, Neumann at zeta = 0); then every scan of
     # fd_oracle at Re zeta > 0, whose seed scan is at i Im zeta
@@ -553,8 +571,7 @@ def test_fd_certified_count_battery(monkeypatch, rng, dim):
         grid = int(rng.choice([1000, 1024, 2048]))
         spacing = math.pi / params.wave_factor
         window = (0.2 * spacing, (mode + 16.0) / params.wave_factor)
-        nodes = min(grid // 2, max(grid // 8, math.ceil(
-            2.0 * params.wave_factor * window[1])))
+        nodes = dm._tracking_nodes(grid, params, window[1])
         lams = scan_grid(window, spacing)
         for zeta in (0j, complex(0.0, rng.uniform(-4.0, 4.0))):
             assert _fd_scan_checked(dm._fd_real_axis_roots, mode, zeta,
@@ -612,13 +629,13 @@ def test_mode_solve_evaluates_its_grid_once(monkeypatch, dim, zeta):
 
 def _scan_roots(route, mode, params, zeta, lams, window):
     # the certified real-axis search of either route on the grid lams: the
-    # secular function's, or the FD oracle's on the tracking grid that
-    # fd_oracle's default grid of 1,024 nodes gives
+    # secular function's, or the FD oracle's on the first tracking grid
+    # that fd_oracle's default grid of 1,024 nodes gives
     if route == "bessel":
         grid = dm._RadialGrid(mode, params, window)
         grid.lams = lams
         return dm._real_axis_roots(grid, dm._secular(params, zeta)).roots
-    nodes = min(512, max(128, math.ceil(2.0 * params.wave_factor * window[1])))
+    nodes = dm._tracking_nodes(1024, params, window[1])
     return dm._fd_real_axis_roots(mode, zeta, params, nodes, lams,
                                   window).roots
 
@@ -1022,10 +1039,10 @@ def _assert_tight_fd_roots(params, mode, zeta, grid, window):
 @pytest.mark.parametrize("a,b", ((1.0, 1.0), (1.3, 0.8), (0.5, 2.0)))
 @pytest.mark.parametrize("dim", (2, 3))
 def test_fd_oracle_tight_root_battery(dim, a, b):
-    # grid = 1000 is the smallest allowed (a 125-node tracking grid below
-    # mode 200); at mode 200 the window reaches w = 240, where 3 roots lie
-    # (the default ends at w = 216, after the first), and raises the
-    # tracking grid to 480 nodes.
+    # grid = 1000 is the smallest allowed; the tracking grids of modes 0,
+    # 10 and 30 have 32, 52 and 102 nodes.  At mode 200 the window reaches
+    # w = 240, where 3 roots lie (the default ends at w = 216, after the
+    # first), and the phase rule's 1,212 nodes are capped at grid // 2.
     params = MaterialParams(a=a, b=b, dim=dim)
     cases = itertools.product((0, 10, 30, 200), (1.5j, 1.5 + 0.5j),
                               (1000, 2048))
@@ -1039,10 +1056,62 @@ def test_fd_oracle_tight_root_battery(dim, a, b):
 
 @pytest.mark.parametrize("zeta", (1.5j, 1.5 + 0.5j))
 def test_fd_oracle_tracking_grid_resolves_wide_windows(zeta):
-    # window ends at w = 160 and 260 on the 1000-node grid: the tracking
-    # grid is raised from 125 to 320 nodes (at 125 the coarse roots of mode
-    # 100 moved more than a quarter spacing from the tracked ones), and to
-    # its cap, the 500-node coarse grid, where the tracked roots are coarse
-    # roots already (polished again, the real-axis ones did not converge)
+    # window ends at w = 160 and 260 on the 1000-node grid: the phase rule
+    # asks for 660 and 1,366 nodes (at 125 the coarse roots of mode 100
+    # moved more than a quarter spacing from the tracked ones), so both
+    # tracking grids are at the cap, the 500-node coarse grid, where the
+    # tracked roots are coarse roots already (polished again, the real-axis
+    # ones did not converge)
     for mode, hi in ((100, 160.0), (200, 260.0)):
         _assert_tight_fd_roots(UNIT, mode, zeta, 1000, (0.2 * math.pi, hi))
+
+
+def _tracking_spy(monkeypatch):
+    # the node count of every tracking grid fd_oracle searches: one
+    # real-axis scan per grid
+    nodes = []
+    scan = dm._fd_real_axis_roots
+
+    def spy(mode, zz, params, m_nodes, *rest):
+        nodes.append(m_nodes)
+        return scan(mode, zz, params, m_nodes, *rest)
+
+    monkeypatch.setattr(dm, "_fd_real_axis_roots", spy)
+    return nodes
+
+
+def test_fd_oracle_phase_rule_resolves_high_wavenumbers(monkeypatch):
+    # mode 0 with a = b = 100 on a window ending at w = 110.74: half a
+    # radian per node step needs 222 nodes, but the FD phase error,
+    # about w^3 h^2 / 24, then moves the coarse roots more than a quarter
+    # spacing from the tracked ones.  The phase term gives 380 nodes, and
+    # the first tracking grid resolves the window.
+    nodes = _tracking_spy(monkeypatch)
+    params, window = MaterialParams(a=100.0, b=100.0), (1.0, 1.1074)
+    fd = dm.fd_oracle(0, 0j, params, grid=2048, window=window)
+    assert nodes == [dm._tracking_nodes(2048, params, window[1])] == [380]
+    sec = dm.solve_mode_eigenvalues(0, 0j, params, window).eigenvalues
+    assert len(fd) == 3 and len(sec) >= 3
+    for s, f in zip(sec, fd):
+        assert abs(s - f) / abs(s) <= 1e-4
+
+
+def test_fd_oracle_doubles_the_tracking_grid_for_lost_branches(monkeypatch):
+    # The CLI's spot check of mode 4 at zeta = 1 on the circle (config
+    # window (1, 10)): on 40 and 80 nodes a continued root reaches
+    # Im lam < -13 and its coarse polish lands on another root, and on 160
+    # the coarse polish of a root that has left the window (near
+    # 0 - 17.3i) moves by more than a quarter spacing.  Each failure redoes
+    # the search on twice the nodes; 320 resolves it.
+    nodes = _tracking_spy(monkeypatch)
+    zeta = 1.0 + 0j
+    low = dm.solve_mode_eigenvalues(4, zeta, UNIT, (1.0, 10.0)).eigenvalues
+    window = dm.oracle_window(4, UNIT, 1.0, low[-1].real)
+    fd = dm.fd_oracle(4, zeta, UNIT, grid=2048, window=window,
+                      n_values=len(low))
+    first = dm._tracking_nodes(2048, UNIT, window[1])
+    assert nodes == [first, 2 * first, 4 * first, 8 * first] == [
+        40, 80, 160, 320]
+    assert len(fd) == len(low) == 1
+    for s, f in zip(low, fd):
+        assert abs(s - f) / abs(s) <= 1e-4
