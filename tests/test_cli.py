@@ -665,7 +665,7 @@ GOLDEN_DIGESTS = {
         "impedance_sequence.csv":
             "0f5e38ccb6850828dac7a5b7e01666a8a69635bb5c6c77ace7699d57e098858a",
         "summary.json":
-            "f2dd91d2ea728dd7a30fe4c3d49a80c575d7795b87e84edfdd233b5520f44228",
+            "ff1bd3ddacfca6425749ffeffb5b71362ece7e12ba973506b1e83b23a5677e90",
     }),
     "disk-spectrum-sphere-continuation-oracle": ("disk-spectrum",
                                                  DISK_BALL.replace(
@@ -675,7 +675,7 @@ GOLDEN_DIGESTS = {
         "impedance_sequence.csv":
             "f1f2a5350ccc4bc0d14027f4f38d2fdaa4ab083aa39f973ea284a0f8722594e6",
         "summary.json":
-            "918b7069a90205bc9660920e11067ac955a67ba6cabc7b3b76a1dc5977eff482",
+            "92738556ff2fcb0e964f5363f8e28082dbe92479827b71f97c72d5868798ebed",
     }),
     "lab": ("lab", LAB_SMALL, {
         "lab_report.json":
