@@ -220,6 +220,20 @@ _TWO_BRACKETS = SimpleNamespace(roots=[J0P_ZEROS[0], J0P_ZEROS[0] + 0.05],
                                 count=2)
 
 
+def _tracking_spy(monkeypatch):
+    # the node count of every tracking grid fd_oracle searches: one
+    # real-axis scan per grid
+    nodes = []
+    scan = dm._fd_real_axis_roots
+
+    def spy(mode, zz, params, m_nodes, *rest):
+        nodes.append(m_nodes)
+        return scan(mode, zz, params, m_nodes, *rest)
+
+    monkeypatch.setattr(dm, "_fd_real_axis_roots", spy)
+    return nodes
+
+
 @pytest.mark.parametrize("stage,fake,brackets,message", [
     pytest.param(stage, fake, brackets, f"FD {stage}-grid {message}",
                  id=f"{prefix}{check}")
@@ -240,8 +254,6 @@ def test_fd_oracle_fine_root_checks(monkeypatch, stage, fake, brackets,
     # twice the nodes up to the cap, 1024 // 2, and is raised from there;
     # the fine stage runs once, after the tracking grid of the rule.
     real, real_stage = dm.complex_root_polish, dm._fd_polish
-    scan = dm._fd_real_axis_roots
-    nodes = []
 
     def fd_polish(params, mode, zeta, m_nodes, seeds, spacing, tol, this,
                   source):
@@ -255,12 +267,8 @@ def test_fd_oracle_fine_root_checks(monkeypatch, stage, fake, brackets,
         return real_stage(params, mode, zeta, m_nodes, seeds, spacing, tol,
                           this, source)
 
-    def scan_spy(mode, zz, params, m_nodes, *rest):
-        nodes.append(m_nodes)
-        return scan(mode, zz, params, m_nodes, *rest)
-
+    nodes = _tracking_spy(monkeypatch)
     monkeypatch.setattr(dm, "_fd_polish", fd_polish)
-    monkeypatch.setattr(dm, "_fd_real_axis_roots", scan_spy)
     if brackets is not None:
         monkeypatch.setattr(dm, "ratio_roots", lambda *args: brackets)
     with pytest.raises(dm.ConvergenceError, match=message):
@@ -1064,20 +1072,6 @@ def test_fd_oracle_tracking_grid_resolves_wide_windows(zeta):
     # ones did not converge)
     for mode, hi in ((100, 160.0), (200, 260.0)):
         _assert_tight_fd_roots(UNIT, mode, zeta, 1000, (0.2 * math.pi, hi))
-
-
-def _tracking_spy(monkeypatch):
-    # the node count of every tracking grid fd_oracle searches: one
-    # real-axis scan per grid
-    nodes = []
-    scan = dm._fd_real_axis_roots
-
-    def spy(mode, zz, params, m_nodes, *rest):
-        nodes.append(m_nodes)
-        return scan(mode, zz, params, m_nodes, *rest)
-
-    monkeypatch.setattr(dm, "_fd_real_axis_roots", spy)
-    return nodes
 
 
 def test_fd_oracle_phase_rule_resolves_high_wavenumbers(monkeypatch):
