@@ -567,10 +567,10 @@ def _fd_scan_checked(scan, mode, zz, params, m_nodes, lams, window):
 def test_fd_certified_count_battery(monkeypatch, rng, dim):
     # the FD real-axis scans on fd_oracle's first tracking grid
     # (_tracking_nodes: the phase rule, capped at grid // 2) and default
-    # window, with
-    # a and b in [0.5, 2] and modes up to 200, at imaginary zeta (Re zeta =
-    # 0, the scan at zeta itself, Neumann at zeta = 0); then every scan of
-    # fd_oracle at Re zeta > 0, whose seed scan is at i Im zeta
+    # window, with a and b in [0.5, 2] and modes up to 200, at imaginary
+    # zeta (Re zeta = 0, the scan at zeta itself, Neumann at zeta = 0);
+    # then every scan of fd_oracle at Re zeta > 0, whose seed scan is at
+    # i Im zeta
     scans = 0
     for _ in range(30):
         params = MaterialParams(a=rng.uniform(0.5, 2.0),
