@@ -237,6 +237,44 @@ class ExtensionOp:
         s = np.linalg.svd(_shifted(self.t, z), compute_uv=False)
         return _item(1.0 / s[..., -1])
 
+    def resolvent_bound_certified(self, z, tau) -> bool:
+        """True when one stacked Cholesky proves, for every T of the stack,
+        resolvent_norm(z) * Im z <= tau for one z, with resolvent_norm's
+        value as its SVD computes it in floating point; False when it does
+        not (then nothing is known) or tau <= 0.
+
+        With A = T - z (n x n, formed as resolvent_norm forms it),
+        G = fl(A* A) and u = eps / 2, a factorization of
+        fl(G - c^2 I) that succeeds proves sigma_min(A)^2 >= c^2 (1 - u)
+        - (n + 3) eps tr G, to first order in u (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2nd ed., sections 3.6 and 10.1):
+        forming G is off by at most gamma_(n+2) ||A||_F^2 = gamma_(n+2) tr G
+        in 2-norm, the subtraction by u (G_ii + c^2), and the complex
+        Cholesky's backward error by gamma_(n+3) tr G.  The SVD's
+        sigma_min is off by p(n) u ||A||_2, so its square by
+        2 p(n) u tr G.  So
+
+            c^2 = ((Im z / tau)^2 + 8 (n + 1) eps max tr G) (1 + 1e-6),
+
+        the maximum over the stack, covers p(n) <= 7 n + 5, and the factor
+        1 + 1e-6 covers the u c^2 term and the rounding of 1 / sigma_min
+        and of its product with Im z.  Items whose value lies within about
+        5e-7 relative below tau are therefore never certified.
+        """
+        if not tau > 0:
+            return False
+        a = _shifted(self.t, z)
+        gram = _adjoint(a) @ a
+        n = a.shape[-1]
+        trace = np.max(np.trace(gram, axis1=-2, axis2=-1).real)
+        c2 = ((np.imag(z) / tau) ** 2
+              + 8 * (n + 1) * np.finfo(float).eps * trace) * (1.0 + 1e-6)
+        try:
+            np.linalg.cholesky(gram - c2 * np.eye(n))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
     def boundary_condition_residual(self):
         c = _constraint_matrix(self.model, self.contraction.k, self.weight)
         return _item(np.linalg.norm(c @ self.basis, 2, axis=(-2, -1)))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, seed, settings, strategies as st
 
-from randbc import cli, disk_model
+from randbc import cli, disk_model, extension_lab
 from randbc.config import ConfigError, load_config, validate_config, config_roundtrip
 from randbc.disk_model import MaterialParams
 
@@ -741,6 +741,51 @@ def test_lab_golden_digests(tmp_path, case):
     data = sorted(set(os.listdir(out)) - {"manifest.json", "config_echo.ini"})
     assert data == sorted(want)
     assert {name: sha(os.path.join(out, name)) for name in want} == want
+
+
+def _lab_data(cfg, run_seed, out):
+    """The data files (bytes by name) of one lab run, with its exit code."""
+    rc = cli.main(["lab", cfg, "--seed", str(run_seed), "--out", out])
+    names = set(os.listdir(out)) - {"manifest.json", "config_echo.ini"}
+    return rc, {name: open(os.path.join(out, name), "rb").read()
+                for name in sorted(names)}
+
+
+# the LAB_GOLDEN runs and three more seeds of the example; seed 9 fails an
+# invariant (exit 2), as seed 15 does
+@pytest.mark.parametrize("example, run_seed", [
+    ("lab.ini", 12345), ("lab.ini", 15), (None, 4242), ("lab.ini", 1),
+    ("lab.ini", 7), ("lab.ini", 9)])
+def test_lab_resolvent_screen_changes_no_byte(tmp_path, monkeypatch,
+                                              example, run_seed):
+    # every Cholesky raising puts every stack of the resolvent bound on the
+    # exact path (an SVD per stack and z): the same exit code and bytes
+    cfg = (os.path.join(REPO, "configs", example) if example
+           else write_config(tmp_path, LAB_ODD))
+    screened = _lab_data(cfg, run_seed, str(tmp_path / "screened"))
+
+    def no_cholesky(a):
+        raise np.linalg.LinAlgError("screen off")
+
+    monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+    assert _lab_data(cfg, run_seed, str(tmp_path / "exact")) == screened
+
+
+def test_lab_resolvent_screen_work(tmp_path, monkeypatch):
+    # the example at its own seed: 11 windows x 3 models x 10 z = 330
+    # stacks, of which the first window's 30 (no running worst yet) and 7
+    # later ones within the certificate's margin of it run exact
+    calls = []
+    norm = extension_lab.ExtensionOp.resolvent_norm
+
+    def spy(self, z):
+        calls.append(z)
+        return norm(self, z)
+
+    monkeypatch.setattr(extension_lab.ExtensionOp, "resolvent_norm", spy)
+    cfg = os.path.join(REPO, "configs", "lab.ini")
+    assert cli.main(["lab", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert 30 <= len(calls) <= 40
 
 
 # valid values that keep each run tiny; the fuzz test swaps some of them for

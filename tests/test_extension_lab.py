@@ -265,6 +265,68 @@ def test_resolvent_norm_against_mpmath(n):
     assert worst <= 1e-13
 
 
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_resolvent_bound_certificate_margin(n):
+    # one window's stack at each z of the grid: certified below tau only
+    # when its largest norm * Im z lies below tau by more than the
+    # certificate's margin (about 5e-7 relative)
+    rng = np.random.default_rng(400 + n)
+    model = lab.build_discrete_triple(n, h=0.2,
+                                      potential=rng.standard_normal(n))
+    ks = [labsuite._sample_contraction(rng, 2, i)
+          for i in range(labsuite._LAB_BLOCK)]
+    ext = lab.extension_from_contraction(model, labsuite._stack(ks))
+    for z in labsuite.Z_GRID:
+        top = float(np.max(ext.resolvent_norm(z))) * z.imag
+        assert not ext.resolvent_bound_certified(z, top)
+        assert not ext.resolvent_bound_certified(z, top * (1 + 1e-7))
+        assert ext.resolvent_bound_certified(z, top * (1 + 1e-4))
+        assert not ext.resolvent_bound_certified(z, 0.0)
+
+
+def test_resolvent_screen_keeps_a_late_violation(monkeypatch):
+    # the contraction battery alone, with one item of window 9 (model 0,
+    # item 5), where the running worst is near 1, made non-dissipative
+    # (T + 0.5i): its resolvent_bound violations, and the whole report, are
+    # those of the exact path, where every Cholesky raises
+    build = lab.extension_from_contraction
+    calls, norms = [], []
+
+    def perturbed(model, contraction, weight=None):
+        ext = build(model, contraction, weight)
+        calls.append(model.n)
+        if len(calls) == 3 * 9 + 1:
+            ext.t[5] += 0.5j * np.eye(model.n)
+        return ext
+
+    def counted(self, z):
+        norms.append(z)
+        return norm(self, z)
+
+    def run():
+        calls.clear()
+        norms.clear()
+        report = labsuite.run_invariant_suite(
+            seed=12345, green_pairs=0, contractions=500, weyl_points=0,
+            krein_triples=0, rank_pairs=0, injectivity_pairs=0)
+        return report, len(norms)
+
+    def no_cholesky(a):
+        raise np.linalg.LinAlgError("screen off")
+
+    norm = lab.ExtensionOp.resolvent_norm
+    monkeypatch.setattr(lab, "extension_from_contraction", perturbed)
+    monkeypatch.setattr(lab.ExtensionOp, "resolvent_norm", counted)
+    screened, screened_stacks = run()
+    monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+    exact, exact_stacks = run()
+    assert screened_stacks < 60 and exact_stacks == 330
+    assert screened == exact
+    bad = [v for v in screened["violations"]
+           if v["invariant"] == "resolvent_bound"]
+    assert bad and all(v["norm"] * v["z"][1] > 1 for v in bad)
+
+
 def test_basis_columns_satisfy_boundary_condition(chain12, contraction_sampler):
     for _ in range(10):
         ext = lab.extension_from_contraction(chain12, contraction_sampler())
