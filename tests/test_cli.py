@@ -774,7 +774,8 @@ def test_lab_resolvent_screen_changes_no_byte(tmp_path, monkeypatch,
 def test_lab_resolvent_screen_work(tmp_path, monkeypatch):
     # the example at its own seed: 11 windows x 3 models x 10 z = 330
     # stacks, of which the first window's 30 (no running worst yet) and 7
-    # later ones within the certificate's margin of it run exact
+    # later ones (above the running worst, or within the certificate's
+    # margin below it) run exact
     calls = []
     norm = extension_lab.ExtensionOp.resolvent_norm
 

@@ -290,6 +290,7 @@ def test_resolvent_screen_keeps_a_late_violation(monkeypatch):
     # (T + 0.5i): its resolvent_bound violations, and the whole report, are
     # those of the exact path, where every Cholesky raises
     build = lab.extension_from_contraction
+    norm = lab.ExtensionOp.resolvent_norm
     calls, norms = [], []
 
     def perturbed(model, contraction, weight=None):
@@ -314,7 +315,6 @@ def test_resolvent_screen_keeps_a_late_violation(monkeypatch):
     def no_cholesky(a):
         raise np.linalg.LinAlgError("screen off")
 
-    norm = lab.ExtensionOp.resolvent_norm
     monkeypatch.setattr(lab, "extension_from_contraction", perturbed)
     monkeypatch.setattr(lab.ExtensionOp, "resolvent_norm", counted)
     screened, screened_stacks = run()
